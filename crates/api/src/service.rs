@@ -50,9 +50,10 @@ pub struct SnapCar {
     pub path: Arc<PathVector>,
 }
 
-/// Reusable per-caller query buffers for snapshot lookups. Each fan-out
-/// worker (and the serial ping path) owns one, so per-ping nearest-k
-/// results land in scratch instead of fresh allocations.
+/// Reusable per-caller query buffers for snapshot lookups. The
+/// measurement ping kernel owns one and reuses it for every ping, so
+/// per-ping nearest-k results land in scratch instead of fresh
+/// allocations.
 #[derive(Debug, Clone, Default)]
 pub struct PingScratch {
     /// Ring-search candidate scratch shared by all grid queries.
@@ -75,8 +76,8 @@ impl PingScratch {
 ///
 /// The snapshot is *owned* (city model and surge boards behind `Arc`s):
 /// it borrows nothing from the marketplace, so it can cross thread
-/// boundaries and outlive the tick that produced it — the fan-out
-/// worker pool and delayed-transport machinery both rely on that.
+/// boundaries and outlive the tick that produced it — the serve layer's
+/// worker threads and delayed-transport machinery both rely on that.
 ///
 /// It is also *reusable*: [`WorldSnapshot::capture`] re-freezes a new
 /// tick into the same shell, keeping every buffer (tier buckets, grid
@@ -243,7 +244,7 @@ impl WorldSnapshot {
 
 /// The stateless core of the protocol endpoint: everything a pingClient
 /// response depends on besides the [`WorldSnapshot`] itself. Cheap to
-/// clone, so fan-out worker threads carry their own and answer pings
+/// clone, so serve worker threads carry their own and answer pings
 /// without touching the service (whose only mutable state, the rate
 /// limiter, guards the *estimates* endpoints — pingClient was never
 /// throttled). Clones share the jitter-hit counter cell, so worker
@@ -260,7 +261,7 @@ pub struct PingConfig {
     /// Telemetry: pings answered from the previous board *because of the
     /// consistency bug's jitter window* (not mere propagation delay).
     /// Window membership is a pure function of (client, interval), so the
-    /// total is deterministic at any fan-out width.
+    /// total is deterministic however pings are spread over threads.
     jitter_hits: Counter,
 }
 
@@ -316,8 +317,10 @@ impl ApiService {
         self.ping.era
     }
 
-    /// The stateless ping core, for fan-out workers. The clone shares
-    /// the jitter-hit counter cell with the service's own copy.
+    /// The stateless ping core, for callers that answer pings without
+    /// holding the service (the measurement kernel, serve workers). The
+    /// clone shares the jitter-hit counter cell with the service's own
+    /// copy.
     pub fn ping_config(&self) -> PingConfig {
         self.ping.clone()
     }
@@ -480,7 +483,7 @@ impl PingConfig {
     /// is called once per offered tier with a borrowed [`TierPing`] view.
     /// This is the allocation-free core shared by [`PingConfig::ping_client`]
     /// (which renders a [`PingClientResponse`] from it) and the
-    /// measurement fan-out (which renders observations directly). Pure:
+    /// measurement ping kernel (which renders observations directly). Pure:
     /// usable from any worker thread without touching the [`ApiService`].
     pub fn ping_visit(
         &self,
@@ -546,7 +549,7 @@ impl PingConfig {
     }
 
     /// Answers a pingClient request against a snapshot, materializing the
-    /// wire response. Pure: usable from any fan-out worker thread without
+    /// wire response. Pure: usable from any worker thread without
     /// touching the [`ApiService`].
     pub fn ping_client(
         &self,

@@ -1,9 +1,9 @@
-//! Benchmarks for the spatial bucket grid and the parallel ping fan-out.
+//! Benchmarks for the spatial bucket grid and the ping kernel.
 //!
 //! `spatial_grid` compares the expanding-ring queries against the
 //! brute-force scans they replaced, at tier-inventory sizes typical of a
-//! scaled SF world. `ping_all_sf` measures the whole per-tick measurement
-//! hot loop (snapshot + every client ping) at 1/2/4 worker threads.
+//! scaled SF world. `ping_all_sf` measures one tick's pings for a
+//! paper-sized client lattice, answered serially into a reused buffer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -87,7 +87,7 @@ fn bench_spatial_grid(c: &mut Criterion) {
 
 /// An SF-scale system at rush hour plus a client lattice the size the
 /// paper deployed (43 clients), mirroring the campaign hot loop.
-fn sf_system(threads: usize) -> (UberSystem, Vec<ClientSpec>) {
+fn sf_system() -> (UberSystem, Vec<ClientSpec>) {
     let city = CityModel::san_francisco_downtown();
     let spacing = 4.0 * 83.0; // the paper's 4-minute-walk spacing
     let clients: Vec<ClientSpec> = surgescope_geo::grid::cover_polygon(
@@ -100,21 +100,22 @@ fn sf_system(threads: usize) -> (UberSystem, Vec<ClientSpec>) {
     .collect();
     let mut mp = Marketplace::new(city, MarketplaceConfig::default(), 99);
     mp.run_for(SimDuration::hours(9));
-    let sys = UberSystem::new(mp, ApiService::new(ProtocolEra::Apr2015, 99))
-        .with_parallelism(threads);
+    let sys = UberSystem::new(mp, ApiService::new(ProtocolEra::Apr2015, 99));
     (sys, clients)
 }
 
+/// One tick's pings for the whole lattice, answered serially into a
+/// reused buffer — the campaign runner's call.
 fn bench_ping_fanout(c: &mut Criterion) {
     let mut g = c.benchmark_group("ping_all_sf");
-
-    for &threads in &[1usize, 2, 4] {
-        g.bench_function(&format!("threads_{threads}"), |b| {
-            let (mut sys, clients) = sf_system(threads);
-            b.iter(|| black_box(sys.ping_all(&clients)))
-        });
-    }
-
+    let (mut sys, clients) = sf_system();
+    let mut out = Vec::new();
+    g.bench_function("serial", |b| {
+        b.iter(|| {
+            sys.ping_all_into(&clients, &mut out);
+            black_box(&out);
+        })
+    });
     g.finish();
 }
 

@@ -3,7 +3,9 @@
 //! Runs a seeded SF-downtown measurement campaign twice — once clean,
 //! once under a faulted transport (drops + delays through the in-flight
 //! queue) — and writes `BENCH_campaign.json` (wall time, tick throughput,
-//! fleet sizes, both datapoints) to the current directory. Run it from the
+//! fleet sizes, both datapoints, the host's core count) to the current
+//! directory. Campaigns answer pings serially; only the scheduler and
+//! serve datapoints use more than one thread. Run it from the
 //! repository root to refresh the checked-in numbers:
 //!
 //! ```text
@@ -29,12 +31,11 @@ struct Datapoint {
     metrics: String,
 }
 
-fn run(label: &'static str, faults: FaultPlan, threads: usize) -> Datapoint {
+fn run(label: &'static str, faults: FaultPlan) -> Datapoint {
     let cfg = CampaignConfig {
         hours: 2,
         era: ProtocolEra::Apr2015,
         scale: 1.0,
-        parallelism: threads,
         faults,
         ..CampaignConfig::test_default(2026)
     };
@@ -74,13 +75,12 @@ struct ReplayPoint {
     log_bytes_per_tick: f64,
 }
 
-fn run_replay(threads: usize) -> ReplayPoint {
+fn run_replay() -> ReplayPoint {
     let log = std::env::temp_dir().join(format!("bench-campaign-{}.sslog", std::process::id()));
     let mut cfg = CampaignConfig {
         hours: 2,
         era: ProtocolEra::Apr2015,
         scale: 1.0,
-        parallelism: threads,
         ..CampaignConfig::test_default(2026)
     };
     cfg.store.log_path = Some(log.clone());
@@ -126,10 +126,9 @@ fn run_scheduler(jobs: usize) -> SchedulerPoint {
     use surgescope_experiments::schedule::{order_longest_first, Prefetch};
     use surgescope_experiments::RunCtx;
     // Distinct seeds ⇒ distinct cache keys ⇒ no dedup: every task is a
-    // full simulation. Inner parallelism pinned to 1 so the scheduler's
-    // scaling is measured, not the tick fan-out's. Mixed durations so
-    // longest-job-first has something to reorder — the long campaign
-    // must start first or it serializes the tail.
+    // full simulation. Mixed durations so longest-job-first has something
+    // to reorder — the long campaign must start first or it serializes
+    // the tail.
     let mut tasks: Vec<Prefetch> = (0..4)
         .map(|i| {
             Prefetch::Campaign(
@@ -138,7 +137,6 @@ fn run_scheduler(jobs: usize) -> SchedulerPoint {
                     hours: if i == 0 { 2 } else { 1 },
                     era: ProtocolEra::Apr2015,
                     scale: 0.5,
-                    parallelism: 1,
                     ..CampaignConfig::test_default(3000 + i)
                 },
             )
@@ -313,28 +311,27 @@ fn run_resilience(conns: usize) -> ResiliencePoint {
 }
 
 fn main() {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Warmup: one short untimed campaign so the timed runs measure the
     // steady state (page cache, allocator arenas, branch predictors hot)
     // instead of process cold-start.
-    run("warmup", FaultPlan::none(), threads);
+    run("warmup", FaultPlan::none());
     let points = [
-        run("clean", FaultPlan::none(), threads),
+        run("clean", FaultPlan::none()),
         // The faulted datapoint prices the transport layer itself: fault
         // draws, the in-flight queue, and NaN gap accounting.
         run(
             "faulted",
             FaultPlan { drop_chance: 0.10, delay_chance: 0.10, max_delay_secs: 30 },
-            threads,
         ),
     ];
-    let replay = run_replay(threads);
+    let replay = run_replay();
     // Scheduler scaling at jobs ∈ {1, 2, 4}. On a single-core host the
     // curve is flat by physics; the ratios below record what this
     // machine actually delivers.
     let sched = [run_scheduler(1), run_scheduler(2), run_scheduler(4)];
     // Serving layer: one 2-second unpaced burst against a loopback server.
-    let serve = run_serve(4.min(threads.max(1)));
+    let serve = run_serve(4.min(cores));
     // Resilience layer: the same loopback wiring with chaos injected.
     let resil = run_resilience(2);
 
@@ -366,7 +363,7 @@ fn main() {
     let base = &points[0];
     let json = format!(
         "{{\n  \"city\": \"SF Downtown\",\n  \"hours\": 2,\n  \"scale\": 1.0,\n  \
-         \"clients\": {clients},\n  \"ticks\": {ticks},\n  \"parallelism\": {threads},\n  \
+         \"clients\": {clients},\n  \"ticks\": {ticks},\n  \"host_cores\": {cores},\n  \
          \"wall_secs\": {wall:.3},\n  \"ticks_per_sec\": {tps:.2},\n  \"runs\": [\n{runs}\n  ],\n  \
          \"store\": {{\n    \"logged_wall_secs\": {lw:.3},\n    \"replay_wall_secs\": {rw:.3},\n    \
          \"replay_ticks_per_sec\": {rtps:.2},\n    \"log_bytes\": {lb},\n    \
@@ -416,7 +413,7 @@ fn main() {
     print!("{json}");
     for p in &points {
         eprintln!(
-            "campaign[{}]: {} clients x {} ticks in {:.2}s ({:.1} ticks/s, {threads} threads, {:.1}% gaps)",
+            "campaign[{}]: {} clients x {} ticks in {:.2}s ({:.1} ticks/s, serial pings, {:.1}% gaps)",
             p.label,
             p.clients,
             p.ticks,

@@ -4,8 +4,9 @@
 //! A counting `#[global_allocator]` wraps the system allocator; once the
 //! arenas and scratch buffers have grown to the fleet's high-water mark,
 //! the snapshot path (release + re-capture into the arena) and the full
-//! per-tick ping path (`ping_all_into` with a reused observation buffer)
-//! must perform **zero** heap allocations per tick. A regression here
+//! per-tick ping path (`ping_all_into` with a reused observation buffer;
+//! pings have one serial kernel, so this covers every campaign) must
+//! perform **zero** heap allocations per tick. A regression here
 //! silently reintroduces the per-tick `Vec` churn this pipeline was built
 //! to remove, so clean windows are pinned to exactly 0, not to a budget.
 
@@ -113,8 +114,8 @@ fn steady_state_ping_path_allocates_zero() {
     let mut obs = Vec::new();
     // Warmup ticks: grow every buffer (arena, scratch, observation
     // vectors) toward its high-water mark for this fleet. The run is
-    // fully deterministic (fixed seed, serial path), so the window scan
-    // below always converges at the same tick.
+    // fully deterministic (fixed seed), so the window scan below always
+    // converges at the same tick.
     for _ in 0..600 {
         sys.advance_tick();
         sys.ping_all_into(&clients, &mut obs);

@@ -88,9 +88,12 @@ pub struct CampaignConfig {
     /// is measured Uber; `Smoothed` evaluates the paper's §8 proposal —
     /// see the `ext01` experiment).
     pub surge_policy: surgescope_marketplace::SurgePolicy,
-    /// Worker threads for the per-tick client fan-out (1 = serial). The
-    /// observation series is bit-identical at any value; this only trades
-    /// wall time.
+    /// Connections a remote campaign opens when `experiments::cache`
+    /// routes it to a server (clamped there to 1..=4); also carried in the
+    /// checkpoint encoding. It never changes what a campaign observes,
+    /// and in-process pings ignore it: they are answered serially, since
+    /// at ~45 clients a per-tick thread hand-off costs more than the
+    /// pings it splits.
     pub parallelism: usize,
     /// Transport fault injection on client pings ([`FaultPlan::none`] by
     /// default). Dropped pings leave `NaN` gaps in the per-client series;
@@ -137,10 +140,10 @@ impl CampaignConfig {
     /// Identity hash of the *measured* configuration: every field that
     /// changes what a campaign observes (seed, horizon, era, estimator
     /// tuning, spacing, scale, surge policy, fault plan) and none that
-    /// only change how it runs (`parallelism` — the series is
-    /// bit-identical at any thread count — and the store hooks). Two
-    /// configs with equal hashes produce bit-identical campaigns; the
-    /// disk cache and the log/checkpoint headers key on this.
+    /// only change how it runs (`parallelism`, the remote connection
+    /// count, and the store hooks). Two configs with equal hashes produce
+    /// bit-identical campaigns; the disk cache and the log/checkpoint
+    /// headers key on this.
     pub fn config_hash(&self) -> u64 {
         surgescope_store::value_hash(&self.semantic_value())
     }
@@ -163,8 +166,8 @@ impl CampaignConfig {
 impl Serialize for CampaignConfig {
     fn to_value(&self) -> Value {
         let Value::Map(mut fields) = self.semantic_value() else { unreachable!() };
-        // Parallelism is carried for information but overridden on
-        // resume; store hooks are runtime-only and never serialized.
+        // Parallelism is carried for information (it never affects the
+        // series); store hooks are runtime-only and never serialized.
         fields.push(("parallelism".into(), (self.parallelism as u64).to_value()));
         Value::Map(fields)
     }
@@ -310,7 +313,7 @@ impl SystemBackend {
     }
 
     /// `estimates/price` against the current tick's state. The local arm
-    /// reuses the tick's cached snapshot (the fan-out above captured it);
+    /// reuses the tick's cached snapshot (the pings above captured it);
     /// the remote arm asks the server, whose world is frozen at the same
     /// tick by the lockstep barrier.
     fn probe_price(
@@ -387,7 +390,7 @@ impl SystemBackend {
 /// splits it into [`CampaignRunner::tick`] steps so the campaign can be
 /// streamed into a durable log, checkpointed at any tick boundary, and
 /// resumed from a checkpoint — the resumed run continues **bit-identically**
-/// (NaN payloads included) to the uninterrupted one, at any parallelism.
+/// (NaN payloads included) to the uninterrupted one.
 pub struct CampaignRunner {
     cfg: CampaignConfig,
     city: CityModel,
@@ -507,11 +510,7 @@ impl CampaignRunner {
             MarketplaceConfig { surge_policy: cfg.surge_policy, ..Default::default() };
         let mp = Marketplace::new(city.clone(), market_cfg, cfg.seed);
         let api = ApiService::new(cfg.era, cfg.seed ^ 0xB0B5);
-        let sys = SystemBackend::Local(
-            UberSystem::new(mp, api)
-                .with_faults(cfg.faults, cfg.seed)
-                .with_parallelism(cfg.parallelism),
-        );
+        let sys = SystemBackend::Local(UberSystem::new(mp, api).with_faults(cfg.faults, cfg.seed));
         Self::fresh(city, cfg, sys)
     }
 
@@ -627,9 +626,9 @@ impl CampaignRunner {
 
     /// A point-in-time reading of every instrument in the campaign's
     /// registry (system, marketplace, transport, api, store and the
-    /// runner itself). The snapshot's deterministic section is
-    /// byte-identical at any parallelism; wall-clock timers live in its
-    /// timing section only.
+    /// runner itself). The snapshot's deterministic section is a pure
+    /// function of the config; wall-clock timers live in its timing
+    /// section only.
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.metrics.registry.snapshot()
     }
@@ -910,18 +909,12 @@ impl CampaignRunner {
     }
 
     /// Rebuilds a runner from [`CampaignRunner::checkpoint_value`] output.
-    /// `parallelism` and `hooks` are runtime knobs supplied afresh — the
-    /// continuation is bit-identical at any thread count. When
-    /// `hooks.log_path` is set, the log's tick prefix is rewritten from
-    /// the checkpointed series, so the finished log replays the *whole*
-    /// campaign even though this process only ran its tail.
-    pub fn resume(
-        v: &Value,
-        parallelism: usize,
-        hooks: StoreHooks,
-    ) -> Result<Self, StoreError> {
+    /// `hooks` is a runtime knob supplied afresh. When `hooks.log_path` is
+    /// set, the log's tick prefix is rewritten from the checkpointed
+    /// series, so the finished log replays the *whole* campaign even
+    /// though this process only ran its tail.
+    pub fn resume(v: &Value, hooks: StoreHooks) -> Result<Self, StoreError> {
         let mut cfg = CampaignConfig::from_value(v.field("config")?)?;
-        cfg.parallelism = parallelism.max(1);
         cfg.store = hooks;
         let city = CityModel::from_value(v.field("city")?)?;
         let (clients, client_area, area_polys, adjacency, centroids) =
@@ -943,9 +936,7 @@ impl CampaignRunner {
         let mp = Marketplace::restore_state(city.clone(), market_cfg, v.field("marketplace")?)?;
         let mut api = ApiService::new(cfg.era, cfg.seed ^ 0xB0B5);
         api.set_limiter(RateLimiter::from_value(v.field("limiter")?)?);
-        let mut sys = UberSystem::new(mp, api)
-            .with_faults(cfg.faults, cfg.seed)
-            .with_parallelism(cfg.parallelism);
+        let mut sys = UberSystem::new(mp, api).with_faults(cfg.faults, cfg.seed);
         sys.set_fault_rng(SimRng::from_value(v.field("fault_rng")?)?);
         sys.set_transport(Transport::from_value(v.field("transport")?)?);
         let sys = SystemBackend::Local(sys);
@@ -1036,13 +1027,9 @@ impl CampaignRunner {
 
     /// Loads a checkpoint file and resumes from it. The file's recorded
     /// config hash is cross-checked against the restored config.
-    pub fn resume_from_file(
-        path: &Path,
-        parallelism: usize,
-        hooks: StoreHooks,
-    ) -> Result<Self, StoreError> {
+    pub fn resume_from_file(path: &Path, hooks: StoreHooks) -> Result<Self, StoreError> {
         let (hash, v) = surgescope_store::read_checkpoint(path)?;
-        let runner = Self::resume(&v, parallelism, hooks)?;
+        let runner = Self::resume(&v, hooks)?;
         let expect = runner.cfg.config_hash();
         if hash != expect {
             return Err(StoreError::Schema(format!(
@@ -1269,15 +1256,13 @@ mod tests {
         assert!(data.client_interval_cars.iter().all(|m| m.is_finite()));
     }
 
+    /// The deterministic metrics section is pinned to the digest the
+    /// removed 4-thread ping pool produced for these configs, so the
+    /// serial kernel must reproduce the pool's counters byte for byte.
     #[test]
-    fn metrics_snapshot_deterministic_across_parallelism() {
-        let run = |parallelism: usize, faults: FaultPlan| {
-            let cfg = CampaignConfig {
-                hours: 1,
-                parallelism,
-                faults,
-                ..CampaignConfig::test_default(44)
-            };
+    fn metrics_snapshot_matches_pinned_pool_output() {
+        let run = |faults: FaultPlan| {
+            let cfg = CampaignConfig { hours: 1, faults, ..CampaignConfig::test_default(44) };
             let mut r = CampaignRunner::new(CityModel::manhattan_midtown(), &cfg)
                 .expect("memory-only runner");
             r.run_to_end().expect("no store configured");
@@ -1285,36 +1270,39 @@ mod tests {
             r.finish().expect("no store configured");
             snap
         };
-        for faults in [FaultPlan::none(), FaultPlan { drop_chance: 0.1, delay_chance: 0.2, max_delay_secs: 60 }] {
-            let serial = run(1, faults);
-            let fanned = run(4, faults);
+        let faulted = FaultPlan { drop_chance: 0.1, delay_chance: 0.2, max_delay_secs: 60 };
+        for (faults, pinned) in
+            [(FaultPlan::none(), 0x9c99_59d6_6705_bfa1), (faulted, 0x3926_b941_d0a8_420a)]
+        {
+            let snap = run(faults);
+            let json = snap.deterministic_json();
             assert_eq!(
-                serial.deterministic_json(),
-                fanned.deterministic_json(),
-                "deterministic metrics section must not depend on parallelism"
+                surgescope_store::fnv1a64(json.as_bytes()),
+                pinned,
+                "deterministic metrics section diverged from the pinned pool output: {json}"
             );
             // Sanity: the counters describe the campaign that actually ran.
-            let clients = serial.value("campaign.clients").unwrap();
+            let clients = snap.value("campaign.clients").unwrap();
             assert!(clients > 0);
-            assert_eq!(serial.value("campaign.ticks"), Some(720));
-            let delivered = serial.value("pings.delivered").unwrap();
-            let delayed = serial.value("pings.delayed").unwrap();
-            let dropped = serial.value("pings.dropped").unwrap();
+            assert_eq!(snap.value("campaign.ticks"), Some(720));
+            let delivered = snap.value("pings.delivered").unwrap();
+            let delayed = snap.value("pings.delayed").unwrap();
+            let dropped = snap.value("pings.dropped").unwrap();
             assert_eq!(delivered + delayed + dropped, clients * 720);
-            assert_eq!(serial.value("transport.sent_delayed"), Some(delayed));
+            assert_eq!(snap.value("transport.sent_delayed"), Some(delayed));
             if faults.is_none() {
-                assert_eq!(serial.value("campaign.gaps"), Some(0));
+                assert_eq!(snap.value("campaign.gaps"), Some(0));
                 assert_eq!(dropped, 0);
             } else {
                 assert!(dropped > 0 && delayed > 0);
-                assert!(serial.value("campaign.gaps").unwrap() > 0);
+                assert!(snap.value("campaign.gaps").unwrap() > 0);
             }
             // Wall-clock values never leak into the deterministic section.
-            assert!(serial
+            assert!(snap
                 .deterministic
                 .iter()
                 .all(|(k, _)| !k.ends_with(".ns") && !k.ends_with(".calls")));
-            assert!(serial.timing.iter().any(|(k, _)| k == "phase.move.ns"));
+            assert!(snap.timing.iter().any(|(k, _)| k == "phase.move.ns"));
         }
     }
 

@@ -61,7 +61,7 @@ impl PingObservation {
 /// Converts a full `pingClient` wire response into the per-tier blocks a
 /// measurement client records: positions projected into the city's planar
 /// frame, path vectors reduced to their net displacement. This is the
-/// honest client-side pipeline — the in-process fan-out's snapshot
+/// honest client-side pipeline — the in-process ping kernel's snapshot
 /// shortcut is regression-locked byte-identical to it, and the remote
 /// (socket) client uses it directly.
 pub fn response_to_observations(

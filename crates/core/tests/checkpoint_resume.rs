@@ -4,8 +4,8 @@
 //! resumed from its checkpoint produces a `CampaignData` that is
 //! **bit-identical** (NaN payloads included) to the uninterrupted run —
 //! under a clean transport AND under `FaultPlan::laggy` (non-empty
-//! in-flight queue at the checkpoint), at parallelism 1 and 4 — and that
-//! a finished event log replays into the same bytes without re-simulation.
+//! in-flight queue at the checkpoint) — and that a finished event log
+//! replays into the same bytes without re-simulation.
 //!
 //! Equality is asserted on `persist::campaign_encoded`, the canonical
 //! byte encoding in which equal bytes ⇔ deep bit-exact equality.
@@ -32,13 +32,12 @@ fn base_cfg(faults: FaultPlan, hours: u64) -> CampaignConfig {
 }
 
 /// Runs the scenario end to end: uninterrupted baseline, interrupted run
-/// checkpointed at the half-way tick boundary, resumes at parallelism
-/// 1 and 4.
+/// checkpointed at the half-way tick boundary, resumed run.
 fn scenario(tag: &str, faults: FaultPlan, hours: u64) {
     let city = CityModel::manhattan_midtown();
     let half_ticks = hours as usize * 720 / 2; // 720 five-second ticks/hour
 
-    // Uninterrupted baseline (serial), streamed into a log.
+    // Uninterrupted baseline, streamed into a log.
     let baseline_log = temp_path(&format!("{tag}-baseline.sslog"));
     let mut cfg = base_cfg(faults, hours);
     cfg.store.log_path = Some(baseline_log.clone());
@@ -55,11 +54,10 @@ fn scenario(tag: &str, faults: FaultPlan, hours: u64) {
         "{tag}: replay of the event log diverged from the live campaign"
     );
 
-    // Interrupted run: different parallelism, checkpoint at mid-campaign,
-    // then the process "crashes" (runner dropped, only the file survives).
+    // Interrupted run: checkpoint at mid-campaign, then the process
+    // "crashes" (runner dropped, only the file survives).
     let ckpt = temp_path(&format!("{tag}.ckpt"));
     let mut cfg = base_cfg(faults, hours);
-    cfg.parallelism = 4;
     cfg.store.checkpoint_path = Some(ckpt.clone());
     let mut partial = CampaignRunner::new(city, &cfg).unwrap();
     for _ in 0..half_ticks {
@@ -74,28 +72,26 @@ fn scenario(tag: &str, faults: FaultPlan, hours: u64) {
     partial.write_checkpoint().unwrap();
     drop(partial);
 
-    // Resume at parallelism 1 and 4; both must hit the baseline bytes,
-    // and the rewritten log must replay to them as well.
-    for threads in [1usize, 4] {
-        let log = temp_path(&format!("{tag}-resume{threads}.sslog"));
-        let hooks = StoreHooks { log_path: Some(log.clone()), ..StoreHooks::none() };
-        let mut resumed = CampaignRunner::resume_from_file(&ckpt, threads, hooks).unwrap();
-        assert_eq!(resumed.ticks_done(), half_ticks);
-        resumed.run_to_end().unwrap();
-        let data = resumed.finish().unwrap();
-        assert_eq!(
-            campaign_encoded(&data),
-            baseline_bytes,
-            "{tag}: resume at parallelism {threads} diverged from the uninterrupted run"
-        );
-        let rewound = replay_campaign(&log).unwrap();
-        assert_eq!(
-            campaign_encoded(&rewound),
-            baseline_bytes,
-            "{tag}: log rewritten on resume (parallelism {threads}) replays differently"
-        );
-        let _ = std::fs::remove_file(&log);
-    }
+    // Resume: the run must hit the baseline bytes, and the rewritten log
+    // must replay to them as well.
+    let log = temp_path(&format!("{tag}-resume.sslog"));
+    let hooks = StoreHooks { log_path: Some(log.clone()), ..StoreHooks::none() };
+    let mut resumed = CampaignRunner::resume_from_file(&ckpt, hooks).unwrap();
+    assert_eq!(resumed.ticks_done(), half_ticks);
+    resumed.run_to_end().unwrap();
+    let data = resumed.finish().unwrap();
+    assert_eq!(
+        campaign_encoded(&data),
+        baseline_bytes,
+        "{tag}: resumed run diverged from the uninterrupted run"
+    );
+    let rewound = replay_campaign(&log).unwrap();
+    assert_eq!(
+        campaign_encoded(&rewound),
+        baseline_bytes,
+        "{tag}: log rewritten on resume replays differently"
+    );
+    let _ = std::fs::remove_file(&log);
     let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(&baseline_log);
 }

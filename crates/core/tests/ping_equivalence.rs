@@ -1,5 +1,5 @@
-//! Regression lock backing the `ping_one` doc claim: the measurement
-//! fan-out renders observations straight from the snapshot (skipping the
+//! Regression lock backing the `ping_one_into` doc claim: the measurement
+//! ping kernel renders observations straight from the snapshot (skipping the
 //! wire response entirely), and that shortcut must stay **byte-identical**
 //! to the honest pipeline — materialize a full `ping_client` wire
 //! response, then convert its `TypeStatus` blocks into `TypeObservation`s

@@ -84,9 +84,7 @@ fn resume_campaign(ckpt: &PathBuf, ctx: &RunCtx, campaigns: &CampaignCache) {
         }
         _ => StoreHooks::none(),
     };
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut runner = CampaignRunner::resume(&state, parallelism, hooks)
-        .unwrap_or_else(|e| die(ckpt, &e));
+    let mut runner = CampaignRunner::resume(&state, hooks).unwrap_or_else(|e| die(ckpt, &e));
     eprintln!(
         "[resume] {} campaign at tick {}/{} — running the remaining {}…",
         city_name,

@@ -201,7 +201,7 @@ impl CampaignCache {
 
     /// The determinism-checked sections only (run + per-campaign), in the
     /// same shape as [`CampaignCache::metrics_json`]. Byte-identical at
-    /// any `--jobs`/parallelism setting for the same inputs.
+    /// any `--jobs` setting for the same inputs.
     pub fn metrics_deterministic_json(&self) -> String {
         let mut s = String::from("{\"run\":");
         s.push_str(&self.registry.snapshot().deterministic_json());
@@ -395,7 +395,7 @@ impl CampaignCache {
         quiet: bool,
     ) -> (CampaignData, Option<Snapshot>) {
         if let Some(cp) = cfg.store.checkpoint_path.as_ref().filter(|p| p.exists()) {
-            match CampaignRunner::resume_from_file(cp, cfg.parallelism, cfg.store.clone()) {
+            match CampaignRunner::resume_from_file(cp, cfg.store.clone()) {
                 Ok(mut runner) => {
                     self.resumes.incr();
                     if !quiet {

@@ -16,8 +16,7 @@
 //! already cached.
 //!
 //! Correctness is inherited, not re-proved: each campaign is a pure
-//! function of its config simulated *within one worker* (the existing
-//! bit-identity guarantees cover intra-campaign parallelism), and the
+//! function of its config simulated serially *within one worker*, and the
 //! experiments themselves still run serially. So the CSVs are
 //! byte-identical at any `--jobs` value — only the wall clock changes.
 

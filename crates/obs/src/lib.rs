@@ -24,7 +24,7 @@
 //! simulated work. Because every instrument is a commutative monoid
 //! (addition, max, bucket counts), concurrent increments from worker
 //! threads total to the same value regardless of interleaving — so the
-//! section is byte-identical at any `--jobs` / parallelism setting,
+//! section is byte-identical at any `--jobs` setting,
 //! clean or faulted (regression-tested in `crates/experiments`). The
 //! **timing** section holds wall-clock spans and is explicitly excluded
 //! from that contract. Keys are emitted sorted; values are integers

@@ -14,7 +14,7 @@
 //! simulation loop. Deliveries due on the same tick come back ordered by
 //! `(sent_tick, client)` — the order they were enqueued — so the merged
 //! observation stream is a pure function of the fault draws, independent
-//! of any worker-thread fan-out used to *compute* the payloads.
+//! of how the payloads were computed.
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Error, Serialize, Value};

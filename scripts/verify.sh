@@ -7,18 +7,46 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs exactly the named tests of one test target in release mode and
+# fails unless every name ran: libtest exits 0 when a name filter
+# matches nothing, so a renamed test would silently drop out of a gate.
+# Usage: run_named_tests <cargo test args...> -- [--ignored] <name>...
+run_named_tests() {
+  local cargo_args=() flags=() names=() out ran
+  while [ "$1" != "--" ]; do cargo_args+=("$1"); shift; done
+  shift
+  for arg in "$@"; do
+    case "$arg" in
+      --*) flags+=("$arg") ;;
+      *) names+=("$arg") ;;
+    esac
+  done
+  if ! out=$(cargo test -q --release "${cargo_args[@]}" -- --exact "${flags[@]}" "${names[@]}" 2>&1); then
+    printf '%s\n' "$out"
+    return 1
+  fi
+  printf '%s\n' "$out"
+  ran=$(printf '%s\n' "$out" | sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' \
+    | awk '{n += $1} END {print n + 0}')
+  if [ "$ran" -ne "${#names[@]}" ]; then
+    echo "gate named ${#names[@]} tests but $ran ran: a name matches no test" >&2
+    return 1
+  fi
+}
+
 echo "== tier 1: build =="
 cargo build --release
 
 echo "== tier 1: full test suite =="
 cargo test -q
 
-echo "== transport: parallelism determinism (clean + faulted) =="
-# The campaign observation series must be bit-identical at any thread
-# count, with and without transport faults (NaN gaps compare as bits).
-cargo test -q --release --test determinism -- \
-  parallel_fanout_matches_serial_bit_for_bit \
-  faulted_campaign_bit_identical_across_parallelism
+echo "== transport: pinned campaign bytes (clean + faulted) =="
+# The serial ping kernel must reproduce, byte for byte, the campaigns the
+# removed 4-thread ping pool produced, with and without transport faults
+# (NaN gaps compare as bits).
+run_named_tests --test determinism -- \
+  clean_campaign_matches_pinned_pool_output \
+  faulted_campaign_matches_pinned_pool_output
 
 echo "== transport: fault-tolerance gate =="
 cargo test -q --release --test fault_tolerance
@@ -27,14 +55,14 @@ echo "== store: checkpoint-resume determinism (4 h campaign, checkpoint at 2 h) 
 # A campaign interrupted at a tick boundary and resumed from its
 # checkpoint must finish bit-identical to the uninterrupted run (NaN
 # gaps compared as bit patterns), under a laggy/lossy transport with
-# messages still in flight at the checkpoint, at parallelism 1 and 4 —
-# and the event log must replay to the same bytes without re-simulation.
-cargo test -q --release -p surgescope-core --test checkpoint_resume \
+# messages still in flight at the checkpoint — and the event log must
+# replay to the same bytes without re-simulation.
+run_named_tests -p surgescope-core --test checkpoint_resume \
   -- --ignored four_hour_campaign_checkpoint_at_two_hours_gate
 
 echo "== store: corrupted-log handling =="
 # Truncated tails and flipped bits must surface clean errors, not panics.
-cargo test -q --release -p surgescope-core --test checkpoint_resume -- \
+run_named_tests -p surgescope-core --test checkpoint_resume -- \
   truncated_log_errors_cleanly \
   corrupted_log_fails_crc_cleanly
 
@@ -121,7 +149,9 @@ cargo build --release -p surgescope-bench --bin serve_load --bin remote_campaign
 SERVE_TMP=$(mktemp -d)
 ./target/release/repro --serve 127.0.0.1:0 --quick >"$SERVE_TMP/serve.log" 2>&1 &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null; rm -rf "$SCHED_TMP" "$SERVE_TMP"' EXIT
+# `|| true`: the server is already gone on a clean exit, and under
+# `set -e` a failing kill in the trap would turn a pass into exit 1.
+trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SCHED_TMP" "$SERVE_TMP"' EXIT
 ADDR=""
 for _ in $(seq 1 100); do
   ADDR=$(sed -n 's/^\[serve\] listening on //p' "$SERVE_TMP/serve.log" | head -1)

@@ -6,7 +6,9 @@
 
 use surgescope::api::ProtocolEra;
 use surgescope::city::{CarType, CityModel};
-use surgescope::core::{Campaign, CampaignConfig};
+use surgescope::core::persist::campaign_encoded;
+use surgescope::core::{Campaign, CampaignConfig, CampaignData};
+use surgescope::simcore::FaultPlan;
 
 fn fingerprint(seed: u64) -> (Vec<u32>, Vec<f32>, u64, usize) {
     let cfg = CampaignConfig {
@@ -33,79 +35,50 @@ fn same_seed_same_campaign() {
     assert_eq!(a.3, b.3);
 }
 
-/// The per-tick client fan-out must be a pure reordering of work: any
-/// `parallelism` value has to reproduce the serial observation series
-/// bit-for-bit (fault draws run on a serial pre-pass; pings are pure
-/// functions of the tick snapshot written back by client index).
+/// FNV-1a of the canonical encoding: equal digests mean bit-identical
+/// campaigns, NaN payloads included.
+fn digest(data: &CampaignData) -> u64 {
+    surgescope_store::fnv1a64(&campaign_encoded(data))
+}
+
+/// Pings used to be fanned out over a thread pool. These digests are what
+/// that pool produced at 4 threads (identical to its 1-thread output), so
+/// the serial kernel that replaced it must reproduce the pool's campaign
+/// byte for byte.
 #[test]
-fn parallel_fanout_matches_serial_bit_for_bit() {
-    let run = |threads: usize| {
-        let cfg = CampaignConfig {
-            hours: 1,
-            era: ProtocolEra::Apr2015,
-            parallelism: threads,
-            ..CampaignConfig::test_default(777)
-        };
-        Campaign::run_uber(CityModel::manhattan_midtown(), &cfg)
+fn clean_campaign_matches_pinned_pool_output() {
+    let cfg = CampaignConfig {
+        hours: 1,
+        era: ProtocolEra::Apr2015,
+        ..CampaignConfig::test_default(777)
     };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(serial.client_surge, parallel.client_surge, "client surge series diverged");
-    assert_eq!(serial.client_ewt, parallel.client_ewt, "client EWT series diverged");
-    assert_eq!(serial.api_surge, parallel.api_surge, "API surge series diverged");
-    assert_eq!(serial.api_ewt, parallel.api_ewt, "API EWT series diverged");
-    assert_eq!(serial.avg_visible, parallel.avg_visible, "visible-car series diverged");
-    assert_eq!(serial.client_daily_cars, parallel.client_daily_cars);
-    assert_eq!(serial.truth.trips.len(), parallel.truth.trips.len());
+    let data = Campaign::run_uber(CityModel::manhattan_midtown(), &cfg);
     assert_eq!(
-        serial.estimator.supply_series(CarType::UberX),
-        parallel.estimator.supply_series(CarType::UberX),
+        digest(&data),
+        0x4785_ebd8_f807_ebe7,
+        "clean campaign diverged from the pinned pool output"
     );
 }
 
-/// The guarantee must also hold with transport faults on: drops punch NaN
-/// gaps and delays reroute payloads through the in-flight queue, but both
-/// happen on serial passes in client order, so the faulted series too is a
-/// pure function of the seed. (`Vec<f32>` equality can't be used — NaN
-/// gaps fail `==` against themselves — so series compare as bit patterns.)
+/// The same pin with transport faults on: drops punch NaN gaps and delays
+/// reroute payloads through the in-flight queue, and both must land on
+/// the bytes the pool produced.
 #[test]
-fn faulted_campaign_bit_identical_across_parallelism() {
-    use surgescope::simcore::FaultPlan;
-    let run = |threads: usize| {
-        let cfg = CampaignConfig {
-            hours: 1,
-            era: ProtocolEra::Apr2015,
-            parallelism: threads,
-            faults: FaultPlan { drop_chance: 0.15, delay_chance: 0.15, max_delay_secs: 30 },
-            ..CampaignConfig::test_default(888)
-        };
-        Campaign::run_uber(CityModel::manhattan_midtown(), &cfg)
+fn faulted_campaign_matches_pinned_pool_output() {
+    let cfg = CampaignConfig {
+        hours: 1,
+        era: ProtocolEra::Apr2015,
+        faults: FaultPlan { drop_chance: 0.15, delay_chance: 0.15, max_delay_secs: 30 },
+        ..CampaignConfig::test_default(888)
     };
-    let bits = |series: &[Vec<f32>]| -> Vec<Vec<u32>> {
-        series.iter().map(|s| s.iter().map(|v| v.to_bits()).collect()).collect()
-    };
-    let serial = run(1);
-    let parallel = run(4);
+    let data = Campaign::run_uber(CityModel::manhattan_midtown(), &cfg);
     assert_eq!(
-        bits(&serial.client_surge),
-        bits(&parallel.client_surge),
-        "faulted surge series diverged"
-    );
-    assert_eq!(
-        bits(&serial.client_ewt),
-        bits(&parallel.client_ewt),
-        "faulted EWT series diverged"
-    );
-    assert_eq!(serial.client_delivered, parallel.client_delivered);
-    assert_eq!(serial.api_surge, parallel.api_surge, "API probes diverged");
-    assert_eq!(serial.avg_visible, parallel.avg_visible);
-    assert_eq!(serial.client_daily_cars, parallel.client_daily_cars);
-    assert_eq!(
-        serial.estimator.supply_series(CarType::UberX),
-        parallel.estimator.supply_series(CarType::UberX),
+        digest(&data),
+        0xb83c_409f_aee0_f3a4,
+        "faulted campaign diverged from the pinned pool output"
     );
     // The plan must have actually perturbed something.
-    let gaps: usize = serial
+    let gaps: usize = data
         .client_surge
         .iter()
         .flatten()
