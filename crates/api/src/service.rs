@@ -15,7 +15,7 @@ use std::sync::Arc;
 use surgescope_city::{AreaId, CarType, CityModel};
 use surgescope_geo::{GridScratch, LatLng, Meters, PathVector, SpatialGrid};
 use surgescope_marketplace::{Marketplace, MarketplaceConfig, SurgeSnapshot};
-use surgescope_obs::Counter;
+use surgescope_obs::{Counter, Timer};
 use surgescope_simcore::{SimRng, SimTime};
 
 /// The client app shows at most this many cars per tier (§3.3).
@@ -81,8 +81,8 @@ impl PingScratch {
 ///
 /// It is also *reusable*: [`WorldSnapshot::capture`] re-freezes a new
 /// tick into the same shell, keeping every buffer (tier buckets, grid
-/// slabs) at capacity, so a snapshot recycled through the arena in
-/// `UberSystem` performs zero steady-state heap allocation per tick.
+/// slabs) at capacity, so a snapshot recycled through a [`TickSnapshot`]
+/// arena performs zero steady-state heap allocation per tick.
 pub struct WorldSnapshot {
     city: Arc<CityModel>,
     cfg: MarketplaceConfig,
@@ -239,6 +239,71 @@ impl WorldSnapshot {
                 .map(|(i, _)| self.by_type[ti].1[i].position)
         });
         self.ewt_from_nearest(pos, nearest)
+    }
+}
+
+/// The per-tick snapshot of one hosted marketplace, recycled through an
+/// arena. Every host of a world (the in-process `UberSystem`, a server's
+/// campaign) follows the same policy: capture once per tick on first use
+/// and share that one `Arc` with every same-tick consumer; before the
+/// world moves, [`TickSnapshot::release`] drops the driver-shared path
+/// handles and keeps the shell, and the next capture re-freezes into it,
+/// so steady-state snapshot construction allocates nothing (the `Arc`
+/// box included).
+#[derive(Default)]
+pub struct TickSnapshot {
+    /// This tick's snapshot, once captured.
+    current: Option<Arc<WorldSnapshot>>,
+    /// Last tick's shell, car handles released, buffers at capacity.
+    /// Only a uniquely owned shell enters, and nothing hands it out, so
+    /// it is still uniquely owned when the next capture takes it.
+    arena: Option<Arc<WorldSnapshot>>,
+    /// Wall clock spent (re)capturing.
+    capture: Timer,
+}
+
+impl TickSnapshot {
+    /// An empty arena; the first [`TickSnapshot::get`] captures fresh.
+    pub fn new() -> Self {
+        TickSnapshot::default()
+    }
+
+    /// The snapshot of `mp`'s current tick, captured on the first call
+    /// after a [`TickSnapshot::release`] and shared until the next one.
+    pub fn get(&mut self, mp: &Marketplace) -> Arc<WorldSnapshot> {
+        let snap = self.current.get_or_insert_with(|| {
+            let _span = self.capture.start();
+            match self.arena.take() {
+                Some(mut shell) => {
+                    Arc::get_mut(&mut shell)
+                        .expect("arena shell is uniquely owned")
+                        .capture(mp);
+                    shell
+                }
+                None => Arc::new(WorldSnapshot::of(mp)),
+            }
+        });
+        Arc::clone(snap)
+    }
+
+    /// Ends the tick: call before the world moves. The shell goes back
+    /// to the arena with its car handles released when nothing else
+    /// holds it (the steady state: consumers drop their handles within
+    /// the tick); a retained handle would turn every driver's next path
+    /// append into a copy-on-write clone. A shell still held elsewhere is
+    /// left to its holder, and the next tick captures fresh.
+    pub fn release(&mut self) {
+        if let Some(mut snap) = self.current.take() {
+            if let Some(s) = Arc::get_mut(&mut snap) {
+                s.release_cars();
+                self.arena = Some(snap);
+            }
+        }
+    }
+
+    /// Wall clock spent capturing (registered as `phase.capture`).
+    pub fn capture_timer(&self) -> &Timer {
+        &self.capture
     }
 }
 

@@ -166,9 +166,9 @@ fn run_scheduler(jobs: usize) -> SchedulerPoint {
     }
 }
 
-/// Serving-layer throughput: an in-process loopback server hosting a
-/// free-running world, hammered by the closed-loop load generator for a
-/// short burst. Client-side latency percentiles; server-side frame-error
+/// Serving-layer throughput: an in-process loopback server whose load
+/// campaign is hammered with pings by the closed-loop load generator for
+/// a short burst. Client-side latency percentiles; server-side frame-error
 /// count (must be zero — the load generator only sends well-formed
 /// frames).
 struct ServePoint {
@@ -184,18 +184,9 @@ struct ServePoint {
 }
 
 fn run_serve(conns: usize) -> ServePoint {
-    use surgescope_geo::LatLng;
-    use surgescope_serve::{run_load, FreeWorldSpec, LoadConfig, ServeConfig, Server};
-    let spec = FreeWorldSpec {
-        city: CityModel::san_francisco_downtown(),
-        scale: 0.5,
-        seed: 2026,
-        era: ProtocolEra::Apr2015,
-        warmup_hours: 1,
-        tick_ms: None,
-    };
-    let mut server = Server::bind("127.0.0.1:0", ServeConfig { free: Some(spec), ..Default::default() })
-        .expect("bind loopback server");
+    use surgescope_serve::{run_load, LoadConfig, ServeConfig, Server};
+    let mut server =
+        Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind loopback server");
     let cfg = LoadConfig {
         addr: server.local_addr().to_string(),
         conns,
@@ -203,7 +194,6 @@ fn run_serve(conns: usize) -> ServePoint {
         // server answers, so the burst measures capacity, not the pacer.
         req_per_sec: 0,
         duration: std::time::Duration::from_secs(2),
-        location: LatLng::new(37.7749, -122.4194),
     };
     let report = run_load(&cfg).expect("loopback load run");
     server.shutdown();

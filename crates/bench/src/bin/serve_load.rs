@@ -1,9 +1,10 @@
 //! `serve_load` — closed-loop load generator against a running
 //! `surgescope-serve` endpoint (e.g. `repro --serve 127.0.0.1:0`).
 //!
-//! Drives N connections of paced free-mode pings for a fixed duration and
-//! prints the client-side report (throughput + latency percentiles) as
-//! JSON on stdout. Exits non-zero if no request succeeded or any request
+//! Opens a load campaign on the server, then drives N connections of
+//! paced pings against it for a fixed duration and prints the
+//! client-side report (throughput + latency percentiles) as JSON on
+//! stdout. Exits non-zero if no request succeeded or any request
 //! failed, so CI can use a short burst as a smoke gate:
 //!
 //! ```text
@@ -12,7 +13,6 @@
 //! ```
 
 use std::time::Duration;
-use surgescope_geo::LatLng;
 use surgescope_serve::{run_load, LoadConfig};
 
 fn usage() -> ! {
@@ -85,8 +85,6 @@ fn main() {
         conns,
         req_per_sec: rps,
         duration: Duration::from_secs_f64(secs),
-        // SF downtown center — inside every free world's measurement region.
-        location: LatLng::new(37.7749, -122.4194),
     };
     let report = match run_load(&cfg) {
         Ok(r) => r,

@@ -38,7 +38,7 @@
 use crate::observe::{response_to_observations, ClientSpec, TypeObservation};
 use crate::systems::{MeasuredSystem, SystemMetrics};
 use serde::{Deserialize, Serialize, Value};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use surgescope_api::{PingClientResponse, PriceEstimate, RateLimitError, TimeEstimate};
@@ -47,7 +47,7 @@ use surgescope_geo::{LatLng, LocalProjection};
 use surgescope_marketplace::GroundTruth;
 use surgescope_obs::{Counter, Histogram, MetricsRegistry};
 use surgescope_serve::chaos::{ChaosCounters, ChaosPlan, ChaosStream};
-use surgescope_serve::wire;
+use surgescope_serve::wire::{self, hello, read_reply, rpc};
 use surgescope_simcore::{
     ticks_late, Backoff, FaultOutcome, FaultPlan, SimRng, SimTime, Transport,
 };
@@ -149,27 +149,6 @@ impl ResilienceMetrics {
     }
 }
 
-/// One blocking request/response exchange on a connection.
-fn rpc<S: Read + Write>(stream: &mut S, kind: u8, payload: &Value) -> io::Result<(u8, Value)> {
-    wire::write_frame(stream, kind, payload)?;
-    read_reply(stream)
-}
-
-/// Reads one response frame, surfacing server-side `RESP_ERR` as an error.
-fn read_reply<S: Read>(stream: &mut S) -> io::Result<(u8, Value)> {
-    let (kind, value, _) =
-        wire::read_frame(stream, wire::DEFAULT_MAX_FRAME).map_err(|e| e.into_io())?;
-    if kind == wire::RESP_ERR {
-        let msg = value
-            .field("error")
-            .ok()
-            .and_then(|v| String::from_value(v).ok())
-            .unwrap_or_else(|| "unspecified server error".into());
-        return Err(io::Error::new(io::ErrorKind::Other, format!("server: {msg}")));
-    }
-    Ok((kind, value))
-}
-
 /// Raw TCP connect with every deadline bounded by `op_timeout`.
 fn connect_raw(addr: &str, op_timeout: Duration) -> io::Result<TcpStream> {
     use std::net::ToSocketAddrs;
@@ -181,18 +160,6 @@ fn connect_raw(addr: &str, op_timeout: Duration) -> io::Result<TcpStream> {
     stream.set_read_timeout(Some(op_timeout))?;
     stream.set_write_timeout(Some(op_timeout))?;
     Ok(stream)
-}
-
-fn hello<S: Read + Write>(stream: &mut S) -> io::Result<()> {
-    let hello = Value::Map(vec![("proto".into(), wire::PROTO_VERSION.to_value())]);
-    let (kind, _) = rpc(stream, wire::REQ_HELLO, &hello)?;
-    if kind != wire::RESP_HELLO {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("handshake answered with {kind:#04x}"),
-        ));
-    }
-    Ok(())
 }
 
 /// One party connection plus its per-connection deterministic streams.

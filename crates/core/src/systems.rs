@@ -9,7 +9,9 @@
 
 use crate::observe::{ClientSpec, ObservedCar, TypeObservation};
 use std::sync::Arc;
-use surgescope_api::{ApiService, PingConfig, PingScratch, WorldSnapshot, NEAREST_CARS_SHOWN};
+use surgescope_api::{
+    ApiService, PingConfig, PingScratch, TickSnapshot, WorldSnapshot, NEAREST_CARS_SHOWN,
+};
 use surgescope_city::CarType;
 use surgescope_geo::{LocalProjection, Meters};
 use surgescope_marketplace::Marketplace;
@@ -17,11 +19,10 @@ use surgescope_obs::{Counter, MetricsRegistry, Timer};
 use surgescope_simcore::{ticks_late, FaultOutcome, FaultPlan, SimRng, SimTime, Transport};
 use surgescope_taxi::{TaxiReplay, TaxiTrace};
 
-/// Telemetry handles owned by an [`UberSystem`]: fault-outcome counters
-/// for the ping kernel plus wall-clock timers for snapshot capture and
-/// the ping pipeline. Counter totals follow the seeded fault draws, so
-/// they are deterministic; the timers land in the snapshot's timing
-/// section.
+/// Telemetry handles owned by a measured system: fault-outcome counters
+/// for the ping kernel plus a wall-clock timer for the ping pipeline.
+/// Counter totals follow the seeded fault draws, so they are
+/// deterministic; the timer lands in the snapshot's timing section.
 #[derive(Debug, Clone, Default)]
 pub struct SystemMetrics {
     /// Pings whose response reached the client within its send tick.
@@ -30,8 +31,6 @@ pub struct SystemMetrics {
     pub pings_delayed: Counter,
     /// Pings lost outright (`Drop` faults).
     pub pings_dropped: Counter,
-    /// Wall clock spent (re)capturing the per-tick world snapshot.
-    pub capture: Timer,
     /// Wall clock spent in `ping_all_into` (fault draws, pings, merge).
     pub ping: Timer,
 }
@@ -88,16 +87,10 @@ pub struct UberSystem {
     /// destination client's observation vector in `(sent_tick, client)`
     /// order.
     transport: Transport<Vec<TypeObservation>>,
-    /// Snapshot taken this tick, shared between `ping_all` and any
-    /// same-tick probes (campaign estimates, experiment price probes).
-    /// Invalidated at the top of `advance_tick`.
-    last_snap: Option<Arc<WorldSnapshot>>,
-    /// The snapshot arena: last tick's snapshot shell, reclaimed once its
-    /// refcount drops back to 1, with car handles released but every
-    /// buffer held at capacity. `tick_snapshot` re-captures into it, so
-    /// steady-state snapshot construction performs zero heap allocation
-    /// (including the `Arc` box itself).
-    arena: Option<Arc<WorldSnapshot>>,
+    /// This tick's snapshot, shared between `ping_all` and any same-tick
+    /// probes (campaign estimates, experiment price probes), recycled
+    /// through its arena at the top of `advance_tick`.
+    snapshot: TickSnapshot,
     /// Query scratch reused by every ping.
     scratch: PingScratch,
     /// Retired observation blocks. A slot shrinks when a tier drops out
@@ -108,7 +101,7 @@ pub struct UberSystem {
     /// that were ever live at once, and the ping path stays
     /// allocation-free in steady state.
     spare_blocks: Vec<TypeObservation>,
-    /// Ping telemetry (fault-outcome counters + capture/ping timers).
+    /// Ping telemetry (fault-outcome counters + ping timer).
     metrics: SystemMetrics,
 }
 
@@ -125,8 +118,7 @@ impl UberSystem {
             faults: FaultPlan::none(),
             fault_rng,
             transport: Transport::new(),
-            last_snap: None,
-            arena: None,
+            snapshot: TickSnapshot::new(),
             scratch: PingScratch::new(),
             spare_blocks: Vec::new(),
             metrics: SystemMetrics::default(),
@@ -147,7 +139,7 @@ impl UberSystem {
         reg.adopt_counter("pings.delivered", &self.metrics.pings_delivered);
         reg.adopt_counter("pings.delayed", &self.metrics.pings_delayed);
         reg.adopt_counter("pings.dropped", &self.metrics.pings_dropped);
-        reg.adopt_timer("phase.capture", &self.metrics.capture);
+        reg.adopt_timer("phase.capture", self.snapshot.capture_timer());
         reg.adopt_timer("phase.ping", &self.metrics.ping);
         self.marketplace.tick_timers().register(reg);
         self.transport.metrics().register(reg);
@@ -159,22 +151,7 @@ impl UberSystem {
     /// shared (via `Arc`) by every consumer until the next `advance_tick`
     /// — `ping_all` and same-tick probes see literally the same object.
     pub fn tick_snapshot(&mut self) -> Arc<WorldSnapshot> {
-        if self.last_snap.is_none() {
-            let _span = self.metrics.capture.start();
-            let snap = match self.arena.take() {
-                // Steady state: re-capture into the reclaimed shell —
-                // tier buckets, grid slabs and the Arc box all reused.
-                Some(mut arc) => {
-                    Arc::get_mut(&mut arc)
-                        .expect("arena snapshot is uniquely owned")
-                        .capture(&self.marketplace);
-                    arc
-                }
-                None => Arc::new(WorldSnapshot::of(&self.marketplace)),
-            };
-            self.last_snap = Some(snap);
-        }
-        Arc::clone(self.last_snap.as_ref().expect("just populated"))
+        self.snapshot.get(&self.marketplace)
     }
 
     /// Enables transport fault injection on client pings. Panics on an
@@ -280,18 +257,7 @@ fn ping_one_into(
 
 impl MeasuredSystem for UberSystem {
     fn advance_tick(&mut self) {
-        // The cached snapshot describes the outgoing tick. Reclaim its
-        // shell for the arena if nothing else still holds it (true in
-        // steady state: pings and probes drop their handles within the
-        // tick), releasing the driver-shared path handles *before* the
-        // world moves — a retained handle would turn every driver's next
-        // path append into a copy-on-write clone.
-        if let Some(mut arc) = self.last_snap.take() {
-            if let Some(snap) = Arc::get_mut(&mut arc) {
-                snap.release_cars();
-                self.arena = Some(arc);
-            }
-        }
+        self.snapshot.release();
         self.marketplace.tick();
         self.transport.advance_tick();
     }

@@ -13,9 +13,9 @@
 //! completed event log into the disk cache, and seeds the in-process
 //! cache so the listed experiments reuse the finished campaign.
 //!
-//! `--serve ADDR` hosts the simulated marketplace over TCP (lockstep
-//! campaign worlds plus a free-running world for load generation);
-//! `--remote ADDR` points the experiments' campaigns at such a server —
+//! `--serve ADDR` hosts the simulated marketplace over TCP as lockstep
+//! campaign worlds (which `serve_load` also drives); `--remote ADDR`
+//! points the experiments' campaigns at such a server —
 //! the measured bytes are identical to the in-process run.
 
 use std::path::PathBuf;
@@ -36,9 +36,10 @@ fn usage() -> ! {
          \x20               byte-identical at any value)\n\
          \x20 --resume P    finish the campaign checkpointed at P first\n\
          \x20 --metrics P   write the run's metrics snapshot (JSON) to P\n\
-         \x20 --serve ADDR  run the marketplace server on ADDR (port 0 picks\n\
-         \x20               an ephemeral port; prints 'listening on <addr>'\n\
-         \x20               and serves until killed)\n\
+         \x20 --serve ADDR  host lockstep campaigns for remote clients on\n\
+         \x20               ADDR (port 0 picks an ephemeral port; prints\n\
+         \x20               'listening on <addr>' and serves until killed;\n\
+         \x20               every other option is ignored)\n\
          \x20 --remote ADDR measure campaigns over the wire against the\n\
          \x20               server at ADDR (byte-identical to in-process)\n\
          \x20 --remote-retries N    wire retry budget per remote operation\n\
@@ -107,22 +108,12 @@ fn resume_campaign(ckpt: &PathBuf, ctx: &RunCtx, campaigns: &CampaignCache) {
     campaigns.insert(&cfg, data);
 }
 
-/// `--serve ADDR`: host the simulated marketplace over the wire — lockstep
-/// remote campaigns plus a free-running world for load generation — until
-/// the process is killed. Never returns.
-fn serve_forever(addr: &str, seed: u64, quick: bool) -> ! {
+/// `--serve ADDR`: host lockstep remote campaigns over the wire until the
+/// process is killed. Never returns.
+fn serve_forever(addr: &str) -> ! {
     use std::io::Write as _;
-    use surgescope_serve::{FreeWorldSpec, ServeConfig, Server};
-    let spec = FreeWorldSpec {
-        city: surgescope_city::CityModel::san_francisco_downtown(),
-        scale: if quick { 0.25 } else { 1.0 },
-        seed,
-        era: surgescope_api::ProtocolEra::Apr2015,
-        warmup_hours: 1,
-        tick_ms: None,
-    };
-    let cfg = ServeConfig { free: Some(spec), ..ServeConfig::default() };
-    let server = Server::bind(addr, cfg).unwrap_or_else(|e| {
+    use surgescope_serve::{ServeConfig, Server};
+    let server = Server::bind(addr, ServeConfig::default()).unwrap_or_else(|e| {
         eprintln!("--serve: cannot bind {addr}: {e}");
         std::process::exit(1);
     });
@@ -232,7 +223,7 @@ fn main() {
         }
     }
     if let Some(addr) = serve {
-        serve_forever(&addr, seed, quick);
+        serve_forever(&addr);
     }
     if ids.is_empty() && resume.is_none() {
         usage();

@@ -7,8 +7,9 @@
 //! CRC-framed wire protocol ([`wire`]) — `pingClient`, price/time
 //! estimates, a session handshake that keys the per-account rate limiter
 //! by session token, and a **lockstep tick barrier** so a remote campaign
-//! is byte-identical to the in-process one. A free-running mode plus the
-//! [`loadgen`] module cover "serve heavy traffic" benchmarking.
+//! is byte-identical to the in-process one. Every world the server hosts
+//! is such a campaign: the [`loadgen`] module benchmarks heavy traffic by
+//! opening one and holding it at a frozen tick.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,4 +21,4 @@ pub mod wire;
 
 pub use chaos::{ChaosCounters, ChaosPlan, ChaosStream};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
-pub use server::{FreeWorldSpec, ServeConfig, ServeMetrics, Server};
+pub use server::{ServeConfig, ServeMetrics, Server};

@@ -1,20 +1,35 @@
 //! Closed-loop load generator: N connections × M requests/second of
-//! free-mode pings against a running server, with client-side latency
-//! percentiles.
+//! pingClient requests against a running server, with client-side
+//! latency percentiles.
+//!
+//! The load goes where a measuring client's pings go: the generator
+//! OPENs an ordinary party-of-one campaign, ADVANCEs it through one
+//! simulated hour so the fleet is settled, and then holds it at that
+//! tick while every connection sends `REQ_PING` against it. A frozen
+//! world keeps runs comparable; the server's janitor reclaims the
+//! campaign once the run goes idle.
 
 use crate::wire;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use surgescope_api::ProtocolEra;
+use surgescope_city::CityModel;
 use surgescope_geo::LatLng;
-use surgescope_obs::Histogram;
+use surgescope_marketplace::SurgePolicy;
 
-/// Latency histogram bucket bounds, microseconds.
-pub const LATENCY_BOUNDS_US: &[u64] =
-    &[50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000];
+/// Fleet and demand scale of the load world, SF downtown.
+const LOAD_SCALE: f64 = 0.5;
+/// Marketplace seed of the load world.
+const LOAD_SEED: u64 = 2026;
+/// Ticks the load world advances before the pings start: one simulated
+/// hour of 5-second ticks.
+const WARMUP_TICKS: u64 = 720;
+/// Where every ping reports: SF downtown's centre.
+const LOCATION: LatLng = LatLng { lat: 37.7749, lng: -122.4194 };
 
 /// Shape of a load run.
 #[derive(Clone)]
@@ -26,14 +41,12 @@ pub struct LoadConfig {
     /// Target request rate **per connection** (closed loop: a connection
     /// never has more than one request in flight).
     pub req_per_sec: u64,
-    /// Wall-clock duration of the run.
+    /// Wall-clock duration of the run, set-up excluded.
     pub duration: Duration,
-    /// Location every ping reports.
-    pub location: LatLng,
 }
 
 /// Outcome of a load run. Percentiles are exact (computed from the full
-/// sorted sample set, not the histogram buckets).
+/// sorted sample set).
 pub struct LoadReport {
     /// Requests answered successfully.
     pub requests: u64,
@@ -51,8 +64,6 @@ pub struct LoadReport {
     pub p99_us: u64,
     /// Worst observed latency, microseconds.
     pub max_us: u64,
-    /// The same latencies as an `obs` histogram (for registry adoption).
-    pub latency: Histogram,
 }
 
 fn percentile(sorted: &[u64], q: f64) -> u64 {
@@ -65,9 +76,20 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 
 /// Runs the load shape against a live server and gathers the report.
 ///
-/// Each connection performs its own HELLO handshake, then issues
-/// `REQ_PING_FREE` at the configured pace until the duration elapses.
+/// Opens and warms the load campaign on a set-up connection, which then
+/// closes and frees its server worker. Each load connection performs
+/// its own HELLO handshake, then issues `REQ_PING` at the configured
+/// pace until the duration elapses.
 pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
+    let campaign = {
+        let mut stream = connect(&cfg.addr)?;
+        let campaign = open_campaign(&mut stream, LOAD_SCALE, LOAD_SEED, 1)?;
+        for tick in 1..=WARMUP_TICKS {
+            advance(&mut stream, campaign, tick)?;
+        }
+        campaign
+    };
+
     let errors = Arc::new(AtomicU64::new(0));
     let started = Instant::now();
     let mut samples: Vec<u64> = Vec::new();
@@ -77,7 +99,7 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
         for conn_id in 0..cfg.conns.max(1) {
             let errors = Arc::clone(&errors);
             handles.push(scope.spawn(move || -> Vec<u64> {
-                match drive_conn(cfg, conn_id, &errors) {
+                match drive_conn(cfg, campaign, conn_id, &errors) {
                     Ok(lat) => lat,
                     Err(_) => {
                         errors.fetch_add(1, Ordering::Relaxed);
@@ -96,10 +118,6 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
 
     let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
     samples.sort_unstable();
-    let latency = Histogram::new(LATENCY_BOUNDS_US);
-    for &us in &samples {
-        latency.record(us);
-    }
     Ok(LoadReport {
         requests: samples.len() as u64,
         errors: errors.load(Ordering::Relaxed),
@@ -109,34 +127,27 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
         p90_us: percentile(&samples, 0.90),
         p99_us: percentile(&samples, 0.99),
         max_us: samples.last().copied().unwrap_or(0),
-        latency,
     })
 }
 
 /// One connection's closed loop; returns per-request latencies in µs.
-fn drive_conn(cfg: &LoadConfig, conn_id: usize, errors: &AtomicU64) -> io::Result<Vec<u64>> {
-    let mut stream = TcpStream::connect(&cfg.addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-
-    let hello = Value::Map(vec![("proto".into(), wire::PROTO_VERSION.to_value())]);
-    wire::write_frame(&mut stream, wire::REQ_HELLO, &hello).map_err(io::Error::from)?;
-    let (kind, _, _) =
-        wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME).map_err(|e| e.into_io())?;
-    if kind != wire::RESP_HELLO {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "handshake refused"));
-    }
-
+fn drive_conn(
+    cfg: &LoadConfig,
+    campaign: u64,
+    conn_id: usize,
+    errors: &AtomicU64,
+) -> io::Result<Vec<u64>> {
+    let mut stream = connect(&cfg.addr)?;
     let period = if cfg.req_per_sec == 0 {
         Duration::ZERO
     } else {
         Duration::from_secs_f64(1.0 / cfg.req_per_sec as f64)
     };
     let ping = Value::Map(vec![
+        ("campaign".into(), campaign.to_value()),
         ("key".into(), (conn_id as u64).to_value()),
-        ("lat".into(), cfg.location.lat.to_value()),
-        ("lng".into(), cfg.location.lng.to_value()),
+        ("lat".into(), LOCATION.lat.to_value()),
+        ("lng".into(), LOCATION.lng.to_value()),
     ]);
     let deadline = Instant::now() + cfg.duration;
     let mut latencies = Vec::new();
@@ -150,14 +161,8 @@ fn drive_conn(cfg: &LoadConfig, conn_id: usize, errors: &AtomicU64) -> io::Resul
             next_send += period;
         }
         let t0 = Instant::now();
-        if wire::write_frame(&mut stream, wire::REQ_PING_FREE, &ping).is_err() {
-            errors.fetch_add(1, Ordering::Relaxed);
-            break;
-        }
-        match wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME) {
-            Ok((wire::RESP_PING, _, _)) => {
-                latencies.push(t0.elapsed().as_micros() as u64);
-            }
+        match wire::rpc(&mut stream, wire::REQ_PING, &ping) {
+            Ok((wire::RESP_PING, _)) => latencies.push(t0.elapsed().as_micros() as u64),
             Ok(_) | Err(_) => {
                 errors.fetch_add(1, Ordering::Relaxed);
                 break;
@@ -165,4 +170,90 @@ fn drive_conn(cfg: &LoadConfig, conn_id: usize, errors: &AtomicU64) -> io::Resul
         }
     }
     Ok(latencies)
+}
+
+/// Connects with 10 s socket deadlines and completes the HELLO handshake.
+pub(crate) fn connect(addr: &str) -> io::Result<TcpStream> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
+    wire::hello(&mut stream)?;
+    Ok(stream)
+}
+
+/// Sends one request and returns the reply's payload if its kind is
+/// `want`.
+fn request(stream: &mut TcpStream, kind: u8, payload: &Value, want: u8) -> io::Result<Value> {
+    let (got, v) = wire::rpc(stream, kind, payload)?;
+    if got != want {
+        return Err(invalid(format!("request {kind:#04x} answered with {got:#04x}")));
+    }
+    Ok(v)
+}
+
+fn invalid(e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+/// OPENs a lockstep campaign over SF downtown with fleet and demand
+/// scaled by `scale` (era `Apr2015`, `Threshold` surge) for a party of
+/// `party` connections, this one included; returns its id.
+pub(crate) fn open_campaign(
+    stream: &mut TcpStream,
+    scale: f64,
+    seed: u64,
+    party: u64,
+) -> io::Result<u64> {
+    let mut city = CityModel::san_francisco_downtown();
+    city.supply = city.supply.scaled(scale);
+    city.demand = city.demand.scaled(scale);
+    let open = Value::Map(vec![
+        ("city".into(), city.to_value()),
+        ("seed".into(), seed.to_value()),
+        ("era".into(), ProtocolEra::Apr2015.to_value()),
+        ("surge_policy".into(), SurgePolicy::Threshold.to_value()),
+        ("party".into(), party.to_value()),
+    ]);
+    let v = request(stream, wire::REQ_OPEN, &open, wire::RESP_OPEN)?;
+    u64::from_value(v.field("campaign").map_err(invalid)?).map_err(invalid)
+}
+
+/// Lockstep ADVANCE of `campaign` to `tick`; blocks until the whole
+/// party has asked for it.
+pub(crate) fn advance(stream: &mut TcpStream, campaign: u64, tick: u64) -> io::Result<()> {
+    let v = Value::Map(vec![
+        ("campaign".into(), campaign.to_value()),
+        ("tick".into(), tick.to_value()),
+    ]);
+    let v = request(stream, wire::REQ_ADVANCE, &v, wire::RESP_OK)?;
+    let at = u64::from_value(v.field("tick").map_err(invalid)?).map_err(invalid)?;
+    if at != tick {
+        return Err(invalid(format!("ADVANCE to tick {tick} answered tick {at}")));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ServeConfig, Server};
+
+    #[test]
+    fn load_run_pings_a_frozen_campaign() {
+        let mut server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let cfg = LoadConfig {
+            addr: server.local_addr().to_string(),
+            conns: 1,
+            req_per_sec: 0,
+            duration: Duration::from_millis(200),
+        };
+        let report = run_load(&cfg).expect("load run");
+        // Shutdown joins the workers, so every server counter has landed.
+        server.shutdown();
+        assert!(report.requests > 0, "no ping was answered");
+        assert_eq!(report.errors, 0);
+        assert_eq!(server.metrics().campaigns_opened.get(), 1);
+        assert_eq!(server.metrics().frame_errors.get(), 0);
+    }
 }

@@ -1,5 +1,5 @@
-//! The TCP server: thread-pool accept loops, session handshake, lockstep
-//! campaign hosting, and the free-running load world.
+//! The TCP server: thread-pool accept loops, session handshake and
+//! lockstep campaign hosting.
 //!
 //! ## Threading model
 //!
@@ -13,12 +13,12 @@
 //!
 //! A campaign's marketplace advances **only** at the barrier: every member
 //! of the party sends `REQ_ADVANCE(tick+1)`, the last arrival performs the
-//! tick (recycling the snapshot arena exactly like the in-process
-//! `UberSystem`), and everyone is released with the new tick. Between
-//! barriers the world is frozen, so any interleaving of ping/estimate
-//! requests across connections reads the same snapshot — which is what
-//! makes a remote campaign byte-identical to the in-process one at any
-//! connection count.
+//! tick (recycling its snapshot through the same `TickSnapshot` arena
+//! the in-process `UberSystem` uses), and everyone is released with the
+//! new tick. Between barriers the world is frozen, so any interleaving of
+//! ping/estimate requests across connections reads the same snapshot —
+//! which is what makes a remote campaign byte-identical to the in-process
+//! one at any connection count.
 //!
 //! ## Shutdown
 //!
@@ -35,35 +35,14 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use surgescope_api::{ApiService, ProtocolEra, WorldSnapshot};
+use surgescope_api::{ApiService, ProtocolEra, TickSnapshot, WorldSnapshot};
 use surgescope_city::CityModel;
 use surgescope_geo::LatLng;
 use surgescope_marketplace::{Marketplace, MarketplaceConfig, SurgePolicy};
 use surgescope_obs::{Counter, Gauge, MetricsRegistry, Snapshot, Timer};
-use surgescope_simcore::SimDuration;
 
 /// How often blocked reads and accept loops re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
-
-/// A free-running world for the load mode: pings answered against a
-/// standing marketplace with no barrier, optionally advanced by a ticker
-/// thread.
-#[derive(Clone)]
-pub struct FreeWorldSpec {
-    /// City to host (pre-scale).
-    pub city: CityModel,
-    /// Fleet/demand scale applied to the city.
-    pub scale: f64,
-    /// Marketplace seed.
-    pub seed: u64,
-    /// Protocol era served.
-    pub era: ProtocolEra,
-    /// Simulated hours run before serving (so the fleet is settled).
-    pub warmup_hours: u64,
-    /// Advance the world every this many wall-clock milliseconds;
-    /// `None` freezes it (deterministic load benchmarks).
-    pub tick_ms: Option<u64>,
-}
 
 /// Server tuning knobs. `Default` suits tests and loopback benches.
 #[derive(Clone)]
@@ -85,11 +64,6 @@ pub struct ServeConfig {
     /// Generous by default: an active lockstep campaign touches its
     /// slot many times per tick.
     pub campaign_idle_timeout: Duration,
-    /// Enables the test-only `REQ_CRASH` verb (panics a worker while it
-    /// holds the campaign lock). Never enable outside tests.
-    pub allow_crash: bool,
-    /// Optional free-running world for the load mode.
-    pub free: Option<FreeWorldSpec>,
 }
 
 impl Default for ServeConfig {
@@ -100,8 +74,6 @@ impl Default for ServeConfig {
             io_timeout: Duration::from_secs(10),
             drain: Duration::from_millis(300),
             campaign_idle_timeout: Duration::from_secs(600),
-            allow_crash: false,
-            free: None,
         }
     }
 }
@@ -130,8 +102,6 @@ pub struct ServeMetrics {
     pub throttled_wire: Counter,
     /// Lockstep campaigns opened.
     pub campaigns_opened: Counter,
-    /// Free-mode pings answered.
-    pub free_pings: Counter,
     /// Request handlers that panicked. The worker survives (the panic is
     /// caught at the dispatch boundary), the confused connection gets a
     /// `RESP_ERR` and closes, and any lock the handler held is recovered
@@ -156,7 +126,6 @@ impl ServeMetrics {
             frame_errors: Counter::new(),
             throttled_wire: Counter::new(),
             campaigns_opened: Counter::new(),
-            free_pings: Counter::new(),
             worker_panics: Counter::new(),
             resumes: Counter::new(),
             campaigns_expired: Counter::new(),
@@ -174,56 +143,27 @@ impl ServeMetrics {
         reg.adopt_counter("serve.frame_errors", &self.frame_errors);
         reg.adopt_counter("serve.throttled_wire", &self.throttled_wire);
         reg.adopt_counter("serve.campaigns_opened", &self.campaigns_opened);
-        reg.adopt_counter("serve.free_pings", &self.free_pings);
         reg.adopt_counter("serve.worker_panics", &self.worker_panics);
         reg.adopt_counter("serve.resumes", &self.resumes);
         reg.adopt_counter("serve.campaigns_expired", &self.campaigns_expired);
     }
 }
 
-/// A marketplace + protocol endpoint with the same snapshot arena the
-/// in-process `UberSystem` uses: one snapshot per tick, shell recycled
-/// across ticks when uniquely owned.
+/// A campaign's marketplace + protocol endpoint, with its per-tick
+/// snapshot.
 struct HostWorld {
     mp: Marketplace,
     api: ApiService,
-    snap: Option<Arc<WorldSnapshot>>,
-    arena: Option<Arc<WorldSnapshot>>,
+    snapshot: TickSnapshot,
 }
 
 impl HostWorld {
-    fn new(mp: Marketplace, api: ApiService) -> Self {
-        HostWorld { mp, api, snap: None, arena: None }
-    }
-
-    /// The cached snapshot for the current tick (captured on first use).
     fn snapshot(&mut self) -> Arc<WorldSnapshot> {
-        if self.snap.is_none() {
-            let snap = match self.arena.take() {
-                Some(mut arc) => match Arc::get_mut(&mut arc) {
-                    Some(s) => {
-                        s.capture(&self.mp);
-                        arc
-                    }
-                    // A ping handler still holds last tick's snapshot
-                    // (racing its final reply): fall back to a fresh
-                    // capture — contents are identical either way.
-                    None => Arc::new(WorldSnapshot::of(&self.mp)),
-                },
-                None => Arc::new(WorldSnapshot::of(&self.mp)),
-            };
-            self.snap = Some(snap);
-        }
-        Arc::clone(self.snap.as_ref().expect("just populated"))
+        self.snapshot.get(&self.mp)
     }
 
     fn advance(&mut self) {
-        if let Some(mut arc) = self.snap.take() {
-            if let Some(s) = Arc::get_mut(&mut arc) {
-                s.release_cars();
-                self.arena = Some(arc);
-            }
-        }
+        self.snapshot.release();
         self.mp.tick();
     }
 }
@@ -339,7 +279,6 @@ struct Shared {
     io_timeout: Duration,
     drain: Duration,
     idle_timeout: Duration,
-    allow_crash: bool,
     /// Reference instant for campaign activity stamps.
     epoch: Instant,
     shutdown: AtomicBool,
@@ -347,7 +286,6 @@ struct Shared {
     next_campaign: AtomicU64,
     active: AtomicUsize,
     campaigns: Mutex<HashMap<u64, Arc<CampaignHost>>>,
-    free: Option<Mutex<HostWorld>>,
     metrics: ServeMetrics,
     registry: MetricsRegistry,
 }
@@ -392,28 +330,11 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port — the bound address
-    /// is reported by [`Server::local_addr`]), warms up the free world if
-    /// one is configured, and starts the worker pool.
+    /// is reported by [`Server::local_addr`]) and starts the worker pool.
     pub fn bind(addr: &str, cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-
-        let free = match &cfg.free {
-            Some(spec) => {
-                let mut city = spec.city.clone();
-                if (spec.scale - 1.0).abs() > 1e-9 {
-                    city.supply = city.supply.scaled(spec.scale);
-                    city.demand = city.demand.scaled(spec.scale);
-                }
-                let mut mp =
-                    Marketplace::new(city, MarketplaceConfig::default(), spec.seed);
-                mp.run_for(SimDuration::hours(spec.warmup_hours));
-                let api = ApiService::new(spec.era, spec.seed ^ 0xB0B5);
-                Some(Mutex::new(HostWorld::new(mp, api)))
-            }
-            None => None,
-        };
 
         let registry = MetricsRegistry::new();
         let metrics = ServeMetrics::new();
@@ -424,14 +345,12 @@ impl Server {
             io_timeout: cfg.io_timeout,
             drain: cfg.drain,
             idle_timeout: cfg.campaign_idle_timeout.max(POLL),
-            allow_crash: cfg.allow_crash,
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),
             next_session: AtomicU64::new(1),
             next_campaign: AtomicU64::new(1),
             active: AtomicUsize::new(0),
             campaigns: Mutex::new(HashMap::new()),
-            free,
             metrics,
             registry,
         });
@@ -443,20 +362,6 @@ impl Server {
             let busy = shared.registry.timer(&format!("serve.worker{i}.busy"));
             threads.push(std::thread::spawn(move || {
                 accept_loop(&shared, &listener, &busy)
-            }));
-        }
-        if let Some(tick_ms) = cfg.free.as_ref().and_then(|f| f.tick_ms) {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || {
-                let period = Duration::from_millis(tick_ms.max(1));
-                while !shared.shutdown.load(Ordering::Relaxed) {
-                    std::thread::sleep(period.min(POLL));
-                    // Coarse pacing is fine: the free world has no
-                    // determinism contract, only liveness.
-                    if let Some(free) = &shared.free {
-                        lock_ok(free).advance();
-                    }
-                }
             }));
         }
         // Janitor: reclaims campaign slots whose clients never returned
@@ -797,7 +702,7 @@ fn handle_request(
             let host = Arc::new(CampaignHost {
                 party,
                 state: Mutex::new(CampaignState {
-                    world: Some(HostWorld::new(mp, api)),
+                    world: Some(HostWorld { mp, api, snapshot: TickSnapshot::new() }),
                     truth: None,
                     tick: 0,
                     arrivals: 0,
@@ -826,10 +731,8 @@ fn handle_request(
             shared.metrics.resumes.incr();
             Reply::ok(wire::RESP_OK, Value::Map(vec![("tick".into(), tick.to_value())]))
         }
+        #[cfg(test)]
         wire::REQ_CRASH => {
-            if !shared.allow_crash {
-                return Err("crash verb disabled (ServeConfig::allow_crash)".into());
-            }
             let host = campaign_of(shared, v)?;
             // Deliberately panic while holding the campaign lock so the
             // poisoning-recovery path has a deterministic trigger.
@@ -884,27 +787,6 @@ fn handle_request(
                 Value::Map(vec![("truth".into(), truth)]),
             )
         }
-        wire::REQ_PING_FREE => {
-            let free = shared.free.as_ref().ok_or("no free-running world configured")?;
-            let key = field_u64(v, "key")?;
-            let loc = latlng_of(v)?;
-            let (snap, ping) = {
-                let mut world = lock_ok(free);
-                (world.snapshot(), world.api.ping_config())
-            };
-            let resp = ping.ping_client(&snap, key, loc);
-            shared.metrics.free_pings.incr();
-            Reply::ok(wire::RESP_PING, resp.to_value())
-        }
-        wire::REQ_PRICE_FREE | wire::REQ_TIME_FREE => {
-            let free = shared.free.as_ref().ok_or("no free-running world configured")?;
-            let account = field_u64(v, "account")?;
-            let loc = latlng_of(v)?;
-            let mut world = lock_ok(free);
-            let snap = world.snapshot();
-            let kind = if kind == wire::REQ_PRICE_FREE { wire::REQ_PRICE } else { wire::REQ_TIME };
-            estimates_reply(shared, &mut world.api, &snap, kind, session, account, loc)
-        }
         other => Err(format!("unknown request kind {other:#04x}")),
     }
 }
@@ -949,5 +831,78 @@ fn estimates_reply(
             ),
             Err(e) => Ok(throttled(e)),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loadgen::{advance, connect, open_campaign};
+    use crate::wire::rpc;
+
+    fn campaign_payload(campaign: u64) -> Value {
+        Value::Map(vec![("campaign".into(), campaign.to_value())])
+    }
+
+    /// A worker panic mid-campaign poisons at most the campaign lock,
+    /// which every other session recovers from, never the server. The
+    /// crashed session re-attaches via `RESUME` and the party finishes
+    /// the campaign; the sibling session never notices. `REQ_CRASH`,
+    /// compiled into unit-test builds only, is the deterministic trigger:
+    /// it panics a handler while it holds the campaign lock.
+    #[test]
+    fn worker_panic_mid_campaign_is_isolated_and_the_party_finishes() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+
+        let mut a = connect(&addr).expect("connect A");
+        let campaign = open_campaign(&mut a, 0.2, 4242, 2).expect("OPEN");
+        let mut b = connect(&addr).expect("connect B");
+        let (kind, _) = rpc(&mut b, wire::REQ_JOIN, &campaign_payload(campaign)).expect("JOIN");
+        assert_eq!(kind, wire::RESP_OK);
+
+        // One lockstep tick with both sessions healthy.
+        std::thread::scope(|s| {
+            s.spawn(|| advance(&mut a, campaign, 1).expect("A advances"));
+            advance(&mut b, campaign, 1).expect("B advances");
+        });
+
+        // Session A's handler panics *while holding the campaign lock*. The
+        // panic boundary answers with an internal error (`RESP_ERR`, which
+        // `rpc` surfaces as an error) and costs A its connection — nothing
+        // more.
+        let err = rpc(&mut a, wire::REQ_CRASH, &campaign_payload(campaign))
+            .expect_err("CRASH must be answered with RESP_ERR");
+        assert!(err.to_string().contains("panicked"), "unexpected error: {err}");
+        assert_eq!(server.metrics().worker_panics.get(), 1);
+
+        // A re-attaches: fresh connection, HELLO, RESUME. The poisoned
+        // campaign lock is recovered, no party slot is consumed, and the
+        // reported tick is exactly where the barrier froze the world.
+        let mut a2 = connect(&addr).expect("reconnect A");
+        let (kind, v) =
+            rpc(&mut a2, wire::REQ_RESUME, &campaign_payload(campaign)).expect("RESUME");
+        assert_eq!(kind, wire::RESP_OK, "RESUME refused: {v:?}");
+        assert_eq!(u64::from_value(v.field("tick").unwrap()).unwrap(), 1);
+        assert_eq!(server.metrics().resumes.get(), 1);
+
+        // The party — resumed A plus the never-disturbed sibling B —
+        // completes the campaign.
+        for want in 2..=3 {
+            std::thread::scope(|s| {
+                s.spawn(|| advance(&mut a2, campaign, want).expect("A advances"));
+                advance(&mut b, campaign, want).expect("B advances");
+            });
+        }
+        let (kind, v) =
+            rpc(&mut b, wire::REQ_FINISH, &campaign_payload(campaign)).expect("FINISH");
+        assert_eq!(kind, wire::RESP_FINISH, "FINISH failed: {v:?}");
+        assert!(v.field("truth").is_ok(), "FINISH reply must carry the ground truth");
+
+        // Exactly one panic, exactly one resume, and the crash produced no
+        // framing violations — the wire stayed clean throughout.
+        assert_eq!(server.metrics().worker_panics.get(), 1);
+        assert_eq!(server.metrics().resumes.get(), 1);
+        assert_eq!(server.metrics().frame_errors.get(), 0);
     }
 }

@@ -19,7 +19,7 @@
 //! allowed (the lockstep client writes a whole tick's pings before
 //! reading), the server answers in arrival order.
 
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 use std::io::{self, Read, Write};
 use surgescope_store::crc32::crc32;
 use surgescope_store::{decode_value, encode_to_vec};
@@ -48,22 +48,17 @@ pub const REQ_PRICE: u8 = 0x06;
 pub const REQ_TIME: u8 = 0x07;
 /// Finalize a campaign and fetch its ground truth.
 pub const REQ_FINISH: u8 = 0x08;
-/// pingClient against the free-running world (load mode; no barrier).
-pub const REQ_PING_FREE: u8 = 0x09;
-/// `estimates/price` against the free-running world.
-pub const REQ_PRICE_FREE: u8 = 0x0A;
-/// `estimates/time` against the free-running world.
-pub const REQ_TIME_FREE: u8 = 0x0B;
 /// Re-attach a (fresh) connection to an open campaign after a drop:
 /// validates the campaign and answers `RESP_OK` with its current tick
 /// without consuming a party slot. The lockstep barrier counts
 /// *arrivals*, not identities, so a resumed connection simply re-sends
 /// the op that was in flight when its predecessor died.
 pub const REQ_RESUME: u8 = 0x0C;
-/// Test-only (gated by `ServeConfig::allow_crash`): panic the serving
-/// worker while it holds the campaign lock, deliberately poisoning it.
-/// Exists so the lock-poisoning recovery path has a deterministic
-/// trigger; disabled servers answer `RESP_ERR`.
+/// Unit-test builds only: panic the serving worker while it holds the
+/// campaign lock, deliberately poisoning it, so the lock-poisoning
+/// recovery path has a deterministic trigger. Every other build answers
+/// this kind as unknown.
+#[cfg(test)]
 pub const REQ_CRASH: u8 = 0x0D;
 
 /// Generic success (JOIN/ADVANCE), carries the current tick.
@@ -209,6 +204,41 @@ pub fn read_frame(
     }
     let (kind, value) = decode_body(&body)?;
     Ok((kind, value, (8 + len) as u64))
+}
+
+/// One blocking request/response exchange (client side).
+pub fn rpc<S: Read + Write>(stream: &mut S, kind: u8, payload: &Value) -> io::Result<(u8, Value)> {
+    write_frame(stream, kind, payload)?;
+    read_reply(stream)
+}
+
+/// Reads one response frame (client side), surfacing a server-side
+/// `RESP_ERR` as an error carrying the server's message.
+pub fn read_reply<S: Read>(stream: &mut S) -> io::Result<(u8, Value)> {
+    let (kind, value, _) = read_frame(stream, DEFAULT_MAX_FRAME).map_err(|e| e.into_io())?;
+    if kind == RESP_ERR {
+        let msg = value
+            .field("error")
+            .ok()
+            .and_then(|v| String::from_value(v).ok())
+            .unwrap_or_else(|| "unspecified server error".into());
+        return Err(io::Error::new(io::ErrorKind::Other, format!("server: {msg}")));
+    }
+    Ok((kind, value))
+}
+
+/// The HELLO handshake (client side): must be a connection's first
+/// exchange.
+pub fn hello<S: Read + Write>(stream: &mut S) -> io::Result<()> {
+    let hello = Value::Map(vec![("proto".into(), PROTO_VERSION.to_value())]);
+    let (kind, _) = rpc(stream, REQ_HELLO, &hello)?;
+    if kind != RESP_HELLO {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("handshake answered with {kind:#04x}"),
+        ));
+    }
+    Ok(())
 }
 
 /// A close after the length prefix is mid-frame, never clean.

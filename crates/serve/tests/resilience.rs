@@ -1,151 +1,16 @@
-//! Server-side resilience contract: a worker panic mid-campaign poisons
-//! at most the campaign lock — which every other session recovers from —
-//! never the server. The crashed session re-attaches via `RESUME` and
-//! the party finishes the campaign; the sibling session never notices.
-//! Separately, the janitor reclaims campaign slots whose clients
-//! vanished, so a crashed client cannot leak a world forever.
-//!
-//! These tests speak the raw wire (the serve crate cannot depend on the
-//! campaign client in `core`), using the test-only `REQ_CRASH` verb —
-//! which panics a handler *while holding the campaign lock* — as the
-//! deterministic trigger for the poisoning-recovery path.
+//! Server-side resilience contract: the janitor reclaims campaign slots
+//! whose clients vanished, so a crashed client cannot leak a world
+//! forever. (Worker-panic isolation needs the crash verb, which exists
+//! only in the serve crate's unit-test build; its test lives in
+//! `server.rs`.)
 
+mod common;
+
+use common::{connect, hello, open_campaign, rpc};
 use serde::{Deserialize, Serialize, Value};
-use std::net::TcpStream;
 use std::time::Duration;
-use surgescope_api::ProtocolEra;
-use surgescope_city::CityModel;
-use surgescope_marketplace::SurgePolicy;
 use surgescope_serve::wire;
 use surgescope_serve::{ServeConfig, Server};
-
-fn connect(server: &Server) -> TcpStream {
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
-        .set_write_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
-}
-
-fn rpc(stream: &mut TcpStream, kind: u8, payload: &Value) -> (u8, Value) {
-    wire::write_frame(stream, kind, payload).expect("send frame");
-    let (kind, v, _) =
-        wire::read_frame(stream, wire::DEFAULT_MAX_FRAME).expect("read reply");
-    (kind, v)
-}
-
-fn hello(stream: &mut TcpStream) {
-    let v = Value::Map(vec![("proto".into(), wire::PROTO_VERSION.to_value())]);
-    let (kind, _) = rpc(stream, wire::REQ_HELLO, &v);
-    assert_eq!(kind, wire::RESP_HELLO);
-}
-
-/// Opens a small campaign world (fifth-scale city so each tick is cheap)
-/// and returns its id.
-fn open_campaign(stream: &mut TcpStream, party: u64) -> u64 {
-    let mut city = CityModel::san_francisco_downtown();
-    city.supply = city.supply.scaled(0.2);
-    city.demand = city.demand.scaled(0.2);
-    let v = Value::Map(vec![
-        ("city".into(), city.to_value()),
-        ("seed".into(), 4242u64.to_value()),
-        ("era".into(), ProtocolEra::Apr2015.to_value()),
-        ("surge_policy".into(), SurgePolicy::Threshold.to_value()),
-        ("party".into(), party.to_value()),
-    ]);
-    let (kind, v) = rpc(stream, wire::REQ_OPEN, &v);
-    assert_eq!(kind, wire::RESP_OPEN, "OPEN refused: {v:?}");
-    u64::from_value(v.field("campaign").expect("campaign id")).expect("id")
-}
-
-fn campaign_payload(campaign: u64) -> Value {
-    Value::Map(vec![("campaign".into(), campaign.to_value())])
-}
-
-/// Lockstep ADVANCE to `want`; blocks until the whole party arrives.
-fn advance(stream: &mut TcpStream, campaign: u64, want: u64) {
-    let v = Value::Map(vec![
-        ("campaign".into(), campaign.to_value()),
-        ("tick".into(), want.to_value()),
-    ]);
-    let (kind, v) = rpc(stream, wire::REQ_ADVANCE, &v);
-    assert_eq!(kind, wire::RESP_OK, "ADVANCE failed: {v:?}");
-    assert_eq!(u64::from_value(v.field("tick").unwrap()).unwrap(), want);
-}
-
-#[test]
-fn worker_panic_mid_campaign_is_isolated_and_the_party_finishes() {
-    let cfg = ServeConfig { allow_crash: true, ..ServeConfig::default() };
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
-
-    let mut a = connect(&server);
-    hello(&mut a);
-    let campaign = open_campaign(&mut a, 2);
-    let mut b = connect(&server);
-    hello(&mut b);
-    let (kind, _) = rpc(&mut b, wire::REQ_JOIN, &campaign_payload(campaign));
-    assert_eq!(kind, wire::RESP_OK);
-
-    // One lockstep tick with both sessions healthy.
-    std::thread::scope(|s| {
-        s.spawn(|| advance(&mut a, campaign, 1));
-        advance(&mut b, campaign, 1);
-    });
-
-    // Session A's handler panics *while holding the campaign lock*. The
-    // panic boundary answers with an internal error and costs A its
-    // connection — nothing more.
-    let (kind, v) = rpc(&mut a, wire::REQ_CRASH, &campaign_payload(campaign));
-    assert_eq!(kind, wire::RESP_ERR);
-    let msg = String::from_value(v.field("error").unwrap()).unwrap();
-    assert!(msg.contains("panicked"), "unexpected error: {msg}");
-    assert_eq!(server.metrics().worker_panics.get(), 1);
-
-    // A re-attaches: fresh connection, HELLO, RESUME. The poisoned
-    // campaign lock is recovered, no party slot is consumed, and the
-    // reported tick is exactly where the barrier froze the world.
-    let mut a2 = connect(&server);
-    hello(&mut a2);
-    let (kind, v) = rpc(&mut a2, wire::REQ_RESUME, &campaign_payload(campaign));
-    assert_eq!(kind, wire::RESP_OK, "RESUME refused: {v:?}");
-    assert_eq!(u64::from_value(v.field("tick").unwrap()).unwrap(), 1);
-    assert_eq!(server.metrics().resumes.get(), 1);
-
-    // The party — resumed A plus the never-disturbed sibling B —
-    // completes the campaign.
-    for want in 2..=3 {
-        std::thread::scope(|s| {
-            s.spawn(|| advance(&mut a2, campaign, want));
-            advance(&mut b, campaign, want);
-        });
-    }
-    let (kind, v) = rpc(&mut b, wire::REQ_FINISH, &campaign_payload(campaign));
-    assert_eq!(kind, wire::RESP_FINISH, "FINISH failed: {v:?}");
-    assert!(v.field("truth").is_ok(), "FINISH reply must carry the ground truth");
-
-    // Exactly one panic, exactly one resume, and the crash produced no
-    // framing violations — the wire stayed clean throughout.
-    assert_eq!(server.metrics().worker_panics.get(), 1);
-    assert_eq!(server.metrics().resumes.get(), 1);
-    assert_eq!(server.metrics().frame_errors.get(), 0);
-}
-
-#[test]
-fn crash_verb_is_refused_unless_explicitly_enabled() {
-    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
-    let mut stream = connect(&server);
-    hello(&mut stream);
-    let campaign = open_campaign(&mut stream, 1);
-    let (kind, v) = rpc(&mut stream, wire::REQ_CRASH, &campaign_payload(campaign));
-    assert_eq!(kind, wire::RESP_ERR, "REQ_CRASH must be refused by default");
-    let msg = String::from_value(v.field("error").unwrap()).unwrap();
-    assert!(msg.contains("disabled"), "unexpected error: {msg}");
-    assert_eq!(server.metrics().worker_panics.get(), 0, "the refusal must not panic");
-}
 
 #[test]
 fn janitor_expires_an_orphaned_campaign_slot() {
@@ -157,7 +22,13 @@ fn janitor_expires_an_orphaned_campaign_slot() {
     let mut stream = connect(&server);
     hello(&mut stream);
     let campaign = open_campaign(&mut stream, 1);
-    advance(&mut stream, campaign, 1);
+    let v = Value::Map(vec![
+        ("campaign".into(), campaign.to_value()),
+        ("tick".into(), 1u64.to_value()),
+    ]);
+    let (kind, v) = rpc(&mut stream, wire::REQ_ADVANCE, &v);
+    assert_eq!(kind, wire::RESP_OK, "ADVANCE failed: {v:?}");
+    assert_eq!(u64::from_value(v.field("tick").unwrap()).unwrap(), 1);
 
     // Go silent past the idle timeout; the janitor reclaims the slot.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);

@@ -3,44 +3,15 @@
 //! violation is visible as a `serve.frame_errors` increment. Also locks
 //! the port-0 ephemeral bind and the graceful drain-on-shutdown window.
 
+mod common;
+
+use common::{connect, hello, open_campaign, rpc};
 use serde::{Serialize, Value};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use surgescope_api::ProtocolEra;
-use surgescope_city::CityModel;
 use surgescope_serve::wire;
-use surgescope_serve::{FreeWorldSpec, ServeConfig, Server};
-
-fn free_spec() -> FreeWorldSpec {
-    FreeWorldSpec {
-        city: CityModel::san_francisco_downtown(),
-        scale: 0.2,
-        seed: 99,
-        era: ProtocolEra::Apr2015,
-        warmup_hours: 0,
-        tick_ms: None,
-    }
-}
-
-fn connect(server: &Server) -> TcpStream {
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    stream
-        .set_write_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    stream
-}
-
-fn hello(stream: &mut TcpStream) {
-    let v = Value::Map(vec![("proto".into(), wire::PROTO_VERSION.to_value())]);
-    wire::write_frame(stream, wire::REQ_HELLO, &v).expect("send HELLO");
-    let (kind, _, _) = wire::read_frame(stream, wire::DEFAULT_MAX_FRAME).expect("read HELLO");
-    assert_eq!(kind, wire::RESP_HELLO);
-}
+use surgescope_serve::{ServeConfig, Server};
 
 /// True once the server has closed its end: a read returns 0 bytes (or a
 /// reset). Panics if the connection is still open after 5 seconds — the
@@ -158,39 +129,44 @@ fn slow_loris_partial_write_is_dropped() {
     await_count(|| server.metrics().frame_errors.get(), 1, "serve.frame_errors");
 }
 
+/// A production build serves none of these kinds: 0x7F and 0x09–0x0B are
+/// unassigned, and 0x0D, the crash verb, exists only in the serve crate's
+/// unit-test build.
 #[test]
 fn unknown_kind_is_a_protocol_error_not_a_frame_error() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
-    let mut stream = connect(&server);
-    hello(&mut stream);
-    let v = Value::Map(vec![]);
-    wire::write_frame(&mut stream, 0x7F, &v).expect("send unknown kind");
-    let (kind, payload, _) =
-        wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME).expect("read reply");
-    assert_eq!(kind, wire::RESP_ERR, "unknown kinds are answered, then closed");
-    assert!(payload.field("error").is_ok());
-    assert_closed(&mut stream);
+    let mut opener = connect(&server);
+    hello(&mut opener);
+    let v = Value::Map(vec![("campaign".into(), open_campaign(&mut opener, 1).to_value())]);
+    for unknown in [0x7F, 0x09, 0x0A, 0x0B, 0x0D] {
+        let mut stream = connect(&server);
+        hello(&mut stream);
+        let (kind, payload) = rpc(&mut stream, unknown, &v);
+        assert_eq!(kind, wire::RESP_ERR, "kind {unknown:#04x} is answered, then closed");
+        assert!(payload.field("error").is_ok());
+        assert_closed(&mut stream);
+    }
     assert_eq!(
         server.metrics().frame_errors.get(),
         0,
         "a well-framed bad request is not a framing error"
     );
+    assert_eq!(server.metrics().worker_panics.get(), 0, "an unknown kind must not panic");
 }
 
 #[test]
 fn hostile_coordinates_answered_with_error_and_worker_survives() {
-    let cfg = ServeConfig { free: Some(free_spec()), ..ServeConfig::default() };
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut stream = connect(&server);
     hello(&mut stream);
+    let campaign = open_campaign(&mut stream, 1);
     let v = Value::Map(vec![
+        ("campaign".into(), campaign.to_value()),
         ("key".into(), 1u64.to_value()),
         ("lat".into(), f64::NAN.to_value()),
         ("lng".into(), (-122.4).to_value()),
     ]);
-    wire::write_frame(&mut stream, wire::REQ_PING_FREE, &v).expect("send NaN ping");
-    let (kind, _, _) =
-        wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME).expect("read reply");
+    let (kind, _) = rpc(&mut stream, wire::REQ_PING, &v);
     assert_eq!(kind, wire::RESP_ERR, "NaN coordinates must be refused, not panic a worker");
     assert_closed(&mut stream);
 
@@ -198,13 +174,12 @@ fn hostile_coordinates_answered_with_error_and_worker_survives() {
     let mut stream = connect(&server);
     hello(&mut stream);
     let v = Value::Map(vec![
+        ("campaign".into(), campaign.to_value()),
         ("key".into(), 1u64.to_value()),
         ("lat".into(), 37.78.to_value()),
         ("lng".into(), (-122.41).to_value()),
     ]);
-    wire::write_frame(&mut stream, wire::REQ_PING_FREE, &v).expect("send good ping");
-    let (kind, _, _) =
-        wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME).expect("read reply");
+    let (kind, _) = rpc(&mut stream, wire::REQ_PING, &v);
     assert_eq!(kind, wire::RESP_PING);
 }
 
@@ -232,22 +207,21 @@ fn shutdown_drains_inflight_requests() {
 
 #[test]
 fn estimates_throttle_over_the_wire() {
-    let cfg = ServeConfig { free: Some(free_spec()), ..ServeConfig::default() };
-    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut stream = connect(&server);
     hello(&mut stream);
+    let campaign = open_campaign(&mut stream, 1);
 
     let limit = surgescope_api::DEFAULT_LIMIT_PER_HOUR as u64;
     let (mut served, mut throttled) = (0u64, 0u64);
+    let v = Value::Map(vec![
+        ("campaign".into(), campaign.to_value()),
+        ("account".into(), 7u64.to_value()),
+        ("lat".into(), 37.78.to_value()),
+        ("lng".into(), (-122.41).to_value()),
+    ]);
     for _ in 0..limit + 5 {
-        let v = Value::Map(vec![
-            ("account".into(), 7u64.to_value()),
-            ("lat".into(), 37.78.to_value()),
-            ("lng".into(), (-122.41).to_value()),
-        ]);
-        wire::write_frame(&mut stream, wire::REQ_PRICE_FREE, &v).expect("send price request");
-        let (kind, payload, _) =
-            wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME).expect("read reply");
+        let (kind, payload) = rpc(&mut stream, wire::REQ_PRICE, &v);
         match kind {
             wire::RESP_PRICE => served += 1,
             wire::RESP_THROTTLED => {

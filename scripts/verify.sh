@@ -40,6 +40,12 @@ cargo build --release
 echo "== tier 1: full test suite =="
 cargo test -q
 
+echo "== workspace: every crate's tests (release) =="
+# Tier 1 runs only the root package. The member crates' suites (serve
+# robustness and resilience, core remote lockstep/chaos, bench
+# alloc_free, the pinned-digest unit tests) run here.
+cargo test -q --release --workspace
+
 echo "== transport: pinned campaign bytes (clean + faulted) =="
 # The serial ping kernel must reproduce, byte for byte, the campaigns the
 # removed 4-thread ping pool produced, with and without transport faults
@@ -137,50 +143,7 @@ print(f"serve burst: {serve['serve.requests_per_sec']:.0f} req/s, "
       f"p99 {serve['serve.p99_us']}us, 0 frame errors")
 EOF
 
-echo "== serve: loopback byte-identity and load smoke =="
-# The serving layer's determinism contract, end to end over real
-# sockets: a faulted campaign measured against `repro --serve` through a
-# 2-connection lockstep party must produce byte-identical encoded
-# CampaignData to the in-process run — a plain `cmp` of the two files.
-# Then a 2-second paced load burst against the same server must serve
-# >0 requests with 0 client-visible errors (serve_load exits non-zero
-# otherwise).
-cargo build --release -p surgescope-bench --bin serve_load --bin remote_campaign
-SERVE_TMP=$(mktemp -d)
-./target/release/repro --serve 127.0.0.1:0 --quick >"$SERVE_TMP/serve.log" 2>&1 &
-SERVE_PID=$!
-# `|| true`: the server is already gone on a clean exit, and under
-# `set -e` a failing kill in the trap would turn a pass into exit 1.
-trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SCHED_TMP" "$SERVE_TMP"' EXIT
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^\[serve\] listening on //p' "$SERVE_TMP/serve.log" | head -1)
-  [ -n "$ADDR" ] && break
-  sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-  echo "serve gate: server never reported its address:" >&2
-  cat "$SERVE_TMP/serve.log" >&2
-  exit 1
-fi
-./target/release/remote_campaign --out "$SERVE_TMP/local.bin" --seed 70931 --faulted
-./target/release/remote_campaign --out "$SERVE_TMP/remote.bin" --seed 70931 --faulted \
-  --remote "$ADDR" --conns 2
-cmp "$SERVE_TMP/local.bin" "$SERVE_TMP/remote.bin"
-echo "remote campaign bytes identical to in-process ($(wc -c <"$SERVE_TMP/local.bin") bytes)"
-./target/release/serve_load --addr "$ADDR" --conns 4 --rps 200 --secs 2
-
-echo "== serve: chaos byte-identity (resilience gate) =="
-# Same campaign, same server, but every connection sabotaged by the
-# seeded reference chaos schedule: connection resets, truncated frames,
-# write stalls. The retry/RESUME layer must absorb every fault — the
-# binary reports the injected/reconnect counts — and the encoded bytes
-# must still match the in-process run exactly.
-./target/release/remote_campaign --out "$SERVE_TMP/chaos.bin" --seed 70931 --faulted \
-  --remote "$ADDR" --conns 2 --chaos 3133
-cmp "$SERVE_TMP/local.bin" "$SERVE_TMP/chaos.bin"
-echo "chaotic remote campaign bytes identical to in-process"
-kill "$SERVE_PID" 2>/dev/null
-wait "$SERVE_PID" 2>/dev/null || true
+echo "== serve: loopback byte-identity, load and chaos smoke =="
+scripts/serve_smoke.sh
 
 echo "verify: all gates passed"
