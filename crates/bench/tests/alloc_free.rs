@@ -1,57 +1,29 @@
 //! Counting-allocator proof that the tick hot path is allocation-free in
 //! steady state.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; once the
-//! arenas and scratch buffers have grown to the fleet's high-water mark,
-//! the snapshot path (release + re-capture into the arena) and the full
+//! The shared counting allocator (`common`) wraps the system allocator;
+//! once the arenas and scratch buffers have grown to the fleet's
+//! high-water mark, the snapshot path (release + re-capture into the arena), the full
 //! per-tick ping path (`ping_all_into` with a reused observation buffer;
-//! pings have one serial kernel, so this covers every campaign) must
-//! perform **zero** heap allocations per tick. A regression here
-//! silently reintroduces the per-tick `Vec` churn this pipeline was built
-//! to remove, so clean windows are pinned to exactly 0, not to a budget.
+//! Uber pings have one serial kernel, so this covers every campaign) and
+//! the taxi validation's ping path must perform **zero** heap
+//! allocations per tick. A regression here silently reintroduces the
+//! per-tick `Vec` churn this pipeline was built to remove, so clean
+//! windows are pinned to exactly 0, not to a budget.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
+
+use common::allocs;
 use surgescope_api::{ApiService, ProtocolEra, WorldSnapshot};
 use surgescope_city::CityModel;
 use surgescope_core::calibration::placement;
-use surgescope_core::{ClientSpec, MeasuredSystem, UberSystem};
+use surgescope_core::{ClientSpec, MeasuredSystem, TaxiSystem, UberSystem};
 use surgescope_marketplace::{Marketplace, MarketplaceConfig};
-use surgescope_simcore::SimDuration;
-
-struct Counting;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to the system allocator; the counter is a
-// relaxed atomic side effect with no bearing on the returned memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(l) }
-    }
-
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(l) }
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(p, l, n) }
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, l) }
-    }
-}
+use surgescope_simcore::{SimDuration, SimTime};
+use surgescope_taxi::TraceGenerator;
 
 #[global_allocator]
-static COUNTER: Counting = Counting;
-
-fn allocs() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
-}
+static ALLOC: common::Counting = common::Counting;
 
 fn sf_system_with_clients() -> (UberSystem, Vec<ClientSpec>) {
     let city = CityModel::san_francisco_downtown();
@@ -63,13 +35,14 @@ fn sf_system_with_clients() -> (UberSystem, Vec<ClientSpec>) {
     (sys, clients)
 }
 
-/// Both phases run inside one `#[test]` body: the counter is process
+/// Every phase runs inside one `#[test]` body: the counter is process
 /// global, so two tests on libtest's parallel threads would race their
 /// allocations into each other's measured windows.
 #[test]
 fn tick_hot_path_allocates_zero() {
     snapshot_recapture_allocates_zero();
     steady_state_ping_path_allocates_zero();
+    steady_state_taxi_ping_allocates_zero();
 }
 
 /// Re-capturing a snapshot of an unchanged world into an already-sized
@@ -147,5 +120,36 @@ fn steady_state_ping_path_allocates_zero() {
     assert!(
         clean_window,
         "no 200-tick window was allocation-free within 2000 steady-state ticks"
+    );
+}
+
+/// The taxi validation's ping path, at the fig04 shape (150 taxis, one
+/// client every 150 m): once one tick has sized the top-8 scratch, every
+/// `TaxiSystem::ping_all_into` into the reused buffer allocates nothing.
+/// Car vectors start at full capacity, so no window scan is needed.
+/// `advance_tick` stays outside the window: a taxi starting an
+/// availability period gets a fresh path.
+fn steady_state_taxi_ping_allocates_zero() {
+    let city = CityModel::manhattan_midtown();
+    let trace = TraceGenerator { taxis: 150, days: 1, ..Default::default() }.generate(&city, 2026);
+    let region = city.measurement_region.clone();
+    let clients = placement(&region, 150.0);
+    let mut sys = TaxiSystem::new(&trace, region, 2026);
+    // Evening: the fleet is out, so every client sees taxis.
+    while sys.now() < SimTime(18 * 3600) {
+        sys.advance_tick();
+    }
+    let mut obs = Vec::new();
+    sys.ping_all_into(&clients, &mut obs);
+    for tick in 0..200 {
+        sys.advance_tick();
+        let before = allocs();
+        sys.ping_all_into(&clients, &mut obs);
+        let after = allocs();
+        assert_eq!(after - before, 0, "taxi ping tick {tick} allocated {} times", after - before);
+    }
+    assert!(
+        obs.iter().any(|blocks| blocks[0].cars.len() == 8),
+        "no client saw a full block of taxis; the window is vacuous"
     );
 }

@@ -38,7 +38,7 @@ use surgescope_geo::{LatLng, Meters, Polygon};
 use surgescope_marketplace::{GroundTruth, Marketplace, MarketplaceConfig};
 use surgescope_obs::{Counter, MetricsRegistry, Snapshot, Timer};
 use surgescope_simcore::{FaultPlan, SimRng, SimTime, Transport};
-use surgescope_store::{LogWriter, StoreError};
+use surgescope_store::{encode_key, encode_map_header, encode_value, LogWriter, StoreError};
 
 use surgescope_taxi::{TaxiGroundTruth, TaxiTrace};
 
@@ -845,14 +845,26 @@ impl CampaignRunner {
         Ok(())
     }
 
-    /// Serializes the complete mutable campaign state at the current tick
-    /// boundary. Self-contained: carries the config and the post-scale
-    /// city, so [`CampaignRunner::resume`] needs nothing else.
-    pub fn checkpoint_value(&self) -> Value {
+    /// Writes the complete mutable campaign state at the current tick
+    /// boundary to `cfg.store.checkpoint_path` (atomic: written to a
+    /// `.tmp` sibling, then renamed). Self-contained: the checkpoint
+    /// carries the config and the post-scale city, so
+    /// [`CampaignRunner::resume`] needs nothing else.
+    ///
+    /// The state is one codec map encoded straight into bytes. Most
+    /// fields are small trees; the two per-client, per-tick series hold
+    /// most of the file and are streamed sample by sample, because as a
+    /// tree every 4-byte sample would cost a 32-byte `Value`.
+    pub fn write_checkpoint(&self) -> Result<(), StoreError> {
+        let path = self.cfg.store.checkpoint_path.as_ref().ok_or_else(|| {
+            StoreError::Schema("write_checkpoint: no checkpoint_path configured".into())
+        })?;
         let sys = self
             .sys
             .local()
             .expect("checkpoints require an in-process campaign (remote runs reject store hooks)");
+        let _span = self.metrics.checkpoint_timer.start();
+        self.metrics.checkpoints.incr();
         let sorted = |sets: &[FastHashSet<u64>]| -> Value {
             sets.iter()
                 .map(|s| {
@@ -863,52 +875,58 @@ impl CampaignRunner {
                 .collect::<Vec<_>>()
                 .to_value()
         };
-        Value::Map(vec![
-            ("config".into(), self.cfg.to_value()),
-            ("city".into(), self.city.to_value()),
-            ("ticks_done".into(), (self.ticks_done as u64).to_value()),
-            ("marketplace".into(), sys.marketplace.save_state()),
-            ("limiter".into(), sys.api.limiter().to_value()),
-            ("fault_rng".into(), sys.fault_rng().to_value()),
-            ("transport".into(), sys.transport().to_value()),
-            ("estimator".into(), self.estimator.to_value()),
-            ("transitions".into(), self.transitions.save_state()),
-            ("client_surge".into(), persist::f32_rows_to_bits(&self.client_surge)),
-            ("client_ewt".into(), persist::f32_rows_to_bits(&self.client_ewt)),
-            ("api_surge".into(), persist::f32_rows_to_bits(&self.api_surge)),
-            ("api_ewt".into(), persist::f32_rows_to_bits(&self.api_ewt)),
-            ("avg_visible".into(), persist::f32_rows_to_bits(&self.avg_visible)),
-            ("daily_sets".into(), sorted(&self.daily_sets)),
-            ("client_daily_cars".into(), self.client_daily_cars.to_value()),
-            ("interval_sets".into(), sorted(&self.interval_sets)),
-            ("interval_car_sum".into(), self.interval_car_sum.to_value()),
-            ("interval_car_n".into(), self.interval_car_n.to_value()),
-            ("interval_seen".into(), self.interval_seen.to_value()),
-            ("inst_sum".into(), self.inst_sum.to_value()),
-            ("inst_ticks".into(), self.inst_ticks.to_value()),
-            ("ewt_sum".into(), self.ewt_sum.to_value()),
-            ("ewt_n".into(), self.ewt_n.to_value()),
-            ("client_delivered".into(), self.client_delivered.to_value()),
-            ("probe_pending".into(), match &self.probe_pending {
+        let head = [
+            ("config", self.cfg.to_value()),
+            ("city", self.city.to_value()),
+            ("ticks_done", (self.ticks_done as u64).to_value()),
+            ("marketplace", sys.marketplace.save_state()),
+            ("limiter", sys.api.limiter().to_value()),
+            ("fault_rng", sys.fault_rng().to_value()),
+            ("transport", sys.transport().to_value()),
+            ("estimator", self.estimator.to_value()),
+            ("transitions", self.transitions.save_state()),
+        ];
+        let series = [("client_surge", &self.client_surge), ("client_ewt", &self.client_ewt)];
+        let tail = [
+            ("api_surge", persist::f32_rows_to_bits(&self.api_surge)),
+            ("api_ewt", persist::f32_rows_to_bits(&self.api_ewt)),
+            ("avg_visible", persist::f32_rows_to_bits(&self.avg_visible)),
+            ("daily_sets", sorted(&self.daily_sets)),
+            ("client_daily_cars", self.client_daily_cars.to_value()),
+            ("interval_sets", sorted(&self.interval_sets)),
+            ("interval_car_sum", self.interval_car_sum.to_value()),
+            ("interval_car_n", self.interval_car_n.to_value()),
+            ("interval_seen", self.interval_seen.to_value()),
+            ("inst_sum", self.inst_sum.to_value()),
+            ("inst_ticks", self.inst_ticks.to_value()),
+            ("ewt_sum", self.ewt_sum.to_value()),
+            ("ewt_n", self.ewt_n.to_value()),
+            ("client_delivered", self.client_delivered.to_value()),
+            ("probe_pending", match &self.probe_pending {
                 Some(m) => persist::f32s_to_bits(m),
                 None => Value::Null,
             }),
-            ("probe_limited_logged".into(), self.probe_limited_logged.to_value()),
-        ])
+            ("probe_limited_logged", self.probe_limited_logged.to_value()),
+        ];
+        let mut out = Vec::new();
+        encode_map_header(head.len() + series.len() + tail.len(), &mut out);
+        for (key, v) in &head {
+            encode_key(key, &mut out);
+            encode_value(v, &mut out);
+        }
+        for (key, rows) in series {
+            encode_key(key, &mut out);
+            persist::encode_f32_rows(rows, &mut out);
+        }
+        for (key, v) in &tail {
+            encode_key(key, &mut out);
+            encode_value(v, &mut out);
+        }
+        surgescope_store::write_checkpoint(path, self.cfg.config_hash(), &out)
     }
 
-    /// Writes a checkpoint to `cfg.store.checkpoint_path` (atomic:
-    /// written to a `.tmp` sibling, then renamed).
-    pub fn write_checkpoint(&self) -> Result<(), StoreError> {
-        let path = self.cfg.store.checkpoint_path.as_ref().ok_or_else(|| {
-            StoreError::Schema("write_checkpoint: no checkpoint_path configured".into())
-        })?;
-        let _span = self.metrics.checkpoint_timer.start();
-        self.metrics.checkpoints.incr();
-        surgescope_store::write_checkpoint(path, self.cfg.config_hash(), &self.checkpoint_value())
-    }
-
-    /// Rebuilds a runner from [`CampaignRunner::checkpoint_value`] output.
+    /// Rebuilds a runner from the state [`CampaignRunner::write_checkpoint`]
+    /// wrote (as [`surgescope_store::read_checkpoint`] decodes it).
     /// `hooks` is a runtime knob supplied afresh. When `hooks.log_path` is
     /// set, the log's tick prefix is rewritten from the checkpointed
     /// series, so the finished log replays the *whole* campaign even
@@ -1139,12 +1157,14 @@ impl Campaign {
         let mut sys = TaxiSystem::new(trace, region.clone(), seed);
         let mut estimator = SupplyDemandEstimator::new(estimator_cfg, region, vec![]);
         let ticks = hours * 720;
+        let mut obs = Vec::new();
         for _ in 0..ticks {
             sys.advance_tick();
             let now = sys.now();
             let state_t = now.saturating_sub(surgescope_simcore::SimDuration::secs(5));
-            for blocks in sys.ping_all(&clients) {
-                estimator.observe(state_t, &blocks);
+            sys.ping_all_into(&clients, &mut obs);
+            for blocks in &obs {
+                estimator.observe(state_t, blocks);
             }
             estimator.end_tick(now);
         }

@@ -27,7 +27,7 @@ use std::path::Path;
 use surgescope_city::CityModel;
 use surgescope_geo::Polygon;
 use surgescope_marketplace::GroundTruth;
-use surgescope_store::{encode_to_vec, LogReader, StoreError};
+use surgescope_store::{encode_seq_header, encode_to_vec, encode_u64, LogReader, StoreError};
 
 /// Record kind: one simulated tick's per-client surge/EWT row.
 pub const REC_TICK: u8 = 0x10;
@@ -47,6 +47,18 @@ pub(crate) fn bits_to_f32s(v: &Value) -> Result<Vec<f32>, serde::Error> {
 /// Encodes a ragged `f32` matrix as bit patterns.
 pub(crate) fn f32_rows_to_bits(rows: &[Vec<f32>]) -> Value {
     Value::Seq(rows.iter().map(|r| f32s_to_bits(r)).collect())
+}
+
+/// Streams [`f32_rows_to_bits`]'s encoding into `out` sample by sample,
+/// byte-identical to encoding the tree but without building it.
+pub(crate) fn encode_f32_rows(rows: &[Vec<f32>], out: &mut Vec<u8>) {
+    encode_seq_header(rows.len(), out);
+    for row in rows {
+        encode_seq_header(row.len(), out);
+        for x in row {
+            encode_u64(u64::from(x.to_bits()), out);
+        }
+    }
 }
 
 /// Decodes [`f32_rows_to_bits`] output.

@@ -13,7 +13,7 @@ use surgescope_api::{
     ApiService, PingConfig, PingScratch, TickSnapshot, WorldSnapshot, NEAREST_CARS_SHOWN,
 };
 use surgescope_city::CarType;
-use surgescope_geo::{LocalProjection, Meters};
+use surgescope_geo::LocalProjection;
 use surgescope_marketplace::Marketplace;
 use surgescope_obs::{Counter, MetricsRegistry, Timer};
 use surgescope_simcore::{ticks_late, FaultOutcome, FaultPlan, SimRng, SimTime, Transport};
@@ -333,13 +333,15 @@ impl MeasuredSystem for UberSystem {
 /// validation only needs car identities and positions.
 pub struct TaxiSystem<'a> {
     replay: TaxiReplay<'a>,
+    /// Top-k scratch reused by every ping ([`TaxiReplay::nearest_visit`]).
+    best: Vec<(f64, usize)>,
 }
 
 impl<'a> TaxiSystem<'a> {
     /// Wraps a replay of `trace`; ground truth accumulates against
     /// `region` (pass the measurement polygon).
     pub fn new(trace: &'a TaxiTrace, region: surgescope_geo::Polygon, seed: u64) -> Self {
-        TaxiSystem { replay: TaxiReplay::new(trace, region, seed) }
+        TaxiSystem { replay: TaxiReplay::new(trace, region, seed), best: Vec::new() }
     }
 
     /// Access to the replay (for ground truth after the campaign).
@@ -357,33 +359,28 @@ impl MeasuredSystem for TaxiSystem<'_> {
         self.replay.now()
     }
 
+    /// Renders each client's nearest taxis into its slot's one block,
+    /// reusing the block's car vector, so with a reused `out` a tick's
+    /// pings allocate nothing.
     fn ping_all_into(&mut self, clients: &[ClientSpec], out: &mut Vec<Vec<TypeObservation>>) {
-        *out = clients
-            .iter()
-            .map(|c| {
-                let cars = self
-                    .replay
-                    .nearest(c.position, NEAREST_CARS_SHOWN)
-                    .into_iter()
-                    .map(|t| {
-                        // The taxi path stores planar metres encoded as
-                        // micro-degree LatLngs; decode symmetrically.
-                        let pts: Vec<Meters> = t
-                            .path
-                            .points()
-                            .map(|ll| Meters::new(ll.lng * 1e5, ll.lat * 1e5))
-                            .collect();
-                        let displacement = if pts.len() >= 2 {
-                            Some(pts[pts.len() - 1].sub(pts[0]))
-                        } else {
-                            None
-                        };
-                        ObservedCar { id: t.session, position: t.position, displacement }
-                    })
-                    .collect();
-                vec![TypeObservation { car_type: CarType::UberT, cars, ewt_min: 0.0, surge: 1.0 }]
-            })
-            .collect();
+        out.resize_with(clients.len(), Vec::new);
+        out.truncate(clients.len());
+        for (c, slot) in clients.iter().zip(out.iter_mut()) {
+            let mut cars = slot
+                .pop()
+                .map_or_else(|| Vec::with_capacity(NEAREST_CARS_SHOWN), |block| block.cars);
+            slot.clear();
+            cars.clear();
+            self.replay.nearest_visit(
+                c.position,
+                NEAREST_CARS_SHOWN,
+                &mut self.best,
+                |id, position, displacement| {
+                    cars.push(ObservedCar { id, position, displacement });
+                },
+            );
+            slot.push(TypeObservation { car_type: CarType::UberT, cars, ewt_min: 0.0, surge: 1.0 });
+        }
     }
 }
 
@@ -392,6 +389,7 @@ mod tests {
     use super::*;
     use surgescope_api::ProtocolEra;
     use surgescope_city::CityModel;
+    use surgescope_geo::Meters;
     use surgescope_marketplace::MarketplaceConfig;
     use surgescope_simcore::SimDuration;
     use surgescope_taxi::TraceGenerator;
@@ -555,6 +553,76 @@ mod tests {
         assert!(
             x.cars.iter().any(|c| c.displacement.is_some()),
             "settled cars should carry path displacement"
+        );
+    }
+
+    /// Pinned to the digest the sorting kernel produced (it cloned every
+    /// available taxi's path and stable-sorted the whole fleet per ping),
+    /// so the one-pass top-8 kernel must reproduce it byte for byte.
+    /// Generated positions are continuous draws, so two taxis never tie
+    /// on distance by chance; every even taxi therefore gets a twin that
+    /// drives the same rides at the back of the fleet. Twins stand on the
+    /// same point, so their distances tie exactly and only fleet order
+    /// decides which of them a client sees first, or sees at all.
+    #[test]
+    fn taxi_ping_all_matches_pinned_sort_output() {
+        use crate::calibration::placement;
+        use surgescope_taxi::TaxiRide;
+
+        let city = CityModel::manhattan_midtown();
+        let mut trace =
+            TraceGenerator { taxis: 150, days: 1, ..Default::default() }.generate(&city, 14);
+        let fleet = trace.taxi_count;
+        let twins: Vec<TaxiRide> = trace
+            .rides
+            .iter()
+            .filter(|r| r.taxi % 2 == 0)
+            .map(|r| TaxiRide { taxi: fleet + r.taxi / 2, ..*r })
+            .collect();
+        trace.rides.extend(twins);
+        trace.rides.sort_by_key(|r| (r.pickup_at, r.taxi));
+        trace.taxi_count = fleet + fleet.div_ceil(2);
+
+        let region = city.measurement_region.clone();
+        let clients = placement(&region, 150.0);
+        let mut sys = TaxiSystem::new(&trace, region, 15);
+        // Evening: the fleet is out and the ping path is at its busiest.
+        while sys.now() < SimTime(18 * 3600) {
+            sys.advance_tick();
+        }
+        let (mut inside, mut cutoff) = (0, 0);
+        let mut digests = Vec::new();
+        for _ in 0..360 {
+            sys.advance_tick();
+            let obs = sys.ping_all(&clients);
+            digests.push(surgescope_store::hash_of(&obs));
+            let visible = sys.replay().visible();
+            let (mut tie_in, mut tie_cut) = (false, false);
+            for (c, blocks) in clients.iter().zip(&obs) {
+                let d2: Vec<u64> = blocks[0]
+                    .cars
+                    .iter()
+                    .map(|car| car.position.dist2(c.position).to_bits())
+                    .collect();
+                tie_in |= d2.windows(2).any(|w| w[0] == w[1]);
+                if let Some(&last) = d2.last().filter(|_| d2.len() == NEAREST_CARS_SHOWN) {
+                    let at_cut = visible
+                        .iter()
+                        .filter(|t| t.position.dist2(c.position).to_bits() == last)
+                        .count();
+                    let shown = d2.iter().filter(|&&b| b == last).count();
+                    tie_cut |= at_cut > shown;
+                }
+            }
+            inside += usize::from(tie_in);
+            cutoff += usize::from(tie_cut);
+        }
+        assert!(inside > 0, "no tick ranked two tied taxis; the tie order is untested");
+        assert!(cutoff > 0, "no tie straddled the 8-taxi cutoff; the tie order is untested");
+        assert_eq!(
+            surgescope_store::hash_of(&digests),
+            0x06d6_6868_3413_b58c,
+            "taxi ping_all diverged from the pinned sorting-kernel output"
         );
     }
 

@@ -16,7 +16,7 @@ use surgescope_city::CityModel;
 use surgescope_core::persist::{campaign_encoded, replay_campaign};
 use surgescope_core::{CampaignConfig, CampaignRunner, StoreHooks};
 use surgescope_simcore::FaultPlan;
-use surgescope_store::StoreError;
+use surgescope_store::{fnv1a64, StoreError};
 
 fn temp_path(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -123,6 +123,34 @@ fn four_hour_campaign_checkpoint_at_two_hours_gate() {
         "gate-4h",
         FaultPlan { drop_chance: 0.05, delay_chance: 0.25, max_delay_secs: 30 },
         4,
+    );
+}
+
+/// The checkpoint format is pinned: the file a faulted campaign writes
+/// at tick 360, with delayed responses still in flight, must keep the
+/// FNV-1a digest the `Value`-tree writer gave it. The streaming writer
+/// is an encoder of the same format, not a new one.
+#[test]
+fn checkpoint_file_matches_pinned_bytes() {
+    let ckpt = temp_path("pinned.ckpt");
+    let mut cfg = base_cfg(
+        FaultPlan { drop_chance: 0.05, delay_chance: 0.25, max_delay_secs: 30 },
+        1,
+    );
+    cfg.store.checkpoint_path = Some(ckpt.clone());
+    let mut runner = CampaignRunner::new(CityModel::manhattan_midtown(), &cfg).unwrap();
+    for _ in 0..360 {
+        runner.tick().unwrap();
+    }
+    assert!(runner.in_flight() > 0, "no message in flight at the checkpoint");
+    runner.write_checkpoint().unwrap();
+    let bytes = std::fs::read(&ckpt).unwrap();
+    let _ = std::fs::remove_file(&ckpt);
+    assert_eq!(
+        fnv1a64(&bytes),
+        0x6e89_1205_4366_f102,
+        "checkpoint file ({} bytes) diverged from the pinned format",
+        bytes.len()
     );
 }
 

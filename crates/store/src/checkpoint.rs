@@ -15,13 +15,16 @@ use std::path::Path;
 /// Record kind used for the single checkpoint record.
 pub const CHECKPOINT_RECORD: u8 = 0xC0;
 
-/// Atomically writes `state` as a checkpoint at `path`.
-pub fn write_checkpoint(path: &Path, config_hash: u64, state: &Value) -> Result<(), StoreError> {
+/// Atomically writes a checkpoint at `path` whose state is `payload`: one
+/// value already encoded by [`crate::codec`]. Taking bytes rather than a
+/// `Value` lets a caller stream a large state into them (see
+/// [`crate::encode_seq_header`]) instead of building its whole tree.
+pub fn write_checkpoint(path: &Path, config_hash: u64, payload: &[u8]) -> Result<(), StoreError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
     let mut w = LogWriter::create(&tmp, config_hash)?;
-    w.append(CHECKPOINT_RECORD, state)?;
+    w.append_raw(CHECKPOINT_RECORD, payload)?;
     w.finish()?;
     std::fs::rename(&tmp, path)?;
     Ok(())
@@ -50,7 +53,7 @@ pub fn read_checkpoint(path: &Path) -> Result<(u64, Value), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Value;
+    use crate::codec::encode_to_vec;
 
     #[test]
     fn round_trip_and_atomicity() {
@@ -62,12 +65,12 @@ mod tests {
             ("tick".into(), Value::U64(1440)),
             ("rng".into(), Value::Seq(vec![Value::U64(1), Value::U64(2)])),
         ]);
-        write_checkpoint(&path, 42, &state).unwrap();
+        write_checkpoint(&path, 42, &encode_to_vec(&state)).unwrap();
         let (hash, back) = read_checkpoint(&path).unwrap();
         assert_eq!(hash, 42);
         assert_eq!(back, state);
         // Overwrite replaces the old checkpoint; no temp file lingers.
-        write_checkpoint(&path, 43, &Value::Null).unwrap();
+        write_checkpoint(&path, 43, &encode_to_vec(&Value::Null)).unwrap();
         let (hash, back) = read_checkpoint(&path).unwrap();
         assert_eq!((hash, back), (43, Value::Null));
         let mut tmp = path.as_os_str().to_owned();
@@ -82,7 +85,7 @@ mod tests {
             "surgescope-ckpt-corrupt-{}.ckpt",
             std::process::id()
         ));
-        write_checkpoint(&path, 1, &Value::Str("state".into())).unwrap();
+        write_checkpoint(&path, 1, &encode_to_vec(&Value::Str("state".into()))).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;

@@ -39,6 +39,12 @@ fn put_varint(out: &mut Vec<u8>, mut n: u64) {
     }
 }
 
+/// Length-prefixed UTF-8: the body of a string value, and a map key.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
 /// ZigZag so small negative integers stay small on disk.
 fn zigzag(n: i64) -> u64 {
     ((n << 1) ^ (n >> 63)) as u64
@@ -48,16 +54,40 @@ fn unzigzag(n: u64) -> i64 {
     ((n >> 1) as i64) ^ -((n & 1) as i64)
 }
 
-/// Appends the encoding of `v` to `out`.
+/// Appends a map header: the next `len` entries, each a key
+/// ([`encode_key`]) then a value, complete the map.
+pub fn encode_map_header(len: usize, out: &mut Vec<u8>) {
+    out.push(TAG_MAP);
+    put_varint(out, len as u64);
+}
+
+/// Appends a sequence header: the next `len` values complete the sequence.
+pub fn encode_seq_header(len: usize, out: &mut Vec<u8>) {
+    out.push(TAG_SEQ);
+    put_varint(out, len as u64);
+}
+
+/// Appends a map key (untagged: keys are always strings).
+pub fn encode_key(key: &str, out: &mut Vec<u8>) {
+    put_str(out, key);
+}
+
+/// Appends the encoding of `Value::U64(n)`.
+pub fn encode_u64(n: u64, out: &mut Vec<u8>) {
+    out.push(TAG_U64);
+    put_varint(out, n);
+}
+
+/// Appends the encoding of `v` to `out`. Large values can be streamed
+/// instead of built as a tree: [`encode_map_header`],
+/// [`encode_seq_header`], [`encode_key`] and [`encode_u64`] write the
+/// same bytes these arms do.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
         Value::Bool(false) => out.push(TAG_FALSE),
         Value::Bool(true) => out.push(TAG_TRUE),
-        Value::U64(n) => {
-            out.push(TAG_U64);
-            put_varint(out, *n);
-        }
+        Value::U64(n) => encode_u64(*n, out),
         Value::I64(n) => {
             out.push(TAG_I64);
             put_varint(out, zigzag(*n));
@@ -68,22 +98,18 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
         }
         Value::Str(s) => {
             out.push(TAG_STR);
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
+            put_str(out, s);
         }
         Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            put_varint(out, items.len() as u64);
+            encode_seq_header(items.len(), out);
             for item in items {
                 encode_value(item, out);
             }
         }
         Value::Map(entries) => {
-            out.push(TAG_MAP);
-            put_varint(out, entries.len() as u64);
+            encode_map_header(entries.len(), out);
             for (k, val) in entries {
-                put_varint(out, k.len() as u64);
-                out.extend_from_slice(k.as_bytes());
+                encode_key(k, out);
                 encode_value(val, out);
             }
         }
@@ -276,6 +302,28 @@ mod tests {
         // A sequence claiming more elements than bytes remain must not
         // attempt a huge allocation.
         assert!(decode_value(&[TAG_SEQ, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]).is_err());
+    }
+
+    #[test]
+    fn streamed_encoding_matches_the_tree() {
+        let tree = Value::Map(vec![
+            ("rows".into(), Value::Seq(vec![
+                Value::Seq(vec![Value::U64(0), Value::U64(u64::from(f32::NAN.to_bits()))]),
+                Value::Seq(Vec::new()),
+            ])),
+            ("n".into(), Value::U64(300)),
+        ]);
+        let mut out = Vec::new();
+        encode_map_header(2, &mut out);
+        encode_key("rows", &mut out);
+        encode_seq_header(2, &mut out);
+        encode_seq_header(2, &mut out);
+        encode_u64(0, &mut out);
+        encode_u64(u64::from(f32::NAN.to_bits()), &mut out);
+        encode_seq_header(0, &mut out);
+        encode_key("n", &mut out);
+        encode_value(&Value::U64(300), &mut out);
+        assert_eq!(out, encode_to_vec(&tree));
     }
 
     #[test]

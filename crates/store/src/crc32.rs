@@ -23,8 +23,16 @@ fn table() -> &'static [u32; 256] {
 
 /// CRC-32 of `data` (initial value 0, standard pre/post inversion).
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// Continues a CRC-32 over `data`, zlib-style: `crc` is the CRC of the
+/// bytes before `data` (0 for none), so `crc32_update(crc32(a), b)`
+/// equals `crc32` of `a` followed by `b`. Lets a caller checksum a
+/// record whose parts live in separate buffers without joining them.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     let t = table();
-    let mut c: u32 = 0xFFFF_FFFF;
+    let mut c = crc ^ 0xFFFF_FFFF;
     for &b in data {
         c = t[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
@@ -33,7 +41,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 #[cfg(test)]
 mod tests {
-    use super::crc32;
+    use super::{crc32, crc32_update};
 
     #[test]
     fn known_vectors() {
@@ -41,6 +49,15 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn update_continues_across_splits() {
+        let data = b"surgescope campaign record";
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_update(crc32(a), b), crc32(data), "split at {cut}");
+        }
     }
 
     #[test]

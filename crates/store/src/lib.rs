@@ -34,7 +34,10 @@ pub mod hash;
 pub mod log;
 
 pub use checkpoint::{read_checkpoint, write_checkpoint};
-pub use codec::{decode_value, encode_to_vec, encode_value};
+pub use codec::{
+    decode_value, encode_key, encode_map_header, encode_seq_header, encode_to_vec, encode_u64,
+    encode_value,
+};
 pub use hash::{fnv1a64, hash_of, value_hash};
 pub use log::{LogHeader, LogIter, LogReader, LogWriter, RawRecord};
 

@@ -22,7 +22,7 @@
 //! [`Value`]: serde::Value
 
 use crate::codec::{decode_value, encode_to_vec};
-use crate::crc32::crc32;
+use crate::crc32::{crc32, crc32_update};
 use crate::StoreError;
 use serde::Value;
 use std::fs::File;
@@ -125,16 +125,17 @@ impl LogWriter {
             .ok()
             .filter(|l| *l <= MAX_RECORD_LEN)
             .ok_or_else(|| StoreError::Codec("record too large".into()))?;
-        let mut body = Vec::with_capacity(1 + payload.len());
-        body.push(kind);
-        body.extend_from_slice(payload);
-        let crc = crc32(&body);
+        // The body is the kind byte then the payload; checksum it in
+        // place rather than copying a checkpoint-sized payload to join them.
+        let crc = crc32_update(crc32(&[kind]), payload);
         self.out.write_all(&len.to_le_bytes())?;
         self.out.write_all(&crc.to_le_bytes())?;
-        self.out.write_all(&body)?;
-        self.bytes_written += (FRAME_OVERHEAD + body.len()) as u64;
+        self.out.write_all(&[kind])?;
+        self.out.write_all(payload)?;
+        let frame = (FRAME_OVERHEAD + 1 + payload.len()) as u64;
+        self.bytes_written += frame;
         self.records += 1;
-        self.bytes_counter.add((FRAME_OVERHEAD + body.len()) as u64);
+        self.bytes_counter.add(frame);
         self.records_counter.incr();
         Ok(())
     }

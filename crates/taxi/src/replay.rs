@@ -20,14 +20,12 @@ use surgescope_simcore::{SimDuration, SimRng, SimTime};
 pub const IDLE_CUTOFF_SECS: u64 = 3 * 3600;
 
 /// A taxi as the replay API exposes it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct VisibleTaxi {
     /// Randomized per-availability-period ID.
     pub session: u64,
     /// Current interpolated position.
     pub position: Meters,
-    /// Recent positions (planar), oldest first.
-    pub path: PathVector,
 }
 
 /// Ground truth accumulated during a replay, per 5-minute interval.
@@ -232,21 +230,64 @@ impl<'a> TaxiReplay<'a> {
         self.taxis
             .iter()
             .filter(|s| matches!(s.phase, Phase::Available(_)))
-            .map(|s| VisibleTaxi { session: s.session, position: s.position, path: s.path.clone() })
+            .map(|s| VisibleTaxi { session: s.session, position: s.position })
             .collect()
     }
 
-    /// pingClient analogue: the `k` nearest available taxis to `pos`.
-    pub fn nearest(&self, pos: Meters, k: usize) -> Vec<VisibleTaxi> {
-        let mut v: Vec<(f64, VisibleTaxi)> = self
-            .visible()
-            .into_iter()
-            .map(|t| (t.position.dist2(pos), t))
-            .collect();
-        v.sort_by(|a, b| a.0.total_cmp(&b.0));
-        v.truncate(k);
-        v.into_iter().map(|(_, t)| t).collect()
+    /// pingClient analogue: visits the `k` nearest available taxis to
+    /// `pos`, nearest first, as `(session, position, displacement)`. The
+    /// displacement runs from the oldest to the newest point of the
+    /// taxi's path, `None` before it has two.
+    ///
+    /// One pass over the fleet keeps the `k` best in `best` as
+    /// `(distance², fleet index)`, ordered by `total_cmp` on distance².
+    /// A taxi tied with one already kept ranks after it, so ties keep
+    /// fleet order, as a stable sort of the whole fleet would. `best`
+    /// holds at most `k` entries and is reused across calls, so once it
+    /// has grown to `k` the query allocates nothing. The fleet is a few
+    /// hundred taxis, so a brute-force pass is enough; no grid is built.
+    pub fn nearest_visit(
+        &self,
+        pos: Meters,
+        k: usize,
+        best: &mut Vec<(f64, usize)>,
+        mut visit: impl FnMut(u64, Meters, Option<Meters>),
+    ) {
+        best.clear();
+        if k == 0 {
+            return;
+        }
+        for (i, s) in self.taxis.iter().enumerate() {
+            if !matches!(s.phase, Phase::Available(_)) {
+                continue;
+            }
+            let d2 = s.position.dist2(pos);
+            if best.len() == k {
+                // Only a strictly nearer taxi displaces the k-th.
+                if d2.total_cmp(&best[k - 1].0).is_ge() {
+                    continue;
+                }
+                best.pop();
+            }
+            let at = best.partition_point(|(d, _)| d.total_cmp(&d2).is_le());
+            best.insert(at, (d2, i));
+        }
+        for &(_, i) in best.iter() {
+            let s = &self.taxis[i];
+            let displacement = match (s.path.points().next(), s.path.last()) {
+                (Some(first), Some(last)) if s.path.len() >= 2 => {
+                    Some(path_meters(last).sub(path_meters(first)))
+                }
+                _ => None,
+            };
+            visit(s.session, s.position, displacement);
+        }
     }
+}
+
+/// Inverse of the micro-degree encoding `advance_taxi` pushes onto paths.
+fn path_meters(ll: surgescope_geo::LatLng) -> Meters {
+    Meters::new(ll.lng * 1e5, ll.lat * 1e5)
 }
 
 fn lerp(a: Meters, b: Meters, f: f64) -> Meters {
@@ -384,10 +425,11 @@ mod tests {
         let mut rp = TaxiReplay::new(&trace, city.measurement_region.clone(), 4);
         rp.run_until(SimTime(19 * 3600)); // evening peak
         let pos = city.measurement_region.centroid();
-        let near = rp.nearest(pos, 8);
+        let mut near = Vec::new();
+        rp.nearest_visit(pos, 8, &mut Vec::new(), |_, p, _| near.push(p));
         assert!(!near.is_empty());
         assert!(near.len() <= 8);
-        let d: Vec<f64> = near.iter().map(|t| t.position.dist(pos)).collect();
+        let d: Vec<f64> = near.iter().map(|p| p.dist(pos)).collect();
         for w in d.windows(2) {
             assert!(w[0] <= w[1] + 1e-9);
         }

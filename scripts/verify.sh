@@ -54,6 +54,12 @@ run_named_tests --test determinism -- \
   clean_campaign_matches_pinned_pool_output \
   faulted_campaign_matches_pinned_pool_output
 
+echo "== taxi: pinned ping kernel output =="
+# The one-pass top-8 taxi kernel must reproduce, byte for byte, the pings
+# of the sorting kernel it replaced, exact distance ties included.
+run_named_tests -p surgescope-core --lib -- \
+  systems::tests::taxi_ping_all_matches_pinned_sort_output
+
 echo "== transport: fault-tolerance gate =="
 cargo test -q --release --test fault_tolerance
 
@@ -65,6 +71,15 @@ echo "== store: checkpoint-resume determinism (4 h campaign, checkpoint at 2 h) 
 # replay to the same bytes without re-simulation.
 run_named_tests -p surgescope-core --test checkpoint_resume \
   -- --ignored four_hour_campaign_checkpoint_at_two_hours_gate
+
+echo "== store: checkpoint format and write memory =="
+# A checkpoint file must keep its pinned digest (the format is the
+# spec), and writing one must peak at no more than 4x the file's size
+# above the live campaign state.
+run_named_tests -p surgescope-core --test checkpoint_resume -- \
+  checkpoint_file_matches_pinned_bytes
+run_named_tests -p surgescope-bench --test checkpoint_heap -- \
+  checkpoint_write_heap_peak_is_bounded_by_file_size
 
 echo "== store: corrupted-log handling =="
 # Truncated tails and flipped bits must surface clean errors, not panics.
