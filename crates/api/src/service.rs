@@ -13,7 +13,7 @@ use crate::ratelimit::{RateLimitError, RateLimiter};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use surgescope_city::{AreaId, CarType, CityModel};
-use surgescope_geo::{GridScratch, LatLng, Meters, PathVector, SpatialGrid};
+use surgescope_geo::{LatLng, Meters, NearestK, PathVector};
 use surgescope_marketplace::{Marketplace, MarketplaceConfig, SurgeSnapshot};
 use surgescope_obs::{Counter, Timer};
 use surgescope_simcore::{SimRng, SimTime};
@@ -50,29 +50,10 @@ pub struct SnapCar {
     pub path: Arc<PathVector>,
 }
 
-/// Reusable per-caller query buffers for snapshot lookups. The
-/// measurement ping kernel owns one and reuses it for every ping, so
-/// per-ping nearest-k results land in scratch instead of fresh
-/// allocations.
-#[derive(Debug, Clone, Default)]
-pub struct PingScratch {
-    /// Ring-search candidate scratch shared by all grid queries.
-    grid: GridScratch,
-    /// Nearest-k indices for the tier currently being visited.
-    idx: Vec<usize>,
-}
-
-impl PingScratch {
-    /// An empty scratch; buffers grow to the working set on first use.
-    pub fn new() -> Self {
-        PingScratch::default()
-    }
-}
-
 /// A read-only view of the marketplace taken once per tick, with visible
-/// cars pre-grouped by tier — and bucketed into a [`SpatialGrid`] per tier
-/// — so a 43-client fleet neither rescans the driver table nine times per
-/// client nor sorts a tier's whole inventory per nearest-8 query.
+/// cars pre-grouped by tier, so a 43-client fleet scans each tier's few
+/// dozen cars once per ping instead of the whole driver table once per
+/// tier.
 ///
 /// The snapshot is *owned* (city model and surge boards behind `Arc`s):
 /// it borrows nothing from the marketplace, so it can cross thread
@@ -80,25 +61,23 @@ impl PingScratch {
 /// worker threads and delayed-transport machinery both rely on that.
 ///
 /// It is also *reusable*: [`WorldSnapshot::capture`] re-freezes a new
-/// tick into the same shell, keeping every buffer (tier buckets, grid
-/// slabs) at capacity, so a snapshot recycled through a [`TickSnapshot`]
-/// arena performs zero steady-state heap allocation per tick.
+/// tick into the same shell, keeping every tier bucket at capacity, so a
+/// snapshot recycled through a [`TickSnapshot`] arena performs zero
+/// steady-state heap allocation per tick.
 pub struct WorldSnapshot {
     city: Arc<CityModel>,
     cfg: MarketplaceConfig,
     now: SimTime,
     by_type: Vec<(CarType, Vec<SnapCar>)>,
-    /// One spatial index per `by_type` entry, over the same car order.
-    grids: Vec<SpatialGrid<()>>,
     /// Surge boards in force when the snapshot was taken (the protocol
     /// layer serves stale-vs-fresh multipliers from these). Shared with
     /// the engine by handle — boards are immutable once published.
     surge_current: Arc<SurgeSnapshot>,
     surge_previous: Arc<SurgeSnapshot>,
     /// High-water mark of the total visible-car count. Every tier bucket
-    /// and grid reserves to this before filling, so a tier whose share of
-    /// the fleet grows never reallocates unless the *total* fleet exceeds
-    /// its historical peak — the capacity condition the arena's
+    /// reserves to this before filling, so a tier whose share of the
+    /// fleet grows never reallocates unless the *total* fleet exceeds its
+    /// historical peak — the capacity condition the arena's
     /// zero-allocation guarantee rests on.
     cap_hint: usize,
 }
@@ -113,7 +92,6 @@ impl WorldSnapshot {
             cfg: *mp.config(),
             now: mp.now(),
             by_type: Vec::new(),
-            grids: Vec::new(),
             surge_current: mp.surge_engine().current_arc(),
             surge_previous: mp.surge_engine().previous_arc(),
             cap_hint: 0,
@@ -123,8 +101,8 @@ impl WorldSnapshot {
     }
 
     /// Re-freezes the marketplace's current tick into this snapshot **in
-    /// place**, reusing the tier buckets and grid slabs. Steady state
-    /// (stable tier set, fleet at its high-water mark) allocates nothing.
+    /// place**, reusing the tier buckets. Steady state (stable tier set,
+    /// fleet at its high-water mark) allocates nothing.
     pub fn capture(&mut self, mp: &Marketplace) {
         self.city = mp.city_arc();
         self.cfg = *mp.config();
@@ -158,15 +136,6 @@ impl WorldSnapshot {
             }
         });
 
-        if self.grids.len() > nt {
-            self.grids.truncate(nt);
-        } else {
-            self.grids.resize_with(nt, SpatialGrid::empty);
-        }
-        for (g, (_, cars)) in self.grids.iter_mut().zip(&self.by_type) {
-            g.reserve(hint);
-            g.rebuild_auto(cars.iter().map(|c| (c.position, ())));
-        }
         // A stochastic fleet keeps setting size records (at a ~1/t decaying
         // rate) forever, so tracking the exact high-water mark would force
         // a re-reservation per record. Growing the hint geometrically
@@ -198,6 +167,14 @@ impl WorldSnapshot {
         &self.city
     }
 
+    /// The capacity every tier bucket reserves before filling: the total
+    /// visible-car count's high-water mark plus headroom. A per-tier table
+    /// kept alongside the snapshot reserves to it as well, so it grows
+    /// only when the buckets do.
+    pub fn capacity_hint(&self) -> usize {
+        self.cap_hint
+    }
+
     /// Visible cars of one tier (unsorted).
     pub fn cars_of(&self, t: CarType) -> &[SnapCar] {
         self.by_type
@@ -216,29 +193,28 @@ impl WorldSnapshot {
         self.by_type.iter().position(|(ct, _)| *ct == t)
     }
 
-    /// EWT from a resolved nearest-car position (shared by the standalone
-    /// and fused query paths — one formula, bit-identical results).
-    fn ewt_from_nearest(&self, pos: Meters, nearest: Option<Meters>) -> f64 {
-        match nearest {
-            Some(car_pos) => {
-                let best = self.city.drive_time_secs(car_pos, pos, self.now);
-                ((best + self.cfg.dispatch_overhead_secs) / 60.0).max(1.0)
-            }
+    /// EWT in minutes from the L1 distance to a tier's nearest car and
+    /// the drive speed (the one EWT formula: [`WorldSnapshot::ewt_minutes`]
+    /// and the ping kernel both use it). The drive time is
+    /// [`CityModel::drive_time_secs`]'s, L1 distance over speed, computed
+    /// in the same order, so the result is bit-identical to it.
+    fn ewt_from_l1(&self, l1: Option<f64>, speed_mps: f64) -> f64 {
+        match l1 {
+            Some(d) => ((d / speed_mps + self.cfg.dispatch_overhead_secs) / 60.0).max(1.0),
             None => self.cfg.default_ewt_min,
         }
     }
 
     /// EWT in minutes for a tier at a position, from the snapshot's car
     /// inventory (same formula the marketplace uses internally). Drive
-    /// time is monotone in rectilinear distance, so the nearest-L1 car
-    /// from the grid yields the same minimum the full scan found.
+    /// time is monotone in rectilinear distance, so the L1-nearest car
+    /// sets it.
     pub fn ewt_minutes(&self, pos: Meters, t: CarType) -> f64 {
-        let nearest = self.tier_index(t).and_then(|ti| {
-            self.grids[ti]
-                .nearest_l1(pos, |_| true)
-                .map(|(i, _)| self.by_type[ti].1[i].position)
-        });
-        self.ewt_from_nearest(pos, nearest)
+        let l1 = self
+            .tier_index(t)
+            .and_then(|ti| scan_tier(&self.by_type[ti].1, pos).1)
+            .map(|(_, d)| d);
+        self.ewt_from_l1(l1, self.city.drive_speed_mps(self.now))
     }
 }
 
@@ -529,39 +505,43 @@ impl PingConfig {
         pick(&snap.surge_current)
     }
 
-    /// Deterministic per-(car, tick) Gaussian position perturbation —
-    /// deterministic so all co-located clients still see identical data
-    /// (the §3.4 calibration must keep passing with noise enabled).
-    fn perturb(&self, p: LatLng, car_id: u64, now: SimTime) -> LatLng {
+    /// Where pingClient reports `car` at `now`: its position under the
+    /// driver-safety perturbation, a deterministic per-(car, tick)
+    /// Gaussian offset — deterministic so all co-located clients still
+    /// see identical data (the §3.4 calibration must keep passing with
+    /// noise enabled). Every client shown the car sees this position.
+    pub fn reported_position(&self, car: &SnapCar, now: SimTime) -> LatLng {
         if self.location_noise_m <= 0.0 {
-            return p;
+            return car.latlng;
         }
         let mut rng = SimRng::seed_from_u64(self.bug_seed ^ 0x6507)
-            .split_index("loc-noise", car_id ^ now.as_secs().rotate_left(17));
+            .split_index("loc-noise", car.id ^ now.as_secs().rotate_left(17));
         let de = rng.normal(0.0, self.location_noise_m);
         let dn = rng.normal(0.0, self.location_noise_m);
-        p.offset_m(de, dn)
+        car.latlng.offset_m(de, dn)
     }
 
     /// Visits each tier's pingClient answer without materializing a wire
-    /// response: the nearest-k car indices land in `scratch`, and `visit`
-    /// is called once per offered tier with a borrowed [`TierPing`] view.
-    /// This is the allocation-free core shared by [`PingConfig::ping_client`]
-    /// (which renders a [`PingClientResponse`] from it) and the
-    /// measurement ping kernel (which renders observations directly). Pure:
-    /// usable from any worker thread without touching the [`ApiService`].
+    /// response: `visit` is called once per offered tier, in
+    /// [`WorldSnapshot::offered_types`] order, with a borrowed
+    /// [`TierPing`] view. This is the allocation-free core shared by
+    /// [`PingConfig::ping_client`] (which renders a [`PingClientResponse`]
+    /// from it) and the measurement ping kernel (which copies
+    /// observations it rendered once per tick). Pure: usable from any
+    /// worker thread without touching the [`ApiService`].
     pub fn ping_visit(
         &self,
         snap: &WorldSnapshot,
         client_key: u64,
         location: LatLng,
-        scratch: &mut PingScratch,
         mut visit: impl FnMut(&TierPing<'_>),
     ) {
         let city = snap.city();
         let now = snap.now();
         let pos = city.projection.to_meters(location);
         let area = city.area_of(pos);
+        // Every tier's EWT divides by the same drive speed.
+        let speed_mps = city.drive_speed_mps(now);
         // Which surge board this client reads is tier-independent: the
         // propagation delay keys on the interval, the bug window on the
         // client. Resolve the board once; the tier loop only indexes it
@@ -586,17 +566,10 @@ impl PingConfig {
             }
             if delayed || jittered { &snap.surge_previous } else { &snap.surge_current }
         });
-        for ti in 0..snap.by_type.len() {
-            let (t, cars) = (snap.by_type[ti].0, snap.by_type[ti].1.as_slice());
-            // Fused kernel: nearest-8 and the EWT's L1-nearest car in one
-            // ring expansion, byte-identical to the separate queries.
-            let l1 = snap.grids[ti].k_nearest_and_l1_into(
-                pos,
-                NEAREST_CARS_SHOWN,
-                &mut scratch.grid,
-                &mut scratch.idx,
-            );
-            let ewt_min = snap.ewt_from_nearest(pos, l1.map(|(i, _)| cars[i].position));
+        for (t, cars) in &snap.by_type {
+            let (t, cars) = (*t, cars.as_slice());
+            let (nearest, l1) = scan_tier(cars, pos);
+            let ewt_min = snap.ewt_from_l1(l1.map(|(_, d)| d), speed_mps);
             let surge = match (board, area) {
                 (Some(b), Some(a)) => b.multiplier(a, t),
                 _ => 1.0,
@@ -608,7 +581,7 @@ impl PingConfig {
                 ping: self,
                 now,
                 cars,
-                nearest: &scratch.idx,
+                nearest: nearest.indices(),
             });
         }
     }
@@ -622,9 +595,8 @@ impl PingConfig {
         client_key: u64,
         location: LatLng,
     ) -> PingClientResponse {
-        let mut scratch = PingScratch::new();
         let mut statuses = Vec::with_capacity(snap.by_type.len());
-        self.ping_visit(snap, client_key, location, &mut scratch, |tier| {
+        self.ping_visit(snap, client_key, location, |tier| {
             statuses.push(TypeStatus {
                 car_type: tier.car_type,
                 cars: tier
@@ -639,9 +611,8 @@ impl PingConfig {
     }
 }
 
-/// One offered tier's pingClient answer, borrowed from the snapshot and
-/// the caller's scratch — consumed inside [`PingConfig::ping_visit`]'s
-/// `visit` callback.
+/// One offered tier's pingClient answer, borrowed from the snapshot —
+/// consumed inside [`PingConfig::ping_visit`]'s `visit` callback.
 pub struct TierPing<'a> {
     /// Product tier.
     pub car_type: CarType,
@@ -663,14 +634,42 @@ impl<'a> TierPing<'a> {
     pub fn cars(&self) -> impl Iterator<Item = (u64, LatLng, &'a Arc<PathVector>)> + '_ {
         self.nearest.iter().map(move |&i| {
             let c = &self.cars[i];
-            (c.id, self.ping.perturb(c.latlng, c.id, self.now), &c.path)
+            (c.id, self.ping.reported_position(c, self.now), &c.path)
         })
+    }
+
+    /// The shown cars as indices into this tier's cars in the snapshot
+    /// ([`WorldSnapshot::cars_of`]), nearest first.
+    pub fn nearest(&self) -> &'a [usize] {
+        self.nearest
     }
 
     /// Number of cars shown for this tier.
     pub fn shown(&self) -> usize {
         self.nearest.len()
     }
+}
+
+/// The per-tier pingClient pass: one scan of a tier's cars keeping the
+/// [`NEAREST_CARS_SHOWN`] nearest by Euclidean distance (ties in snapshot
+/// order, as a stable sort gives) and the L1-nearest car as `(index, L1
+/// distance)`, lowest index on ties. L1 is the city's drive metric, so
+/// that car sets the EWT. At the tier sizes a city builds (tens of cars)
+/// one pass beats building and searching a spatial index every tick.
+fn scan_tier(
+    cars: &[SnapCar],
+    pos: Meters,
+) -> (NearestK<NEAREST_CARS_SHOWN>, Option<(usize, f64)>) {
+    let mut nearest = NearestK::new();
+    let mut l1: Option<(usize, f64)> = None;
+    for (i, c) in cars.iter().enumerate() {
+        nearest.offer(c.position.dist2(pos), i);
+        let d = (c.position.x - pos.x).abs() + (c.position.y - pos.y).abs();
+        if l1.is_none_or(|(_, best)| d < best) {
+            l1 = Some((i, d));
+        }
+    }
+    (nearest, l1)
 }
 
 #[cfg(test)]
@@ -872,5 +871,59 @@ mod tests {
         }
         assert_eq!(feb_disagree, 0, "Feb era must be consistent");
         assert!(apr_disagree > 0, "April era should show client divergence");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Cars on a 100 m lattice coincide and tie exactly, and queries
+        /// on a 50 m lattice add mirror-image ties and reach outside the
+        /// cars' box. The one pass must answer both per-tier questions
+        /// exactly as the reference scans do, L1 distance compared as bits.
+        #[test]
+        fn scan_tier_matches_stable_sort_and_first_min_scan(
+            pts in proptest::collection::vec((-10i32..11, -10i32..11), 0..60),
+            qx in -60i32..61,
+            qy in -60i32..61,
+        ) {
+            let path = Arc::new(PathVector::new(2));
+            let cars: Vec<SnapCar> = pts
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y))| SnapCar {
+                    id: i as u64,
+                    position: Meters::new(x as f64 * 100.0, y as f64 * 100.0),
+                    latlng: LatLng::new(0.0, 0.0),
+                    path: Arc::clone(&path),
+                })
+                .collect();
+            let pos = Meters::new(qx as f64 * 50.0, qy as f64 * 50.0);
+            let (nearest, l1) = scan_tier(&cars, pos);
+
+            let mut by_d2: Vec<(f64, usize)> =
+                cars.iter().enumerate().map(|(i, c)| (c.position.dist2(pos), i)).collect();
+            by_d2.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let shown: Vec<usize> =
+                by_d2.iter().take(NEAREST_CARS_SHOWN).map(|&(_, i)| i).collect();
+            prop_assert_eq!(nearest.indices(), shown.as_slice());
+
+            let mut first_min: Option<(usize, f64)> = None;
+            for (i, c) in cars.iter().enumerate() {
+                let d = (c.position.x - pos.x).abs() + (c.position.y - pos.y).abs();
+                if first_min.is_none_or(|(_, best)| d < best) {
+                    first_min = Some((i, d));
+                }
+            }
+            prop_assert_eq!(
+                l1.map(|(i, d)| (i, d.to_bits())),
+                first_min.map(|(i, d)| (i, d.to_bits()))
+            );
+        }
     }
 }

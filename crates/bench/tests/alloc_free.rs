@@ -2,9 +2,10 @@
 //! steady state.
 //!
 //! The shared counting allocator (`common`) wraps the system allocator;
-//! once the arenas and scratch buffers have grown to the fleet's
-//! high-water mark, the snapshot path (release + re-capture into the arena), the full
-//! per-tick ping path (`ping_all_into` with a reused observation buffer;
+//! once the arenas and reused tables have grown to the fleet's
+//! high-water mark, the snapshot path (release + re-capture into the
+//! arena), the full per-tick ping path (`ping_all_into` with a reused
+//! observation buffer, including the per-tick table of rendered cars;
 //! Uber pings have one serial kernel, so this covers every campaign) and
 //! the taxi validation's ping path must perform **zero** heap
 //! allocations per tick. A regression here silently reintroduces the
@@ -46,8 +47,8 @@ fn tick_hot_path_allocates_zero() {
 }
 
 /// Re-capturing a snapshot of an unchanged world into an already-sized
-/// arena allocates nothing — the tier buckets, car vectors, grid slabs
-/// and surge `Arc`s are all reused in place.
+/// arena allocates nothing — the tier buckets, car vectors and surge
+/// `Arc`s are all reused in place.
 fn snapshot_recapture_allocates_zero() {
     let (sys, _clients) = sf_system_with_clients();
     let mut snap = WorldSnapshot::of(&sys.marketplace);
@@ -71,9 +72,12 @@ fn snapshot_recapture_allocates_zero() {
 }
 
 /// After warmup, a full tick's measurement side — snapshot capture into
-/// the arena plus every client ping answered into the reused observation
-/// buffer — allocates nothing. (The world tick itself is excluded: driver
-/// arrivals and trip assignment legitimately allocate.)
+/// the arena, every car rendered into the reused per-tier table, and
+/// every client ping answered into the reused observation buffer —
+/// allocates nothing. (The world tick itself is excluded: driver
+/// arrivals and trip assignment legitimately allocate.) The table
+/// reserves to the snapshot's capacity hint, so it grows in the same
+/// ticks the tier buckets do.
 ///
 /// The fleet ramps with the demand curve and keeps setting size records
 /// at a slowly decaying rate, and each record is one legitimate arena
@@ -85,10 +89,10 @@ fn snapshot_recapture_allocates_zero() {
 fn steady_state_ping_path_allocates_zero() {
     let (mut sys, clients) = sf_system_with_clients();
     let mut obs = Vec::new();
-    // Warmup ticks: grow every buffer (arena, scratch, observation
-    // vectors) toward its high-water mark for this fleet. The run is
-    // fully deterministic (fixed seed), so the window scan below always
-    // converges at the same tick.
+    // Warmup ticks: grow every buffer (arena, rendered-car table,
+    // observation vectors) toward its high-water mark for this fleet.
+    // The run is fully deterministic (fixed seed), so the window scan
+    // below always converges at the same tick.
     for _ in 0..600 {
         sys.advance_tick();
         sys.ping_all_into(&clients, &mut obs);
@@ -124,8 +128,9 @@ fn steady_state_ping_path_allocates_zero() {
 }
 
 /// The taxi validation's ping path, at the fig04 shape (150 taxis, one
-/// client every 150 m): once one tick has sized the top-8 scratch, every
-/// `TaxiSystem::ping_all_into` into the reused buffer allocates nothing.
+/// client every 150 m): once one tick has sized the observation buffer,
+/// every `TaxiSystem::ping_all_into` into it allocates nothing (the
+/// top-8 selection lives on the stack).
 /// Car vectors start at full capacity, so no window scan is needed.
 /// `advance_tick` stays outside the window: a taxi starting an
 /// availability period gets a fresh path.

@@ -9,9 +9,7 @@
 
 use crate::observe::{ClientSpec, ObservedCar, TypeObservation};
 use std::sync::Arc;
-use surgescope_api::{
-    ApiService, PingConfig, PingScratch, TickSnapshot, WorldSnapshot, NEAREST_CARS_SHOWN,
-};
+use surgescope_api::{ApiService, PingConfig, TickSnapshot, WorldSnapshot, NEAREST_CARS_SHOWN};
 use surgescope_city::CarType;
 use surgescope_geo::LocalProjection;
 use surgescope_marketplace::Marketplace;
@@ -69,6 +67,15 @@ pub trait MeasuredSystem {
 /// per-tick hand-off to worker threads costs: on a 2-core host a thread
 /// pool ran the same campaign slower on both CPU and wall time. Threads
 /// pay across whole campaigns instead (`repro --jobs`).
+///
+/// Each tier is answered by one pass over its cars (the snapshot keeps
+/// no spatial index: a full-scale SF tier holds at most ~90 cars, and a
+/// grid rebuilt every tick only beats a scan from ~250). What a client
+/// observes of a car (its id, perturbed position in metres and path
+/// displacement) is the same for every client that is shown it, so each
+/// tick renders every car once into a per-tier table, and a ping copies
+/// its shown cars from there instead of rendering them again per
+/// client.
 pub struct UberSystem {
     /// The world. Public so experiments can consult ground truth after a
     /// campaign (the paper could not; we can score ourselves).
@@ -91,8 +98,10 @@ pub struct UberSystem {
     /// probes (campaign estimates, experiment price probes), recycled
     /// through its arena at the top of `advance_tick`.
     snapshot: TickSnapshot,
-    /// Query scratch reused by every ping.
-    scratch: PingScratch,
+    /// This tick's cars as observed, one row per offered tier in the
+    /// snapshot's tier and car order, rendered at the top of every
+    /// `ping_all_into`. Rows keep their capacity tick over tick.
+    rendered: Vec<Vec<ObservedCar>>,
     /// Retired observation blocks. A slot shrinks when a tier drops out
     /// of the snapshot, when a ping is dropped, and on the tick after a
     /// late response joined it; the surplus blocks park here, `cars`
@@ -119,7 +128,7 @@ impl UberSystem {
             fault_rng,
             transport: Transport::new(),
             snapshot: TickSnapshot::new(),
-            scratch: PingScratch::new(),
+            rendered: Vec::new(),
             spare_blocks: Vec::new(),
             metrics: SystemMetrics::default(),
         }
@@ -206,27 +215,54 @@ impl UberSystem {
     }
 }
 
+/// Renders every car of `snap` as a client observes it into `table`, one
+/// row per offered tier in [`WorldSnapshot::offered_types`] order, each
+/// row in the snapshot's car order — exactly what converting a wire
+/// [`CarInfo`](surgescope_api::CarInfo) for that car gives. Rows reserve
+/// to the snapshot's capacity hint, as its tier buckets do, so the table
+/// grows only when they do.
+fn render_cars(
+    ping: &PingConfig,
+    snap: &WorldSnapshot,
+    proj: &LocalProjection,
+    table: &mut Vec<Vec<ObservedCar>>,
+) {
+    let now = snap.now();
+    table.resize_with(snap.offered_types().count(), Vec::new);
+    for (row, t) in table.iter_mut().zip(snap.offered_types()) {
+        row.clear();
+        row.reserve(snap.capacity_hint());
+        row.extend(snap.cars_of(t).iter().map(|car| ObservedCar {
+            id: car.id,
+            position: proj.to_meters(ping.reported_position(car, now)),
+            displacement: car.path.displacement(proj),
+        }));
+    }
+}
+
 /// Answers one client's ping against the tick snapshot, overwriting `out`
 /// block by block and reusing its per-tier `cars` vectors. This is the
 /// only Uber ping kernel. Its observations are byte-identical to
 /// converting a full `ping_client` wire response (regression-tested); it
-/// just skips materializing the response, rendering observations straight
-/// from the snapshot via the fused per-tier kernel. Clients see the same
-/// tier list every tick, so in steady state nothing here allocates; when
-/// the tier count shrinks the surplus blocks retire into `spare`, and a
-/// growing tier count reclaims from it before allocating.
+/// just skips materializing the response, copying the shown cars from
+/// `rendered` (see [`render_cars`]). Clients see the same tier list every
+/// tick, so in steady state nothing here allocates; when the tier count
+/// shrinks the surplus blocks retire into `spare`, and a growing tier
+/// count reclaims from it before allocating.
 fn ping_one_into(
     ping: &PingConfig,
     snap: &WorldSnapshot,
     proj: &LocalProjection,
+    rendered: &[Vec<ObservedCar>],
     c: &ClientSpec,
-    scratch: &mut PingScratch,
     spare: &mut Vec<TypeObservation>,
     out: &mut Vec<TypeObservation>,
 ) {
     let mut n = 0;
     let loc = proj.to_latlng(c.position);
-    ping.ping_visit(snap, c.key, loc, scratch, |tier| {
+    // `ping_visit` visits the tiers in `offered_types` order, the order
+    // `rendered`'s rows follow, so the `n`-th tier reads row `n`.
+    ping.ping_visit(snap, c.key, loc, |tier| {
         if n == out.len() {
             out.push(spare.pop().unwrap_or_else(|| TypeObservation {
                 car_type: tier.car_type,
@@ -243,11 +279,7 @@ fn ping_one_into(
         block.ewt_min = tier.ewt_min;
         block.surge = tier.surge;
         block.cars.clear();
-        block.cars.extend(tier.cars().map(|(id, position, path)| ObservedCar {
-            id,
-            position: proj.to_meters(position),
-            displacement: path.displacement(proj),
-        }));
+        block.cars.extend(tier.nearest().iter().map(|&i| rendered[n][i]));
         n += 1;
     });
     while out.len() > n {
@@ -283,9 +315,10 @@ impl MeasuredSystem for UberSystem {
         // car vectors tick over tick. Fault draws come from `fault_rng` in
         // client order (a plan that never perturbs draws nothing).
         let ping = self.api.ping_config();
+        render_cars(&ping, &snap, &proj, &mut self.rendered);
+        let rendered = self.rendered.as_slice();
         let faults = self.faults;
         let fault_rng = &mut self.fault_rng;
-        let scratch = &mut self.scratch;
         let spare = &mut self.spare_blocks;
         let transport = &mut self.transport;
         let (mut delivered, mut delayed, mut dropped) = (0u64, 0u64, 0u64);
@@ -295,17 +328,18 @@ impl MeasuredSystem for UberSystem {
             match faults.decide(fault_rng) {
                 FaultOutcome::Deliver => {
                     delivered += 1;
-                    ping_one_into(&ping, &snap, &proj, c, scratch, spare, slot);
+                    ping_one_into(&ping, &snap, &proj, rendered, c, spare, slot);
                 }
                 FaultOutcome::Delay(d) => {
-                    // Answered against the send-time snapshot, so it lands
-                    // carrying stale data. It outlives this tick in the
-                    // in-flight queue and takes the slot's blocks along;
-                    // on delivery they join a slot again, and the tick
-                    // after parks the surplus in `spare` for reuse.
+                    // Answered against the send-time snapshot and this
+                    // tick's rendered cars, so it lands carrying stale
+                    // data. It outlives this tick in the in-flight queue
+                    // and takes the slot's blocks along; on delivery they
+                    // join a slot again, and the tick after parks the
+                    // surplus in `spare` for reuse.
                     delayed += 1;
                     let mut resp = std::mem::take(slot);
-                    ping_one_into(&ping, &snap, &proj, c, scratch, spare, &mut resp);
+                    ping_one_into(&ping, &snap, &proj, rendered, c, spare, &mut resp);
                     transport.send_delayed(i, ticks_late(d, tick_secs), resp);
                 }
                 FaultOutcome::Drop => {
@@ -333,15 +367,13 @@ impl MeasuredSystem for UberSystem {
 /// validation only needs car identities and positions.
 pub struct TaxiSystem<'a> {
     replay: TaxiReplay<'a>,
-    /// Top-k scratch reused by every ping ([`TaxiReplay::nearest_visit`]).
-    best: Vec<(f64, usize)>,
 }
 
 impl<'a> TaxiSystem<'a> {
     /// Wraps a replay of `trace`; ground truth accumulates against
     /// `region` (pass the measurement polygon).
     pub fn new(trace: &'a TaxiTrace, region: surgescope_geo::Polygon, seed: u64) -> Self {
-        TaxiSystem { replay: TaxiReplay::new(trace, region, seed), best: Vec::new() }
+        TaxiSystem { replay: TaxiReplay::new(trace, region, seed) }
     }
 
     /// Access to the replay (for ground truth after the campaign).
@@ -371,10 +403,8 @@ impl MeasuredSystem for TaxiSystem<'_> {
                 .map_or_else(|| Vec::with_capacity(NEAREST_CARS_SHOWN), |block| block.cars);
             slot.clear();
             cars.clear();
-            self.replay.nearest_visit(
+            self.replay.nearest_visit::<NEAREST_CARS_SHOWN>(
                 c.position,
-                NEAREST_CARS_SHOWN,
-                &mut self.best,
                 |id, position, displacement| {
                     cars.push(ObservedCar { id, position, displacement });
                 },

@@ -1,21 +1,19 @@
 //! Incrementally-maintained bucket grid for point sets that churn.
 //!
-//! [`SpatialGrid`](crate::SpatialGrid) is built once and queried; the
-//! marketplace's idle-driver index, however, changes a handful of entries
-//! per tick (a dispatch removes a car, a trip completion re-inserts it, an
+//! The marketplace's idle-driver index changes a handful of entries per
+//! tick (a dispatch removes a car, a trip completion re-inserts it, an
 //! idle cruise moves it one cell over) while the vast majority of points
-//! stay put. Rebuilding the CSR grid from scratch twice per tick made the
-//! index the single largest line in the tick profile. [`DynamicGrid`]
-//! keeps the same uniform square-cell geometry but stores each cell as a
-//! small `Vec<(id, position)>` so membership updates are O(1) per change.
+//! stay put, and every dispatch asks it for the nearest idle driver
+//! within the match radius. Rebuilding an index from scratch twice per
+//! tick made it the single largest line in the tick profile.
+//! [`DynamicGrid`] buckets the plane into uniform square cells and stores
+//! each cell as a small `Vec<(id, position)>`, so membership updates are
+//! O(1) per change.
 //!
 //! Queries are **exact** and id-deterministic: ring expansion stops only
 //! once no unvisited cell can hold a better point, and ties resolve toward
-//! the *lowest id*. A freshly rebuilt [`SpatialGrid`](crate::SpatialGrid)
-//! over the same points, inserted in ascending id order, breaks ties by
-//! insertion index — i.e. by id — so swapping one index for the other
-//! changes no query answer, bit for bit, regardless of how differently the
-//! two grids bucket the plane.
+//! the *lowest id* — the answer a first-strictly-less linear scan in
+//! ascending id order gives, however the grid buckets the plane.
 
 use crate::project::Meters;
 
@@ -37,9 +35,8 @@ pub struct DynamicGrid {
 impl DynamicGrid {
     /// Creates an empty grid covering the axis-aligned box `min..=max`,
     /// sized so roughly `expected_points` points land one per cell
-    /// (clamped to the same 50–1500 m range as
-    /// [`auto_cell_size`](crate::auto_cell_size)). Points outside the box
-    /// are clamped into the border cells, so coverage is a hint, not a
+    /// (clamped to 50–1500 m, city scales). Points outside the box are
+    /// clamped into the border cells, so coverage is a hint, not a
     /// contract.
     pub fn new(min: Meters, max: Meters, expected_points: usize) -> Self {
         let w = (max.x - min.x).max(1.0);
@@ -129,7 +126,7 @@ impl DynamicGrid {
     }
 
     /// Calls `f` with every point on Chebyshev cell-ring `r` around
-    /// `(cx, cy)`. Mirrors `SpatialGrid::for_ring_cells`.
+    /// `(cx, cy)`.
     fn for_ring_points(&self, cx: usize, cy: usize, r: usize, mut f: impl FnMut(u32, Meters)) {
         let mut cell = |ix: usize, iy: usize| {
             for &(id, p) in &self.cells[iy * self.nx + ix] {
@@ -164,7 +161,7 @@ impl DynamicGrid {
     /// After visiting rings `0..=r`: smallest possible distance from `pos`
     /// to any unvisited in-grid cell (valid for L1 and L2 — leaving an
     /// axis-aligned box means crossing one side), `None` once every cell
-    /// has been visited. Mirrors `SpatialGrid::next_ring_bound`.
+    /// has been visited.
     fn next_ring_bound(&self, pos: Meters, cx: usize, cy: usize, r: usize) -> Option<f64> {
         let (cx, cy, r) = (cx as i64, cy as i64, r as i64);
         let mut bound = f64::INFINITY;
@@ -191,8 +188,7 @@ impl DynamicGrid {
     /// The stored point minimizing `(L1 distance to pos, id)` among those
     /// within `max_dist` (inclusive), as `(id, L1 distance)`. The
     /// lexicographic tie-break reproduces a first-strictly-less linear
-    /// scan in ascending id order — the same contract as
-    /// `SpatialGrid::nearest_l1_within` over points inserted in id order.
+    /// scan in ascending id order.
     pub fn nearest_l1_within(&self, pos: Meters, max_dist: f64) -> Option<(u32, f64)> {
         if self.is_empty() {
             return None;

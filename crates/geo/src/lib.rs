@@ -4,9 +4,12 @@
 //! needs: WGS-84 coordinates ([`LatLng`]), a local planar projection good to
 //! centimetres at city scale ([`LocalProjection`]), polygons with
 //! point-in-polygon and boundary-distance queries ([`Polygon`]), grid
-//! placement of measurement clients over a polygon ([`grid`]), and the
+//! placement of measurement clients over a polygon ([`grid`]), the
 //! per-car recent-movement trace ([`PathVector`]) that the pingClient
-//! protocol exposes.
+//! protocol exposes, the one-pass nearest-`K` selection both pingClient
+//! kernels answer with ([`NearestK`]), and the incrementally maintained
+//! bucket grid the marketplace dispatches idle drivers from
+//! ([`DynamicGrid`]).
 //!
 //! Everything here is pure, deterministic and `f64`-based. Distances are in
 //! metres, bearings in degrees clockwise from north.
@@ -16,19 +19,19 @@
 
 mod dynamic;
 mod latlng;
+mod nearest;
 mod path;
 mod polygon;
 mod project;
-mod spatial;
 
 pub mod grid;
 
 pub use dynamic::DynamicGrid;
 pub use latlng::{haversine_m, LatLng, EARTH_RADIUS_M};
+pub use nearest::NearestK;
 pub use path::PathVector;
 pub use polygon::{BoundingBox, Polygon};
 pub use project::{LocalProjection, Meters, Vec2};
-pub use spatial::{auto_cell_size, GridScratch, SpatialGrid};
 
 /// Mean walking speed assumed by the surge-avoidance strategy (§6 of the
 /// paper): 5 km/h ≈ 83 m per minute.

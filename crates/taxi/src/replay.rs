@@ -13,7 +13,7 @@
 //!   available** again.
 
 use crate::trace::TaxiTrace;
-use surgescope_geo::{Meters, PathVector, Polygon};
+use surgescope_geo::{Meters, NearestK, PathVector, Polygon};
 use surgescope_simcore::{SimDuration, SimRng, SimTime};
 
 /// Idle gaps longer than this are treated as the taxi going offline.
@@ -234,45 +234,28 @@ impl<'a> TaxiReplay<'a> {
             .collect()
     }
 
-    /// pingClient analogue: visits the `k` nearest available taxis to
+    /// pingClient analogue: visits the `K` nearest available taxis to
     /// `pos`, nearest first, as `(session, position, displacement)`. The
     /// displacement runs from the oldest to the newest point of the
     /// taxi's path, `None` before it has two.
     ///
-    /// One pass over the fleet keeps the `k` best in `best` as
-    /// `(distance², fleet index)`, ordered by `total_cmp` on distance².
-    /// A taxi tied with one already kept ranks after it, so ties keep
-    /// fleet order, as a stable sort of the whole fleet would. `best`
-    /// holds at most `k` entries and is reused across calls, so once it
-    /// has grown to `k` the query allocates nothing. The fleet is a few
-    /// hundred taxis, so a brute-force pass is enough; no grid is built.
-    pub fn nearest_visit(
+    /// One pass over the fleet offers every available taxi to a
+    /// [`NearestK`] in fleet order, so ties keep fleet order, as a stable
+    /// sort of the whole fleet would, and the query allocates nothing.
+    /// The fleet is a few hundred taxis, so a brute-force pass is enough;
+    /// no grid is built.
+    pub fn nearest_visit<const K: usize>(
         &self,
         pos: Meters,
-        k: usize,
-        best: &mut Vec<(f64, usize)>,
         mut visit: impl FnMut(u64, Meters, Option<Meters>),
     ) {
-        best.clear();
-        if k == 0 {
-            return;
-        }
+        let mut nearest = NearestK::<K>::new();
         for (i, s) in self.taxis.iter().enumerate() {
-            if !matches!(s.phase, Phase::Available(_)) {
-                continue;
+            if matches!(s.phase, Phase::Available(_)) {
+                nearest.offer(s.position.dist2(pos), i);
             }
-            let d2 = s.position.dist2(pos);
-            if best.len() == k {
-                // Only a strictly nearer taxi displaces the k-th.
-                if d2.total_cmp(&best[k - 1].0).is_ge() {
-                    continue;
-                }
-                best.pop();
-            }
-            let at = best.partition_point(|(d, _)| d.total_cmp(&d2).is_le());
-            best.insert(at, (d2, i));
         }
-        for &(_, i) in best.iter() {
+        for &i in nearest.indices() {
             let s = &self.taxis[i];
             let displacement = match (s.path.points().next(), s.path.last()) {
                 (Some(first), Some(last)) if s.path.len() >= 2 => {
@@ -426,7 +409,7 @@ mod tests {
         rp.run_until(SimTime(19 * 3600)); // evening peak
         let pos = city.measurement_region.centroid();
         let mut near = Vec::new();
-        rp.nearest_visit(pos, 8, &mut Vec::new(), |_, p, _| near.push(p));
+        rp.nearest_visit::<8>(pos, |_, p, _| near.push(p));
         assert!(!near.is_empty());
         assert!(near.len() <= 8);
         let d: Vec<f64> = near.iter().map(|p| p.dist(pos)).collect();

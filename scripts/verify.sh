@@ -54,11 +54,25 @@ run_named_tests --test determinism -- \
   clean_campaign_matches_pinned_pool_output \
   faulted_campaign_matches_pinned_pool_output
 
-echo "== taxi: pinned ping kernel output =="
-# The one-pass top-8 taxi kernel must reproduce, byte for byte, the pings
-# of the sorting kernel it replaced, exact distance ties included.
+echo "== ping kernels: pinned output =="
+# Both pingClient kernels answer with one pass through geo's NearestK,
+# which must keep exactly the first 8 of a stable sort by distance, ties
+# within the 8 and across the 8th slot included. The Uber kernel must
+# reproduce the removed 4-thread ping pool's lossy output and, with and
+# without location noise, the wire response's conversion; the taxi
+# kernel must reproduce the pings of the sorting kernel it replaced.
+run_named_tests -p surgescope-geo --lib -- \
+  nearest::tests::ties_rank_in_offer_order \
+  nearest::tests::lattice_sweep_matches_stable_sort_with_ties_at_the_cutoff \
+  nearest::tests::total_order_key_orders_like_total_cmp \
+  nearest::proptests::nearest_k_matches_stable_sort
+run_named_tests -p surgescope-api --lib -- \
+  service::proptests::scan_tier_matches_stable_sort_and_first_min_scan
 run_named_tests -p surgescope-core --lib -- \
+  systems::tests::lossy_ping_all_matches_pinned_pool_output \
   systems::tests::taxi_ping_all_matches_pinned_sort_output
+run_named_tests -p surgescope-core --test ping_equivalence -- \
+  ping_all_matches_wire_response_conversion
 
 echo "== transport: fault-tolerance gate =="
 cargo test -q --release --test fault_tolerance
