@@ -193,28 +193,16 @@ impl WorldSnapshot {
         self.by_type.iter().position(|(ct, _)| *ct == t)
     }
 
-    /// EWT in minutes from the L1 distance to a tier's nearest car and
-    /// the drive speed (the one EWT formula: [`WorldSnapshot::ewt_minutes`]
-    /// and the ping kernel both use it). The drive time is
-    /// [`CityModel::drive_time_secs`]'s, L1 distance over speed, computed
-    /// in the same order, so the result is bit-identical to it.
-    fn ewt_from_l1(&self, l1: Option<f64>, speed_mps: f64) -> f64 {
-        match l1 {
-            Some(d) => ((d / speed_mps + self.cfg.dispatch_overhead_secs) / 60.0).max(1.0),
-            None => self.cfg.default_ewt_min,
-        }
-    }
-
     /// EWT in minutes for a tier at a position, from the snapshot's car
-    /// inventory (same formula the marketplace uses internally). Drive
-    /// time is monotone in rectilinear distance, so the L1-nearest car
-    /// sets it.
+    /// inventory, through the marketplace's own formula
+    /// ([`MarketplaceConfig::ewt_from_drive_secs`]). Drive time is monotone
+    /// in rectilinear distance, so the L1-nearest car sets it; L1 distance
+    /// over speed is [`CityModel::drive_time_secs`]'s order of operations,
+    /// so the minutes are bit-identical to the marketplace's.
     pub fn ewt_minutes(&self, pos: Meters, t: CarType) -> f64 {
-        let l1 = self
-            .tier_index(t)
-            .and_then(|ti| scan_tier(&self.by_type[ti].1, pos).1)
-            .map(|(_, d)| d);
-        self.ewt_from_l1(l1, self.city.drive_speed_mps(self.now))
+        let speed_mps = self.city.drive_speed_mps(self.now);
+        let l1 = self.tier_index(t).and_then(|ti| scan_tier(&self.by_type[ti].1, pos).1);
+        self.cfg.ewt_from_drive_secs(l1.map(|(_, d)| d / speed_mps))
     }
 }
 
@@ -412,8 +400,7 @@ impl ApiService {
         Ok(snap
             .offered_types()
             .map(|t| {
-                let surge =
-                    self.ping.visible_surge(snap, snap.now(), area, t, Consumer::Api, account);
+                let surge = self.ping.visible_surge(snap, area, t);
                 let schedule = city.fare_schedule(t);
                 let mid = schedule.fare(5.0 * 1609.344, 15.0 * 60.0, surge.max(1.0));
                 PriceEstimate {
@@ -470,39 +457,21 @@ impl PingConfig {
         }
     }
 
-    /// The multiplier a consumer sees for `(area, tier)` at time `now`,
-    /// accounting for propagation delay and (for Apr-era clients) the
-    /// consistency bug. Stale values come from the snapshot's frozen
-    /// surge boards — identical to the live engine's at snapshot time.
-    fn visible_surge(
-        &self,
-        snap: &WorldSnapshot,
-        now: SimTime,
-        area: Option<AreaId>,
-        t: CarType,
-        consumer: Consumer,
-        client_key: u64,
-    ) -> f64 {
+    /// The multiplier the estimates API shows for `(area, tier)` at the
+    /// snapshot's time: the previous interval's board until this
+    /// interval's API propagation delay has passed, the current one after.
+    /// The API never sees the consistency bug; the client rule, jitter
+    /// window included, lives in [`PingConfig::ping_visit`].
+    fn visible_surge(&self, snap: &WorldSnapshot, area: Option<AreaId>, t: CarType) -> f64 {
         let Some(area) = area else { return 1.0 };
-        let interval = now.surge_interval();
-        let elapsed = now.seconds_into_surge_interval();
-
-        let pick = |board: &SurgeSnapshot| board.multiplier(area, t);
-
-        // Not yet propagated: everyone sees the previous interval's value.
-        if elapsed < self.update_delay(interval, consumer) {
-            return pick(&snap.surge_previous);
-        }
-        // The consistency bug: Apr-era clients may fall into a stale
-        // window anywhere in the interval.
-        if consumer == Consumer::Client && self.era == ProtocolEra::Apr2015 {
-            if let Some(w) = self.jitter.window(self.bug_seed, client_key, interval) {
-                if w.contains(elapsed) {
-                    return pick(&snap.surge_previous);
-                }
-            }
-        }
-        pick(&snap.surge_current)
+        let now = snap.now();
+        let delay = self.update_delay(now.surge_interval(), Consumer::Api);
+        let board = if now.seconds_into_surge_interval() < delay {
+            &snap.surge_previous
+        } else {
+            &snap.surge_current
+        };
+        board.multiplier(area, t)
     }
 
     /// Where pingClient reports `car` at `now`: its position under the
@@ -569,7 +538,7 @@ impl PingConfig {
         for (t, cars) in &snap.by_type {
             let (t, cars) = (*t, cars.as_slice());
             let (nearest, l1) = scan_tier(cars, pos);
-            let ewt_min = snap.ewt_from_l1(l1.map(|(_, d)| d), speed_mps);
+            let ewt_min = snap.cfg.ewt_from_drive_secs(l1.map(|(_, d)| d / speed_mps));
             let surge = match (board, area) {
                 (Some(b), Some(a)) => b.multiplier(a, t),
                 _ => 1.0,
@@ -757,6 +726,42 @@ mod tests {
         let ma: Vec<f64> = a.iter().map(|p| p.surge_multiplier).collect();
         let mb: Vec<f64> = b.iter().map(|p| p.surge_multiplier).collect();
         assert_eq!(ma, mb, "API multipliers are account-independent");
+    }
+
+    /// The snapshot answers EWT from its own copy of the visible cars and
+    /// the marketplace from its idle lists; both must give the same bits
+    /// for every offered tier, on a 5×5 lattice over the service region,
+    /// every 37 ticks of a day, in both cities.
+    #[test]
+    fn snapshot_ewt_matches_marketplace_ewt() {
+        for city in [CityModel::manhattan_midtown(), CityModel::san_francisco_downtown()] {
+            let bb = city.service_region.bbox();
+            let lattice: Vec<Meters> = (0..25)
+                .map(|k| {
+                    Meters::new(
+                        bb.min.x + (bb.max.x - bb.min.x) * (k % 5) as f64 / 4.0,
+                        bb.min.y + (bb.max.y - bb.min.y) * (k / 5) as f64 / 4.0,
+                    )
+                })
+                .collect();
+            let mut mp = Marketplace::new(city, MarketplaceConfig::default(), 1);
+            for tick in 0..17_280u32 {
+                if tick % 37 == 0 {
+                    let snap = WorldSnapshot::of(&mp);
+                    for t in snap.offered_types() {
+                        for &p in &lattice {
+                            assert_eq!(
+                                snap.ewt_minutes(p, t).to_bits(),
+                                mp.ewt_minutes(p, t).to_bits(),
+                                "{t:?} at {p:?}, tick {tick}, {}",
+                                mp.city().name
+                            );
+                        }
+                    }
+                }
+                mp.tick();
+            }
+        }
     }
 
     #[test]

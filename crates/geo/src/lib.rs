@@ -6,10 +6,10 @@
 //! point-in-polygon and boundary-distance queries ([`Polygon`]), grid
 //! placement of measurement clients over a polygon ([`grid`]), the
 //! per-car recent-movement trace ([`PathVector`]) that the pingClient
-//! protocol exposes, the one-pass nearest-`K` selection both pingClient
-//! kernels answer with ([`NearestK`]), and the incrementally maintained
-//! bucket grid the marketplace dispatches idle drivers from
-//! ([`DynamicGrid`]).
+//! protocol exposes, and the one-pass nearest-`K` selection both
+//! pingClient kernels answer with ([`NearestK`]). There is no spatial
+//! index: at the tier sizes a city builds (under ~100 cars) a scan beats
+//! one, so the ping kernels and the marketplace's dispatch scan.
 //!
 //! Everything here is pure, deterministic and `f64`-based. Distances are in
 //! metres, bearings in degrees clockwise from north.
@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dynamic;
 mod latlng;
 mod nearest;
 mod path;
@@ -26,7 +25,6 @@ mod project;
 
 pub mod grid;
 
-pub use dynamic::DynamicGrid;
 pub use latlng::{haversine_m, LatLng, EARTH_RADIUS_M};
 pub use nearest::NearestK;
 pub use path::PathVector;

@@ -12,7 +12,7 @@ use crate::surge::{SurgeEngine, SurgePolicy};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 use surgescope_city::{AreaId, CarType, CityModel};
-use surgescope_geo::{DynamicGrid, LatLng, Meters, PathVector};
+use surgescope_geo::{LatLng, Meters, PathVector};
 use surgescope_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 /// Behavioural constants of the marketplace (city-independent).
@@ -70,6 +70,19 @@ impl Default for MarketplaceConfig {
     }
 }
 
+impl MarketplaceConfig {
+    /// EWT in minutes from the drive time of the nearest idle car, or the
+    /// default when there is none. The one EWT formula: the marketplace
+    /// and the protocol layer's snapshot both call it, so their minutes
+    /// agree bit for bit.
+    pub fn ewt_from_drive_secs(&self, drive_secs: Option<f64>) -> f64 {
+        match drive_secs {
+            Some(secs) => ((secs + self.dispatch_overhead_secs) / 60.0).max(1.0),
+            None => self.default_ewt_min,
+        }
+    }
+}
+
 /// A car as exposed to the protocol layer: only what pingClient reveals.
 #[derive(Debug, Clone)]
 pub struct VisibleCar {
@@ -121,13 +134,12 @@ pub struct Marketplace {
     rng_demand: SimRng,
     rng_drive: SimRng,
     ticks_run: u64,
-    /// Per-tier spatial index over idle (visible) drivers, keyed by driver
-    /// index, maintained *incrementally*: every visibility or position
-    /// transition (shift start/end, dispatch, trip completion, idle
-    /// cruising) updates the grid in place, so at any query point it holds
-    /// exactly the currently visible drivers at their current positions —
-    /// no per-tick rebuilds, no staleness filter.
-    idle_index: Vec<(CarType, DynamicGrid)>,
+    /// Idle (visible) driver indices, one unordered list per tier, indexed
+    /// by `CarType as usize`. A list changes only when a driver's
+    /// visibility does (shift start or end, dispatch, trip completion), so
+    /// it always holds exactly the tier's visible drivers; positions are
+    /// read from `drivers`, so idle cruising never touches it.
+    idle: [Vec<u32>; CarType::ALL.len()],
     /// Scratch buffer for `idle_drift`'s surge-chasing candidate list,
     /// reused across drivers and ticks. Purely transient (cleared before
     /// every use); never serialized.
@@ -176,7 +188,7 @@ impl Marketplace {
             rng_demand: root.split("demand"),
             rng_drive: root.split("drive"),
             ticks_run: 0,
-            idle_index: Vec::new(),
+            idle: Default::default(),
             drift_scratch: Vec::new(),
             seed,
             timers: TickTimers::default(),
@@ -195,7 +207,7 @@ impl Marketplace {
     /// accumulators, the three world RNG streams and the clock. The city
     /// model and behaviour config are *not* included: they are pure
     /// functions of the campaign config and are supplied again on
-    /// [`restore_state`](Marketplace::restore_state). The idle index is
+    /// [`restore_state`](Marketplace::restore_state). The idle lists are
     /// derived state, rebuilt on restore.
     pub fn save_state(&self) -> Value {
         Value::Map(vec![
@@ -234,7 +246,7 @@ impl Marketplace {
             rng_demand: SimRng::from_value(v.field("rng_demand")?)?,
             rng_drive: SimRng::from_value(v.field("rng_drive")?)?,
             ticks_run: u64::from_value(v.field("ticks_run")?)?,
-            idle_index: Vec::new(),
+            idle: Default::default(),
             drift_scratch: Vec::new(),
             seed: u64::from_value(v.field("seed")?)?,
             timers: TickTimers::default(),
@@ -311,60 +323,59 @@ impl Marketplace {
     /// overhead, or the configured default when none is in range.
     pub fn ewt_minutes(&self, pos: Meters, car_type: CarType) -> f64 {
         // Drive time is rectilinear distance over a speed that depends only
-        // on the clock, so the nearest-L1 idle car from the tier's grid is
-        // exactly the car a full scan's running minimum would settle on
-        // (the grid breaks distance ties by lowest driver index).
-        let best = self.idle_grid(car_type).and_then(|g| {
-            g.nearest_l1(pos).map(|(i, _)| {
-                let d = &self.drivers[i as usize];
-                self.city.drive_time_secs(d.position, pos, self.now)
-            })
+        // on the clock, so the L1-nearest idle car sets it.
+        let drive_secs = self.nearest_idle(pos, car_type, f64::INFINITY).map(|(i, _)| {
+            self.city.drive_time_secs(self.drivers[i as usize].position, pos, self.now)
         });
-        match best {
-            Some(secs) => ((secs + self.cfg.dispatch_overhead_secs) / 60.0).max(1.0),
-            None => self.cfg.default_ewt_min,
-        }
+        self.cfg.ewt_from_drive_secs(drive_secs)
     }
 
-    fn idle_grid(&self, car_type: CarType) -> Option<&DynamicGrid> {
-        self.idle_index.iter().find(|(t, _)| *t == car_type).map(|(_, g)| g)
-    }
-
-    fn idle_grid_mut(index: &mut [(CarType, DynamicGrid)], car_type: CarType) -> &mut DynamicGrid {
-        &mut index
-            .iter_mut()
-            .find(|(t, _)| *t == car_type)
-            .expect("every fleet tier has a grid from rebuild_idle_index")
-            .1
-    }
-
-    /// Builds the per-tier idle-driver grids from scratch: one (initially
-    /// empty) grid per tier present in the fleet, then one insert per
-    /// currently visible driver. Called once at construction/restore;
-    /// after that every state transition maintains the grids in place.
-    /// Kept `pub(crate)` so tests can diff incremental maintenance against
-    /// a fresh rebuild.
-    pub(crate) fn rebuild_idle_index(&mut self) {
-        let bb = self.city.service_region.bbox();
-        let n = self.drivers.len();
-        let mut index: Vec<(CarType, DynamicGrid)> = Vec::new();
-        for d in &self.drivers {
-            if !index.iter().any(|(t, _)| *t == d.car_type) {
-                index.push((d.car_type, DynamicGrid::new(bb.min, bb.max, n)));
+    /// The idle driver of `car_type` nearest `pos` in L1 distance, within
+    /// `max_dist` inclusive, as `(driver index, L1 distance)`. Ties go to
+    /// the lowest driver index, never to list position: `swap_remove`
+    /// permutes the lists and a restore rebuilds them in index order, so
+    /// an uninterrupted and a resumed run hold them in different orders.
+    /// The answer is the one a first-strictly-less scan of `drivers` in
+    /// index order keeps.
+    fn nearest_idle(&self, pos: Meters, car_type: CarType, max_dist: f64) -> Option<(u32, f64)> {
+        let mut best: Option<(u32, f64)> = None;
+        for &i in &self.idle[car_type as usize] {
+            let p = self.drivers[i as usize].position;
+            let dist = (p.x - pos.x).abs() + (p.y - pos.y).abs();
+            if dist <= max_dist && best.is_none_or(|(bi, bd)| dist < bd || (dist == bd && i < bi)) {
+                best = Some((i, dist));
             }
         }
+        best
+    }
+
+    /// Takes driver `i` off its tier's idle list. A missing entry means the
+    /// lists diverged from the drivers' states, which must fail loudly
+    /// rather than skew dispatch.
+    fn remove_idle(idle: &mut [Vec<u32>], car_type: CarType, i: usize) {
+        let list = &mut idle[car_type as usize];
+        let at = list
+            .iter()
+            .position(|&j| j as usize == i)
+            .unwrap_or_else(|| panic!("driver {i} missing from the {car_type:?} idle list"));
+        list.swap_remove(at);
+    }
+
+    /// Builds the idle lists from scratch, in driver-index order, each
+    /// reserved to its tier's driver count so maintenance never
+    /// allocates. Called at construction and restore; after that every
+    /// visibility change maintains the lists in place.
+    fn rebuild_idle_index(&mut self) {
+        let mut per_tier = [0usize; CarType::ALL.len()];
+        for d in &self.drivers {
+            per_tier[d.car_type as usize] += 1;
+        }
+        self.idle = per_tier.map(Vec::with_capacity);
         for (i, d) in self.drivers.iter().enumerate() {
             if d.state.is_visible() {
-                Self::idle_grid_mut(&mut index, d.car_type).insert(i as u32, d.position);
+                self.idle[d.car_type as usize].push(i as u32);
             }
         }
-        self.idle_index = index;
-    }
-
-    /// The live per-tier idle index (for equivalence tests).
-    #[cfg(test)]
-    pub(crate) fn idle_index(&self) -> &[(CarType, DynamicGrid)] {
-        &self.idle_index
     }
 
     /// Runs the world for a duration (must be a whole number of ticks).
@@ -445,9 +456,8 @@ impl Marketplace {
                     let d = &mut self.drivers[i];
                     d.come_online(pos, t, &mut self.rng_shift);
                     d.shift_secs = Self::sample_shift_secs(d.car_type, &mut self.rng_shift);
-                    let car_type = d.car_type;
+                    self.idle[d.car_type as usize].push(i as u32);
                     self.truth.sessions_started += 1;
-                    Self::idle_grid_mut(&mut self.idle_index, car_type).insert(i as u32, pos);
                     brought += 1;
                 }
             }
@@ -463,22 +473,21 @@ impl Marketplace {
                 }
                 let i = (start + k) % n;
                 if matches!(self.drivers[i].state, DriverState::Idle) {
-                    let (car_type, pos) = (self.drivers[i].car_type, self.drivers[i].position);
                     self.drivers[i].go_offline();
-                    Self::idle_grid_mut(&mut self.idle_index, car_type).remove(i as u32, pos);
+                    Self::remove_idle(&mut self.idle, self.drivers[i].car_type, i);
                     sent += 1;
                 }
             }
         }
 
         // Idle drivers past their shift go home regardless of the target.
-        let Marketplace { drivers, idle_index, .. } = self;
+        let Marketplace { drivers, idle, .. } = self;
         for (i, d) in drivers.iter_mut().enumerate() {
             if matches!(d.state, DriverState::Idle) {
                 if let Some(since) = d.online_since {
                     if t.since(since).as_secs() >= d.shift_secs {
                         d.go_offline();
-                        Self::idle_grid_mut(idle_index, d.car_type).remove(i as u32, d.position);
+                        Self::remove_idle(idle, d.car_type, i);
                     }
                 }
             }
@@ -561,17 +570,9 @@ impl Marketplace {
         surge: f64,
         area: Option<AreaId>,
     ) {
-        // Nearest idle driver of the requested tier, from the tier's grid.
-        // The grid tracks dispatches and completions as they happen, so no
-        // visibility re-check is needed; it breaks distance ties by lowest
-        // driver index, which is what a first-strictly-closer linear scan
-        // would keep.
-        let best: Option<usize> = self
-            .idle_grid(car_type)
-            .and_then(|g| g.nearest_l1_within(pickup, self.cfg.match_radius_m))
-            .map(|(i, _)| i as usize);
-        match best {
-            Some(i) => {
+        match self.nearest_idle(pickup, car_type, self.cfg.match_radius_m) {
+            Some((i, _)) => {
+                let i = i as usize;
                 let trip_idx = self.truth.trips.len();
                 let distance_m =
                     (pickup.x - dropoff.x).abs() + (pickup.y - dropoff.y).abs();
@@ -586,8 +587,7 @@ impl Marketplace {
                 let d = &mut self.drivers[i];
                 d.dispatch(pickup, dropoff);
                 d.trip_idx = Some(trip_idx);
-                let (car_type, pos) = (d.car_type, d.position);
-                Self::idle_grid_mut(&mut self.idle_index, car_type).remove(i as u32, pos);
+                Self::remove_idle(&mut self.idle, car_type, i);
                 if let Some(a) = area {
                     self.acc[a.0].pickups += 1;
                 }
@@ -612,7 +612,7 @@ impl Marketplace {
         // while drivers are mutated, instead of cloning the per-area vector
         // every tick.
         let Marketplace {
-            city, cfg, drivers, surge, truth, rng_drive, idle_index, drift_scratch, ..
+            city, cfg, drivers, surge, truth, rng_drive, idle, drift_scratch, ..
         } = self;
         let city: &CityModel = city;
         let base: &[f64] = &surge.current().base;
@@ -630,17 +630,11 @@ impl Marketplace {
                 DriverState::OnTrip { dropoff } => {
                     if d.advance_towards(dropoff, step) {
                         Self::complete_trip(city, truth, d, t);
-                        Self::idle_grid_mut(idle_index, d.car_type)
-                            .insert(i as u32, d.position);
+                        idle[d.car_type as usize].push(i as u32);
                     }
                 }
                 DriverState::Idle => {
-                    let old = d.position;
                     Self::idle_drift(city, cfg, rng_drive, d, idle_step, base, drift_scratch);
-                    if d.position != old {
-                        Self::idle_grid_mut(idle_index, d.car_type)
-                            .update(i as u32, old, d.position);
-                    }
                 }
             }
             // Record the position into the public path trace. The driver
@@ -963,15 +957,12 @@ mod tests {
         assert!(noon > night, "noon {noon} should exceed 4am {night}");
     }
 
-    /// The incremental idle index must stay *exactly* the rebuilt one: the
-    /// tick loop is itself a long randomized sequence of shift starts/ends,
-    /// dispatches, completions and idle moves, so ticking a seeded world
-    /// and diffing the live grids against a from-scratch rebuild after
-    /// every tick exercises every transition path. Membership and stored
-    /// positions (compared as bits) fully determine query answers — both
-    /// index flavours break ties by (L1 distance, driver id) — so content
-    /// equality implies query equality; a brute-force probe check on top
-    /// guards the ring search itself.
+    /// The idle lists must hold exactly each tier's visible drivers after
+    /// every tick: the tick loop is a long randomized sequence of shift
+    /// starts and ends, dispatches and trip completions, so ticking seeded
+    /// worlds exercises every maintenance path. At each probe,
+    /// `nearest_idle` must answer as a first-strictly-less scan of
+    /// `drivers` in index order does, distance compared as bits.
     #[test]
     fn incremental_idle_index_matches_fresh_rebuild() {
         for seed in [7u64, 99, 31337] {
@@ -983,48 +974,69 @@ mod tests {
             ];
             for tick in 0..720u64 {
                 w.tick();
-                // Expected contents: visible drivers by tier, from scratch.
-                for (t, g) in w.idle_index() {
-                    let mut expect: Vec<(u32, (u64, u64))> = w
-                        .drivers
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, d)| d.car_type == *t && d.state.is_visible())
-                        .map(|(i, d)| {
-                            (i as u32, (d.position.x.to_bits(), d.position.y.to_bits()))
-                        })
-                        .collect();
-                    expect.sort_unstable();
-                    let mut got: Vec<(u32, (u64, u64))> = g
-                        .items()
-                        .map(|(i, p)| (i, (p.x.to_bits(), p.y.to_bits())))
-                        .collect();
-                    got.sort_unstable();
-                    assert_eq!(got, expect, "tier {t:?} diverged at tick {tick} (seed {seed})");
-                    for pos in probes {
-                        let brute = w
-                            .drivers
+                for t in CarType::ALL {
+                    let visible = || {
+                        w.drivers
                             .iter()
                             .enumerate()
-                            .filter(|(_, d)| d.car_type == *t && d.state.is_visible())
-                            .map(|(i, d)| {
-                                (i, (d.position.x - pos.x).abs() + (d.position.y - pos.y).abs())
-                            })
-                            .fold(None::<(usize, f64)>, |best, (i, dist)| {
-                                match best {
-                                    Some((_, bd)) if bd <= dist => best,
-                                    _ => Some((i, dist)),
-                                }
-                            });
+                            .filter(move |(_, d)| d.car_type == t && d.state.is_visible())
+                    };
+                    let mut got = w.idle[t as usize].clone();
+                    got.sort_unstable();
+                    let expect: Vec<u32> = visible().map(|(i, _)| i as u32).collect();
+                    assert_eq!(got, expect, "tier {t:?} diverged at tick {tick} (seed {seed})");
+                    for pos in probes {
+                        let mut scan: Option<(u32, f64)> = None;
+                        for (i, d) in visible() {
+                            let dist = (d.position.x - pos.x).abs() + (d.position.y - pos.y).abs();
+                            if scan.is_none_or(|(_, bd)| dist < bd) {
+                                scan = Some((i as u32, dist));
+                            }
+                        }
                         assert_eq!(
-                            g.nearest_l1(pos).map(|(i, d)| (i as usize, d.to_bits())),
-                            brute.map(|(i, d)| (i, d.to_bits())),
+                            w.nearest_idle(pos, t, f64::INFINITY).map(|(i, d)| (i, d.to_bits())),
+                            scan.map(|(i, d)| (i, d.to_bits())),
                             "nearest mismatch at tick {tick} (seed {seed})"
                         );
                     }
                 }
             }
         }
+    }
+
+    /// An exact L1 tie resolves to the lowest driver index whatever order
+    /// the list holds, and the match radius is inclusive, for the query
+    /// and for dispatch.
+    #[test]
+    fn nearest_idle_breaks_ties_by_index_and_radius_is_inclusive() {
+        let mut w = world();
+        let origin = Meters::new(0.0, 0.0);
+        let (up, right) = (Meters::new(0.0, 100.0), Meters::new(100.0, 0.0));
+        for (i, pos) in [(1, up), (4, right), (9, right)] {
+            let d = &mut w.drivers[i];
+            d.car_type = CarType::UberX;
+            d.state = DriverState::Idle;
+            d.position = pos;
+        }
+        w.rebuild_idle_index();
+        w.idle[CarType::UberX as usize].reverse();
+        assert_eq!(w.idle[CarType::UberX as usize], [9, 4, 1]);
+        assert_eq!(w.nearest_idle(origin, CarType::UberX, f64::INFINITY), Some((1, 100.0)));
+        Marketplace::remove_idle(&mut w.idle, CarType::UberX, 1);
+        assert_eq!(w.idle[CarType::UberX as usize], [9, 4], "list order now favours 9");
+        assert_eq!(w.nearest_idle(origin, CarType::UberX, f64::INFINITY), Some((4, 100.0)));
+
+        assert_eq!(w.nearest_idle(origin, CarType::UberX, 100.0), Some((4, 100.0)));
+        assert_eq!(w.nearest_idle(origin, CarType::UberX, 99.0), None);
+        let radius = w.config().match_radius_m;
+        w.drivers[4].position = Meters::new(radius - 400.0, 400.0);
+        w.drivers[9].position = Meters::new(radius, 1.0);
+        w.try_match(w.now(), origin, Meters::new(50.0, 50.0), CarType::UberX, 1.0, None);
+        assert!(matches!(w.drivers[4].state, DriverState::EnRoute { .. }), "at the radius");
+        assert_eq!(w.idle[CarType::UberX as usize], [9]);
+        w.try_match(w.now(), origin, Meters::new(50.0, 50.0), CarType::UberX, 1.0, None);
+        assert!(matches!(w.drivers[9].state, DriverState::Idle), "beyond the radius");
+        assert_eq!(w.truth().trips.len(), 1);
     }
 
     #[test]

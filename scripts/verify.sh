@@ -74,6 +74,21 @@ run_named_tests -p surgescope-core --lib -- \
 run_named_tests -p surgescope-core --test ping_equivalence -- \
   ping_all_matches_wire_response_conversion
 
+echo "== marketplace: idle index and EWT =="
+# Dispatch and the marketplace's EWT scan one unordered idle list per
+# tier. After every tick each list must hold exactly its tier's visible
+# drivers, and the scan must answer as an index-order scan of the
+# drivers does: ties go to the lowest driver index whatever the list
+# order, the match radius is inclusive, and a restored world, whose
+# lists are rebuilt in index order, continues bit-identically. The
+# snapshot's EWT must equal the marketplace's, bit for bit.
+run_named_tests -p surgescope-marketplace --lib -- \
+  world::tests::incremental_idle_index_matches_fresh_rebuild \
+  world::tests::nearest_idle_breaks_ties_by_index_and_radius_is_inclusive \
+  world::tests::save_restore_continues_bit_identically
+run_named_tests -p surgescope-api --lib -- \
+  service::tests::snapshot_ewt_matches_marketplace_ewt
+
 echo "== transport: fault-tolerance gate =="
 cargo test -q --release --test fault_tolerance
 
