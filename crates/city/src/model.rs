@@ -16,7 +16,7 @@ pub struct AreaId(pub usize);
 /// independently per area).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SurgeArea {
-    /// Stable identifier (index).
+    /// Stable identifier: the area's index in [`CityModel::areas`].
     pub id: AreaId,
     /// Human-readable name ("Manhattan 1", "SF 0", …).
     pub name: String,
@@ -110,6 +110,7 @@ impl CityModel {
     /// builders; exposed for tests of custom cities.
     pub fn validate(&self) {
         assert_eq!(self.areas.len(), self.adjacency.len(), "adjacency size mismatch");
+        assert!(self.areas.iter().enumerate().all(|(i, a)| a.id == AreaId(i)), "area id != index");
         let mix_sum: f64 = self.fleet_mix.iter().map(|(_, f)| f).sum();
         assert!((mix_sum - 1.0).abs() < 1e-6, "fleet mix sums to {mix_sum}");
         for (i, neighbours) in self.adjacency.iter().enumerate() {

@@ -451,6 +451,8 @@ struct RunnerMetrics {
     checkpoints: Counter,
     /// Wall clock spent serializing + writing checkpoints.
     checkpoint_timer: Timer,
+    /// Each tick's client observation loop, `end_tick` and per-area flush.
+    observe: Timer,
 }
 
 impl RunnerMetrics {
@@ -467,12 +469,13 @@ impl RunnerMetrics {
         let ticks = registry.counter("campaign.ticks");
         let checkpoints = registry.counter("store.checkpoints");
         let checkpoint_timer = registry.timer("store.checkpoint");
+        let observe = registry.timer("phase.observe");
         let log_bytes = registry.counter("store.log_bytes");
         let log_records = registry.counter("store.log_records");
         if let Some(w) = log {
             w.set_metrics(log_bytes, log_records);
         }
-        RunnerMetrics { registry, gaps, probe_nan, ticks, checkpoints, checkpoint_timer }
+        RunnerMetrics { registry, gaps, probe_nan, ticks, checkpoints, checkpoint_timer, observe }
     }
 }
 
@@ -494,7 +497,7 @@ fn geometry(
     let clients = placement(&city.measurement_region, spacing);
     let client_area: Vec<Option<usize>> =
         clients.iter().map(|c| city.area_of(c.position).map(|a| a.0)).collect();
-    let area_polys = persist::area_polys(city);
+    let area_polys: Vec<Polygon> = city.areas.iter().map(|a| a.polygon.clone()).collect();
     let adjacency = persist::area_adjacency(city);
     let centroids: Vec<Meters> = area_polys.iter().map(|p| p.centroid()).collect();
     (clients, client_area, area_polys, adjacency, centroids)
@@ -573,12 +576,9 @@ impl CampaignRunner {
             geometry(&city, &cfg);
         let n_areas = city.area_count();
 
-        let estimator = SupplyDemandEstimator::new(
-            cfg.estimator,
-            city.measurement_region.clone(),
-            area_polys.clone(),
-        );
-        let transitions = TransitionTracker::new(area_polys, adjacency);
+        let estimator =
+            SupplyDemandEstimator::new(cfg.estimator, city.measurement_region.clone(), area_polys);
+        let transitions = TransitionTracker::new(adjacency);
 
         let n = clients.len();
         let ticks_total = (cfg.hours * 3600 / 5) as usize;
@@ -689,21 +689,23 @@ impl CampaignRunner {
             self.obs = obs;
             return Err(StoreError::Io(e));
         }
+        let observe_span = self.metrics.observe.start();
         for (i, blocks) in obs.iter().enumerate() {
-            self.estimator.observe(state_t, blocks);
+            // The estimator skips exact repeats and finds each area once.
+            self.estimator.observe_with(state_t, blocks, |id, a| {
+                self.transitions.observe(id, a);
+                self.tick_area_sets[a].insert(id);
+            });
             // Every delivered UberX block contributes car sightings —
             // a late block re-reports its send-time positions, exactly
             // as the client's log would. The *displayed* surge/EWT is
             // the last block to arrive this tick (fresh first, then
-            // late sends in order — stale data displaces fresh).
+            // late sends in order — stale data displaces fresh). These
+            // sets count what each client saw: no sighting is skipped.
             for x in blocks.iter().filter(|b| b.car_type == CarType::UberX) {
                 for car in &x.cars {
                     self.daily_sets[i].insert(car.id);
                     self.interval_sets[i].insert(car.id);
-                    self.transitions.observe(car.id, car.position);
-                    if let Some(a) = self.city.area_of(car.position) {
-                        self.tick_area_sets[a.0].insert(car.id);
-                    }
                 }
             }
             if let Some(x) = latest_of_type(blocks, CarType::UberX) {
@@ -727,6 +729,7 @@ impl CampaignRunner {
             self.inst_sum[a] += set.len() as f64;
             set.clear();
         }
+        drop(observe_span);
         self.inst_ticks += 1;
 
         // API probe once per interval, after the propagation delay.
@@ -946,6 +949,20 @@ impl CampaignRunner {
                 "checkpoint at tick {ticks_done} beyond campaign horizon {ticks_total}"
             )));
         }
+        // A missing row would resume and then panic ticks later.
+        let per_client = ["client_surge", "client_ewt", "daily_sets", "client_daily_cars",
+            "interval_sets", "interval_car_sum", "interval_car_n", "interval_seen", "ewt_sum",
+            "ewt_n", "client_delivered"];
+        let per_area = ["api_surge", "api_ewt", "avg_visible", "inst_sum", "probe_pending"];
+        for (keys, want) in [(&per_client[..], n), (&per_area[..], n_areas)] {
+            for &key in keys {
+                match v.field(key)? {
+                    Value::Null if key == "probe_pending" => {}
+                    Value::Seq(rows) if rows.len() == want => {}
+                    _ => return Err(StoreError::Schema(format!("{key}: want {want} rows"))),
+                }
+            }
+        }
 
         let market_cfg =
             MarketplaceConfig { surge_policy: cfg.surge_policy, ..Default::default() };
@@ -960,8 +977,10 @@ impl CampaignRunner {
         let sys = SystemBackend::Local(sys);
 
         let estimator = SupplyDemandEstimator::from_value(v.field("estimator")?)?;
-        let transitions =
-            TransitionTracker::restore_state(area_polys, adjacency, v.field("transitions")?)?;
+        if *v.field("estimator")?.field("areas")? != area_polys.to_value() {
+            return Err(StoreError::Schema("estimator areas differ from the city's".into()));
+        }
+        let transitions = TransitionTracker::restore_state(adjacency, v.field("transitions")?)?;
 
         let from_sets = |v: &Value| -> Result<Vec<FastHashSet<u64>>, serde::Error> {
             Ok(Vec::<Vec<u64>>::from_value(v)?
@@ -971,12 +990,6 @@ impl CampaignRunner {
         };
         let client_surge = persist::bits_to_f32_rows(v.field("client_surge")?)?;
         let client_ewt = persist::bits_to_f32_rows(v.field("client_ewt")?)?;
-        if client_surge.len() != n || client_ewt.len() != n {
-            return Err(StoreError::Schema(format!(
-                "checkpoint covers {} clients, lattice has {n}",
-                client_surge.len()
-            )));
-        }
         if client_surge.iter().chain(&client_ewt).any(|s| s.len() != ticks_done) {
             return Err(StoreError::Schema(
                 "checkpointed series length != ticks_done".into(),

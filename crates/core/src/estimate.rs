@@ -15,6 +15,7 @@
 
 use crate::observe::TypeObservation;
 use serde::{Deserialize, Error, Serialize, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use surgescope_simcore::{FastHashMap, FastHashSet};
 use surgescope_city::CarType;
@@ -59,6 +60,9 @@ struct LiveCar {
     last_displacement: Option<Meters>,
 }
 
+/// What a sighting writes for its id: tier, position and displacement bits.
+type Sighting = (CarType, [u64; 2], Option<[u64; 2]>);
+
 /// A finalized death event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeathEvent {
@@ -102,6 +106,9 @@ pub struct SupplyDemandEstimator {
     pub edge_filtered: u64,
     /// Whether the open interval has unsaved observations.
     dirty: bool,
+    /// Per-tick scratch, never serialized (see `observe_with`).
+    seen: FastHashMap<u64, Sighting>,
+    seen_at: Option<SimTime>,
 }
 
 impl SupplyDemandEstimator {
@@ -127,6 +134,8 @@ impl SupplyDemandEstimator {
             short_lived_filtered: 0,
             edge_filtered: 0,
             dirty: false,
+            seen: FastHashMap::default(),
+            seen_at: None,
         }
     }
 
@@ -146,9 +155,38 @@ impl SupplyDemandEstimator {
     /// grace — dropped and delayed pings thus degrade the estimate
     /// smoothly instead of fabricating deaths.
     pub fn observe(&mut self, now: SimTime, blocks: &[TypeObservation]) {
+        self.observe_with(now, blocks, |_, _| {});
+    }
+
+    /// [`SupplyDemandEstimator::observe`], also calling `in_area(id, area)`
+    /// for each applied UberX sighting in a surge area, before the region
+    /// test. A sighting equal, bit for bit, to the last one applied for its
+    /// id since `now` changed or `end_tick` ran is skipped: all it would
+    /// write is already there (`in_area`'s too, unless cleared before `end_tick`).
+    pub(crate) fn observe_with(
+        &mut self,
+        now: SimTime,
+        blocks: &[TypeObservation],
+        mut in_area: impl FnMut(u64, usize),
+    ) {
         self.dirty = true;
+        if self.seen_at != Some(now) {
+            self.seen.clear();
+            self.seen_at = Some(now);
+        }
+        let bits = |m: Meters| [m.x.to_bits(), m.y.to_bits()];
         for block in blocks {
             for car in &block.cars {
+                let s = (block.car_type, bits(car.position), car.displacement.map(bits));
+                let entry = self.seen.entry(car.id);
+                if matches!(&entry, Entry::Occupied(e) if *e.get() == s) {
+                    continue;
+                }
+                entry.insert_entry(s);
+                let area = self.uberx_area(block.car_type, car.position);
+                if let Some(a) = area {
+                    in_area(car.id, a);
+                }
                 if !self.region.contains(car.position) {
                     continue;
                 }
@@ -168,22 +206,25 @@ impl SupplyDemandEstimator {
                 h.1 = now;
                 // Supply accounting for the open interval.
                 self.ids_by_type.entry(block.car_type).or_default().insert(car.id);
-                if block.car_type == CarType::UberX {
-                    for (ai, poly) in self.areas.iter().enumerate() {
-                        if poly.contains(car.position) {
-                            self.ids_by_area[ai].insert(car.id);
-                            break;
-                        }
-                    }
+                if let Some(a) = area {
+                    self.ids_by_area[a].insert(car.id);
                 }
             }
         }
+    }
+
+    /// The area index of an UberX car at `p` (other tiers have none): the
+    /// first area polygon containing `p`, checked in list order, so a
+    /// point on a shared border lands in the earlier area.
+    fn uberx_area(&self, car_type: CarType, p: Meters) -> Option<usize> {
+        (car_type == CarType::UberX).then(|| self.areas.iter().position(|a| a.contains(p)))?
     }
 
     /// Call once per tick after all observations for that tick have been
     /// fed; `now` is the time the tick *ended* (i.e. the next tick's
     /// start). Finalizes stale cars and closes 5-minute intervals.
     pub fn end_tick(&mut self, now: SimTime) {
+        self.seen_at = None;
         self.reap(now);
         if now.seconds_into_surge_interval() == 0 && now.as_secs() > 0 {
             if self.dirty {
@@ -198,6 +239,7 @@ impl SupplyDemandEstimator {
     /// trips), the short-lived filter is applied, and the open interval
     /// closes.
     pub fn finish(&mut self, now: SimTime) {
+        self.seen_at = None;
         self.live.clear();
         // Drain in sorted-ID order: HashMap iteration order would make the
         // lifespans vec differ between runs, breaking the bit-identical
@@ -278,17 +320,12 @@ impl SupplyDemandEstimator {
                 v.resize(interval + 1, 0);
             }
             v[interval] += 1;
-            if car.car_type == CarType::UberX {
-                for (ai, poly) in self.areas.iter().enumerate() {
-                    if poly.contains(car.last_pos) {
-                        let va = &mut self.deaths_area[ai];
-                        if va.len() <= interval {
-                            va.resize(interval + 1, 0);
-                        }
-                        va[interval] += 1;
-                        break;
-                    }
+            if let Some(a) = self.uberx_area(car.car_type, car.last_pos) {
+                let va = &mut self.deaths_area[a];
+                if va.len() <= interval {
+                    va.resize(interval + 1, 0);
                 }
+                va[interval] += 1;
             }
         }
     }
@@ -395,7 +432,7 @@ impl Serialize for SupplyDemandEstimator {
 
 impl Deserialize for SupplyDemandEstimator {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(SupplyDemandEstimator {
+        let est = SupplyDemandEstimator {
             cfg: EstimatorConfig::from_value(v.field("cfg")?)?,
             region: Polygon::from_value(v.field("region")?)?,
             areas: Vec::<Polygon>::from_value(v.field("areas")?)?,
@@ -429,7 +466,12 @@ impl Deserialize for SupplyDemandEstimator {
             short_lived_filtered: u64::from_value(v.field("short_lived_filtered")?)?,
             edge_filtered: u64::from_value(v.field("edge_filtered")?)?,
             dirty: bool::from_value(v.field("dirty")?)?,
-        })
+            seen: FastHashMap::default(),
+            seen_at: None,
+        };
+        let rows = [est.ids_by_area.len(), est.supply_area.len(), est.deaths_area.len()];
+        let ok = rows == [est.areas.len(); 3];
+        ok.then_some(est).ok_or_else(|| Error::custom("estimator per-area rows != area count"))
     }
 }
 
@@ -437,7 +479,8 @@ impl Deserialize for SupplyDemandEstimator {
 mod tests {
     use super::*;
     use crate::observe::ObservedCar;
-    use surgescope_simcore::SimDuration;
+    use std::collections::BTreeSet;
+    use surgescope_simcore::{SimDuration, SimRng};
 
     fn region() -> Polygon {
         Polygon::rect(Meters::new(0.0, 0.0), Meters::new(2000.0, 2000.0))
@@ -746,6 +789,106 @@ mod tests {
         assert_eq!(a.lifespans, b.lifespans);
         assert_eq!(a.short_lived_filtered, b.short_lived_filtered);
         assert_eq!(a.to_value(), b.to_value());
+    }
+
+    /// The memo is exact. A reference that never skips, because a serde
+    /// round trip empties its memo before every call, must end every tick
+    /// in the same serialized state, and `in_area` must report exactly the
+    /// distinct (id, first area) pairs of each tick's UberX sightings.
+    #[test]
+    fn memo_matches_memoryless_reference() {
+        // The areas overhang the region, so UberX cars outside it still
+        // land in one, and they share the border x = 1000.
+        let areas = vec![
+            Polygon::rect(Meters::new(-500.0, -500.0), Meters::new(1000.0, 2500.0)),
+            Polygon::rect(Meters::new(1000.0, -500.0), Meters::new(2500.0, 2500.0)),
+        ];
+        let cfg = EstimatorConfig::default();
+        let mut memo = SupplyDemandEstimator::new(cfg, region(), areas.clone());
+        let mut reference = SupplyDemandEstimator::new(cfg, region(), areas.clone());
+        let mut rng = SimRng::seed_from_u64(0x5EED);
+        // A 250 m lattice over [-750, 2750]²: exact repeats are common, and
+        // points fall outside every area and on every border.
+        let point = |rng: &mut SimRng| {
+            let x = 250.0 * rng.range_usize(0, 15) as f64 - 750.0;
+            Meters::new(x, 250.0 * rng.range_usize(0, 15) as f64 - 750.0)
+        };
+        let tier = |id: u64| if id.is_multiple_of(3) { CarType::UberBlack } else { CarType::UberX };
+        let mut cars: Vec<ObservedCar> = (100..120)
+            .map(|id| ObservedCar { id, position: point(&mut rng), displacement: None })
+            .collect();
+        let mut online = vec![true; cars.len()];
+        let empty = |car_type| TypeObservation { car_type, cars: vec![], ewt_min: 3.0, surge: 1.0 };
+        let mut late: Vec<TypeObservation> = Vec::new();
+        let (mut got, mut want) = (BTreeSet::new(), BTreeSet::new());
+        let (mut calls, mut sightings) = (0, 0);
+        for tick in 0..240u64 {
+            for (car, on) in cars.iter_mut().zip(&mut online) {
+                if rng.chance(0.03) {
+                    *on = !*on;
+                }
+                if rng.chance(0.2) {
+                    let to = point(&mut rng);
+                    car.displacement = Some(to.sub(car.position));
+                    car.position = to;
+                } else if rng.chance(0.1) {
+                    // The displacement changes at an unchanged position.
+                    car.displacement = rng.chance(0.5).then(|| point(&mut rng));
+                }
+            }
+            let now = SimTime(tick * 5);
+            let mut fresh = Vec::new();
+            for client in 0..8 {
+                let mut blocks = vec![empty(CarType::UberX), empty(CarType::UberBlack)];
+                for (car, _) in cars.iter().zip(&online).filter(|(_, on)| **on) {
+                    if rng.chance(0.5) {
+                        // Now and then a car turns up under the other tier.
+                        let black = (tier(car.id) == CarType::UberBlack) != rng.chance(0.05);
+                        blocks[usize::from(black)].cars.push(*car);
+                    }
+                }
+                fresh.extend(blocks.iter().cloned());
+                if rng.chance(0.2) {
+                    blocks.push(blocks[0].clone());
+                }
+                // A delayed block from the last tick carries older
+                // positions, before or after the fresh ones.
+                if !late.is_empty() && rng.chance(0.4) {
+                    let old = late[rng.range_usize(0, late.len())].clone();
+                    let at = if rng.chance(0.5) { 0 } else { blocks.len() };
+                    blocks.insert(at, old);
+                }
+                // Some ticks feed two times before one end_tick.
+                let at = if tick % 7 == 3 && client % 2 == 1 { SimTime(now.0 + 2) } else { now };
+                memo.observe_with(at, &blocks, |id, a| {
+                    calls += 1;
+                    got.insert((id, a));
+                });
+                reference = SupplyDemandEstimator::from_value(&reference.to_value()).unwrap();
+                reference.observe(at, &blocks);
+                for b in blocks.iter().filter(|b| b.car_type == CarType::UberX) {
+                    for car in &b.cars {
+                        if let Some(a) = areas.iter().position(|p| p.contains(car.position)) {
+                            sightings += 1;
+                            want.insert((car.id, a));
+                        }
+                    }
+                }
+            }
+            late = fresh;
+            let next = SimTime(now.0 + 5);
+            memo.end_tick(next);
+            reference.end_tick(next);
+            assert_eq!(memo.to_value(), reference.to_value(), "state after tick {tick}");
+            assert_eq!(got, want, "in_area pairs of tick {tick}");
+            got.clear();
+            want.clear();
+        }
+        memo.finish(SimTime(1200));
+        reference.finish(SimTime(1200));
+        assert_eq!(memo.to_value(), reference.to_value());
+        assert!(!memo.death_events.is_empty() && !memo.supply_area_series(1).is_empty());
+        assert!(0 < calls && calls < sightings, "the memo skipped nothing: {calls} of {sightings}");
     }
 
     #[test]

@@ -25,7 +25,6 @@ use crate::transitions::TransitionTracker;
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 use surgescope_city::CityModel;
-use surgescope_geo::Polygon;
 use surgescope_marketplace::GroundTruth;
 use surgescope_store::{encode_seq_header, encode_to_vec, encode_u64, LogReader, StoreError};
 
@@ -67,11 +66,6 @@ pub(crate) fn bits_to_f32_rows(v: &Value) -> Result<Vec<Vec<f32>>, serde::Error>
         Value::Seq(rows) => rows.iter().map(bits_to_f32s).collect(),
         _ => Err(serde::Error::custom("expected seq of f32 bit rows")),
     }
-}
-
-/// Surge-area polygons of a city, in area order.
-pub(crate) fn area_polys(city: &CityModel) -> Vec<Polygon> {
-    city.areas.iter().map(|a| a.polygon.clone()).collect()
 }
 
 /// Surge-area adjacency lists of a city, as plain indices.
@@ -139,11 +133,8 @@ fn campaign_from_parts(
     client_ewt: Vec<Vec<f32>>,
 ) -> Result<CampaignData, StoreError> {
     let city = CityModel::from_value(finish.field("city")?)?;
-    let transitions = TransitionTracker::restore_state(
-        area_polys(&city),
-        area_adjacency(&city),
-        finish.field("transitions")?,
-    )?;
+    let transitions =
+        TransitionTracker::restore_state(area_adjacency(&city), finish.field("transitions")?)?;
     let data = CampaignData {
         clients: Vec::<ClientSpec>::from_value(finish.field("clients")?)?,
         client_area: Vec::<Option<usize>>::from_value(finish.field("client_area")?)?,

@@ -11,7 +11,6 @@
 
 use serde::{Deserialize, Serialize, Value};
 use surgescope_simcore::FastHashSet;
-use surgescope_geo::{Meters, Polygon};
 
 /// The five per-interval car states of Fig. 22.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +82,6 @@ pub fn classify_context(
 /// Streaming transition tally over a campaign.
 #[derive(Debug)]
 pub struct TransitionTracker {
-    areas: Vec<Polygon>,
     adjacency: Vec<Vec<usize>>,
     prev_sets: Vec<FastHashSet<u64>>,
     cur_sets: Vec<FastHashSet<u64>>,
@@ -93,12 +91,10 @@ pub struct TransitionTracker {
 }
 
 impl TransitionTracker {
-    /// Creates a tracker over the given area polygons and adjacency.
-    pub fn new(areas: Vec<Polygon>, adjacency: Vec<Vec<usize>>) -> Self {
-        assert_eq!(areas.len(), adjacency.len());
-        let n = areas.len();
+    /// Creates a tracker over areas `0..adjacency.len()`.
+    pub fn new(adjacency: Vec<Vec<usize>>) -> Self {
+        let n = adjacency.len();
         TransitionTracker {
-            areas,
             adjacency,
             prev_sets: vec![FastHashSet::default(); n],
             cur_sets: vec![FastHashSet::default(); n],
@@ -107,14 +103,9 @@ impl TransitionTracker {
         }
     }
 
-    /// Records a car sighting during the open interval.
-    pub fn observe(&mut self, id: u64, position: Meters) {
-        for (ai, poly) in self.areas.iter().enumerate() {
-            if poly.contains(position) {
-                self.cur_sets[ai].insert(id);
-                break;
-            }
-        }
+    /// Records a sighting of car `id` in `area` during the open interval.
+    pub fn observe(&mut self, id: u64, area: usize) {
+        self.cur_sets[area].insert(id);
     }
 
     /// Closes an interval. `multipliers` are the values in force during
@@ -127,7 +118,7 @@ impl TransitionTracker {
                 self.prev_sets.iter().flat_map(|s| s.iter().copied()).collect();
             let cur_all: FastHashSet<u64> =
                 self.cur_sets.iter().flat_map(|s| s.iter().copied()).collect();
-            for ai in 0..self.areas.len() {
+            for ai in 0..self.area_count() {
                 let ctx = match classify_context(ai, prev_m, &self.adjacency) {
                     SurgeContext::Equal => 0usize,
                     SurgeContext::Surging => 1,
@@ -157,7 +148,7 @@ impl TransitionTracker {
             }
         }
         self.prev_sets = std::mem::take(&mut self.cur_sets);
-        self.cur_sets = vec![FastHashSet::default(); self.areas.len()];
+        self.cur_sets = vec![FastHashSet::default(); self.area_count()];
         self.prev_multipliers = Some(multipliers.to_vec());
     }
 
@@ -183,12 +174,12 @@ impl TransitionTracker {
 
     /// Number of areas tracked.
     pub fn area_count(&self) -> usize {
-        self.areas.len()
+        self.adjacency.len()
     }
 
-    /// Serializes the mutable tally state. Areas and adjacency are derived
-    /// from the city model and are *not* stored; [`restore_state`] takes
-    /// them as arguments (same split as `Marketplace::save_state`).
+    /// Serializes the mutable tally state. The adjacency is derived from
+    /// the city model and is *not* stored; [`restore_state`] takes it as
+    /// an argument (same split as `Marketplace::save_state`).
     /// ID sets are emitted sorted so the bytes are canonical.
     ///
     /// [`restore_state`]: TransitionTracker::restore_state
@@ -212,13 +203,9 @@ impl TransitionTracker {
     }
 
     /// Rebuilds a tracker from `save_state` output plus the (re-derived)
-    /// areas and adjacency.
-    pub fn restore_state(
-        areas: Vec<Polygon>,
-        adjacency: Vec<Vec<usize>>,
-        v: &Value,
-    ) -> Result<Self, serde::Error> {
-        let mut tr = TransitionTracker::new(areas, adjacency);
+    /// adjacency.
+    pub fn restore_state(adjacency: Vec<Vec<usize>>, v: &Value) -> Result<Self, serde::Error> {
+        let mut tr = TransitionTracker::new(adjacency);
         let sets = |v: &Value| -> Result<Vec<FastHashSet<u64>>, serde::Error> {
             Ok(Vec::<Vec<u64>>::from_value(v)?
                 .into_iter()
@@ -229,11 +216,10 @@ impl TransitionTracker {
         tr.cur_sets = sets(v.field("cur_sets")?)?;
         tr.prev_multipliers = Option::<Vec<f64>>::from_value(v.field("prev_multipliers")?)?;
         tr.counts = Vec::<[[u64; 5]; 2]>::from_value(v.field("counts")?)?;
-        if tr.prev_sets.len() != tr.areas.len() || tr.cur_sets.len() != tr.areas.len() {
-            return Err(serde::Error::custom("transition set count mismatch"));
-        }
-        if tr.counts.len() != tr.areas.len() {
-            return Err(serde::Error::custom("transition counts length mismatch"));
+        let n = tr.area_count();
+        let rows = [tr.prev_sets.len(), tr.cur_sets.len(), tr.counts.len()];
+        if rows != [n; 3] || tr.prev_multipliers.as_ref().is_some_and(|m| m.len() != n) {
+            return Err(serde::Error::custom("transition per-area row count mismatch"));
         }
         Ok(tr)
     }
@@ -244,11 +230,7 @@ mod tests {
     use super::*;
 
     fn two_areas() -> TransitionTracker {
-        let areas = vec![
-            Polygon::rect(Meters::new(0.0, 0.0), Meters::new(100.0, 100.0)),
-            Polygon::rect(Meters::new(100.0, 0.0), Meters::new(200.0, 100.0)),
-        ];
-        TransitionTracker::new(areas, vec![vec![1], vec![0]])
+        TransitionTracker::new(vec![vec![1], vec![0]])
     }
 
     #[test]
@@ -264,16 +246,16 @@ mod tests {
     fn transition_states_tallied() {
         let mut tr = two_areas();
         // Interval 0: cars 1, 2 in area 0; car 3 in area 1.
-        tr.observe(1, Meters::new(50.0, 50.0));
-        tr.observe(2, Meters::new(60.0, 50.0));
-        tr.observe(3, Meters::new(150.0, 50.0));
+        tr.observe(1, 0);
+        tr.observe(2, 0);
+        tr.observe(3, 1);
         tr.close_interval(&[1.0, 1.0]);
         // Interval 1: car 1 stays (Old); car 2 moves to area 1 (MoveOut
         // from 0 / MoveIn to 1); car 3 vanishes (Dying in 1); car 4
         // appears in area 0 (New).
-        tr.observe(1, Meters::new(55.0, 50.0));
-        tr.observe(2, Meters::new(150.0, 60.0));
-        tr.observe(4, Meters::new(40.0, 40.0));
+        tr.observe(1, 0);
+        tr.observe(2, 1);
+        tr.observe(4, 0);
         tr.close_interval(&[1.0, 1.0]);
 
         // Equal context, area 0: New=1 (car4), Old=1 (car1), Out=1 (car2).
@@ -285,10 +267,10 @@ mod tests {
     #[test]
     fn surging_context_counted_separately() {
         let mut tr = two_areas();
-        tr.observe(1, Meters::new(50.0, 50.0));
+        tr.observe(1, 0);
         // Area 0 surging 0.5 above area 1 during interval 0.
         tr.close_interval(&[1.5, 1.0]);
-        tr.observe(1, Meters::new(50.0, 50.0));
+        tr.observe(1, 0);
         tr.close_interval(&[1.5, 1.0]);
         // Transition conditioned on interval 0's multipliers → surging ctx.
         assert_eq!(tr.counts(0, 1), [0, 1, 0, 0, 0], "Old under surging context");
@@ -299,11 +281,11 @@ mod tests {
     fn probabilities_normalize() {
         let mut tr = two_areas();
         for id in 0..10 {
-            tr.observe(id, Meters::new(50.0, 50.0));
+            tr.observe(id, 0);
         }
         tr.close_interval(&[1.0, 1.0]);
         for id in 0..5 {
-            tr.observe(id, Meters::new(50.0, 50.0));
+            tr.observe(id, 0);
         }
         tr.close_interval(&[1.0, 1.0]);
         let p = tr.probabilities(0, 0).unwrap();
@@ -319,25 +301,19 @@ mod tests {
         let mut a = two_areas();
         // One closed interval plus a half-open one so both prev and cur
         // sets are non-empty at checkpoint time.
-        a.observe(1, Meters::new(50.0, 50.0));
-        a.observe(2, Meters::new(150.0, 50.0));
+        a.observe(1, 0);
+        a.observe(2, 1);
         a.close_interval(&[1.5, 1.0]);
-        a.observe(1, Meters::new(55.0, 50.0));
-        a.observe(3, Meters::new(150.0, 60.0));
+        a.observe(1, 0);
+        a.observe(3, 1);
 
         let v = a.save_state();
-        let mut b = {
-            let areas = vec![
-                Polygon::rect(Meters::new(0.0, 0.0), Meters::new(100.0, 100.0)),
-                Polygon::rect(Meters::new(100.0, 0.0), Meters::new(200.0, 100.0)),
-            ];
-            TransitionTracker::restore_state(areas, vec![vec![1], vec![0]], &v).unwrap()
-        };
+        let mut b = TransitionTracker::restore_state(vec![vec![1], vec![0]], &v).unwrap();
         assert_eq!(b.save_state(), v, "canonical round trip");
 
         for tr in [&mut a, &mut b] {
             tr.close_interval(&[1.5, 1.0]);
-            tr.observe(1, Meters::new(150.0, 50.0));
+            tr.observe(1, 1);
             tr.close_interval(&[1.0, 1.0]);
         }
         for area in 0..2 {
@@ -351,7 +327,7 @@ mod tests {
     #[test]
     fn first_interval_produces_no_transitions() {
         let mut tr = two_areas();
-        tr.observe(1, Meters::new(50.0, 50.0));
+        tr.observe(1, 0);
         tr.close_interval(&[1.0, 1.0]);
         assert_eq!(tr.counts(0, 0), [0; 5], "no previous interval to compare");
     }

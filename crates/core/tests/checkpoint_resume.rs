@@ -10,13 +10,14 @@
 //! Equality is asserted on `persist::campaign_encoded`, the canonical
 //! byte encoding in which equal bytes ⇔ deep bit-exact equality.
 
+use serde::Value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use surgescope_city::CityModel;
 use surgescope_core::persist::{campaign_encoded, replay_campaign};
 use surgescope_core::{CampaignConfig, CampaignRunner, StoreHooks};
 use surgescope_simcore::FaultPlan;
-use surgescope_store::{fnv1a64, StoreError};
+use surgescope_store::{fnv1a64, read_checkpoint, StoreError};
 
 fn temp_path(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -152,6 +153,75 @@ fn checkpoint_file_matches_pinned_bytes() {
         "checkpoint file ({} bytes) diverged from the pinned format",
         bytes.len()
     );
+}
+
+fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    match v {
+        Value::Map(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+        _ => panic!("{key}: parent is not a map"),
+    }
+}
+
+/// A checkpoint with a row missing from a per-client or per-area field,
+/// or with the estimator's area polygons not the city's, must be refused
+/// by `resume`. Resumed, it would panic ticks later or attribute UberX
+/// to the wrong areas.
+#[test]
+fn resume_rejects_malformed_row_counts() {
+    let ckpt = temp_path("rows.ckpt");
+    let mut cfg = base_cfg(FaultPlan::none(), 1);
+    cfg.store.checkpoint_path = Some(ckpt.clone());
+    let mut runner = CampaignRunner::new(CityModel::manhattan_midtown(), &cfg).unwrap();
+    // 27.5 minutes in: five intervals closed and the sixth's probe pending.
+    for _ in 0..330 {
+        runner.tick().unwrap();
+    }
+    runner.write_checkpoint().unwrap();
+    let (_, v) = read_checkpoint(&ckpt).unwrap();
+    let _ = std::fs::remove_file(&ckpt);
+    assert!(CampaignRunner::resume(&v, StoreHooks::none()).is_ok());
+
+    let fields: &[&[&str]] = &[
+        &["client_surge"],
+        &["client_ewt"],
+        &["daily_sets"],
+        &["client_daily_cars"],
+        &["interval_sets"],
+        &["interval_car_sum"],
+        &["interval_car_n"],
+        &["interval_seen"],
+        &["ewt_sum"],
+        &["ewt_n"],
+        &["client_delivered"],
+        &["api_surge"],
+        &["api_ewt"],
+        &["avg_visible"],
+        &["inst_sum"],
+        &["probe_pending"],
+        &["estimator", "ids_by_area"],
+        &["estimator", "supply_area"],
+        &["estimator", "deaths_area"],
+        &["estimator", "areas"],
+        &["transitions", "prev_multipliers"],
+    ];
+    for path in fields {
+        let mut bad = v.clone();
+        let rows = path.iter().fold(&mut bad, |at, key| field_mut(at, key));
+        let Value::Seq(rows) = rows else { panic!("{path:?} is not a sequence") };
+        rows.pop().expect("a row to drop");
+        assert!(
+            CampaignRunner::resume(&bad, StoreHooks::none()).is_err(),
+            "{path:?} one row short resumed"
+        );
+    }
+    // Same count, other polygons: the estimator would attribute UberX to
+    // areas the tracker and the runner's per-area sets no longer match.
+    let mut bad = v.clone();
+    let Value::Seq(polys) = field_mut(field_mut(&mut bad, "estimator"), "areas") else {
+        panic!("estimator areas are not a sequence")
+    };
+    polys.swap(0, 1);
+    assert!(CampaignRunner::resume(&bad, StoreHooks::none()).is_err(), "swapped areas resumed");
 }
 
 #[test]

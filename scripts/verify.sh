@@ -89,6 +89,23 @@ run_named_tests -p surgescope-marketplace --lib -- \
 run_named_tests -p surgescope-api --lib -- \
   service::tests::snapshot_ewt_matches_marketplace_ewt
 
+echo "== estimator: per-tick sighting memo =="
+# The estimator skips a sighting that repeats, bit for bit, the last one
+# it applied for that car at the same time, and hands each applied UberX
+# sighting's surge area to the transition tracker and the runner's
+# per-area sets. It must end every tick in the state of an estimator
+# that never skips, and report each tick's (car, area) pairs exactly.
+# The memo is never serialized: the estimator and the tracker must
+# continue identically from a round trip, and resume must refuse a
+# checkpoint whose per-client or per-area rows, or estimator areas, do
+# not match the lattice and the city.
+run_named_tests -p surgescope-core --lib -- \
+  estimate::tests::memo_matches_memoryless_reference \
+  estimate::tests::serde_round_trip_mid_campaign_continues_identically \
+  transitions::tests::save_restore_continues_identically
+run_named_tests -p surgescope-core --test checkpoint_resume -- \
+  resume_rejects_malformed_row_counts
+
 echo "== transport: fault-tolerance gate =="
 cargo test -q --release --test fault_tolerance
 
