@@ -10,8 +10,7 @@
 //!   Figs. 20–21 ([`corr`]);
 //! * ordinary least squares with R² for the Table 1 forecasting models
 //!   ([`ols`]);
-//! * union-find for surge-area clustering ([`UnionFind`]);
-//! * 2-D spatial binning for the heatmap figures ([`SpatialGrid`]).
+//! * union-find for surge-area clustering ([`UnionFind`]).
 //!
 //! The special functions backing the p-values (log-gamma, regularized
 //! incomplete beta) are implemented in [`special`] — pulling in a stats
@@ -26,13 +25,11 @@ pub mod special;
 pub mod stats;
 
 mod ecdf;
-mod spatial;
 mod unionfind;
 
 pub use corr::{autocorrelation, cross_correlation, pearson, CorrResult, LagCorr};
 pub use ecdf::Ecdf;
 pub use ols::{OlsFit, OlsModel};
-pub use spatial::SpatialGrid;
 pub use stats::{mean, mean_ci95, std_dev, MeanCi};
 pub use unionfind::UnionFind;
 

@@ -26,13 +26,6 @@ pub struct CarInfo {
     pub path: Arc<PathVector>,
 }
 
-impl CarInfo {
-    /// Path positions oldest-to-newest (the wire representation).
-    pub fn path_points(&self) -> impl Iterator<Item = LatLng> + '_ {
-        self.path.points()
-    }
-}
-
 /// Equality is wire equality: the path compares by its points. The
 /// `PathVector` ring-buffer capacity is transport-invisible (the JSON
 /// form is a bare point list), so it must not affect `==` — a response

@@ -37,11 +37,6 @@ impl DemandProfile {
     pub fn scaled(&self, k: f64) -> DemandProfile {
         DemandProfile { weekday: self.weekday.scaled(k), weekend: self.weekend.scaled(k) }
     }
-
-    /// Mean weekday requests/hour (diagnostic).
-    pub fn weekday_mean(&self) -> f64 {
-        self.weekday.daily_mean()
-    }
 }
 
 /// Target number of drivers online for a region over the day.

@@ -247,12 +247,6 @@ pub struct CampaignData {
 }
 
 impl CampaignData {
-    /// Per-area measured UberX surge series at interval resolution,
-    /// taken from the API probe (jitter-free by construction).
-    pub fn area_surge_series(&self, area: usize) -> &[f32] {
-        &self.api_surge[area]
-    }
-
     /// Clients located in `area`.
     pub fn clients_in_area(&self, area: usize) -> Vec<usize> {
         self.client_area
@@ -653,11 +647,6 @@ impl CampaignRunner {
     /// The configuration in force (store hooks included).
     pub fn config(&self) -> &CampaignConfig {
         &self.cfg
-    }
-
-    /// Bytes written to the event log so far (0 without a log).
-    pub fn log_bytes_written(&self) -> u64 {
-        self.log.as_ref().map_or(0, LogWriter::bytes_written)
     }
 
     /// Delayed responses currently in flight (diagnostic; non-zero at a

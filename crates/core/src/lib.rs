@@ -32,7 +32,6 @@ pub mod calibration;
 pub mod campaign;
 pub mod estimate;
 pub mod forecast;
-pub mod logs;
 pub mod persist;
 pub mod surge_obs;
 pub mod transitions;
@@ -42,8 +41,6 @@ mod remote;
 mod systems;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignData, CampaignRunner, StoreHooks};
-pub use observe::{
-    response_to_observations, ClientSpec, ObservedCar, PingObservation, TypeObservation,
-};
+pub use observe::{response_to_observations, ClientSpec, ObservedCar, TypeObservation};
 pub use remote::{ChaosSpec, RemoteMeasuredSystem, RemoteOptions, RemoteWorldSpec, RetryPolicy};
 pub use systems::{MeasuredSystem, SystemMetrics, TaxiSystem, UberSystem};

@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 use surgescope_api::PingClientResponse;
 use surgescope_city::CarType;
 use surgescope_geo::{LocalProjection, Meters};
-use surgescope_simcore::SimTime;
 
 /// A client slot in the measurement fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -38,24 +37,6 @@ pub struct TypeObservation {
     pub ewt_min: f64,
     /// Surge multiplier shown to this client.
     pub surge: f64,
-}
-
-/// A full ping observation from one client.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PingObservation {
-    /// When the ping happened.
-    pub at: SimTime,
-    /// Index of the client in the fleet.
-    pub client: usize,
-    /// Per-tier blocks.
-    pub types: Vec<TypeObservation>,
-}
-
-impl PingObservation {
-    /// The block for one tier, if present.
-    pub fn of_type(&self, t: CarType) -> Option<&TypeObservation> {
-        self.types.iter().find(|b| b.car_type == t)
-    }
 }
 
 /// Converts a full `pingClient` wire response into the per-tier blocks a
@@ -102,22 +83,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn of_type_lookup() {
-        let obs = PingObservation {
-            at: SimTime(5),
-            client: 2,
-            types: vec![TypeObservation {
-                car_type: CarType::UberX,
-                cars: vec![],
-                ewt_min: 3.0,
-                surge: 1.2,
-            }],
-        };
-        assert_eq!(obs.of_type(CarType::UberX).unwrap().surge, 1.2);
-        assert!(obs.of_type(CarType::UberPool).is_none());
-    }
-
-    #[test]
     fn latest_of_type_prefers_last_arrival() {
         let block = |surge: f64| TypeObservation {
             car_type: CarType::UberX,
@@ -133,23 +98,20 @@ mod tests {
         assert!(latest_of_type(&[], CarType::UberX).is_none());
     }
 
+    /// One client's blocks as checkpoints serialize them.
     #[test]
     fn serde_roundtrip() {
-        let obs = PingObservation {
-            at: SimTime(10),
-            client: 0,
-            types: vec![TypeObservation {
-                car_type: CarType::UberBlack,
-                cars: vec![ObservedCar {
-                    id: 7,
-                    position: Meters::new(1.0, 2.0),
-                    displacement: Some(Meters::new(10.0, 0.0)),
-                }],
-                ewt_min: 5.5,
-                surge: 1.0,
+        let blocks = vec![TypeObservation {
+            car_type: CarType::UberBlack,
+            cars: vec![ObservedCar {
+                id: 7,
+                position: Meters::new(1.0, 2.0),
+                displacement: Some(Meters::new(10.0, 0.0)),
             }],
-        };
-        let json = serde_json::to_string(&obs).unwrap();
-        assert_eq!(serde_json::from_str::<PingObservation>(&json).unwrap(), obs);
+            ewt_min: 5.5,
+            surge: 1.0,
+        }];
+        let json = serde_json::to_string(&blocks).unwrap();
+        assert_eq!(serde_json::from_str::<Vec<TypeObservation>>(&json).unwrap(), blocks);
     }
 }

@@ -170,15 +170,6 @@ fn campaign_from_parts(
     Ok(data)
 }
 
-/// Parses [`campaign_to_value`] output back into a [`CampaignData`].
-pub fn campaign_from_value(v: &Value) -> Result<CampaignData, StoreError> {
-    campaign_from_parts(
-        v,
-        bits_to_f32_rows(v.field("client_surge")?)?,
-        bits_to_f32_rows(v.field("client_ewt")?)?,
-    )
-}
-
 /// Deterministically replays a campaign log into the [`CampaignData`] it
 /// recorded, **without re-running the simulation**: TICK records are
 /// transposed into the per-client series and the FINISH record supplies

@@ -17,6 +17,15 @@
 //! server still holds the send-time snapshot) and parked in the same
 //! [`Transport`] queue until its delivery tick.
 //!
+//! ## Threading
+//!
+//! A tick's pings split the clients into contiguous chunks, one per
+//! connection. The calling thread answers the first connection's chunk
+//! and a scoped thread each further one, so one connection spawns no
+//! thread and K connections spawn K − 1. `ADVANCE` decodes nothing: the
+//! calling thread writes every connection's request, then reads every
+//! ack.
+//!
 //! ## Resilience
 //!
 //! No wire failure panics. Every mid-campaign operation runs under a
@@ -170,21 +179,21 @@ struct Conn {
     /// Bumped per reconnect so each incarnation draws a fresh fault
     /// schedule instead of replaying the one that just killed it.
     incarnation: u64,
-    /// Backoff jitter stream — per connection, so the threaded ping
-    /// fan-out retries without sharing RNG state.
+    /// Backoff jitter stream — per connection, so connections retrying
+    /// on different threads share no RNG state.
     jitter: SimRng,
 }
 
-/// The shared context a retry loop needs to re-establish a connection.
-/// Borrows only immutable/`Sync` state, so ping threads each retrying
-/// their own [`Conn`] can share one.
-struct RetryCtx<'a> {
-    addr: &'a str,
+/// Everything a retry loop needs to rebuild a party connection, built
+/// once at connect. It holds only `Sync` state, so the ping threads
+/// share it by reference while each retries its own [`Conn`].
+struct Link {
+    addr: String,
     campaign: u64,
-    policy: &'a RetryPolicy,
-    chaos: Option<&'a ChaosSpec>,
-    chaos_counters: &'a ChaosCounters,
-    res: &'a ResilienceMetrics,
+    policy: RetryPolicy,
+    chaos: Option<ChaosSpec>,
+    chaos_counters: ChaosCounters,
+    res: ResilienceMetrics,
 }
 
 /// Wraps a fresh socket in the (per-connection, per-incarnation) chaos
@@ -211,26 +220,20 @@ fn wrap_stream(
 /// Tears down and re-establishes one party connection: connect, HELLO,
 /// RESUME (re-attach to the campaign without consuming a party slot),
 /// then arm the chaos schedule of the new incarnation.
-fn reconnect(conn: &mut Conn, ctx: &RetryCtx<'_>) -> io::Result<()> {
+fn reconnect(conn: &mut Conn, link: &Link) -> io::Result<()> {
     let t0 = Instant::now();
-    let raw = connect_raw(ctx.addr, ctx.policy.op_timeout)?;
+    let raw = connect_raw(&link.addr, link.policy.op_timeout)?;
     let inc = conn.incarnation + 1;
-    let mut stream = wrap_stream(raw, ctx.chaos, ctx.chaos_counters, conn.index, inc);
+    let mut stream = wrap_stream(raw, link.chaos.as_ref(), &link.chaos_counters, conn.index, inc);
     hello(&mut stream)?;
-    let v = Value::Map(vec![("campaign".into(), ctx.campaign.to_value())]);
-    let (kind, _) = rpc(&mut stream, wire::REQ_RESUME, &v)?;
-    if kind != wire::RESP_OK {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("RESUME answered with {kind:#04x}"),
-        ));
-    }
+    let v = Value::Map(vec![("campaign".into(), link.campaign.to_value())]);
+    wire::call(&mut stream, wire::REQ_RESUME, &v, wire::RESP_OK)?;
     stream.arm();
     conn.stream = stream;
     conn.incarnation = inc;
-    ctx.res.resumes.incr();
-    ctx.res.reconnects.incr();
-    ctx.res.reconnect_us.record(t0.elapsed().as_micros() as u64);
+    link.res.resumes.incr();
+    link.res.reconnects.incr();
+    link.res.reconnect_us.record(t0.elapsed().as_micros() as u64);
     Ok(())
 }
 
@@ -241,10 +244,10 @@ fn reconnect(conn: &mut Conn, ctx: &RetryCtx<'_>) -> io::Result<()> {
 /// re-send blind (every campaign verb is; see the module docs).
 fn with_retry<T>(
     conn: &mut Conn,
-    ctx: &RetryCtx<'_>,
+    link: &Link,
     mut op: impl FnMut(&mut Conn) -> io::Result<T>,
 ) -> io::Result<T> {
-    let mut backoff = Backoff::new(ctx.policy.backoff_base, ctx.policy.backoff_cap);
+    let mut backoff = Backoff::new(link.policy.backoff_base, link.policy.backoff_cap);
     let mut attempts = 0u32;
     let mut last;
     loop {
@@ -253,19 +256,19 @@ fn with_retry<T>(
             Err(e) => last = e,
         }
         loop {
-            if attempts >= ctx.policy.max_retries {
+            if attempts >= link.policy.max_retries {
                 return Err(io::Error::new(
                     io::ErrorKind::Other,
                     format!(
                         "circuit breaker open: retry budget of {} exhausted (last: {last})",
-                        ctx.policy.max_retries
+                        link.policy.max_retries
                     ),
                 ));
             }
             attempts += 1;
-            ctx.res.retries.incr();
+            link.res.retries.incr();
             std::thread::sleep(backoff.next_delay(&mut conn.jitter));
-            match reconnect(conn, ctx) {
+            match reconnect(conn, link) {
                 Ok(()) => break,
                 Err(e) => last = e,
             }
@@ -277,11 +280,10 @@ fn with_retry<T>(
 /// `surgescope-serve` lockstep campaign. See the module docs for the
 /// determinism and resilience contracts.
 pub struct RemoteMeasuredSystem {
-    addr: String,
     /// Party connections; `conns[0]` opened the campaign and carries the
-    /// probe traffic. Clients are fanned out over all of them.
+    /// probe traffic. Each carries one contiguous chunk of the clients.
     conns: Vec<Conn>,
-    campaign: u64,
+    link: Link,
     tick: u64,
     tick_secs: u64,
     proj: LocalProjection,
@@ -290,10 +292,6 @@ pub struct RemoteMeasuredSystem {
     transport: Transport<Vec<TypeObservation>>,
     outcomes: Vec<FaultOutcome>,
     metrics: SystemMetrics,
-    policy: RetryPolicy,
-    chaos: Option<ChaosSpec>,
-    chaos_counters: ChaosCounters,
-    res: ResilienceMetrics,
     /// Breaker state: the message of the failure that exhausted a retry
     /// budget. Once set, every wire op is a no-op and
     /// [`RemoteMeasuredSystem::fault`] reports the campaign as dead.
@@ -349,13 +347,7 @@ impl RemoteMeasuredSystem {
             ("surge_policy".into(), spec.surge_policy.to_value()),
             ("party".into(), (connections as u64).to_value()),
         ]);
-        let (kind, v) = rpc(&mut first.stream, wire::REQ_OPEN, &open)?;
-        if kind != wire::RESP_OPEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("OPEN answered with {kind:#04x}"),
-            ));
-        }
+        let v = wire::call(&mut first.stream, wire::REQ_OPEN, &open, wire::RESP_OPEN)?;
         let campaign =
             u64::from_value(v.field("campaign").map_err(invalid)?).map_err(invalid)?;
         conns.push(first);
@@ -364,13 +356,7 @@ impl RemoteMeasuredSystem {
         for index in 1..connections {
             let mut conn = mk_conn(index, connect_raw(addr, policy.op_timeout)?);
             hello(&mut conn.stream)?;
-            let (kind, _) = rpc(&mut conn.stream, wire::REQ_JOIN, &join)?;
-            if kind != wire::RESP_OK {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("JOIN answered with {kind:#04x}"),
-                ));
-            }
+            wire::call(&mut conn.stream, wire::REQ_JOIN, &join, wire::RESP_OK)?;
             conns.push(conn);
         }
         for conn in &mut conns {
@@ -378,9 +364,15 @@ impl RemoteMeasuredSystem {
         }
 
         Ok(RemoteMeasuredSystem {
-            addr: addr.to_string(),
             conns,
-            campaign,
+            link: Link {
+                addr: addr.to_string(),
+                campaign,
+                policy,
+                chaos,
+                chaos_counters,
+                res: ResilienceMetrics::new(),
+            },
             tick: 0,
             tick_secs: 5,
             proj: spec.city.projection,
@@ -389,10 +381,6 @@ impl RemoteMeasuredSystem {
             transport: Transport::new(),
             outcomes: Vec::new(),
             metrics: SystemMetrics::default(),
-            policy,
-            chaos,
-            chaos_counters,
-            res: ResilienceMetrics::new(),
             broken: None,
         })
     }
@@ -419,7 +407,7 @@ impl RemoteMeasuredSystem {
 
     fn trip(&mut self, e: &io::Error) {
         if self.broken.is_none() {
-            self.res.breaker_trips.incr();
+            self.link.res.breaker_trips.incr();
             self.broken = Some(e.to_string());
         }
     }
@@ -433,12 +421,13 @@ impl RemoteMeasuredSystem {
         reg.adopt_counter("pings.dropped", &self.metrics.pings_dropped);
         reg.adopt_timer("phase.ping", &self.metrics.ping);
         self.transport.metrics().register(reg);
-        reg.adopt_counter("resilience.retries", &self.res.retries);
-        reg.adopt_counter("resilience.reconnects", &self.res.reconnects);
-        reg.adopt_counter("resilience.resumes", &self.res.resumes);
-        reg.adopt_counter("resilience.breaker_trips", &self.res.breaker_trips);
-        reg.adopt_timing_histogram("resilience.reconnect_us", &self.res.reconnect_us);
-        self.chaos_counters.register(reg);
+        let res = &self.link.res;
+        reg.adopt_counter("resilience.retries", &res.retries);
+        reg.adopt_counter("resilience.reconnects", &res.reconnects);
+        reg.adopt_counter("resilience.resumes", &res.resumes);
+        reg.adopt_counter("resilience.breaker_trips", &res.breaker_trips);
+        reg.adopt_timing_histogram("resilience.reconnect_us", &res.reconnect_us);
+        self.link.chaos_counters.register(reg);
     }
 
     /// `estimates/price` probe on the campaign's current tick snapshot.
@@ -475,20 +464,12 @@ impl RemoteMeasuredSystem {
             return Ok(Vec::new());
         }
         let payload = Value::Map(vec![
-            ("campaign".into(), self.campaign.to_value()),
+            ("campaign".into(), self.link.campaign.to_value()),
             ("account".into(), account.to_value()),
             ("lat".into(), loc.lat.to_value()),
             ("lng".into(), loc.lng.to_value()),
         ]);
-        let ctx = RetryCtx {
-            addr: &self.addr,
-            campaign: self.campaign,
-            policy: &self.policy,
-            chaos: self.chaos.as_ref(),
-            chaos_counters: &self.chaos_counters,
-            res: &self.res,
-        };
-        let r = with_retry(&mut self.conns[0], &ctx, |c| {
+        let r = with_retry(&mut self.conns[0], &self.link, |c| {
             let (kind, v) = rpc(&mut c.stream, req, &payload)?;
             decode_estimates::<T>(kind, &v, resp, account)
         });
@@ -508,24 +489,9 @@ impl RemoteMeasuredSystem {
         if let Some(e) = self.fault() {
             return Err(e);
         }
-        let payload = Value::Map(vec![("campaign".into(), self.campaign.to_value())]);
-        let ctx = RetryCtx {
-            addr: &self.addr,
-            campaign: self.campaign,
-            policy: &self.policy,
-            chaos: self.chaos.as_ref(),
-            chaos_counters: &self.chaos_counters,
-            res: &self.res,
-        };
-        let v = with_retry(&mut self.conns[0], &ctx, |c| {
-            let (kind, v) = rpc(&mut c.stream, wire::REQ_FINISH, &payload)?;
-            if kind != wire::RESP_FINISH {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("FINISH answered with {kind:#04x}"),
-                ));
-            }
-            Ok(v)
+        let payload = Value::Map(vec![("campaign".into(), self.link.campaign.to_value())]);
+        let v = with_retry(&mut self.conns[0], &self.link, |c| {
+            wire::call(&mut c.stream, wire::REQ_FINISH, &payload, wire::RESP_FINISH)
         })?;
         GroundTruth::from_value(v.field("truth").map_err(invalid)?).map_err(invalid)
     }
@@ -636,24 +602,16 @@ impl MeasuredSystem for RemoteMeasuredSystem {
         }
         self.tick += 1;
         let v = Value::Map(vec![
-            ("campaign".into(), self.campaign.to_value()),
+            ("campaign".into(), self.link.campaign.to_value()),
             ("tick".into(), self.tick.to_value()),
         ]);
         let frame = wire::frame_bytes(wire::REQ_ADVANCE, &v);
         let err = 'wire: {
-            let ctx = RetryCtx {
-                addr: &self.addr,
-                campaign: self.campaign,
-                policy: &self.policy,
-                chaos: self.chaos.as_ref(),
-                chaos_counters: &self.chaos_counters,
-                res: &self.res,
-            };
             // Phase 1: put every party member's ADVANCE on the wire. A
             // reconnect mid-phase re-sends on the fresh socket; nobody
             // blocks, because no response is awaited yet.
             for conn in &mut self.conns {
-                let sent = with_retry(conn, &ctx, |c| {
+                let sent = with_retry(conn, &self.link, |c| {
                     c.stream.write_all(&frame)?;
                     c.stream.flush()
                 });
@@ -666,7 +624,7 @@ impl MeasuredSystem for RemoteMeasuredSystem {
             // ADVANCE first — idempotent against the completed barrier.
             for conn in &mut self.conns {
                 let mut resend = false;
-                let acked = with_retry(conn, &ctx, |c| {
+                let acked = with_retry(conn, &self.link, |c| {
                     if resend {
                         c.stream.write_all(&frame)?;
                         c.stream.flush()?;
@@ -696,12 +654,12 @@ impl MeasuredSystem for RemoteMeasuredSystem {
     }
 
     /// Same contract as the in-process system: serial fault pre-pass in
-    /// client order, per-connection fan-out over contiguous client
-    /// chunks, delayed responses queued and merged in `(sent_tick,
-    /// client)` order. The barrier froze the server's world, so the
-    /// interleaving of requests across connections cannot change what
-    /// any ping observes — which is also why a whole chunk can be
-    /// re-sent blind after a reconnect.
+    /// client order, each connection answering one contiguous chunk of
+    /// clients, delayed responses queued and merged in `(sent_tick,
+    /// client)` order. The barrier froze the server's world, so which
+    /// thread sends a chunk, and when, cannot change what any ping
+    /// observes — which is also why a whole chunk can be re-sent blind
+    /// after a reconnect.
     fn ping_all_into(&mut self, clients: &[ClientSpec], out: &mut Vec<Vec<TypeObservation>>) {
         if self.broken.is_some() {
             return;
@@ -710,13 +668,7 @@ impl MeasuredSystem for RemoteMeasuredSystem {
         let faults = self.faults;
         let fault_rng = &mut self.fault_rng;
         self.outcomes.clear();
-        self.outcomes.extend(clients.iter().map(|_| {
-            if faults.is_none() {
-                FaultOutcome::Deliver
-            } else {
-                faults.decide(fault_rng)
-            }
-        }));
+        self.outcomes.extend(clients.iter().map(|_| faults.decide(fault_rng)));
         let (mut delivered, mut delayed, mut dropped) = (0u64, 0u64, 0u64);
         for oc in &self.outcomes {
             match oc {
@@ -733,84 +685,44 @@ impl MeasuredSystem for RemoteMeasuredSystem {
         out.resize_with(n, Vec::new);
         out.truncate(n);
 
-        let n_conns = self.conns.len().min(n.max(1));
-        let chunk_size = n.div_ceil(n_conns.max(1)).max(1);
-        let ctx = RetryCtx {
-            addr: &self.addr,
-            campaign: self.campaign,
-            policy: &self.policy,
-            chaos: self.chaos.as_ref(),
-            chaos_counters: &self.chaos_counters,
-            res: &self.res,
-        };
-        let proj = self.proj;
-        let campaign = self.campaign;
-        let tick_secs = self.tick_secs;
-        let outcomes = &self.outcomes;
-        let late: io::Result<Vec<(usize, u64, Vec<TypeObservation>)>> = if n_conns <= 1 {
-            with_retry(&mut self.conns[0], &ctx, |c| {
-                ping_chunk(
-                    &mut c.stream,
-                    campaign,
-                    &proj,
-                    clients,
-                    outcomes,
-                    out,
-                    0,
-                    tick_secs,
-                )
-            })
-        } else {
-            // One thread per connection, each owning a contiguous chunk
-            // of clients, the matching slice of `out`, and its own retry
-            // loop (per-connection jitter streams keep the schedules
-            // deterministic under the fan-out). Chunks are
-            // client-ordered and so is the concatenation of their
-            // delayed lists.
-            let ctx = &ctx;
-            let mut results: Vec<io::Result<Vec<(usize, u64, Vec<TypeObservation>)>>> =
-                Vec::new();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                let mut rest = &mut out[..];
-                let mut base = 0usize;
-                for conn in self.conns.iter_mut().take(n_conns) {
-                    let take = chunk_size.min(rest.len());
-                    let (chunk_out, tail) = rest.split_at_mut(take);
-                    rest = tail;
-                    let chunk_clients = &clients[base..base + take];
-                    let chunk_outcomes = &outcomes[base..base + take];
-                    let chunk_base = base;
-                    base += take;
-                    handles.push(scope.spawn(move || {
-                        with_retry(conn, ctx, |c| {
-                            ping_chunk(
-                                &mut c.stream,
-                                campaign,
-                                &proj,
-                                chunk_clients,
-                                chunk_outcomes,
-                                chunk_out,
-                                chunk_base,
-                                tick_secs,
-                            )
-                        })
-                    }));
-                }
-                for h in handles {
-                    results.push(h.join().unwrap_or_else(|_| {
-                        Err(io::Error::new(
-                            io::ErrorKind::Other,
-                            "remote ping thread panicked",
-                        ))
-                    }));
+        // Chunks of ceil(n / K) clients, one per connection in order;
+        // connections past the last chunk carry no pings this tick.
+        let chunk = n.div_ceil(self.conns.len()).max(1);
+        let (link, proj, tick_secs) = (&self.link, &self.proj, self.tick_secs);
+        let mut jobs = self
+            .conns
+            .iter_mut()
+            .zip(clients.chunks(chunk).zip(self.outcomes.chunks(chunk)).zip(out.chunks_mut(chunk)))
+            .enumerate()
+            .map(move |(i, (conn, ((clients, outcomes), slots)))| {
+                move || {
+                    with_retry(conn, link, |c| {
+                        ping_chunk(
+                            &mut c.stream,
+                            link.campaign,
+                            proj,
+                            clients,
+                            outcomes,
+                            slots,
+                            i * chunk,
+                            tick_secs,
+                        )
+                    })
                 }
             });
-            results.into_iter().collect::<io::Result<Vec<_>>>().map(|chunks| {
-                chunks.into_iter().flatten().collect()
-            })
-        };
-
+        // The calling thread answers the first connection's chunk and a
+        // scoped thread each further one: K connections cost K - 1
+        // threads. Results are joined in chunk order, so the delayed
+        // lists concatenate in client order.
+        let late = std::thread::scope(|s| {
+            let first = jobs.next();
+            let rest: Vec<_> = jobs.map(|job| s.spawn(job)).collect();
+            let mut late = vec![first.map_or_else(|| Ok(Vec::new()), |mut job| job())];
+            late.extend(rest.into_iter().map(|h| {
+                h.join().unwrap_or_else(|_| Err(io::Error::other("remote ping thread panicked")))
+            }));
+            late.into_iter().collect::<io::Result<Vec<_>>>()
+        });
         let late = match late {
             Ok(late) => late,
             Err(e) => {
@@ -820,7 +732,7 @@ impl MeasuredSystem for RemoteMeasuredSystem {
         };
 
         // Serial post-pass in client order, exactly like the local path.
-        for (client, ticks, payload) in late {
+        for (client, ticks, payload) in late.into_iter().flatten() {
             self.transport.send_delayed(client, ticks, payload);
         }
         for env in self.transport.take_due() {

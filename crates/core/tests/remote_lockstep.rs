@@ -7,7 +7,7 @@
 
 use surgescope_city::CityModel;
 use surgescope_core::persist::campaign_encoded;
-use surgescope_core::{CampaignConfig, CampaignRunner};
+use surgescope_core::{CampaignConfig, CampaignData, CampaignRunner};
 use surgescope_serve::{ServeConfig, Server};
 use surgescope_simcore::FaultPlan;
 
@@ -24,11 +24,11 @@ fn lockstep_cfg(seed: u64, faults: FaultPlan) -> CampaignConfig {
     cfg
 }
 
-fn run_local(cfg: &CampaignConfig) -> Vec<u8> {
+fn run_local(cfg: &CampaignConfig) -> CampaignData {
     let mut runner = CampaignRunner::new(CityModel::san_francisco_downtown(), cfg)
         .expect("local campaign");
     runner.run_to_end().expect("local run");
-    campaign_encoded(&runner.finish().expect("local finish"))
+    runner.finish().expect("local finish")
 }
 
 fn run_remote(addr: &str, cfg: &CampaignConfig, connections: usize) -> Vec<u8> {
@@ -56,7 +56,7 @@ fn remote_campaign_matches_local_bytes_clean_and_faulted() {
     ];
     for (label, faults) in plans {
         let cfg = lockstep_cfg(7_0931, faults);
-        let local = run_local(&cfg);
+        let local = campaign_encoded(&run_local(&cfg));
         for connections in [1usize, 4] {
             let remote = run_remote(&addr, &cfg, connections);
             assert_eq!(
@@ -65,6 +65,28 @@ fn remote_campaign_matches_local_bytes_clean_and_faulted() {
                  diverged from the in-process bytes"
             );
         }
+    }
+    server.shutdown();
+}
+
+/// More connections than chunks: 6 clients over 4 connections are split
+/// into chunks of 2, 2 and 2, so the fourth connection carries no pings
+/// but still joins every ADVANCE barrier.
+#[test]
+fn more_connections_than_chunks_matches_local_bytes() {
+    let mut server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let faulted = FaultPlan { drop_chance: 0.05, delay_chance: 0.15, max_delay_secs: 20 };
+    for (label, faults) in [("clean", FaultPlan::none()), ("faulted", faulted)] {
+        let mut cfg = lockstep_cfg(7_0931, faults);
+        cfg.spacing_override_m = Some(1000.0);
+        let local = run_local(&cfg);
+        assert_eq!(local.clients.len(), 6, "the lattice this test is sized for");
+        assert_eq!(
+            campaign_encoded(&local),
+            run_remote(&addr, &cfg, 4),
+            "{label}: 4 connections over 3 chunks diverged from the in-process bytes"
+        );
     }
     server.shutdown();
 }

@@ -76,12 +76,7 @@ fn resume_campaign(ckpt: &PathBuf, ctx: &RunCtx, campaigns: &CampaignCache) {
     // replay it instead of re-simulating.
     let hooks = match cache::cache_dir(ctx) {
         Some(dir) if std::fs::create_dir_all(&dir).is_ok() => {
-            let key = cache::cache_key(&city_name, &cfg);
-            StoreHooks {
-                log_path: Some(cache::log_path(&dir, key)),
-                checkpoint_path: Some(cache::checkpoint_path(&dir, key)),
-                checkpoint_every_ticks: Some(((cfg.hours * 720) / 8).max(720)),
-            }
+            cache::store_hooks(&dir, cache::cache_key(&city_name, &cfg), cfg.hours)
         }
         _ => StoreHooks::none(),
     };

@@ -164,6 +164,17 @@ pub fn checkpoint_path(dir: &std::path::Path, key: u64) -> PathBuf {
     dir.join(format!("campaign-{key:016x}.ckpt"))
 }
 
+/// Store hooks of a cached campaign of `hours` simulated hours: its log
+/// and checkpoint in `dir`, checkpointed ~8 times per campaign and at
+/// least hourly.
+pub fn store_hooks(dir: &std::path::Path, key: u64, hours: u64) -> StoreHooks {
+    StoreHooks {
+        log_path: Some(log_path(dir, key)),
+        checkpoint_path: Some(checkpoint_path(dir, key)),
+        checkpoint_every_ticks: Some(((hours * 720) / 8).max(720)),
+    }
+}
+
 impl CampaignCache {
     /// Empty cache.
     pub fn new() -> Self {
@@ -361,12 +372,7 @@ impl CampaignCache {
                 }
             }
             if std::fs::create_dir_all(dir).is_ok() {
-                cfg.store = StoreHooks {
-                    log_path: Some(lp),
-                    checkpoint_path: Some(checkpoint_path(dir, key)),
-                    // ~8 checkpoints per campaign, at least hourly chunks.
-                    checkpoint_every_ticks: Some(((cfg.hours * 720) / 8).max(720)),
-                };
+                cfg.store = store_hooks(dir, key, cfg.hours);
             }
         }
 

@@ -179,9 +179,9 @@ fn describe(t: &Prefetch) -> String {
 /// last while the short jobs finish. Task *start order* is the sorted
 /// order at any `jobs` value — workers claim the next unstarted index —
 /// so the plan logged under `[schedule]` is deterministic. Returns the
-/// number of distinct prefetch tasks. With `jobs <= 1` the tasks run
-/// serially on the caller's thread in the same order — same work, same
-/// cache contents, no thread machinery.
+/// number of distinct prefetch tasks. The caller's thread is worker 0,
+/// so with one job the tasks run serially on it in the same order — same
+/// work, same cache contents, no thread spawned.
 pub fn prefetch(ids: &[String], ctx: &RunCtx, cache: &CampaignCache, jobs: usize) -> usize {
     let mut seen = HashSet::new();
     let mut want_taxi = false;
@@ -239,29 +239,23 @@ pub fn prefetch(ids: &[String], ctx: &RunCtx, cache: &CampaignCache, jobs: usize
             );
         }
     };
-    if jobs <= 1 {
-        let busy = reg.timer("schedule.worker00.busy");
-        let _span = busy.start();
-        for t in &tasks {
-            run_isolated(t);
-        }
-        return n;
-    }
     let busy: Vec<Timer> = (0..jobs)
         .map(|w| reg.timer(&format!("schedule.worker{w:02}.busy")))
         .collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for timer in &busy {
-            s.spawn(|| {
-                let _span = timer.start();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(t) = tasks.get(i) else { break };
-                    run_isolated(t);
-                }
-            });
+    let drain = |timer: &Timer| {
+        let _span = timer.start();
+        while let Some(t) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
+            run_isolated(t);
         }
+    };
+    // The caller is worker 0; `jobs - 1` scoped threads claim from the
+    // same index, so `--jobs 1` spawns no thread.
+    std::thread::scope(|s| {
+        for timer in &busy[1..] {
+            s.spawn(|| drain(timer));
+        }
+        drain(&busy[0]);
     });
     n
 }

@@ -29,11 +29,6 @@ impl LatLng {
         LatLng { lat, lng }
     }
 
-    /// Great-circle distance in metres to `other`.
-    pub fn dist_m(self, other: LatLng) -> f64 {
-        haversine_m(self, other)
-    }
-
     /// Moves this point `distance_m` metres along `bearing_deg` (clockwise
     /// from north) using a local planar approximation. Exact enough for the
     /// ≤ tens-of-kilometres scales this library works at (error < 0.01%).

@@ -161,9 +161,9 @@ fn drive_conn(
             next_send += period;
         }
         let t0 = Instant::now();
-        match wire::rpc(&mut stream, wire::REQ_PING, &ping) {
-            Ok((wire::RESP_PING, _)) => latencies.push(t0.elapsed().as_micros() as u64),
-            Ok(_) | Err(_) => {
+        match wire::call(&mut stream, wire::REQ_PING, &ping, wire::RESP_PING) {
+            Ok(_) => latencies.push(t0.elapsed().as_micros() as u64),
+            Err(_) => {
                 errors.fetch_add(1, Ordering::Relaxed);
                 break;
             }
@@ -180,16 +180,6 @@ pub(crate) fn connect(addr: &str) -> io::Result<TcpStream> {
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
     wire::hello(&mut stream)?;
     Ok(stream)
-}
-
-/// Sends one request and returns the reply's payload if its kind is
-/// `want`.
-fn request(stream: &mut TcpStream, kind: u8, payload: &Value, want: u8) -> io::Result<Value> {
-    let (got, v) = wire::rpc(stream, kind, payload)?;
-    if got != want {
-        return Err(invalid(format!("request {kind:#04x} answered with {got:#04x}")));
-    }
-    Ok(v)
 }
 
 fn invalid(e: impl std::fmt::Display) -> io::Error {
@@ -215,7 +205,7 @@ pub(crate) fn open_campaign(
         ("surge_policy".into(), SurgePolicy::Threshold.to_value()),
         ("party".into(), party.to_value()),
     ]);
-    let v = request(stream, wire::REQ_OPEN, &open, wire::RESP_OPEN)?;
+    let v = wire::call(stream, wire::REQ_OPEN, &open, wire::RESP_OPEN)?;
     u64::from_value(v.field("campaign").map_err(invalid)?).map_err(invalid)
 }
 
@@ -226,7 +216,7 @@ pub(crate) fn advance(stream: &mut TcpStream, campaign: u64, tick: u64) -> io::R
         ("campaign".into(), campaign.to_value()),
         ("tick".into(), tick.to_value()),
     ]);
-    let v = request(stream, wire::REQ_ADVANCE, &v, wire::RESP_OK)?;
+    let v = wire::call(stream, wire::REQ_ADVANCE, &v, wire::RESP_OK)?;
     let at = u64::from_value(v.field("tick").map_err(invalid)?).map_err(invalid)?;
     if at != tick {
         return Err(invalid(format!("ADVANCE to tick {tick} answered tick {at}")));

@@ -20,6 +20,15 @@
 //! which is what makes a remote campaign byte-identical to the in-process
 //! one at any connection count.
 //!
+//! ## Framing
+//!
+//! The server parses frames with the client's reader,
+//! [`wire::read_frame_with`], reading in `POLL` slices. Only its stall
+//! policy is its own: an idle connection waits indefinitely, and a read
+//! that times out inside a frame once `io_timeout` has passed since the
+//! frame's first byte drops the connection as a slow-loris. Every
+//! framing violation costs the connection and one `serve.frame_errors`.
+//!
 //! ## Shutdown
 //!
 //! `Server::shutdown` flips a flag; each worker finishes the request it is
@@ -27,10 +36,10 @@
 //! the configured drain window and closes only from an idle frame
 //! boundary. A request fully written before shutdown is always answered.
 
-use crate::wire;
+use crate::wire::{self, WireError};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -428,115 +437,6 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, busy: &Timer) {
     }
 }
 
-/// What the poll-reader produced.
-enum Next {
-    Frame(u8, Value, u64),
-    /// Peer closed cleanly at a frame boundary.
-    Closed,
-    /// Shutdown observed at an idle frame boundary, drain window spent.
-    Drained,
-    /// Framing violation (slow-loris stalls included).
-    Bad(String),
-    Io,
-}
-
-/// Reads one frame, polling in `POLL` slices so the shutdown flag is
-/// observed promptly. Idle connections (no frame in progress) wait
-/// indefinitely; once a frame's first byte arrives the whole frame must
-/// complete within `io_timeout` or the connection is a slow-loris.
-fn next_frame(stream: &mut TcpStream, shared: &Shared, drained_by: &mut Option<Instant>) -> Next {
-    let mut prefix = [0u8; 4];
-    let mut got = 0usize;
-    let mut started: Option<Instant> = None;
-    while got < 4 {
-        match stream.read(&mut prefix[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Next::Closed
-                } else {
-                    Next::Bad("truncated length prefix".into())
-                }
-            }
-            Ok(n) => {
-                if started.is_none() {
-                    started = Some(Instant::now());
-                }
-                got += n;
-            }
-            Err(e) if stalled(&e) => {
-                match started {
-                    None => {
-                        // Idle boundary: no request in progress.
-                        if shared.shutdown.load(Ordering::Relaxed) {
-                            let deadline = *drained_by
-                                .get_or_insert_with(|| Instant::now() + shared.drain);
-                            if Instant::now() >= deadline {
-                                return Next::Drained;
-                            }
-                        }
-                    }
-                    Some(t0) => {
-                        if t0.elapsed() > shared.io_timeout {
-                            return Next::Bad(
-                                "slow-loris: stalled inside length prefix".into(),
-                            );
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Next::Io,
-        }
-    }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len == 0 || len > shared.max_frame {
-        return Next::Bad(format!("frame length {len} outside 1..={}", shared.max_frame));
-    }
-    let deadline = started.expect("frame started") + shared.io_timeout;
-    let mut crc_word = [0u8; 4];
-    if let Err(n) = read_to_deadline(stream, &mut crc_word, deadline, "crc") {
-        return n;
-    }
-    let mut body = vec![0u8; len];
-    if let Err(n) = read_to_deadline(stream, &mut body, deadline, "body") {
-        return n;
-    }
-    if surgescope_store::crc32::crc32(&body) != u32::from_le_bytes(crc_word) {
-        return Next::Bad("crc mismatch".into());
-    }
-    match wire::decode_body(&body) {
-        Ok((kind, value)) => Next::Frame(kind, value, (8 + len) as u64),
-        Err(e) => Next::Bad(e.to_string()),
-    }
-}
-
-fn stalled(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-}
-
-fn read_to_deadline(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    deadline: Instant,
-    what: &str,
-) -> Result<(), Next> {
-    let mut got = 0;
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => return Err(Next::Bad(format!("stream closed mid-frame ({what})"))),
-            Ok(n) => got += n,
-            Err(e) if stalled(&e) => {
-                if Instant::now() >= deadline {
-                    return Err(Next::Bad(format!("slow-loris: stalled inside {what}")));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(Next::Io),
-        }
-    }
-    Ok(())
-}
-
 /// A response frame plus whether the connection must close after it.
 struct Reply {
     kind: u8,
@@ -563,56 +463,69 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream, busy: &Timer) {
 
     let mut session: Option<u64> = None;
     let mut drained_by: Option<Instant> = None;
+    let mut stalled = |_: io::Error, started: Option<Instant>| match started {
+        // Inside a frame: a slow-loris once `io_timeout` has passed since
+        // its first byte (checked only here, when a read times out).
+        Some(t0) if t0.elapsed() > shared.io_timeout => {
+            Err(WireError::Malformed("slow-loris: frame stalled past io_timeout".into()))
+        }
+        Some(_) => Ok(()),
+        // At a frame boundary: wait, unless a shutdown's drain window is
+        // spent, which closes the connection cleanly.
+        None if !shared.shutdown.load(Ordering::Relaxed) => Ok(()),
+        None => {
+            let deadline = *drained_by.get_or_insert_with(|| Instant::now() + shared.drain);
+            if Instant::now() >= deadline {
+                Err(WireError::Closed)
+            } else {
+                Ok(())
+            }
+        }
+    };
     loop {
-        match next_frame(&mut stream, shared, &mut drained_by) {
-            Next::Frame(kind, payload, nbytes) => {
-                shared.metrics.frames_in.incr();
-                shared.metrics.bytes_in.add(nbytes);
-                let _span = busy.start();
-                // Handlers run behind a panic boundary: a panicking
-                // request must cost its own connection, never the worker
-                // thread (sibling sessions recover any lock it poisoned
-                // via `lock_ok`).
-                let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handle_request(shared, &mut session, kind, &payload)
-                }))
-                .unwrap_or_else(|_| {
-                    shared.metrics.worker_panics.incr();
-                    Err("internal error: request handler panicked".into())
-                });
-                let (reply, close) = match reply {
-                    Ok(r) => {
-                        let close = r.close;
-                        ((r.kind, r.payload), close)
-                    }
-                    // Protocol errors are answered, then the connection
-                    // closes — a confused peer should not keep going.
-                    Err(msg) => ((wire::RESP_ERR, err_value(&msg)), true),
-                };
-                match wire::write_frame(&mut stream, reply.0, &reply.1) {
-                    Ok(n) => {
-                        shared.metrics.frames_out.incr();
-                        shared.metrics.bytes_out.add(n);
-                    }
-                    Err(_) => {
-                        // The peer vanished with a request in flight.
-                        shared.metrics.frame_errors.incr();
-                        break;
-                    }
-                }
-                if close {
+        let (kind, payload, nbytes) =
+            match wire::read_frame_with(&mut stream, shared.max_frame, &mut stalled) {
+                Ok(frame) => frame,
+                // A clean close, or a drain window spent at a frame boundary.
+                Err(WireError::Closed) => break,
+                Err(_) => {
+                    shared.metrics.frame_errors.incr();
                     break;
                 }
+            };
+        shared.metrics.frames_in.incr();
+        shared.metrics.bytes_in.add(nbytes);
+        let _span = busy.start();
+        // Handlers run behind a panic boundary: a panicking request must
+        // cost its own connection, never the worker thread (sibling
+        // sessions recover any lock it poisoned via `lock_ok`).
+        let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle_request(shared, &mut session, kind, &payload)
+        }))
+        .unwrap_or_else(|_| {
+            shared.metrics.worker_panics.incr();
+            Err("internal error: request handler panicked".into())
+        })
+        // Protocol errors are answered, then the connection closes — a
+        // confused peer should not keep going.
+        .unwrap_or_else(|msg| Reply {
+            kind: wire::RESP_ERR,
+            payload: err_value(&msg),
+            close: true,
+        });
+        match wire::write_frame(&mut stream, reply.kind, &reply.payload) {
+            Ok(n) => {
+                shared.metrics.frames_out.incr();
+                shared.metrics.bytes_out.add(n);
             }
-            Next::Closed | Next::Drained => break,
-            Next::Bad(_msg) => {
+            Err(_) => {
+                // The peer vanished with a request in flight.
                 shared.metrics.frame_errors.incr();
                 break;
             }
-            Next::Io => {
-                shared.metrics.frame_errors.incr();
-                break;
-            }
+        }
+        if reply.close {
+            break;
         }
     }
     shared.active.fetch_sub(1, Ordering::SeqCst);

@@ -18,11 +18,18 @@
 //! connection speaks strictly request→response in order; pipelining is
 //! allowed (the lockstep client writes a whole tick's pings before
 //! reading), the server answers in arrival order.
+//!
+//! One reader, [`read_frame_with`], parses frames on both sides. The
+//! sides differ only in what a socket timeout means, which the caller's
+//! `stalled` closure decides: the client ([`read_frame`]) fails the read,
+//! while the server waits at a frame boundary and drops a frame that
+//! stalls once its I/O deadline has passed.
 
 use serde::{Deserialize, Serialize, Value};
 use std::io::{self, Read, Write};
+use std::time::Instant;
 use surgescope_store::crc32::crc32;
-use surgescope_store::{decode_value, encode_to_vec};
+use surgescope_store::{decode_value, encode_value};
 
 /// Protocol version carried in the HELLO handshake.
 pub const PROTO_VERSION: u64 = 1;
@@ -123,18 +130,18 @@ impl WireError {
     }
 }
 
-/// Renders one complete frame (`len | crc | kind | payload`) into bytes.
+/// Renders one complete frame (`len | crc | kind | payload`) into bytes,
+/// encoding the payload straight into the frame's buffer.
 pub fn frame_bytes(kind: u8, payload: &Value) -> Vec<u8> {
-    let enc = encode_to_vec(payload);
-    let len = (1 + enc.len()) as u32;
-    let mut out = Vec::with_capacity(8 + 1 + enc.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    // CRC over the body = kind byte followed by the encoded payload.
-    let mut body = Vec::with_capacity(1 + enc.len());
-    body.push(kind);
-    body.extend_from_slice(&enc);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(&[0; 8]);
+    out.push(kind);
+    encode_value(payload, &mut out);
+    let len = (out.len() - 8) as u32;
+    // The CRC covers the body: the kind byte and the encoded payload.
+    let crc = crc32(&out[8..]);
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4..8].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -156,49 +163,30 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &Value) -> io::Result<
     Ok(bytes.len() as u64)
 }
 
-/// Reads exactly `buf.len()` bytes. Distinguishes a clean close before
-/// the first byte (`Closed`) from a stream that dies mid-read
-/// (`Malformed`) — the caller decides whether a clean close at a frame
-/// boundary is an error.
-fn read_exact_or_close(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), WireError> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) if got == 0 => return Err(WireError::Closed),
-            Ok(0) => {
-                return Err(WireError::Malformed(format!(
-                    "truncated {what}: got {got} of {} bytes",
-                    buf.len()
-                )))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
-/// Blocking frame read (client side; the server uses its own polling
-/// reader so it can watch the shutdown flag). Returns the decoded kind,
-/// payload, and total bytes consumed.
-pub fn read_frame(
-    r: &mut impl Read,
+/// Reads one frame, client and server alike: the length, checked
+/// against `max_frame` before anything else is read, then the CRC and
+/// the body. A read that times out goes to `stalled` with the instant
+/// the frame's first byte arrived (`None` while none has); `Ok` keeps
+/// waiting and an error ends the read with it. Returns the decoded kind,
+/// payload and total bytes consumed.
+pub fn read_frame_with<R: Read>(
+    r: &mut R,
     max_frame: usize,
+    mut stalled: impl FnMut(io::Error, Option<Instant>) -> Result<(), WireError>,
 ) -> Result<(u8, Value, u64), WireError> {
+    let mut started = None;
     let mut word = [0u8; 4];
-    read_exact_or_close(r, &mut word, "length prefix")?;
+    fill(r, &mut word, &mut started, &mut stalled)?;
     let len = u32::from_le_bytes(word) as usize;
     if len == 0 || len > max_frame {
         return Err(WireError::Malformed(format!(
             "frame length {len} outside 1..={max_frame}"
         )));
     }
-    let mut crc_word = [0u8; 4];
-    read_exact_or_close(r, &mut crc_word, "crc").map_err(mid_frame)?;
-    let want_crc = u32::from_le_bytes(crc_word);
+    fill(r, &mut word, &mut started, &mut stalled)?;
+    let want_crc = u32::from_le_bytes(word);
     let mut body = vec![0u8; len];
-    read_exact_or_close(r, &mut body, "body").map_err(mid_frame)?;
+    fill(r, &mut body, &mut started, &mut stalled)?;
     if crc32(&body) != want_crc {
         return Err(WireError::Malformed("crc mismatch".into()));
     }
@@ -206,10 +194,63 @@ pub fn read_frame(
     Ok((kind, value, (8 + len) as u64))
 }
 
+/// Fills `buf`, stamping `started` at the frame's first byte. A close
+/// before that byte is `Closed`; a close after it truncates the frame.
+fn fill<R: Read>(
+    r: &mut R,
+    buf: &mut [u8],
+    started: &mut Option<Instant>,
+    stalled: &mut impl FnMut(io::Error, Option<Instant>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) if started.is_none() => return Err(WireError::Closed),
+            Ok(0) => return Err(WireError::Malformed("stream closed mid-frame".into())),
+            Ok(n) => {
+                started.get_or_insert_with(Instant::now);
+                got += n;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                stalled(e, *started)?
+            }
+            Err(e) => return Err(WireError::Io(e)),
+        }
+    }
+    Ok(())
+}
+
+/// Blocking frame read (client side): a socket timeout is an error.
+pub fn read_frame(
+    r: &mut impl Read,
+    max_frame: usize,
+) -> Result<(u8, Value, u64), WireError> {
+    read_frame_with(r, max_frame, |e, _| Err(WireError::Io(e)))
+}
+
 /// One blocking request/response exchange (client side).
 pub fn rpc<S: Read + Write>(stream: &mut S, kind: u8, payload: &Value) -> io::Result<(u8, Value)> {
     write_frame(stream, kind, payload)?;
     read_reply(stream)
+}
+
+/// [`rpc`] for a request with one acceptable reply kind: any other kind
+/// is an error naming both.
+pub fn call<S: Read + Write>(
+    stream: &mut S,
+    kind: u8,
+    payload: &Value,
+    want: u8,
+) -> io::Result<Value> {
+    let (got, v) = rpc(stream, kind, payload)?;
+    if got != want {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request {kind:#04x} answered with {got:#04x}"),
+        ));
+    }
+    Ok(v)
 }
 
 /// Reads one response frame (client side), surfacing a server-side
@@ -231,22 +272,7 @@ pub fn read_reply<S: Read>(stream: &mut S) -> io::Result<(u8, Value)> {
 /// exchange.
 pub fn hello<S: Read + Write>(stream: &mut S) -> io::Result<()> {
     let hello = Value::Map(vec![("proto".into(), PROTO_VERSION.to_value())]);
-    let (kind, _) = rpc(stream, REQ_HELLO, &hello)?;
-    if kind != RESP_HELLO {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("handshake answered with {kind:#04x}"),
-        ));
-    }
-    Ok(())
-}
-
-/// A close after the length prefix is mid-frame, never clean.
-fn mid_frame(e: WireError) -> WireError {
-    match e {
-        WireError::Closed => WireError::Malformed("stream closed mid-frame".into()),
-        other => other,
-    }
+    call(stream, REQ_HELLO, &hello, RESP_HELLO).map(drop)
 }
 
 #[cfg(test)]
@@ -295,6 +321,25 @@ mod tests {
             read_frame(&mut partial, DEFAULT_MAX_FRAME),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    /// A frame is byte for byte the record an event log appends after its
+    /// 24-byte header: one grammar on disk and on the wire.
+    #[test]
+    fn frame_bytes_match_log_record_bytes() {
+        let payload = Value::Map(vec![
+            ("campaign".into(), 3u64.to_value()),
+            ("lat".into(), f64::NAN.to_value()),
+        ]);
+        let path = std::env::temp_dir()
+            .join(format!("surgescope-wire-frame-{}.sslog", std::process::id()));
+        let mut log = surgescope_store::LogWriter::create(&path, 0).unwrap();
+        log.append(RESP_PING, &payload).unwrap();
+        log.finish().unwrap();
+        let file = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let record = &file[surgescope_store::log::HEADER_LEN..];
+        assert_eq!(record, &frame_bytes(RESP_PING, &payload)[..]);
     }
 
     #[test]

@@ -129,6 +129,35 @@ fn slow_loris_partial_write_is_dropped() {
     await_count(|| server.metrics().frame_errors.get(), 1, "serve.frame_errors");
 }
 
+#[test]
+fn stall_after_the_length_prefix_is_dropped() {
+    let cfg = ServeConfig { io_timeout: Duration::from_millis(200), ..ServeConfig::default() };
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let mut stream = connect(&server);
+    hello(&mut stream);
+    // A whole, valid length prefix and half the CRC, then silence with
+    // the socket held open: the stall is inside the frame, not at its
+    // boundary, so the mid-frame deadline must cut us off.
+    stream.write_all(&16u32.to_le_bytes()).expect("send length prefix");
+    stream.write_all(&[0xAB, 0xCD]).expect("send half the crc");
+    assert_closed(&mut stream);
+    await_count(|| server.metrics().frame_errors.get(), 1, "serve.frame_errors");
+}
+
+#[test]
+fn idle_connection_outlives_io_timeout() {
+    let io_timeout = Duration::from_millis(200);
+    let server =
+        Server::bind("127.0.0.1:0", ServeConfig { io_timeout, ..ServeConfig::default() })
+            .expect("bind");
+    let mut stream = connect(&server);
+    hello(&mut stream);
+    // Silence at a frame boundary is an idle client, not a slow-loris.
+    std::thread::sleep(3 * io_timeout);
+    hello(&mut stream);
+    assert_eq!(server.metrics().frame_errors.get(), 0);
+}
+
 /// A production build serves none of these kinds: 0x7F and 0x09–0x0B are
 /// unassigned, and 0x0D, the crash verb, exists only in the serve crate's
 /// unit-test build.

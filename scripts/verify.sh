@@ -133,6 +133,39 @@ run_named_tests -p surgescope-core --test checkpoint_resume -- \
   truncated_log_errors_cleanly \
   corrupted_log_fails_crc_cleanly
 
+echo "== serve: one frame reader, one ping loop =="
+# Client and server parse frames through one reader and differ only in
+# what a stalled read means. The server waits at an idle frame boundary,
+# drops a frame stalled past io_timeout of its first byte, refuses an
+# oversized length on the prefix alone, and answers what arrives inside
+# the shutdown drain window. A frame is byte for byte an event-log
+# record. The remote client answers the first connection's chunk of
+# clients on the calling thread and a scoped thread each further one; at
+# 1 and 4 connections, with a connection left without pings, and under
+# chaos, its campaigns must equal the in-process bytes.
+run_named_tests -p surgescope-serve --test robustness -- \
+  stall_after_the_length_prefix_is_dropped \
+  idle_connection_outlives_io_timeout \
+  slow_loris_partial_write_is_dropped \
+  oversized_frame_rejected_with_error_count \
+  truncated_length_prefix_closes_with_error_count \
+  shutdown_drains_inflight_requests
+run_named_tests -p surgescope-serve --lib -- \
+  wire::tests::frame_roundtrip \
+  wire::tests::crc_flip_detected \
+  wire::tests::clean_close_vs_truncated_prefix \
+  wire::tests::oversized_length_rejected_before_allocation \
+  wire::tests::frame_bytes_match_log_record_bytes
+run_named_tests -p surgescope-core --test remote_lockstep -- \
+  remote_campaign_matches_local_bytes_clean_and_faulted \
+  more_connections_than_chunks_matches_local_bytes \
+  remote_campaign_rejects_store_hooks \
+  server_deterministic_counters_stable_across_reruns
+run_named_tests -p surgescope-core --test remote_chaos -- \
+  chaotic_remote_campaign_matches_local_bytes_clean_and_faulted \
+  zero_retry_budget_trips_the_breaker_and_local_fallback_matches \
+  chaos_injection_counts_are_deterministic_per_seed
+
 echo "== scheduler: --jobs CSV byte-identity (jobs=1 vs jobs=4) =="
 # A shared-campaign subset of `repro --quick` must emit byte-identical
 # CSVs whether campaigns are simulated serially or prefetched on 4
