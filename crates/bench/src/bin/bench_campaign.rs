@@ -215,7 +215,7 @@ fn run_serve(conns: usize) -> ServePoint {
 /// Resilience layer under chaos: a remote campaign against a loopback
 /// server whose connections are sabotaged by the seeded reference fault
 /// schedule. Records how many reconnects the retry layer absorbed and
-/// the reconnect-recovery latency percentiles (connect + HELLO + RESUME,
+/// the reconnect-recovery latency percentiles (connect + HELLO,
 /// read from the `resilience.reconnect_us` timing buckets) — the price
 /// of surviving a flaky wire without losing a byte.
 struct ResiliencePoint {

@@ -2,8 +2,8 @@
 //! encoded [`CampaignData`] bytes to a file.
 //!
 //! With `--remote ADDR` the campaign is measured **over the wire**
-//! against a `surgescope-serve` endpoint (a lockstep party of `--conns`
-//! sockets); without it the same config runs in-process. The output is
+//! against a `surgescope-serve` endpoint over `--conns` sockets;
+//! without it the same config runs in-process. The output is
 //! `persist::campaign_encoded` — floats as raw IEEE-754 bits — so a
 //! plain `cmp` of the two files is the serving layer's byte-identity
 //! gate:
@@ -34,7 +34,7 @@ fn usage() -> ! {
          \x20 --hours N     simulated hours (default 1 = 720 ticks)\n\
          \x20 --remote A    measure over the wire against the server at A\n\
          \x20               (default: in-process)\n\
-         \x20 --conns K     lockstep connections for --remote (default 2)\n\
+         \x20 --conns K     connections for --remote (default 2)\n\
          \x20 --chaos SEED  sabotage the remote connections with the seeded\n\
          \x20               reference fault schedule (resets, truncations,\n\
          \x20               stalls); the retry layer must still produce\n\

@@ -264,8 +264,7 @@ impl CampaignData {
 const PROBE_OFFSET_SECS: u64 = 45;
 
 /// The measured system behind a campaign: the in-process simulated
-/// marketplace, or a lockstep party of sockets to a `surgescope-serve`
-/// endpoint. Both expose the same [`MeasuredSystem`] surface plus the
+/// marketplace, or a set of sockets to a `surgescope-serve` endpoint. Both expose the same [`MeasuredSystem`] surface plus the
 /// interval API probes; every byte the runner accumulates is identical
 /// across the two (that is the serving layer's determinism contract,
 /// regression-locked by the lockstep integration tests).
@@ -308,8 +307,8 @@ impl SystemBackend {
 
     /// `estimates/price` against the current tick's state. The local arm
     /// reuses the tick's cached snapshot (the pings above captured it);
-    /// the remote arm asks the server, whose world is frozen at the same
-    /// tick by the lockstep barrier.
+    /// the remote arm asks the server, whose world stays at the same tick
+    /// until the client's next `ADVANCE`.
     fn probe_price(
         &mut self,
         account: u64,
@@ -513,7 +512,7 @@ impl CampaignRunner {
 
     /// Builds a campaign measured **over the wire**: the marketplace runs
     /// inside a `surgescope-serve` server at `addr`, and this process
-    /// drives it through a lockstep party of `connections` sockets. The
+    /// drives it through `connections` sockets. The
     /// resulting [`CampaignData`] is byte-identical to the in-process
     /// [`CampaignRunner::new`] run with the same config — clean or
     /// faulted, at any connection count.
@@ -724,8 +723,9 @@ impl CampaignRunner {
         // API probe once per interval, after the propagation delay.
         if now.seconds_into_surge_interval() == PROBE_OFFSET_SECS {
             // Same tick as ping_all above: the local backend reuses its
-            // cached snapshot, the remote one probes the barrier-frozen
-            // server world — both read the identical state.
+            // cached snapshot, the remote one probes the server world,
+            // frozen until the next ADVANCE — both read the identical
+            // state.
             let mut this_interval = Vec::with_capacity(self.n_areas);
             let mut limited_logged = self.probe_limited_logged;
             for (ai, centroid) in self.centroids.iter().enumerate() {

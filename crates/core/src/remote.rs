@@ -4,27 +4,30 @@
 //! [`RemoteMeasuredSystem`] reproduces that topology against a
 //! `surgescope-serve` endpoint. The campaign runner drives it through the
 //! exact same trait surface as the in-process [`crate::UberSystem`], and
-//! the combination of the server's lockstep barrier, the serial fault
-//! pre-pass here, and the shared wire/local observation conversion
+//! the combination of the client's tick order, the serial fault pre-pass
+//! here, and the shared wire/local observation conversion
 //! ([`crate::observe::response_to_observations`]) makes the resulting
 //! `CampaignData` **byte-identical** to the in-process run — clean or
 //! faulted, at any connection count.
 //!
+//! The server ticks a campaign's world only when asked to: one `ADVANCE`
+//! per tick on the first connection. The client reads every reply of
+//! tick t before it sends `ADVANCE(t+1)`, so every request of a tick
+//! reads the same frozen world, whichever connection carries it.
+//!
 //! Fault injection stays client-side: the fault RNG is seeded exactly as
 //! `UberSystem` seeds it, draws happen in client order before any I/O, a
 //! `Drop` outcome suppresses the request entirely, and a `Delay(d)`
-//! response is fetched at its send tick (the barrier guarantees the
-//! server still holds the send-time snapshot) and parked in the same
-//! [`Transport`] queue until its delivery tick.
+//! response is fetched at its send tick (the world cannot move before
+//! the client's next `ADVANCE`) and parked in the same [`Transport`]
+//! queue until its delivery tick.
 //!
 //! ## Threading
 //!
 //! A tick's pings split the clients into contiguous chunks, one per
 //! connection. The calling thread answers the first connection's chunk
 //! and a scoped thread each further one, so one connection spawns no
-//! thread and K connections spawn K − 1. `ADVANCE` decodes nothing: the
-//! calling thread writes every connection's request, then reads every
-//! ack.
+//! thread and K connections spawn K − 1.
 //!
 //! ## Resilience
 //!
@@ -32,17 +35,16 @@
 //! [`RetryPolicy`]: on error the connection is torn down, the client
 //! sleeps a capped-exponential-backoff delay (jitter drawn from a seeded
 //! [`SimRng`] stream, so retry *schedules* are deterministic in tests),
-//! reconnects, re-attaches to the campaign with the `RESUME` verb, and
-//! re-sends the failed operation. Re-sends are safe because every verb is
-//! idempotent against the barrier-frozen world: pings and probes are pure
-//! reads, `ADVANCE` to the current tick acks immediately, and `FINISH`
-//! returns a cached truth. Once the per-op retry budget is exhausted a
-//! circuit breaker trips: the system marks itself broken, the runner's
-//! next fault check aborts the campaign with an `io::Error`, and the
-//! caller (the experiments cache) falls back to local execution — counted
-//! in `resilience.breaker_trips`, never silent. An optional [`ChaosSpec`]
-//! wires a [`ChaosStream`] fault schedule under the whole stack for the
-//! chaos byte-identity gates.
+//! reconnects (connect + `HELLO`), and re-sends the failed operation.
+//! Re-sends are safe because every verb is idempotent against the frozen
+//! world: pings and probes are pure reads, `ADVANCE` to the current tick
+//! is acknowledged again, and `FINISH` returns a cached truth. Once the
+//! per-op retry budget is exhausted a circuit breaker trips: the system
+//! marks itself broken, the runner's next fault check aborts the campaign
+//! with an `io::Error`, and the caller (the experiments cache) falls back
+//! to local execution — counted in `resilience.breaker_trips`, never
+//! silent. An optional [`ChaosSpec`] wires a [`ChaosStream`] fault
+//! schedule under the whole stack for the chaos byte-identity gates.
 
 use crate::observe::{response_to_observations, ClientSpec, TypeObservation};
 use crate::systems::{MeasuredSystem, SystemMetrics};
@@ -62,7 +64,7 @@ use surgescope_simcore::{
 };
 
 /// Parameters a remote campaign ships to the server when opening its
-/// lockstep world. Deliberately a subset of `CampaignConfig`: everything
+/// world. Deliberately a subset of `CampaignConfig`: everything
 /// the *server* needs to build the marketplace; client lattice, fault
 /// plan and estimator tuning stay client-side.
 pub struct RemoteWorldSpec<'a> {
@@ -133,11 +135,9 @@ struct ResilienceMetrics {
     retries: Counter,
     /// Connections successfully re-established.
     reconnects: Counter,
-    /// `RESUME` handshakes completed.
-    resumes: Counter,
     /// Retry budgets exhausted (the campaign aborts and falls back).
     breaker_trips: Counter,
-    /// Reconnect recovery latency (connect + HELLO + RESUME), µs.
+    /// Reconnect recovery latency (connect + HELLO), µs.
     reconnect_us: Histogram,
 }
 
@@ -151,7 +151,6 @@ impl ResilienceMetrics {
         ResilienceMetrics {
             retries: Counter::new(),
             reconnects: Counter::new(),
-            resumes: Counter::new(),
             breaker_trips: Counter::new(),
             reconnect_us: Histogram::new(RECONNECT_US_BOUNDS),
         }
@@ -171,10 +170,10 @@ fn connect_raw(addr: &str, op_timeout: Duration) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
-/// One party connection plus its per-connection deterministic streams.
+/// One connection plus its per-connection deterministic streams.
 struct Conn {
     stream: ChaosStream<TcpStream>,
-    /// Party slot (stable across reconnects; seeds the chaos stream).
+    /// Connection slot (stable across reconnects; seeds the chaos stream).
     index: usize,
     /// Bumped per reconnect so each incarnation draws a fresh fault
     /// schedule instead of replaying the one that just killed it.
@@ -184,7 +183,7 @@ struct Conn {
     jitter: SimRng,
 }
 
-/// Everything a retry loop needs to rebuild a party connection, built
+/// Everything a retry loop needs to rebuild a connection, built
 /// once at connect. It holds only `Sync` state, so the ping threads
 /// share it by reference while each retries its own [`Conn`].
 struct Link {
@@ -217,21 +216,17 @@ fn wrap_stream(
     }
 }
 
-/// Tears down and re-establishes one party connection: connect, HELLO,
-/// RESUME (re-attach to the campaign without consuming a party slot),
-/// then arm the chaos schedule of the new incarnation.
+/// Tears down and re-establishes one connection: connect, HELLO, then
+/// arm the chaos schedule of the new incarnation.
 fn reconnect(conn: &mut Conn, link: &Link) -> io::Result<()> {
     let t0 = Instant::now();
     let raw = connect_raw(&link.addr, link.policy.op_timeout)?;
     let inc = conn.incarnation + 1;
     let mut stream = wrap_stream(raw, link.chaos.as_ref(), &link.chaos_counters, conn.index, inc);
     hello(&mut stream)?;
-    let v = Value::Map(vec![("campaign".into(), link.campaign.to_value())]);
-    wire::call(&mut stream, wire::REQ_RESUME, &v, wire::RESP_OK)?;
     stream.arm();
     conn.stream = stream;
     conn.incarnation = inc;
-    link.res.resumes.incr();
     link.res.reconnects.incr();
     link.res.reconnect_us.record(t0.elapsed().as_micros() as u64);
     Ok(())
@@ -277,11 +272,12 @@ fn with_retry<T>(
 }
 
 /// A measurement fleet whose pings travel over real sockets to a
-/// `surgescope-serve` lockstep campaign. See the module docs for the
-/// determinism and resilience contracts.
+/// `surgescope-serve` campaign. See the module docs for the determinism
+/// and resilience contracts.
 pub struct RemoteMeasuredSystem {
-    /// Party connections; `conns[0]` opened the campaign and carries the
-    /// probe traffic. Each carries one contiguous chunk of the clients.
+    /// Connections; `conns[0]` opened the campaign and carries the
+    /// `ADVANCE` and probe traffic. Each carries one contiguous chunk of
+    /// the clients' pings.
     conns: Vec<Conn>,
     link: Link,
     tick: u64,
@@ -299,8 +295,8 @@ pub struct RemoteMeasuredSystem {
 }
 
 impl RemoteMeasuredSystem {
-    /// Connects a lockstep party of `connections` sockets to `addr` and
-    /// opens a campaign world there, with default transport options.
+    /// Connects `connections` sockets to `addr` and opens a campaign
+    /// world there, with default transport options.
     pub fn connect(
         addr: &str,
         spec: &RemoteWorldSpec<'_>,
@@ -311,10 +307,11 @@ impl RemoteMeasuredSystem {
     }
 
     /// [`RemoteMeasuredSystem::connect`] with explicit retry policy and
-    /// optional chaos injection. The initial handshakes (HELLO, OPEN,
-    /// JOIN) run clean — chaos arms once the party is up — and an
-    /// initial connect failure surfaces immediately (the caller's local
-    /// fallback is cheaper than a campaign that never existed).
+    /// optional chaos injection. The initial handshakes (HELLO on every
+    /// connection, OPEN on the first) run clean — chaos arms once every
+    /// connection is up — and an initial connect failure surfaces
+    /// immediately (the caller's local fallback is cheaper than a
+    /// campaign that never existed).
     pub fn connect_with(
         addr: &str,
         spec: &RemoteWorldSpec<'_>,
@@ -345,18 +342,14 @@ impl RemoteMeasuredSystem {
             ("seed".into(), spec.seed.to_value()),
             ("era".into(), spec.era.to_value()),
             ("surge_policy".into(), spec.surge_policy.to_value()),
-            ("party".into(), (connections as u64).to_value()),
         ]);
         let v = wire::call(&mut first.stream, wire::REQ_OPEN, &open, wire::RESP_OPEN)?;
         let campaign =
             u64::from_value(v.field("campaign").map_err(invalid)?).map_err(invalid)?;
         conns.push(first);
-
-        let join = Value::Map(vec![("campaign".into(), campaign.to_value())]);
         for index in 1..connections {
             let mut conn = mk_conn(index, connect_raw(addr, policy.op_timeout)?);
             hello(&mut conn.stream)?;
-            wire::call(&mut conn.stream, wire::REQ_JOIN, &join, wire::RESP_OK)?;
             conns.push(conn);
         }
         for conn in &mut conns {
@@ -385,7 +378,7 @@ impl RemoteMeasuredSystem {
         })
     }
 
-    /// Number of party connections.
+    /// Number of connections.
     pub fn connections(&self) -> usize {
         self.conns.len()
     }
@@ -424,7 +417,6 @@ impl RemoteMeasuredSystem {
         let res = &self.link.res;
         reg.adopt_counter("resilience.retries", &res.retries);
         reg.adopt_counter("resilience.reconnects", &res.reconnects);
-        reg.adopt_counter("resilience.resumes", &res.resumes);
         reg.adopt_counter("resilience.breaker_trips", &res.breaker_trips);
         reg.adopt_timing_histogram("resilience.reconnect_us", &res.reconnect_us);
         self.link.chaos_counters.register(reg);
@@ -532,7 +524,7 @@ fn decode_estimates<T: Deserialize>(
 ///
 /// Safe to re-run wholesale after a reconnect: every `out` slot is
 /// overwritten (or cleared) per attempt, the `delayed` list is rebuilt
-/// from scratch, and the barrier-frozen snapshot answers byte-identically
+/// from scratch, and the frozen snapshot answers byte-identically
 /// however often it is asked.
 #[allow(clippy::too_many_arguments)]
 fn ping_chunk(
@@ -589,12 +581,10 @@ fn ping_chunk(
 }
 
 impl MeasuredSystem for RemoteMeasuredSystem {
-    /// Hits the lockstep barrier: every connection requests the advance
-    /// (all writes first — the server releases nobody until the whole
-    /// party arrives), then all acknowledgements are read back. Each
-    /// phase retries per connection; a read-phase reconnect re-sends the
-    /// ADVANCE, which the server acks idempotently if the barrier already
-    /// completed. A retry budget running out trips the breaker instead of
+    /// Asks the server to tick the world: one `ADVANCE` on `conns[0]`,
+    /// under the retry policy. A reconnect re-sends it, and the server
+    /// acknowledges the current tick again if the first one already
+    /// landed. A retry budget running out trips the breaker instead of
     /// panicking — the runner's fault check aborts the campaign.
     fn advance_tick(&mut self) {
         if self.broken.is_some() {
@@ -605,44 +595,10 @@ impl MeasuredSystem for RemoteMeasuredSystem {
             ("campaign".into(), self.link.campaign.to_value()),
             ("tick".into(), self.tick.to_value()),
         ]);
-        let frame = wire::frame_bytes(wire::REQ_ADVANCE, &v);
-        let err = 'wire: {
-            // Phase 1: put every party member's ADVANCE on the wire. A
-            // reconnect mid-phase re-sends on the fresh socket; nobody
-            // blocks, because no response is awaited yet.
-            for conn in &mut self.conns {
-                let sent = with_retry(conn, &self.link, |c| {
-                    c.stream.write_all(&frame)?;
-                    c.stream.flush()
-                });
-                if let Err(e) = sent {
-                    break 'wire Some(e);
-                }
-            }
-            // Phase 2: collect the acks. On a retry the connection is
-            // fresh (no request pending), so the op re-sends the
-            // ADVANCE first — idempotent against the completed barrier.
-            for conn in &mut self.conns {
-                let mut resend = false;
-                let acked = with_retry(conn, &self.link, |c| {
-                    if resend {
-                        c.stream.write_all(&frame)?;
-                        c.stream.flush()?;
-                    }
-                    resend = true;
-                    let (kind, _) = read_reply(&mut c.stream)?;
-                    if kind != wire::RESP_OK {
-                        return Err(invalid(format!("ADVANCE answered with {kind:#04x}")));
-                    }
-                    Ok(())
-                });
-                if let Err(e) = acked {
-                    break 'wire Some(e);
-                }
-            }
-            None
-        };
-        if let Some(e) = err {
+        let acked = with_retry(&mut self.conns[0], &self.link, |c| {
+            wire::call(&mut c.stream, wire::REQ_ADVANCE, &v, wire::RESP_OK)
+        });
+        if let Err(e) = acked {
             self.trip(&e);
             return;
         }
@@ -656,10 +612,10 @@ impl MeasuredSystem for RemoteMeasuredSystem {
     /// Same contract as the in-process system: serial fault pre-pass in
     /// client order, each connection answering one contiguous chunk of
     /// clients, delayed responses queued and merged in `(sent_tick,
-    /// client)` order. The barrier froze the server's world, so which
-    /// thread sends a chunk, and when, cannot change what any ping
-    /// observes — which is also why a whole chunk can be re-sent blind
-    /// after a reconnect.
+    /// client)` order. The server's world stays frozen until the next
+    /// `ADVANCE`, so which thread sends a chunk, and when, cannot change
+    /// what any ping observes — which is also why a whole chunk can be
+    /// re-sent blind after a reconnect.
     fn ping_all_into(&mut self, clients: &[ClientSpec], out: &mut Vec<Vec<TypeObservation>>) {
         if self.broken.is_some() {
             return;

@@ -1,8 +1,8 @@
 //! The serving layer's determinism contract, regression-locked: a
-//! campaign measured **over the wire** (lockstep party of sockets to a
-//! `surgescope-serve` server) produces byte-identical [`CampaignData`] to
-//! the in-process run with the same config — clean and faulted, at any
-//! connection count. The oracle is [`persist::campaign_encoded`], which
+//! campaign measured **over the wire** (sockets to a `surgescope-serve`
+//! server, which ticks the world only on the client's one `ADVANCE` per
+//! tick) produces byte-identical [`CampaignData`] to the in-process run
+//! with the same config — clean and faulted, at any connection count. The oracle is [`persist::campaign_encoded`], which
 //! encodes floats as raw IEEE-754 bits, so NaN gaps must match too.
 
 use surgescope_city::CityModel;
@@ -70,8 +70,8 @@ fn remote_campaign_matches_local_bytes_clean_and_faulted() {
 }
 
 /// More connections than chunks: 6 clients over 4 connections are split
-/// into chunks of 2, 2 and 2, so the fourth connection carries no pings
-/// but still joins every ADVANCE barrier.
+/// into chunks of 2, 2 and 2, so the fourth connection only says HELLO
+/// and carries no pings.
 #[test]
 fn more_connections_than_chunks_matches_local_bytes() {
     let mut server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
@@ -108,7 +108,7 @@ fn remote_campaign_rejects_store_hooks() {
 
 /// The server's own deterministic-section counters (frames, bytes,
 /// campaign bookkeeping) are part of the observability contract: two
-/// fresh servers driven by identical lockstep campaigns must read
+/// fresh servers driven by identical remote campaigns must read
 /// byte-identical deterministic snapshots. Wall-clock timers live in the
 /// timing section, which is excluded.
 #[test]

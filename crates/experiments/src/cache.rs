@@ -282,7 +282,7 @@ impl CampaignCache {
         }
 
         // Remote measurement: the campaign runs against a serve endpoint
-        // over a lockstep party of sockets. Byte-identical to the local
+        // over a set of sockets. Byte-identical to the local
         // path, so it can share the in-process layer; the disk layers are
         // skipped (remote campaigns cannot stream the event log). A wire
         // failure degrades to the in-process path below with a warning —

@@ -95,8 +95,8 @@ pub struct ChaosStream<S> {
     inner: S,
     plan: Option<(ChaosPlan, SimRng)>,
     counters: ChaosCounters,
-    /// Injected faults only fire once armed — handshakes (HELLO /
-    /// OPEN / JOIN / RESUME) run clean so a retry loop converges.
+    /// Injected faults only fire once armed — handshakes (HELLO and
+    /// OPEN) run clean so a retry loop converges.
     armed: bool,
     /// A reset/truncation killed the stream; every later op errors.
     dead: bool,

@@ -6,8 +6,8 @@
 //! server exposes the simulated marketplace over a length-prefixed,
 //! CRC-framed wire protocol ([`wire`]) — `pingClient`, price/time
 //! estimates, a session handshake that keys the per-account rate limiter
-//! by session token, and a **lockstep tick barrier** so a remote campaign
-//! is byte-identical to the in-process one. Every world the server hosts
+//! by session token, and campaign worlds that tick only when their client
+//! asks, so a remote campaign is byte-identical to the in-process one. Every world the server hosts
 //! is such a campaign: the [`loadgen`] module benchmarks heavy traffic by
 //! opening one and holding it at a frozen tick.
 

@@ -3,8 +3,8 @@
 //! latency percentiles.
 //!
 //! The load goes where a measuring client's pings go: the generator
-//! OPENs an ordinary party-of-one campaign, ADVANCEs it through one
-//! simulated hour so the fleet is settled, and then holds it at that
+//! OPENs an ordinary campaign, ADVANCEs it through one simulated hour on
+//! one connection so the fleet is settled, and then holds it at that
 //! tick while every connection sends `REQ_PING` against it. A frozen
 //! world keeps runs comparable; the server's janitor reclaims the
 //! campaign once the run goes idle.
@@ -83,7 +83,7 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
     let campaign = {
         let mut stream = connect(&cfg.addr)?;
-        let campaign = open_campaign(&mut stream, LOAD_SCALE, LOAD_SEED, 1)?;
+        let campaign = open_campaign(&mut stream, LOAD_SCALE, LOAD_SEED)?;
         for tick in 1..=WARMUP_TICKS {
             advance(&mut stream, campaign, tick)?;
         }
@@ -186,15 +186,9 @@ fn invalid(e: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-/// OPENs a lockstep campaign over SF downtown with fleet and demand
-/// scaled by `scale` (era `Apr2015`, `Threshold` surge) for a party of
-/// `party` connections, this one included; returns its id.
-pub(crate) fn open_campaign(
-    stream: &mut TcpStream,
-    scale: f64,
-    seed: u64,
-    party: u64,
-) -> io::Result<u64> {
+/// OPENs a campaign over SF downtown with fleet and demand scaled by
+/// `scale` (era `Apr2015`, `Threshold` surge); returns its id.
+pub(crate) fn open_campaign(stream: &mut TcpStream, scale: f64, seed: u64) -> io::Result<u64> {
     let mut city = CityModel::san_francisco_downtown();
     city.supply = city.supply.scaled(scale);
     city.demand = city.demand.scaled(scale);
@@ -203,14 +197,13 @@ pub(crate) fn open_campaign(
         ("seed".into(), seed.to_value()),
         ("era".into(), ProtocolEra::Apr2015.to_value()),
         ("surge_policy".into(), SurgePolicy::Threshold.to_value()),
-        ("party".into(), party.to_value()),
     ]);
     let v = wire::call(stream, wire::REQ_OPEN, &open, wire::RESP_OPEN)?;
     u64::from_value(v.field("campaign").map_err(invalid)?).map_err(invalid)
 }
 
-/// Lockstep ADVANCE of `campaign` to `tick`; blocks until the whole
-/// party has asked for it.
+/// ADVANCEs `campaign` to `tick`, which must be its current tick or the
+/// next one.
 pub(crate) fn advance(stream: &mut TcpStream, campaign: u64, tick: u64) -> io::Result<()> {
     let v = Value::Map(vec![
         ("campaign".into(), campaign.to_value()),

@@ -14,16 +14,17 @@
 //! so floats cross the network as raw IEEE-754 bit patterns and a remote
 //! campaign's NaN gaps survive byte-exactly.
 //!
-//! Request kinds live in `0x01..=0x7F`, responses in `0x80..=0xFF`. A
-//! connection speaks strictly request→response in order; pipelining is
-//! allowed (the lockstep client writes a whole tick's pings before
-//! reading), the server answers in arrival order.
+//! Request kinds live in `0x01..=0x7F`, responses in `0x80..=0xFF`;
+//! production builds serve seven request kinds. A connection speaks
+//! strictly request→response in order; pipelining is allowed (the remote
+//! client writes a whole tick's pings before reading), the server
+//! answers in arrival order.
 //!
 //! One reader, [`read_frame_with`], parses frames on both sides. The
-//! sides differ only in what a socket timeout means, which the caller's
-//! `stalled` closure decides: the client ([`read_frame`]) fails the read,
-//! while the server waits at a frame boundary and drops a frame that
-//! stalls once its I/O deadline has passed.
+//! sides differ only in the caller's `stalled` closure, which sees every
+//! read that times out and every data read inside a frame: the client
+//! ([`read_frame`]) fails on a timeout, while the server waits at a frame
+//! boundary and drops a frame whose I/O deadline has passed.
 
 use serde::{Deserialize, Serialize, Value};
 use std::io::{self, Read, Write};
@@ -41,11 +42,10 @@ pub const DEFAULT_MAX_FRAME: usize = 1 << 24;
 
 /// Session handshake; must be the first frame on every connection.
 pub const REQ_HELLO: u8 = 0x01;
-/// Open a lockstep campaign (scaled city + seed + era + party size).
+/// Open a campaign (scaled city + seed + era + surge policy).
 pub const REQ_OPEN: u8 = 0x02;
-/// Join an open campaign's lockstep party.
-pub const REQ_JOIN: u8 = 0x03;
-/// Lockstep barrier: advance the campaign world to the given tick.
+/// Advance the campaign world to the given tick, which must be the
+/// current tick plus one; the current tick itself is acknowledged again.
 pub const REQ_ADVANCE: u8 = 0x04;
 /// pingClient against a campaign's current tick snapshot.
 pub const REQ_PING: u8 = 0x05;
@@ -55,12 +55,6 @@ pub const REQ_PRICE: u8 = 0x06;
 pub const REQ_TIME: u8 = 0x07;
 /// Finalize a campaign and fetch its ground truth.
 pub const REQ_FINISH: u8 = 0x08;
-/// Re-attach a (fresh) connection to an open campaign after a drop:
-/// validates the campaign and answers `RESP_OK` with its current tick
-/// without consuming a party slot. The lockstep barrier counts
-/// *arrivals*, not identities, so a resumed connection simply re-sends
-/// the op that was in flight when its predecessor died.
-pub const REQ_RESUME: u8 = 0x0C;
 /// Unit-test builds only: panic the serving worker while it holds the
 /// campaign lock, deliberately poisoning it, so the lock-poisoning
 /// recovery path has a deterministic trigger. Every other build answers
@@ -68,7 +62,7 @@ pub const REQ_RESUME: u8 = 0x0C;
 #[cfg(test)]
 pub const REQ_CRASH: u8 = 0x0D;
 
-/// Generic success (JOIN/ADVANCE), carries the current tick.
+/// ADVANCE acknowledgement, carries the current tick.
 pub const RESP_OK: u8 = 0x80;
 /// HELLO acknowledgement, carries the session token.
 pub const RESP_HELLO: u8 = 0x81;
@@ -165,14 +159,15 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &Value) -> io::Result<
 
 /// Reads one frame, client and server alike: the length, checked
 /// against `max_frame` before anything else is read, then the CRC and
-/// the body. A read that times out goes to `stalled` with the instant
-/// the frame's first byte arrived (`None` while none has); `Ok` keeps
-/// waiting and an error ends the read with it. Returns the decoded kind,
-/// payload and total bytes consumed.
+/// the body. `stalled` is called with the instant the frame's first byte
+/// arrived (`None` while none has) after every read that times out,
+/// with its error, and after every read that returns data, with `None`;
+/// `Ok` keeps reading and an error ends the read with it. Returns the
+/// decoded kind, payload and total bytes consumed.
 pub fn read_frame_with<R: Read>(
     r: &mut R,
     max_frame: usize,
-    mut stalled: impl FnMut(io::Error, Option<Instant>) -> Result<(), WireError>,
+    mut stalled: impl FnMut(Option<io::Error>, Option<Instant>) -> Result<(), WireError>,
 ) -> Result<(u8, Value, u64), WireError> {
     let mut started = None;
     let mut word = [0u8; 4];
@@ -200,7 +195,7 @@ fn fill<R: Read>(
     r: &mut R,
     buf: &mut [u8],
     started: &mut Option<Instant>,
-    stalled: &mut impl FnMut(io::Error, Option<Instant>) -> Result<(), WireError>,
+    stalled: &mut impl FnMut(Option<io::Error>, Option<Instant>) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
     let mut got = 0;
     while got < buf.len() {
@@ -210,10 +205,11 @@ fn fill<R: Read>(
             Ok(n) => {
                 started.get_or_insert_with(Instant::now);
                 got += n;
+                stalled(None, *started)?
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                stalled(e, *started)?
+                stalled(Some(e), *started)?
             }
             Err(e) => return Err(WireError::Io(e)),
         }
@@ -226,7 +222,7 @@ pub fn read_frame(
     r: &mut impl Read,
     max_frame: usize,
 ) -> Result<(u8, Value, u64), WireError> {
-    read_frame_with(r, max_frame, |e, _| Err(WireError::Io(e)))
+    read_frame_with(r, max_frame, |e, _| e.map_or(Ok(()), |e| Err(WireError::Io(e))))
 }
 
 /// One blocking request/response exchange (client side).

@@ -38,7 +38,7 @@ pub fn hello(stream: &mut TcpStream) {
 
 /// Opens a small campaign world (fifth-scale city so each tick is cheap)
 /// and returns its id.
-pub fn open_campaign(stream: &mut TcpStream, party: u64) -> u64 {
+pub fn open_campaign(stream: &mut TcpStream) -> u64 {
     let mut city = CityModel::san_francisco_downtown();
     city.supply = city.supply.scaled(0.2);
     city.demand = city.demand.scaled(0.2);
@@ -47,7 +47,6 @@ pub fn open_campaign(stream: &mut TcpStream, party: u64) -> u64 {
         ("seed".into(), 4242u64.to_value()),
         ("era".into(), ProtocolEra::Apr2015.to_value()),
         ("surge_policy".into(), SurgePolicy::Threshold.to_value()),
-        ("party".into(), party.to_value()),
     ]);
     let (kind, v) = rpc(stream, wire::REQ_OPEN, &v);
     assert_eq!(kind, wire::RESP_OPEN, "OPEN refused: {v:?}");

@@ -21,7 +21,7 @@ fn janitor_expires_an_orphaned_campaign_slot() {
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
     let mut stream = connect(&server);
     hello(&mut stream);
-    let campaign = open_campaign(&mut stream, 1);
+    let campaign = open_campaign(&mut stream);
     let v = Value::Map(vec![
         ("campaign".into(), campaign.to_value()),
         ("tick".into(), 1u64.to_value()),
@@ -40,8 +40,7 @@ fn janitor_expires_an_orphaned_campaign_slot() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    // The world is gone: further traffic is an explicit error, and a
-    // RESUME cannot raise the dead either.
+    // The world is gone: further traffic is an explicit error.
     let v = Value::Map(vec![
         ("campaign".into(), campaign.to_value()),
         ("tick".into(), 2u64.to_value()),

@@ -6,7 +6,7 @@
 mod common;
 
 use common::{connect, hello, open_campaign, rpc};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -144,6 +144,128 @@ fn stall_after_the_length_prefix_is_dropped() {
     await_count(|| server.metrics().frame_errors.get(), 1, "serve.frame_errors");
 }
 
+/// A frame whose bytes keep trickling in, each well inside the server's
+/// read poll, is still dropped once `io_timeout` has passed since its
+/// first byte: the budget is checked after every read inside a frame, not
+/// only after a read that times out.
+#[test]
+fn trickled_frame_is_dropped_at_io_timeout() {
+    let cfg = ServeConfig { io_timeout: Duration::from_millis(200), ..ServeConfig::default() };
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let mut stream = connect(&server);
+    hello(&mut stream);
+    stream.write_all(&4096u32.to_le_bytes()).expect("send length prefix");
+    // One byte every 30 ms; the 30 ms read timeout paces the loop and
+    // watches for the server's close at the same time.
+    stream.set_read_timeout(Some(Duration::from_millis(30))).unwrap();
+    let started = Instant::now();
+    let mut buf = [0u8; 64];
+    loop {
+        assert!(
+            started.elapsed() < Duration::from_millis(1500),
+            "a trickled frame held its connection open past 1.5 s"
+        );
+        if stream.write_all(&[0xAB]).is_err() {
+            break;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(_) => panic!("the server answered a frame it never received whole"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break, // reset: the server closed with bytes unread
+        }
+    }
+    await_count(|| server.metrics().frame_errors.get(), 1, "serve.frame_errors");
+    assert_eq!(server.metrics().frame_errors.get(), 1);
+}
+
+/// A payload nested deeper than the codec's bound is a malformed frame:
+/// it costs its connection and one frame error, never the process.
+/// 10,000 nested sequences (20 KB) would overflow a worker's stack if the
+/// decoder recursed without a bound.
+#[test]
+fn deeply_nested_payload_costs_only_its_connection() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut stream = connect(&server);
+    // A HELLO-kind frame before any handshake: kind byte, then 10,000
+    // one-element sequence headers (tag 0x07, count 1) around a null.
+    let mut body = vec![wire::REQ_HELLO];
+    for _ in 0..10_000 {
+        body.extend_from_slice(&[0x07, 0x01]);
+    }
+    body.push(0x00);
+    let mut raw = Vec::new();
+    raw.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    raw.extend_from_slice(&surgescope_store::crc32::crc32(&body).to_le_bytes());
+    raw.extend_from_slice(&body);
+    stream.write_all(&raw).expect("send nested frame");
+    assert_closed(&mut stream);
+    await_count(|| server.metrics().frame_errors.get(), 1, "serve.frame_errors");
+
+    // The server survived: a fresh connection is still answered.
+    let mut stream = connect(&server);
+    hello(&mut stream);
+    assert_eq!(server.metrics().frame_errors.get(), 1);
+}
+
+/// The client orders the ticks, so the server keeps only three rules:
+/// `ADVANCE(tick)` is acknowledged again without moving the world,
+/// `ADVANCE` past `tick + 1` is refused and closes the connection, and
+/// any connection that said HELLO can ping any campaign.
+#[test]
+fn advance_reacks_the_current_tick_and_refuses_a_skip() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut stream = connect(&server);
+    hello(&mut stream);
+    let campaign = open_campaign(&mut stream);
+    let advance = |stream: &mut TcpStream, tick: u64| {
+        let v = Value::Map(vec![
+            ("campaign".into(), campaign.to_value()),
+            ("tick".into(), tick.to_value()),
+        ]);
+        rpc(stream, wire::REQ_ADVANCE, &v)
+    };
+    let ping = Value::Map(vec![
+        ("campaign".into(), campaign.to_value()),
+        ("key".into(), 3u64.to_value()),
+        ("lat".into(), 37.78.to_value()),
+        ("lng".into(), (-122.41).to_value()),
+    ]);
+    let ping_bytes = |stream: &mut TcpStream| {
+        let (kind, v) = rpc(stream, wire::REQ_PING, &ping);
+        assert_eq!(kind, wire::RESP_PING, "PING refused: {v:?}");
+        surgescope_store::encode_to_vec(&v)
+    };
+
+    for tick in 1..=3u64 {
+        let (kind, v) = advance(&mut stream, tick);
+        assert_eq!(kind, wire::RESP_OK, "ADVANCE({tick}) refused: {v:?}");
+    }
+    let before = ping_bytes(&mut stream);
+    let (kind, v) = advance(&mut stream, 3);
+    assert_eq!(kind, wire::RESP_OK, "re-sent ADVANCE refused: {v:?}");
+    assert_eq!(u64::from_value(v.field("tick").unwrap()).unwrap(), 3);
+    assert_eq!(ping_bytes(&mut stream), before, "a re-sent ADVANCE moved the world");
+
+    // A connection that only said HELLO reads the same frozen world.
+    let mut sibling = connect(&server);
+    hello(&mut sibling);
+    assert_eq!(ping_bytes(&mut sibling), before);
+
+    let (kind, v) = advance(&mut stream, 5);
+    assert_eq!(kind, wire::RESP_ERR, "a skipped tick must be refused");
+    let msg = String::from_value(v.field("error").unwrap()).unwrap();
+    assert!(msg.contains("lockstep violation"), "unexpected error: {msg}");
+    assert_closed(&mut stream);
+    assert_eq!(ping_bytes(&mut sibling), before, "a refused ADVANCE moved the world");
+
+    // The comparisons above can fail: one real tick changes the reply.
+    let (kind, v) = advance(&mut sibling, 4);
+    assert_eq!(kind, wire::RESP_OK, "ADVANCE(4) refused: {v:?}");
+    assert_ne!(ping_bytes(&mut sibling), before, "a tick left the ping reply unchanged");
+    assert_eq!(server.metrics().frame_errors.get(), 0);
+}
+
 #[test]
 fn idle_connection_outlives_io_timeout() {
     let io_timeout = Duration::from_millis(200);
@@ -159,15 +281,15 @@ fn idle_connection_outlives_io_timeout() {
 }
 
 /// A production build serves none of these kinds: 0x7F and 0x09–0x0B are
-/// unassigned, and 0x0D, the crash verb, exists only in the serve crate's
-/// unit-test build.
+/// unassigned, 0x03 and 0x0C were the retired JOIN and RESUME verbs, and
+/// 0x0D, the crash verb, exists only in the serve crate's unit-test build.
 #[test]
 fn unknown_kind_is_a_protocol_error_not_a_frame_error() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut opener = connect(&server);
     hello(&mut opener);
-    let v = Value::Map(vec![("campaign".into(), open_campaign(&mut opener, 1).to_value())]);
-    for unknown in [0x7F, 0x09, 0x0A, 0x0B, 0x0D] {
+    let v = Value::Map(vec![("campaign".into(), open_campaign(&mut opener).to_value())]);
+    for unknown in [0x7F, 0x03, 0x09, 0x0A, 0x0B, 0x0C, 0x0D] {
         let mut stream = connect(&server);
         hello(&mut stream);
         let (kind, payload) = rpc(&mut stream, unknown, &v);
@@ -188,7 +310,7 @@ fn hostile_coordinates_answered_with_error_and_worker_survives() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut stream = connect(&server);
     hello(&mut stream);
-    let campaign = open_campaign(&mut stream, 1);
+    let campaign = open_campaign(&mut stream);
     let v = Value::Map(vec![
         ("campaign".into(), campaign.to_value()),
         ("key".into(), 1u64.to_value()),
@@ -239,7 +361,7 @@ fn estimates_throttle_over_the_wire() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut stream = connect(&server);
     hello(&mut stream);
-    let campaign = open_campaign(&mut stream, 1);
+    let campaign = open_campaign(&mut stream);
 
     let limit = surgescope_api::DEFAULT_LIMIT_PER_HOUR as u64;
     let (mut served, mut throttled) = (0u64, 0u64);

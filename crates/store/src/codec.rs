@@ -10,6 +10,11 @@
 //! insertion order (the stub's `Value::Map` is an ordered vec), so equal
 //! values always produce equal bytes and byte comparison doubles as deep
 //! bit-exact equality.
+//!
+//! Decoding recurses once per nested sequence or map, so it refuses
+//! nesting deeper than [`MAX_DEPTH`]: without a bound, a few kilobytes of
+//! nested sequence headers overflow the decoding thread's stack, which
+//! aborts the process rather than failing the decode.
 
 use crate::StoreError;
 use serde::Value;
@@ -26,6 +31,11 @@ const TAG_F64: u8 = 0x05;
 const TAG_STR: u8 = 0x06;
 const TAG_SEQ: u8 = 0x07;
 const TAG_MAP: u8 = 0x08;
+
+/// Deepest nesting of sequences and maps a decode accepts. What the
+/// program writes nests at most 11 levels deep (a checkpoint's transport
+/// queue); every decoder shares this bound.
+pub const MAX_DEPTH: usize = 64;
 
 fn put_varint(out: &mut Vec<u8>, mut n: u64) {
     loop {
@@ -169,8 +179,15 @@ impl<'a> Cursor<'a> {
             .map_err(|_| StoreError::Codec("invalid UTF-8 in string".into()))
     }
 
-    fn value(&mut self) -> Result<Value, StoreError> {
-        match self.byte()? {
+    /// Decodes one value nested inside `depth` sequences or maps.
+    fn value(&mut self, depth: usize) -> Result<Value, StoreError> {
+        let tag = self.byte()?;
+        if matches!(tag, TAG_SEQ | TAG_MAP) && depth >= MAX_DEPTH {
+            return Err(StoreError::Codec(format!(
+                "nesting deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        match tag {
             TAG_NULL => Ok(Value::Null),
             TAG_FALSE => Ok(Value::Bool(false)),
             TAG_TRUE => Ok(Value::Bool(true)),
@@ -191,7 +208,7 @@ impl<'a> Cursor<'a> {
                 }
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                 }
                 Ok(Value::Seq(items))
             }
@@ -203,7 +220,7 @@ impl<'a> Cursor<'a> {
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let k = self.string()?;
-                    let v = self.value()?;
+                    let v = self.value(depth + 1)?;
                     entries.push((k, v));
                 }
                 Ok(Value::Map(entries))
@@ -216,7 +233,7 @@ impl<'a> Cursor<'a> {
 /// Decodes one value from `buf`, requiring the buffer to be fully consumed.
 pub fn decode_value(buf: &[u8]) -> Result<Value, StoreError> {
     let mut c = Cursor { buf, pos: 0 };
-    let v = c.value()?;
+    let v = c.value(0)?;
     if c.pos != buf.len() {
         return Err(StoreError::Codec(format!(
             "{} trailing bytes after value",
@@ -302,6 +319,33 @@ mod tests {
         // A sequence claiming more elements than bytes remain must not
         // attempt a huge allocation.
         assert!(decode_value(&[TAG_SEQ, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]).is_err());
+    }
+
+    /// `levels` nested sequences or single-entry maps around a null,
+    /// built as bytes: encoding a tree that deep would recurse as deep.
+    fn nested(tag: u8, levels: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        for _ in 0..levels {
+            out.extend_from_slice(&[tag, 1]);
+            if tag == TAG_MAP {
+                encode_key("k", &mut out);
+            }
+        }
+        out.push(TAG_NULL);
+        out
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        for tag in [TAG_SEQ, TAG_MAP] {
+            let ok = nested(tag, MAX_DEPTH);
+            let back = decode_value(&ok).expect("the bound decodes");
+            assert_eq!(encode_to_vec(&back), ok);
+            match decode_value(&nested(tag, MAX_DEPTH + 1)) {
+                Err(StoreError::Codec(m)) => assert!(m.contains("nesting"), "{m}"),
+                other => panic!("one level past the bound must be refused: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Serve loopback smoke: starts `repro --serve` on an ephemeral port and
 # checks the serving layer end to end over real sockets.
-#   1. A faulted campaign measured through a 2-connection lockstep party
-#      is byte-identical to the in-process run (plain `cmp` of the
-#      encoded CampaignData).
+#   1. A faulted campaign measured over 2 connections is byte-identical
+#      to the in-process run (plain `cmp` of the encoded CampaignData).
 #   2. A 2-second paced load burst serves >0 pings with 0 errors
 #      (`serve_load` exits non-zero otherwise).
 #   3. The same campaign, with every connection sabotaged by the seeded
 #      reference chaos schedule (resets, truncated frames, write stalls),
-#      is still byte-identical: the retry/RESUME layer absorbs each fault.
+#      is still byte-identical: the retry layer absorbs each fault with a
+#      reconnect (connect + HELLO) and a re-send.
 #
 # Usage: scripts/serve_smoke.sh
 # Runs from any directory; builds the binaries it needs in release mode.

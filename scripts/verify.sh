@@ -133,22 +133,31 @@ run_named_tests -p surgescope-core --test checkpoint_resume -- \
   truncated_log_errors_cleanly \
   corrupted_log_fails_crc_cleanly
 
-echo "== serve: one frame reader, one ping loop =="
+echo "== serve: one frame reader, one ping loop, client-ordered ticks =="
 # Client and server parse frames through one reader and differ only in
 # what a stalled read means. The server waits at an idle frame boundary,
-# drops a frame stalled past io_timeout of its first byte, refuses an
-# oversized length on the prefix alone, and answers what arrives inside
-# the shutdown drain window. A frame is byte for byte an event-log
-# record. The remote client answers the first connection's chunk of
-# clients on the calling thread and a scoped thread each further one; at
-# 1 and 4 connections, with a connection left without pings, and under
-# chaos, its campaigns must equal the in-process bytes.
+# drops a frame once io_timeout has passed since its first byte, whether
+# the frame went silent or trickles in, refuses an oversized length on
+# the prefix alone, and answers what arrives inside the shutdown drain
+# window. A payload nested past the codec's depth bound costs its
+# connection, never the process. A frame is byte for byte an event-log
+# record. The server ticks a world only on ADVANCE(tick+1), acks
+# ADVANCE(tick) again without moving it, and refuses a skipped tick; any
+# connection that said HELLO may ping. The remote client sends one
+# ADVANCE per tick on its first connection, answers that connection's
+# chunk of clients on the calling thread and a scoped thread each
+# further one, and reconnects with connect + HELLO; at 1 and 4
+# connections, with a connection left without pings, and under chaos,
+# its campaigns must equal the in-process bytes.
 run_named_tests -p surgescope-serve --test robustness -- \
   stall_after_the_length_prefix_is_dropped \
   idle_connection_outlives_io_timeout \
   slow_loris_partial_write_is_dropped \
+  trickled_frame_is_dropped_at_io_timeout \
   oversized_frame_rejected_with_error_count \
   truncated_length_prefix_closes_with_error_count \
+  deeply_nested_payload_costs_only_its_connection \
+  advance_reacks_the_current_tick_and_refuses_a_skip \
   shutdown_drains_inflight_requests
 run_named_tests -p surgescope-serve --lib -- \
   wire::tests::frame_roundtrip \
@@ -156,6 +165,8 @@ run_named_tests -p surgescope-serve --lib -- \
   wire::tests::clean_close_vs_truncated_prefix \
   wire::tests::oversized_length_rejected_before_allocation \
   wire::tests::frame_bytes_match_log_record_bytes
+run_named_tests -p surgescope-store --lib -- \
+  codec::tests::nesting_is_bounded_at_max_depth
 run_named_tests -p surgescope-core --test remote_lockstep -- \
   remote_campaign_matches_local_bytes_clean_and_faulted \
   more_connections_than_chunks_matches_local_bytes \
