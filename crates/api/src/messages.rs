@@ -1,11 +1,14 @@
-//! Wire-format message types.
+//! The protocol's message types.
 //!
-//! The real service speaks JSON ("the server responds with a JSON-encoded
-//! list of information about all available car types", §3.3); these types
-//! serialize to the same shape so measurement logs look like the paper's
-//! 391 GB of captured responses (just smaller).
+//! A pingClient response carries what the real service's JSON does ("the
+//! server responds with a JSON-encoded list of information about all
+//! available car types", §3.3): per tier, the nearest cars with their
+//! path vectors, the EWT and the surge multiplier. Over the wire
+//! [`PingClientResponse`] travels in `surgescope-serve`'s fixed binary
+//! layout, whose codec is its only serialization; the estimates types
+//! travel as `serde` values.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use surgescope_city::CarType;
 use surgescope_geo::{LatLng, PathVector};
@@ -27,9 +30,9 @@ pub struct CarInfo {
 }
 
 /// Equality is wire equality: the path compares by its points. The
-/// `PathVector` ring-buffer capacity is transport-invisible (the JSON
-/// form is a bare point list), so it must not affect `==` — a response
-/// deserialized from JSON equals the one that produced it.
+/// `PathVector` ring-buffer capacity is transport-invisible (the wire
+/// carries a bare point list), so it must not affect `==` — a response
+/// decoded from the wire equals the one that produced it.
 impl PartialEq for CarInfo {
     fn eq(&self, other: &Self) -> bool {
         self.id == other.id
@@ -39,36 +42,8 @@ impl PartialEq for CarInfo {
     }
 }
 
-impl Serialize for CarInfo {
-    fn to_value(&self) -> Value {
-        // Manual impl keeps the wire shape of the former
-        // `Arc<Vec<LatLng>>` field: `path` is a plain JSON array of
-        // points, with no ring-buffer metadata.
-        Value::Map(vec![
-            ("id".into(), self.id.to_value()),
-            ("position".into(), self.position.to_value()),
-            ("path".into(), Value::Seq(self.path.points().map(|p| p.to_value()).collect())),
-        ])
-    }
-}
-
-impl Deserialize for CarInfo {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let pts = Vec::<LatLng>::from_value(v.field("path")?)?;
-        let mut path = PathVector::new(pts.len().max(2));
-        for p in pts {
-            path.push(p);
-        }
-        Ok(CarInfo {
-            id: u64::from_value(v.field("id")?)?,
-            position: LatLng::from_value(v.field("position")?)?,
-            path: Arc::new(path),
-        })
-    }
-}
-
 /// Per-tier block of a pingClient response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TypeStatus {
     /// Product tier.
     pub car_type: CarType,
@@ -81,7 +56,7 @@ pub struct TypeStatus {
 }
 
 /// A full pingClient response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PingClientResponse {
     /// Server time of the response.
     pub at: SimTime,
@@ -160,18 +135,6 @@ mod tests {
         assert!(r.status(CarType::UberPool).is_none());
         assert_eq!(r.surge(CarType::UberX), 1.5);
         assert_eq!(r.surge(CarType::UberPool), 1.0, "absent tier defaults to 1.0");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let r = response();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: PingClientResponse = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-        // The wire format mentions the essentials by name.
-        assert!(json.contains("surge"));
-        assert!(json.contains("ewt_min"));
-        assert!(json.contains("UberX"));
     }
 
     #[test]

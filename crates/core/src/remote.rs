@@ -22,12 +22,17 @@
 //! the client's next `ADVANCE`) and parked in the same [`Transport`]
 //! queue until its delivery tick.
 //!
-//! ## Threading
+//! ## Pings and threading
 //!
 //! A tick's pings split the clients into contiguous chunks, one per
-//! connection. The calling thread answers the first connection's chunk
-//! and a scoped thread each further one, so one connection spawns no
-//! thread and K connections spawn K − 1.
+//! connection. Each connection sends its chunk's undropped pings as one
+//! `PING` frame in the wire's fixed binary layout and reads one reply
+//! frame, whose responses it decodes into
+//! [`PingClientResponse`](surgescope_api::PingClientResponse)s and
+//! converts exactly as the in-process kernel is locked to. The calling
+//! thread answers the first connection's chunk and a scoped thread each
+//! further one, so one connection spawns no thread and K connections
+//! spawn K − 1.
 //!
 //! ## Resilience
 //!
@@ -37,8 +42,11 @@
 //! [`SimRng`] stream, so retry *schedules* are deterministic in tests),
 //! reconnects (connect + `HELLO`), and re-sends the failed operation.
 //! Re-sends are safe because every verb is idempotent against the frozen
-//! world: pings and probes are pure reads, `ADVANCE` to the current tick
-//! is acknowledged again, and `FINISH` returns a cached truth. Once the
+//! world: pings and probes are pure reads (a re-sent `PING` repeats its
+//! whole batch), `ADVANCE` to the current tick is acknowledged again,
+//! and `FINISH` returns a cached truth. A socket read fails once a reply
+//! frame has not completed within `op_timeout` of its first byte, so a
+//! server trickling a reply costs one attempt, not the campaign. Once the
 //! per-op retry budget is exhausted a circuit breaker trips: the system
 //! marks itself broken, the runner's next fault check aborts the campaign
 //! with an `io::Error`, and the caller (the experiments cache) falls back
@@ -49,16 +57,16 @@
 use crate::observe::{response_to_observations, ClientSpec, TypeObservation};
 use crate::systems::{MeasuredSystem, SystemMetrics};
 use serde::{Deserialize, Serialize, Value};
-use std::io::{self, Write};
+use std::io;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use surgescope_api::{PingClientResponse, PriceEstimate, RateLimitError, TimeEstimate};
+use surgescope_api::{PriceEstimate, RateLimitError, TimeEstimate};
 use surgescope_city::CityModel;
 use surgescope_geo::{LatLng, LocalProjection};
 use surgescope_marketplace::GroundTruth;
 use surgescope_obs::{Counter, Histogram, MetricsRegistry};
 use surgescope_serve::chaos::{ChaosCounters, ChaosPlan, ChaosStream};
-use surgescope_serve::wire::{self, hello, read_reply, rpc};
+use surgescope_serve::wire::{self, hello, rpc};
 use surgescope_simcore::{
     ticks_late, Backoff, FaultOutcome, FaultPlan, SimRng, SimTime, Transport,
 };
@@ -86,8 +94,10 @@ pub struct RetryPolicy {
     /// Reconnect attempts per failed operation; 0 means the first wire
     /// failure trips the breaker immediately.
     pub max_retries: u32,
-    /// Per-operation socket deadline (connect, read and write timeouts).
-    /// A hung server costs at most this long per attempt, never forever.
+    /// Per-operation socket deadline (connect, read and write timeouts,
+    /// and the time a reply frame may take from its first byte). A hung
+    /// or trickling server costs at most about this long per attempt,
+    /// never forever.
     pub op_timeout: Duration,
     /// First backoff ceiling; doubles per attempt.
     pub backoff_base: Duration,
@@ -378,11 +388,6 @@ impl RemoteMeasuredSystem {
         })
     }
 
-    /// Number of connections.
-    pub fn connections(&self) -> usize {
-        self.conns.len()
-    }
-
     /// Delayed responses currently in flight client-side (diagnostic).
     pub fn in_flight(&self) -> usize {
         self.transport.in_flight()
@@ -518,9 +523,10 @@ fn decode_estimates<T: Deserialize>(
     Ok(Ok(est))
 }
 
-/// Sends one chunk's pings down one connection (pipelined: all requests
-/// written, then all responses read in order) and routes each response by
-/// its fault outcome. Returns the delayed payloads in client order.
+/// Sends one chunk's undropped pings down one connection as one `PING`
+/// frame (nothing when the whole chunk is dropped), reads the one reply,
+/// and routes each response by its fault outcome. Returns the delayed
+/// payloads in client order.
 ///
 /// Safe to re-run wholesale after a reconnect: every `out` slot is
 /// overwritten (or cleared) per attempt, the `delayed` list is rebuilt
@@ -537,34 +543,20 @@ fn ping_chunk(
     base: usize,
     tick_secs: u64,
 ) -> io::Result<Vec<(usize, u64, Vec<TypeObservation>)>> {
-    for (c, oc) in clients.iter().zip(outcomes) {
-        if *oc == FaultOutcome::Drop {
-            continue;
-        }
-        let loc = proj.to_latlng(c.position);
-        let v = Value::Map(vec![
-            ("campaign".into(), campaign.to_value()),
-            ("key".into(), c.key.to_value()),
-            ("lat".into(), loc.lat.to_value()),
-            ("lng".into(), loc.lng.to_value()),
-        ]);
-        stream.write_all(&wire::frame_bytes(wire::REQ_PING, &v))?;
-    }
-    stream.flush()?;
+    let sent = clients
+        .iter()
+        .zip(outcomes)
+        .filter(|(_, oc)| **oc != FaultOutcome::Drop)
+        .map(|(c, _)| (c.key, proj.to_latlng(c.position)));
+    // The reply carries exactly one response per ping sent, or is refused.
+    let mut responses = wire::ping(stream, campaign, sent)?.into_iter();
 
     let mut delayed = Vec::new();
     for (i, (slot, oc)) in out.iter_mut().zip(outcomes).enumerate() {
         match oc {
             FaultOutcome::Drop => slot.clear(),
             outcome => {
-                let (kind, v) = read_reply(stream)?;
-                if kind != wire::RESP_PING {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("PING answered with {kind:#04x}"),
-                    ));
-                }
-                let resp = PingClientResponse::from_value(&v).map_err(invalid)?;
+                let resp = responses.next().ok_or_else(|| invalid("PING reply ran short"))?;
                 let blocks = response_to_observations(&resp, proj);
                 match outcome {
                     FaultOutcome::Deliver => *slot = blocks,

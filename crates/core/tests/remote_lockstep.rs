@@ -91,6 +91,40 @@ fn more_connections_than_chunks_matches_local_bytes() {
     server.shutdown();
 }
 
+/// Every ping the client sends is answered exactly once, and a dropped
+/// ping is never sent: on a chaos-free faulted campaign the server's
+/// `serve.pings` equals the client's delivered plus delayed pings, at 1
+/// and 4 connections.
+#[test]
+fn server_answers_each_sent_ping_exactly_once() {
+    let faults = FaultPlan { drop_chance: 0.05, delay_chance: 0.15, max_delay_secs: 20 };
+    let cfg = lockstep_cfg(7_0931, faults);
+    for connections in [1usize, 4] {
+        let mut server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let addr = server.local_addr().to_string();
+        let mut runner = CampaignRunner::new_remote(
+            CityModel::san_francisco_downtown(),
+            &cfg,
+            &addr,
+            connections,
+        )
+        .expect("remote campaign");
+        runner.run_to_end().expect("remote run");
+        let snap = runner.metrics_snapshot();
+        runner.finish().expect("remote finish");
+        // Shutdown joins the workers, so every counter has landed.
+        server.shutdown();
+        let count = |key: &str| snap.value(key).unwrap_or_else(|| panic!("{key} missing"));
+        assert!(count("pings.dropped") > 0, "the plan must drop some pings");
+        assert!(count("pings.delayed") > 0, "the plan must delay some pings");
+        assert_eq!(
+            server.metrics().pings.get(),
+            count("pings.delivered") + count("pings.delayed"),
+            "{connections} connection(s): serve.pings differs from the pings sent"
+        );
+    }
+}
+
 #[test]
 fn remote_campaign_rejects_store_hooks() {
     let mut cfg = lockstep_cfg(1, FaultPlan::none());

@@ -180,6 +180,12 @@ impl<S: Read + Write> ChaosStream<S> {
     }
 }
 
+impl<S: crate::wire::ReadDeadline> crate::wire::ReadDeadline for ChaosStream<S> {
+    fn read_deadline(&self) -> Option<Duration> {
+        self.inner.read_deadline()
+    }
+}
+
 impl<S: Read + Write> Read for ChaosStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if self.dead {

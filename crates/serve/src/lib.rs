@@ -4,7 +4,8 @@
 //! production API over a real network; this crate gives the reproduction
 //! that missing half. A dependency-free std-`TcpListener` thread-pool
 //! server exposes the simulated marketplace over a length-prefixed,
-//! CRC-framed wire protocol ([`wire`]) — `pingClient`, price/time
+//! CRC-framed wire protocol ([`wire`]) — `pingClient` batches in a fixed
+//! binary layout, one frame per connection per tick, price/time
 //! estimates, a session handshake that keys the per-account rate limiter
 //! by session token, and campaign worlds that tick only when their client
 //! asks, so a remote campaign is byte-identical to the in-process one. Every world the server hosts

@@ -5,9 +5,11 @@
 //! The load goes where a measuring client's pings go: the generator
 //! OPENs an ordinary campaign, ADVANCEs it through one simulated hour on
 //! one connection so the fleet is settled, and then holds it at that
-//! tick while every connection sends `REQ_PING` against it. A frozen
-//! world keeps runs comparable; the server's janitor reclaims the
-//! campaign once the run goes idle.
+//! tick while every connection sends `REQ_PING` against it, each a
+//! batch of one ping through [`wire::ping`], so a request is one ping
+//! and its latency one round trip. A frozen world keeps runs
+//! comparable; the server's janitor reclaims the campaign once the run
+//! goes idle.
 
 use crate::wire;
 use serde::{Deserialize, Serialize, Value};
@@ -143,12 +145,6 @@ fn drive_conn(
     } else {
         Duration::from_secs_f64(1.0 / cfg.req_per_sec as f64)
     };
-    let ping = Value::Map(vec![
-        ("campaign".into(), campaign.to_value()),
-        ("key".into(), (conn_id as u64).to_value()),
-        ("lat".into(), LOCATION.lat.to_value()),
-        ("lng".into(), LOCATION.lng.to_value()),
-    ]);
     let deadline = Instant::now() + cfg.duration;
     let mut latencies = Vec::new();
     let mut next_send = Instant::now();
@@ -161,7 +157,7 @@ fn drive_conn(
             next_send += period;
         }
         let t0 = Instant::now();
-        match wire::call(&mut stream, wire::REQ_PING, &ping, wire::RESP_PING) {
+        match wire::ping(&mut stream, campaign, [(conn_id as u64, LOCATION)]) {
             Ok(_) => latencies.push(t0.elapsed().as_micros() as u64),
             Err(_) => {
                 errors.fetch_add(1, Ordering::Relaxed);

@@ -21,6 +21,18 @@
 //! `ADVANCE(tick)` is acknowledged again without moving the world, so a
 //! client whose connection died mid-exchange re-sends it harmlessly.
 //!
+//! ## Pings
+//!
+//! A `PING` frame carries a batch of pings, one connection's whole chunk
+//! of a tick. The server looks its campaign up, and takes the snapshot
+//! and ping configuration under the campaign lock, once per batch, then
+//! renders each `ping_client` response outside the lock straight into
+//! the reply frame in the wire's binary layout. Invalid coordinates
+//! anywhere in the batch are answered `RESP_ERR`; so is a batch whose
+//! reply would pass `max_frame`, where encoding stops, since a reply
+//! can be some 500 times the size of its request. `serve.pings` counts
+//! the pings of every answered batch.
+//!
 //! ## Framing
 //!
 //! The server parses frames with the client's reader,
@@ -28,8 +40,8 @@
 //! policy is its own: an idle connection waits indefinitely, and once
 //! `io_timeout` has passed since a frame's first byte, the next read
 //! inside that frame, data or timeout, drops the connection as a
-//! slow-loris. Every framing violation costs the connection and one
-//! `serve.frame_errors`.
+//! slow-loris. Every framing violation, an undecodable payload
+//! included, costs the connection and one `serve.frame_errors`.
 //!
 //! ## Shutdown
 //!
@@ -38,10 +50,10 @@
 //! the configured drain window and closes only from an idle frame
 //! boundary. A request fully written before shutdown is always answered.
 
-use crate::wire::{self, WireError};
+use crate::wire::{self, Frame, PingBatch, WireError};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -112,6 +124,8 @@ pub struct ServeMetrics {
     pub throttled_wire: Counter,
     /// Campaigns opened.
     pub campaigns_opened: Counter,
+    /// Pings answered: each answered `PING` batch adds its size.
+    pub pings: Counter,
     /// Request handlers that panicked. The worker survives (the panic is
     /// caught at the dispatch boundary), the confused connection gets a
     /// `RESP_ERR` and closes, and any lock the handler held is recovered
@@ -133,6 +147,7 @@ impl ServeMetrics {
             frame_errors: Counter::new(),
             throttled_wire: Counter::new(),
             campaigns_opened: Counter::new(),
+            pings: Counter::new(),
             worker_panics: Counter::new(),
             campaigns_expired: Counter::new(),
         }
@@ -149,6 +164,7 @@ impl ServeMetrics {
         reg.adopt_counter("serve.frame_errors", &self.frame_errors);
         reg.adopt_counter("serve.throttled_wire", &self.throttled_wire);
         reg.adopt_counter("serve.campaigns_opened", &self.campaigns_opened);
+        reg.adopt_counter("serve.pings", &self.pings);
         reg.adopt_counter("serve.worker_panics", &self.worker_panics);
         reg.adopt_counter("serve.campaigns_expired", &self.campaigns_expired);
     }
@@ -368,16 +384,40 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, busy: &Timer) {
     }
 }
 
-/// A response frame plus whether the connection must close after it.
+/// A decoded request: `PING` carries the wire's binary batch, every
+/// other kind a `Value`.
+enum Request {
+    Ping(PingBatch),
+    Value(u8, Value),
+}
+
+impl Request {
+    /// A payload its kind's codec refuses is a malformed frame.
+    fn decode(frame: &Frame) -> Result<Request, WireError> {
+        match frame.kind() {
+            wire::REQ_PING => wire::decode_ping_request(frame.payload()).map(Request::Ping),
+            kind => frame.value().map(|v| Request::Value(kind, v)),
+        }
+    }
+}
+
+/// An encoded response frame plus whether the connection must close
+/// after it.
 struct Reply {
-    kind: u8,
-    payload: Value,
+    frame: Vec<u8>,
     close: bool,
 }
 
 impl Reply {
     fn ok(kind: u8, payload: Value) -> Result<Reply, String> {
-        Ok(Reply { kind, payload, close: false })
+        Ok(Reply { frame: wire::frame_bytes(kind, &payload), close: false })
+    }
+
+    /// Protocol errors are answered, then the connection closes — a
+    /// confused peer should not keep going.
+    fn error(msg: &str) -> Reply {
+        let payload = Value::Map(vec![("error".into(), msg.to_string().to_value())]);
+        Reply { frame: wire::frame_bytes(wire::RESP_ERR, &payload), close: true }
     }
 }
 
@@ -416,16 +456,17 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream, busy: &Timer) {
         }
     };
     loop {
-        let (kind, payload, nbytes) =
-            match wire::read_frame_with(&mut stream, shared.max_frame, &mut stalled) {
-                Ok(frame) => frame,
-                // A clean close, or a drain window spent at a frame boundary.
-                Err(WireError::Closed) => break,
-                Err(_) => {
-                    shared.metrics.frame_errors.incr();
-                    break;
-                }
-            };
+        let read = wire::read_frame_with(&mut stream, shared.max_frame, &mut stalled)
+            .and_then(|frame| Ok((Request::decode(&frame)?, frame.wire_len())));
+        let (request, nbytes) = match read {
+            Ok(read) => read,
+            // A clean close, or a drain window spent at a frame boundary.
+            Err(WireError::Closed) => break,
+            Err(_) => {
+                shared.metrics.frame_errors.incr();
+                break;
+            }
+        };
         shared.metrics.frames_in.incr();
         shared.metrics.bytes_in.add(nbytes);
         let _span = busy.start();
@@ -433,23 +474,17 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream, busy: &Timer) {
         // cost its own connection, never the worker thread (sibling
         // sessions recover any lock it poisoned via `lock_ok`).
         let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_request(shared, &mut session, kind, &payload)
+            handle_request(shared, &mut session, &request)
         }))
         .unwrap_or_else(|_| {
             shared.metrics.worker_panics.incr();
             Err("internal error: request handler panicked".into())
         })
-        // Protocol errors are answered, then the connection closes — a
-        // confused peer should not keep going.
-        .unwrap_or_else(|msg| Reply {
-            kind: wire::RESP_ERR,
-            payload: err_value(&msg),
-            close: true,
-        });
-        match wire::write_frame(&mut stream, reply.kind, &reply.payload) {
-            Ok(n) => {
+        .unwrap_or_else(|msg| Reply::error(&msg));
+        match stream.write_all(&reply.frame).and_then(|()| stream.flush()) {
+            Ok(()) => {
                 shared.metrics.frames_out.incr();
-                shared.metrics.bytes_out.add(n);
+                shared.metrics.bytes_out.add(reply.frame.len() as u64);
             }
             Err(_) => {
                 // The peer vanished with a request in flight.
@@ -464,8 +499,15 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream, busy: &Timer) {
     shared.active.fetch_sub(1, Ordering::SeqCst);
 }
 
-fn err_value(msg: &str) -> Value {
-    Value::Map(vec![("error".into(), msg.to_string().to_value())])
+/// `LatLng::new` treats bad coordinates as a programming error and
+/// panics; here they are untrusted network data, so validate first — a
+/// hostile NaN must cost the sender its connection, not a worker.
+fn checked(loc: LatLng) -> Result<LatLng, String> {
+    let LatLng { lat, lng } = loc;
+    if !lat.is_finite() || !lng.is_finite() || !(-90.0..=90.0).contains(&lat) {
+        return Err(format!("invalid coordinates ({lat}, {lng})"));
+    }
+    Ok(loc)
 }
 
 fn latlng_of(v: &Value) -> Result<LatLng, String> {
@@ -473,13 +515,7 @@ fn latlng_of(v: &Value) -> Result<LatLng, String> {
         .map_err(|e| e.to_string())?;
     let lng = f64::from_value(v.field("lng").map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;
-    // `LatLng::new` treats bad coordinates as a programming error and
-    // panics; here they are untrusted network data, so validate first —
-    // a hostile NaN must cost the sender its connection, not a worker.
-    if !lat.is_finite() || !lng.is_finite() || !(-90.0..=90.0).contains(&lat) {
-        return Err(format!("invalid coordinates ({lat}, {lng})"));
-    }
-    Ok(LatLng::new(lat, lng))
+    checked(LatLng { lat, lng })
 }
 
 fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
@@ -487,7 +523,10 @@ fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
 }
 
 fn campaign_of(shared: &Shared, v: &Value) -> Result<Arc<CampaignHost>, String> {
-    let id = field_u64(v, "campaign")?;
+    campaign(shared, field_u64(v, "campaign")?)
+}
+
+fn campaign(shared: &Shared, id: u64) -> Result<Arc<CampaignHost>, String> {
     let host = lock_ok(&shared.campaigns)
         .get(&id)
         .cloned()
@@ -499,10 +538,9 @@ fn campaign_of(shared: &Shared, v: &Value) -> Result<Arc<CampaignHost>, String> 
 fn handle_request(
     shared: &Shared,
     session: &mut Option<u64>,
-    kind: u8,
-    v: &Value,
+    request: &Request,
 ) -> Result<Reply, String> {
-    if kind == wire::REQ_HELLO {
+    if let Request::Value(wire::REQ_HELLO, v) = request {
         let proto = field_u64(v, "proto")?;
         if proto != wire::PROTO_VERSION {
             return Err(format!(
@@ -520,6 +558,10 @@ fn handle_request(
     // Everything else requires the handshake: the session token keys the
     // rate limiter for estimates traffic.
     let session = session.ok_or_else(|| "handshake required (send HELLO first)".to_string())?;
+    let (kind, v) = match request {
+        Request::Ping(batch) => return ping_batch(shared, batch),
+        Request::Value(kind, v) => (*kind, v),
+    };
 
     match kind {
         wire::REQ_OPEN => {
@@ -568,22 +610,6 @@ fn handle_request(
             let tick = host.advance(want)?;
             Reply::ok(wire::RESP_OK, Value::Map(vec![("tick".into(), tick.to_value())]))
         }
-        wire::REQ_PING => {
-            let host = campaign_of(shared, v)?;
-            let key = field_u64(v, "key")?;
-            let loc = latlng_of(v)?;
-            // Snapshot and ping core are extracted under the lock; the
-            // (comparatively expensive) response renders outside it, so
-            // pings on several connections are answered concurrently.
-            let (snap, ping) = {
-                let mut st = lock_ok(&host.state);
-                let world =
-                    st.world.as_mut().ok_or("campaign already finished")?;
-                (world.snapshot(), world.api.ping_config())
-            };
-            let resp = ping.ping_client(&snap, key, loc);
-            Reply::ok(wire::RESP_PING, resp.to_value())
-        }
         wire::REQ_PRICE | wire::REQ_TIME => {
             let host = campaign_of(shared, v)?;
             let account = field_u64(v, "account")?;
@@ -614,6 +640,32 @@ fn handle_request(
     }
 }
 
+/// Answers a whole `PING` batch from one snapshot. Snapshot and ping
+/// core are taken under the lock once; the (comparatively expensive)
+/// responses render outside it, so batches on several connections are
+/// answered concurrently. Each response is encoded straight into the
+/// reply frame, and encoding stops once the reply would pass
+/// `max_frame`.
+fn ping_batch(shared: &Shared, batch: &PingBatch) -> Result<Reply, String> {
+    let host = campaign(shared, batch.campaign)?;
+    for &(_, loc) in &batch.pings {
+        checked(loc)?;
+    }
+    let (snap, ping) = {
+        let mut st = lock_ok(&host.state);
+        let world = st.world.as_mut().ok_or("campaign already finished")?;
+        (world.snapshot(), world.api.ping_config())
+    };
+    let mut encoded = Ok(());
+    let frame = wire::frame_with(wire::RESP_PING, |out| {
+        let responses = batch.pings.iter().map(|&(key, loc)| ping.ping_client(&snap, key, loc));
+        encoded = wire::encode_ping_reply(out, responses, shared.max_frame);
+    });
+    encoded?;
+    shared.metrics.pings.add(batch.pings.len() as u64);
+    Ok(Reply { frame, close: false })
+}
+
 /// Serves `estimates/price` / `estimates/time`, keying the per-account
 /// rate limiter by the connection's session token (a remote caller picks
 /// its claimed account freely; the session is the server-assigned
@@ -630,14 +682,13 @@ fn estimates_reply(
     let key = surgescope_api::session_key(session, account);
     let throttled = |e: surgescope_api::RateLimitError| {
         shared.metrics.throttled_wire.incr();
-        Reply {
-            kind: wire::RESP_THROTTLED,
-            payload: Value::Map(vec![
+        Reply::ok(
+            wire::RESP_THROTTLED,
+            Value::Map(vec![
                 ("account".into(), account.to_value()),
                 ("retry_after_secs".into(), e.retry_after_secs.to_value()),
             ]),
-            close: false,
-        }
+        )
     };
     match kind {
         wire::REQ_PRICE => match api.estimates_price(snap, key, loc) {
@@ -645,14 +696,14 @@ fn estimates_reply(
                 wire::RESP_PRICE,
                 Value::Map(vec![("estimates".into(), prices.to_value())]),
             ),
-            Err(e) => Ok(throttled(e)),
+            Err(e) => throttled(e),
         },
         _ => match api.estimates_time(snap, key, loc) {
             Ok(times) => Reply::ok(
                 wire::RESP_TIME,
                 Value::Map(vec![("estimates".into(), times.to_value())]),
             ),
-            Err(e) => Ok(throttled(e)),
+            Err(e) => throttled(e),
         },
     }
 }
@@ -679,15 +730,12 @@ mod tests {
     fn worker_panic_mid_campaign_is_isolated_and_the_campaign_finishes() {
         let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
         let addr = server.local_addr().to_string();
+        // `wire::ping` fails unless the reply is a `RESP_PING` with one
+        // response per ping.
         let ping = |stream: &mut TcpStream, campaign: u64| {
-            let v = Value::Map(vec![
-                ("campaign".into(), campaign.to_value()),
-                ("key".into(), 7u64.to_value()),
-                ("lat".into(), 37.78.to_value()),
-                ("lng".into(), (-122.41).to_value()),
-            ]);
-            let (kind, _) = rpc(stream, wire::REQ_PING, &v).expect("PING");
-            assert_eq!(kind, wire::RESP_PING);
+            let responses =
+                wire::ping(stream, campaign, [(7, LatLng::new(37.78, -122.41))]).expect("PING");
+            assert_eq!(responses.len(), 1);
         };
 
         let mut a = connect(&addr).expect("connect A");

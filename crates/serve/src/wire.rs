@@ -1,42 +1,73 @@
-//! The wire protocol: framing, request/response kinds, codec.
+//! The wire protocol: framing, request/response kinds, payload codecs.
 //!
 //! Frames reuse the `store` crate's conventions so one binary grammar
 //! covers disk and network:
 //!
 //! ```text
 //! | len: u32 LE | crc32: u32 LE | body (len bytes) |
-//! body = | kind: u8 | store-codec encoded serde::Value payload |
+//! body = | kind: u8 | payload |
 //! ```
 //!
 //! `len` covers the body only; the CRC32 is computed over the whole body
-//! (kind byte included), with the same polynomial as the event log. The
-//! payload is a [`serde::Value`] tree through [`surgescope_store::codec`],
-//! so floats cross the network as raw IEEE-754 bit patterns and a remote
-//! campaign's NaN gaps survive byte-exactly.
+//! (kind byte included), with the same polynomial as the event log.
+//!
+//! Every payload but `PING`'s and `RESP_PING`'s is a [`serde::Value`]
+//! tree through [`surgescope_store::codec`]. `PING` is the hot verb: a
+//! remote client sends one per connection per tick, carrying its whole
+//! chunk of pings, and both it and its reply use a fixed little-endian
+//! layout instead of a `Value` tree:
+//!
+//! ```text
+//! PING      = campaign u64 | n u32 | n × (key u64 | lat f64 | lng f64)
+//! RESP_PING = n u32 | n × response                  (in request order)
+//! response  = at u64 | lat f64 | lng f64 | tiers u32 | tiers × tier
+//! tier      = car_type u8 | ewt_min f64 | surge f64 | cars u32 | cars × car
+//! car       = id u64 | lat f64 | lng f64 | path u32 | path × (lat f64 | lng f64)
+//! ```
+//!
+//! `car_type` is the tier's index in `CarType::ALL` and path points run
+//! oldest first, so the layout carries exactly the fields of a
+//! [`PingClientResponse`]. Both codecs write every float as its raw
+//! IEEE-754 bits, so a remote campaign's NaN gaps survive byte-exactly.
+//! The layout's decoders check every count against the bytes that remain
+//! before reserving anything, and refuse a wrong length, an unknown tier,
+//! trailing bytes and a reply count other than the request's; they never
+//! panic.
 //!
 //! Request kinds live in `0x01..=0x7F`, responses in `0x80..=0xFF`;
 //! production builds serve seven request kinds. A connection speaks
-//! strictly request→response in order; pipelining is allowed (the remote
-//! client writes a whole tick's pings before reading), the server
-//! answers in arrival order.
+//! strictly request→response in order, and the server answers in
+//! arrival order.
 //!
-//! One reader, [`read_frame_with`], parses frames on both sides. The
-//! sides differ only in the caller's `stalled` closure, which sees every
-//! read that times out and every data read inside a frame: the client
-//! ([`read_frame`]) fails on a timeout, while the server waits at a frame
-//! boundary and drops a frame whose I/O deadline has passed.
+//! One reader, [`read_frame_with`], parses frames on both sides and stops
+//! at the CRC-checked body; the caller decodes the payload its kind
+//! carries. The sides differ only in the caller's `stalled` closure,
+//! which sees every read that times out and every data read inside a
+//! frame. The client fails on a timed-out read and on a reply frame not
+//! complete within its socket's read timeout of its first byte
+//! ([`ReadDeadline`]), so a server that trickles a reply cannot hold it;
+//! the server waits at a frame boundary and drops a frame whose I/O
+//! deadline has passed.
 
 use serde::{Deserialize, Serialize, Value};
+use std::borrow::Borrow;
 use std::io::{self, Read, Write};
-use std::time::Instant;
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use surgescope_api::{CarInfo, PingClientResponse, TypeStatus};
+use surgescope_city::CarType;
+use surgescope_geo::{LatLng, PathVector};
+use surgescope_simcore::SimTime;
 use surgescope_store::crc32::crc32;
 use surgescope_store::{decode_value, encode_value};
 
-/// Protocol version carried in the HELLO handshake.
-pub const PROTO_VERSION: u64 = 1;
+/// Protocol version carried in the HELLO handshake. Version 2 gave
+/// `PING` and `RESP_PING` their batched binary layout.
+pub const PROTO_VERSION: u64 = 2;
 
-/// Default upper bound on a frame body. A full pingClient response for a
-/// dense tier set is a few tens of kilobytes; 16 MiB leaves room for the
+/// Default upper bound on a frame body. A tick's `PING` reply for a few
+/// dozen clients is a few tens of kilobytes; 16 MiB leaves room for the
 /// FINISH ground-truth payload of a multi-day campaign.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 24;
 
@@ -47,7 +78,8 @@ pub const REQ_OPEN: u8 = 0x02;
 /// Advance the campaign world to the given tick, which must be the
 /// current tick plus one; the current tick itself is acknowledged again.
 pub const REQ_ADVANCE: u8 = 0x04;
-/// pingClient against a campaign's current tick snapshot.
+/// A batch of pingClient requests against a campaign's current tick
+/// snapshot, in the binary layout of the module docs.
 pub const REQ_PING: u8 = 0x05;
 /// `estimates/price` against a campaign's current tick snapshot.
 pub const REQ_PRICE: u8 = 0x06;
@@ -68,7 +100,7 @@ pub const RESP_OK: u8 = 0x80;
 pub const RESP_HELLO: u8 = 0x81;
 /// OPEN acknowledgement, carries the campaign id.
 pub const RESP_OPEN: u8 = 0x82;
-/// A full `PingClientResponse`.
+/// One `PingClientResponse` per ping of a batch, in the binary layout.
 pub const RESP_PING: u8 = 0x85;
 /// A list of `PriceEstimate`s.
 pub const RESP_PRICE: u8 = 0x86;
@@ -88,8 +120,9 @@ pub enum WireError {
     Closed,
     /// Underlying socket error (including read/write timeouts).
     Io(io::Error),
-    /// The bytes violate the framing grammar: truncated prefix or body,
-    /// zero/oversized length, CRC mismatch, or undecodable payload.
+    /// The bytes violate the framing grammar or the payload's codec:
+    /// truncated prefix or body, zero/oversized length, CRC mismatch, or
+    /// undecodable payload.
     Malformed(String),
 }
 
@@ -124,37 +157,63 @@ impl WireError {
     }
 }
 
+fn malformed(msg: impl Into<String>) -> WireError {
+    WireError::Malformed(msg.into())
+}
+
 /// Renders one complete frame (`len | crc | kind | payload`) into bytes,
-/// encoding the payload straight into the frame's buffer.
-pub fn frame_bytes(kind: u8, payload: &Value) -> Vec<u8> {
+/// with `payload` writing the payload straight into the frame's buffer.
+pub fn frame_with(kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&[0; 8]);
     out.push(kind);
-    encode_value(payload, &mut out);
+    payload(&mut out);
     let len = (out.len() - 8) as u32;
-    // The CRC covers the body: the kind byte and the encoded payload.
+    // The CRC covers the body: the kind byte and the payload.
     let crc = crc32(&out[8..]);
     out[..4].copy_from_slice(&len.to_le_bytes());
     out[4..8].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
-/// Validates and decodes a frame body (the bytes after the CRC word).
-pub fn decode_body(body: &[u8]) -> Result<(u8, Value), WireError> {
-    let Some((&kind, payload)) = body.split_first() else {
-        return Err(WireError::Malformed("empty frame body".into()));
-    };
-    let value = decode_value(payload)
-        .map_err(|e| WireError::Malformed(format!("payload codec: {e}")))?;
-    Ok((kind, value))
+/// Renders one frame whose payload is a `Value` tree.
+pub fn frame_bytes(kind: u8, payload: &Value) -> Vec<u8> {
+    frame_with(kind, |out| encode_value(payload, out))
 }
 
-/// Writes one frame; returns the bytes put on the wire.
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &Value) -> io::Result<u64> {
-    let bytes = frame_bytes(kind, payload);
-    w.write_all(&bytes)?;
-    w.flush()?;
-    Ok(bytes.len() as u64)
+/// Writes one `Value` frame.
+pub fn write_frame(w: &mut impl Write, kind: u8, payload: &Value) -> io::Result<()> {
+    w.write_all(&frame_bytes(kind, payload))?;
+    w.flush()
+}
+
+/// One CRC-checked frame body: the kind byte, then the payload.
+pub struct Frame {
+    /// Never empty: the reader refuses a zero length.
+    body: Vec<u8>,
+}
+
+impl Frame {
+    /// The request or response kind.
+    pub fn kind(&self) -> u8 {
+        self.body[0]
+    }
+
+    /// The payload bytes after the kind.
+    pub fn payload(&self) -> &[u8] {
+        &self.body[1..]
+    }
+
+    /// Bytes the frame took on the wire, header included.
+    pub fn wire_len(&self) -> u64 {
+        8 + self.body.len() as u64
+    }
+
+    /// Decodes a `Value` payload, which every kind but `PING` and
+    /// `RESP_PING` carries.
+    pub fn value(&self) -> Result<Value, WireError> {
+        decode_value(self.payload()).map_err(|e| malformed(format!("payload codec: {e}")))
+    }
 }
 
 /// Reads one frame, client and server alike: the length, checked
@@ -163,30 +222,27 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &Value) -> io::Result<
 /// arrived (`None` while none has) after every read that times out,
 /// with its error, and after every read that returns data, with `None`;
 /// `Ok` keeps reading and an error ends the read with it. Returns the
-/// decoded kind, payload and total bytes consumed.
+/// CRC-checked body; the caller decodes the payload its kind carries.
 pub fn read_frame_with<R: Read>(
     r: &mut R,
     max_frame: usize,
     mut stalled: impl FnMut(Option<io::Error>, Option<Instant>) -> Result<(), WireError>,
-) -> Result<(u8, Value, u64), WireError> {
+) -> Result<Frame, WireError> {
     let mut started = None;
     let mut word = [0u8; 4];
     fill(r, &mut word, &mut started, &mut stalled)?;
     let len = u32::from_le_bytes(word) as usize;
     if len == 0 || len > max_frame {
-        return Err(WireError::Malformed(format!(
-            "frame length {len} outside 1..={max_frame}"
-        )));
+        return Err(malformed(format!("frame length {len} outside 1..={max_frame}")));
     }
     fill(r, &mut word, &mut started, &mut stalled)?;
     let want_crc = u32::from_le_bytes(word);
     let mut body = vec![0u8; len];
     fill(r, &mut body, &mut started, &mut stalled)?;
     if crc32(&body) != want_crc {
-        return Err(WireError::Malformed("crc mismatch".into()));
+        return Err(malformed("crc mismatch"));
     }
-    let (kind, value) = decode_body(&body)?;
-    Ok((kind, value, (8 + len) as u64))
+    Ok(Frame { body })
 }
 
 /// Fills `buf`, stamping `started` at the frame's first byte. A close
@@ -201,7 +257,7 @@ fn fill<R: Read>(
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
             Ok(0) if started.is_none() => return Err(WireError::Closed),
-            Ok(0) => return Err(WireError::Malformed("stream closed mid-frame".into())),
+            Ok(0) => return Err(malformed("stream closed mid-frame")),
             Ok(n) => {
                 started.get_or_insert_with(Instant::now);
                 got += n;
@@ -217,23 +273,87 @@ fn fill<R: Read>(
     Ok(())
 }
 
-/// Blocking frame read (client side): a socket timeout is an error.
-pub fn read_frame(
-    r: &mut impl Read,
-    max_frame: usize,
-) -> Result<(u8, Value, u64), WireError> {
-    read_frame_with(r, max_frame, |e, _| e.map_or(Ok(()), |e| Err(WireError::Io(e))))
+/// A client transport whose read timeout also bounds a whole reply
+/// frame, counted from the frame's first byte.
+pub trait ReadDeadline {
+    /// The transport's per-read timeout, if it has one.
+    fn read_deadline(&self) -> Option<Duration>;
 }
 
-/// One blocking request/response exchange (client side).
-pub fn rpc<S: Read + Write>(stream: &mut S, kind: u8, payload: &Value) -> io::Result<(u8, Value)> {
+impl ReadDeadline for TcpStream {
+    fn read_deadline(&self) -> Option<Duration> {
+        self.read_timeout().ok().flatten()
+    }
+}
+
+/// Reads one frame (client side): a timed-out read fails, and so does a
+/// frame still incomplete `r`'s read deadline after its first byte, so a
+/// server trickling a reply faster than the socket timeout cannot hold
+/// the read for longer.
+fn read_client_frame<R: Read + ReadDeadline>(
+    r: &mut R,
+    max_frame: usize,
+) -> Result<Frame, WireError> {
+    let deadline = r.read_deadline();
+    read_frame_with(r, max_frame, |timed_out, started| match (timed_out, started) {
+        (Some(e), _) => Err(WireError::Io(e)),
+        (None, Some(t0)) if deadline.is_some_and(|d| t0.elapsed() > d) => {
+            Err(WireError::Io(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "reply frame incomplete past the read deadline of its first byte",
+            )))
+        }
+        _ => Ok(()),
+    })
+}
+
+/// Blocking read of one `Value` frame (client side). Returns the kind,
+/// the decoded payload and the bytes consumed.
+pub fn read_frame<R: Read + ReadDeadline>(
+    r: &mut R,
+    max_frame: usize,
+) -> Result<(u8, Value, u64), WireError> {
+    let frame = read_client_frame(r, max_frame)?;
+    Ok((frame.kind(), frame.value()?, frame.wire_len()))
+}
+
+/// Reads one reply frame (client side), surfacing a server-side
+/// `RESP_ERR` as an error carrying the server's message.
+fn read_reply_frame<S: Read + ReadDeadline>(stream: &mut S) -> io::Result<Frame> {
+    let frame = read_client_frame(stream, DEFAULT_MAX_FRAME).map_err(WireError::into_io)?;
+    if frame.kind() == RESP_ERR {
+        let msg = frame
+            .value()
+            .ok()
+            .and_then(|v| v.field("error").ok().and_then(|e| String::from_value(e).ok()))
+            .unwrap_or_else(|| "unspecified server error".into());
+        return Err(io::Error::other(format!("server: {msg}")));
+    }
+    Ok(frame)
+}
+
+/// One blocking request/response exchange of `Value` kinds (client
+/// side); a `RESP_ERR` reply is an error carrying the server's message.
+pub fn rpc<S: Read + Write + ReadDeadline>(
+    stream: &mut S,
+    kind: u8,
+    payload: &Value,
+) -> io::Result<(u8, Value)> {
     write_frame(stream, kind, payload)?;
-    read_reply(stream)
+    let reply = read_reply_frame(stream)?;
+    Ok((reply.kind(), reply.value().map_err(WireError::into_io)?))
+}
+
+fn unexpected_reply(kind: u8, got: u8) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("request {kind:#04x} answered with {got:#04x}"),
+    )
 }
 
 /// [`rpc`] for a request with one acceptable reply kind: any other kind
 /// is an error naming both.
-pub fn call<S: Read + Write>(
+pub fn call<S: Read + Write + ReadDeadline>(
     stream: &mut S,
     kind: u8,
     payload: &Value,
@@ -241,40 +361,266 @@ pub fn call<S: Read + Write>(
 ) -> io::Result<Value> {
     let (got, v) = rpc(stream, kind, payload)?;
     if got != want {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("request {kind:#04x} answered with {got:#04x}"),
-        ));
+        return Err(unexpected_reply(kind, got));
     }
     Ok(v)
 }
 
-/// Reads one response frame (client side), surfacing a server-side
-/// `RESP_ERR` as an error carrying the server's message.
-pub fn read_reply<S: Read>(stream: &mut S) -> io::Result<(u8, Value)> {
-    let (kind, value, _) = read_frame(stream, DEFAULT_MAX_FRAME).map_err(|e| e.into_io())?;
-    if kind == RESP_ERR {
-        let msg = value
-            .field("error")
-            .ok()
-            .and_then(|v| String::from_value(v).ok())
-            .unwrap_or_else(|| "unspecified server error".into());
-        return Err(io::Error::new(io::ErrorKind::Other, format!("server: {msg}")));
-    }
-    Ok((kind, value))
-}
-
 /// The HELLO handshake (client side): must be a connection's first
 /// exchange.
-pub fn hello<S: Read + Write>(stream: &mut S) -> io::Result<()> {
+pub fn hello<S: Read + Write + ReadDeadline>(stream: &mut S) -> io::Result<()> {
     let hello = Value::Map(vec![("proto".into(), PROTO_VERSION.to_value())]);
     call(stream, REQ_HELLO, &hello, RESP_HELLO).map(drop)
+}
+
+/// One `PING` exchange (client side): sends `pings`, as `(client key,
+/// location)`, against `campaign` in one frame, then reads the one reply
+/// and decodes its responses, one per ping in request order. An empty
+/// batch sends nothing. A malformed reply is `InvalidData`.
+pub fn ping<S: Read + Write + ReadDeadline>(
+    stream: &mut S,
+    campaign: u64,
+    pings: impl IntoIterator<Item = (u64, LatLng)>,
+) -> io::Result<Vec<PingClientResponse>> {
+    let mut n = 0;
+    let frame = frame_with(REQ_PING, |out| n = encode_ping_request(out, campaign, pings));
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    stream.write_all(&frame)?;
+    stream.flush()?;
+    let reply = read_reply_frame(stream)?;
+    if reply.kind() != RESP_PING {
+        return Err(unexpected_reply(REQ_PING, reply.kind()));
+    }
+    decode_ping_reply(reply.payload(), n).map_err(WireError::into_io)
+}
+
+/// A decoded `PING` request: the campaign, then each ping as `(client
+/// key, location)`. Locations are as sent, not yet validated.
+#[derive(Debug)]
+pub struct PingBatch {
+    /// The campaign every ping reads.
+    pub campaign: u64,
+    /// The pings, in request order.
+    pub pings: Vec<(u64, LatLng)>,
+}
+
+/// Bytes of one ping in a `PING` request: key, latitude, longitude.
+const PING_BYTES: usize = 24;
+/// Fewest bytes a response, a tier, a car and a path point can take.
+const RESPONSE_MIN: usize = 8 + 16 + 4;
+const TIER_MIN: usize = 1 + 8 + 8 + 4;
+const CAR_MIN: usize = 8 + 16 + 4;
+const POINT_BYTES: usize = 16;
+
+fn put_u32(out: &mut Vec<u8>, v: usize) {
+    out.extend_from_slice(&(v as u32).to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_latlng(out: &mut Vec<u8>, p: LatLng) {
+    put_u64(out, p.lat.to_bits());
+    put_u64(out, p.lng.to_bits());
+}
+
+/// Appends a `PING` request payload to `out` and returns how many pings
+/// it carries.
+pub fn encode_ping_request(
+    out: &mut Vec<u8>,
+    campaign: u64,
+    pings: impl IntoIterator<Item = (u64, LatLng)>,
+) -> usize {
+    put_u64(out, campaign);
+    let count_at = out.len();
+    put_u32(out, 0);
+    let mut n = 0;
+    for (key, loc) in pings {
+        put_u64(out, key);
+        put_latlng(out, loc);
+        n += 1;
+    }
+    out[count_at..count_at + 4].copy_from_slice(&(n as u32).to_le_bytes());
+    n
+}
+
+/// Decodes a `PING` request payload, which must be exactly
+/// `12 + 24 n` bytes.
+pub fn decode_ping_request(payload: &[u8]) -> Result<PingBatch, WireError> {
+    let mut f = Fields(payload);
+    let campaign = f.u64()?;
+    let n = f.u32()? as usize;
+    let want = 12 + PING_BYTES as u64 * n as u64;
+    if payload.len() as u64 != want {
+        return Err(malformed(format!(
+            "PING of {n} pings must be {want} bytes, not {}",
+            payload.len()
+        )));
+    }
+    let mut pings = Vec::with_capacity(n);
+    for _ in 0..n {
+        pings.push((f.u64()?, f.latlng()?));
+    }
+    Ok(PingBatch { campaign, pings })
+}
+
+/// Appends a `RESP_PING` payload to `out`: the count, then each response
+/// in order. Fails, leaving the bytes written so far, once the frame
+/// body the payload goes in (kind byte included) would pass `max_frame`
+/// bytes, so a reply stays within what its reader accepts however large
+/// the batch.
+pub fn encode_ping_reply<R: Borrow<PingClientResponse>>(
+    out: &mut Vec<u8>,
+    responses: impl ExactSizeIterator<Item = R>,
+    max_frame: usize,
+) -> Result<(), String> {
+    let start = out.len();
+    put_u32(out, responses.len());
+    for (i, resp) in responses.enumerate() {
+        let resp = resp.borrow();
+        put_u64(out, resp.at.as_secs());
+        put_latlng(out, resp.location);
+        put_u32(out, resp.statuses.len());
+        for s in &resp.statuses {
+            out.push(s.car_type as u8);
+            put_u64(out, s.ewt_min.to_bits());
+            put_u64(out, s.surge.to_bits());
+            put_u32(out, s.cars.len());
+            for car in &s.cars {
+                put_u64(out, car.id);
+                put_latlng(out, car.position);
+                put_u32(out, car.path.len());
+                for p in car.path.points() {
+                    put_latlng(out, p);
+                }
+            }
+        }
+        if 1 + out.len() - start > max_frame {
+            return Err(format!(
+                "PING reply passes the {max_frame}-byte frame limit at response {}",
+                i + 1
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Decodes a `RESP_PING` payload answering a `PING` of `n` pings.
+pub fn decode_ping_reply(payload: &[u8], n: usize) -> Result<Vec<PingClientResponse>, WireError> {
+    let mut f = Fields(payload);
+    let got = f.count(RESPONSE_MIN)?;
+    if got != n {
+        return Err(malformed(format!("PING of {n} pings answered with {got} responses")));
+    }
+    let mut responses = Vec::with_capacity(n);
+    for _ in 0..n {
+        let at = SimTime(f.u64()?);
+        let location = f.latlng()?;
+        let tiers = f.count(TIER_MIN)?;
+        let mut statuses = Vec::with_capacity(tiers);
+        for _ in 0..tiers {
+            let index = f.u8()?;
+            let car_type = *CarType::ALL
+                .get(usize::from(index))
+                .ok_or_else(|| malformed(format!("unknown tier index {index}")))?;
+            let ewt_min = f.f64()?;
+            let surge = f.f64()?;
+            let cars = f.count(CAR_MIN)?;
+            let mut infos = Vec::with_capacity(cars);
+            for _ in 0..cars {
+                let id = f.u64()?;
+                let position = f.latlng()?;
+                let points = f.count(POINT_BYTES)?;
+                let mut path = PathVector::new(points.max(2));
+                // The points are read in bulk: a path is most of a reply.
+                let raw = f.bytes(points * POINT_BYTES)?;
+                for p in raw.as_chunks::<8>().0.chunks_exact(2) {
+                    let (lat, lng) = (f64::from_le_bytes(p[0]), f64::from_le_bytes(p[1]));
+                    path.push(LatLng { lat, lng });
+                }
+                infos.push(CarInfo { id, position, path: Arc::new(path) });
+            }
+            statuses.push(TypeStatus { car_type, cars: infos, ewt_min, surge });
+        }
+        responses.push(PingClientResponse { at, location, statuses });
+    }
+    if !f.0.is_empty() {
+        return Err(malformed(format!("{} trailing bytes after a PING reply", f.0.len())));
+    }
+    Ok(responses)
+}
+
+/// The unread rest of a layout payload; every read is bounds-checked.
+struct Fields<'a>(&'a [u8]);
+
+fn truncated() -> WireError {
+    malformed("PING payload truncated")
+}
+
+impl<'a> Fields<'a> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self.0.split_first_chunk::<N>().ok_or_else(truncated)?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or_else(truncated)?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, WireError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A position as sent; NaN and out-of-range values pass through.
+    fn latlng(&mut self) -> Result<LatLng, WireError> {
+        Ok(LatLng { lat: self.f64()?, lng: self.f64()? })
+    }
+
+    /// A count of items at least `min` bytes each, refused when the
+    /// bytes left cannot hold that many, so nothing is reserved for
+    /// items that are not there.
+    fn count(&mut self, min: usize) -> Result<usize, WireError> {
+        let n = self.u32()? as usize;
+        if n > self.0.len() / min {
+            return Err(malformed(format!(
+                "count {n} overruns the {} bytes that follow",
+                self.0.len()
+            )));
+        }
+        Ok(n)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde::{Deserialize, Serialize};
+    use surgescope_simcore::SimRng;
+
+    /// In-memory readers have no socket deadline.
+    impl ReadDeadline for io::Cursor<Vec<u8>> {
+        fn read_deadline(&self) -> Option<Duration> {
+            None
+        }
+    }
 
     #[test]
     fn frame_roundtrip() {
@@ -348,5 +694,214 @@ mod tests {
             read_frame(&mut cur, 1 << 16),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    /// A server that trickles a reply one byte every 30 ms, well inside
+    /// a 200 ms socket read timeout, cannot hold the client's read: the
+    /// frame must be complete within the read timeout of its first byte.
+    #[test]
+    fn trickled_reply_fails_the_client_read_at_its_deadline() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().expect("accept");
+            let started = Instant::now();
+            if peer.write_all(&4096u32.to_le_bytes()).is_err() {
+                return;
+            }
+            // Stops once the client hangs up, or after 3 s at the latest.
+            while started.elapsed() < Duration::from_secs(3) {
+                std::thread::sleep(Duration::from_millis(30));
+                if peer.write_all(&[0xAB]).is_err() {
+                    return;
+                }
+            }
+        });
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+        let t0 = Instant::now();
+        let err = read_frame(&mut stream, DEFAULT_MAX_FRAME)
+            .expect_err("a trickled reply must fail the read");
+        let took = t0.elapsed();
+        drop(stream);
+        writer.join().expect("writer thread");
+        assert!(
+            matches!(&err, WireError::Io(e) if e.kind() == io::ErrorKind::TimedOut),
+            "unexpected error: {err}"
+        );
+        assert!(took < Duration::from_secs(1), "the trickled read took {took:?}");
+    }
+
+    fn path(points: &[LatLng]) -> Arc<PathVector> {
+        let mut p = PathVector::new(8);
+        for &pt in points {
+            p.push(pt);
+        }
+        Arc::new(p)
+    }
+
+    /// Two responses covering every tier, a NaN and a negative zero in
+    /// each float field, a tier with no cars and a car with an empty path.
+    fn sample_responses() -> Vec<PingClientResponse> {
+        let odd = LatLng { lat: f64::NAN, lng: -0.0 };
+        let statuses = CarType::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, &car_type)| TypeStatus {
+                car_type,
+                cars: (0..i % 3)
+                    .map(|c| CarInfo {
+                        id: (i * 10 + c) as u64,
+                        position: if c == 0 { odd } else { LatLng::new(37.7, -122.4) },
+                        path: match c {
+                            0 => path(&[]),
+                            _ => path(&[
+                                odd,
+                                LatLng::new(37.71, -122.41),
+                                LatLng::new(37.72, -122.4),
+                            ]),
+                        },
+                    })
+                    .collect(),
+                ewt_min: if i == 0 { f64::NAN } else { i as f64 * 1.5 },
+                surge: if i == 1 { -0.0 } else { 1.0 + i as f64 / 10.0 },
+            })
+            .collect();
+        let clean_car = CarInfo {
+            id: 5,
+            position: LatLng::new(37.78, -122.41),
+            path: path(&[LatLng::new(37.779, -122.409), LatLng::new(37.78, -122.41)]),
+        };
+        vec![
+            PingClientResponse { at: SimTime(86_400), location: odd, statuses },
+            PingClientResponse {
+                at: SimTime(u64::MAX),
+                location: LatLng::new(37.78, -122.41),
+                statuses: vec![TypeStatus {
+                    car_type: CarType::UberT,
+                    cars: vec![clean_car],
+                    ewt_min: 4.0,
+                    surge: 1.0,
+                }],
+            },
+        ]
+    }
+
+    fn reply_payload(responses: &[PingClientResponse]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_ping_reply(&mut out, responses.iter(), DEFAULT_MAX_FRAME).unwrap();
+        out
+    }
+
+    /// Re-encodes decoded responses: equal bytes mean every field,
+    /// float bits included, survived.
+    #[test]
+    fn ping_layout_round_trip_preserves_every_bit() {
+        let responses = sample_responses();
+        let payload = reply_payload(&responses);
+        let back = decode_ping_reply(&payload, responses.len()).expect("decode reply");
+        assert_eq!(reply_payload(&back), payload);
+        assert_eq!(back.len(), 2);
+        assert_eq!(back[0].statuses.len(), CarType::ALL.len());
+        for (s, &t) in back[0].statuses.iter().zip(&CarType::ALL) {
+            assert_eq!(s.car_type, t, "tier indices follow CarType::ALL");
+        }
+        assert!(back[0].location.lat.is_nan());
+        assert_eq!(back[0].location.lng.to_bits(), (-0.0f64).to_bits());
+        assert!(back[0].statuses[0].cars.is_empty(), "a tier with no cars");
+        assert!(back[0].statuses[1].cars[0].path.is_empty(), "a car with an empty path");
+        assert_eq!(back[0].statuses[2].cars[1].path.len(), 3);
+        // Equality ignores the path's capacity, which the layout omits.
+        assert_eq!(back[1], responses[1]);
+
+        let pings = [
+            (7u64, LatLng::new(37.78, -122.41)),
+            (u64::MAX, LatLng { lat: f64::NAN, lng: -0.0 }),
+        ];
+        let mut request = Vec::new();
+        assert_eq!(encode_ping_request(&mut request, 3, pings.iter().copied()), 2);
+        assert_eq!(request.len(), 12 + 24 * 2);
+        let batch = decode_ping_request(&request).expect("decode request");
+        assert_eq!(batch.campaign, 3);
+        let mut again = Vec::new();
+        encode_ping_request(&mut again, batch.campaign, batch.pings.iter().copied());
+        assert_eq!(again, request);
+    }
+
+    /// Every truncation of a request and a reply, trailing bytes, an
+    /// unknown tier and counts far beyond the bytes that follow are
+    /// refused. Seeded single-byte flips are refused by the frame's CRC,
+    /// and the payload decoders take the same flips without a panic.
+    #[test]
+    fn corrupt_ping_payloads_are_refused_without_panic() {
+        let responses = sample_responses();
+        let reply = reply_payload(&responses);
+        let mut request = Vec::new();
+        let pings = [(1, LatLng::new(37.7, -122.4)), (2, LatLng::new(37.8, -122.5))];
+        encode_ping_request(&mut request, 9, pings);
+
+        for cut in 0..reply.len() {
+            assert!(decode_ping_reply(&reply[..cut], 2).is_err(), "reply cut at {cut}");
+        }
+        for cut in 0..request.len() {
+            assert!(decode_ping_request(&request[..cut]).is_err(), "request cut at {cut}");
+        }
+        let mut padded = reply.clone();
+        padded.push(0);
+        assert!(decode_ping_reply(&padded, 2).is_err(), "trailing bytes");
+        let mut padded = request.clone();
+        padded.push(0);
+        assert!(decode_ping_request(&padded).is_err(), "request length off by one");
+        assert!(decode_ping_reply(&reply, 1).is_err(), "a reply count other than the request's");
+
+        let mut rng = SimRng::seed_from_u64(0xF11D);
+        for (kind, payload) in [(RESP_PING, &reply), (REQ_PING, &request)] {
+            let frame = frame_with(kind, |out| out.extend_from_slice(payload));
+            for _ in 0..1_000 {
+                let mut flipped = frame.clone();
+                let at = rng.range_usize(9, flipped.len());
+                flipped[at] ^= rng.range_u64(1, 256) as u8;
+                let read = read_frame_with(&mut &flipped[..], DEFAULT_MAX_FRAME, |_, _| Ok(()));
+                assert!(read.is_err(), "a flip at byte {at} passed the CRC");
+                let mut p = payload.clone();
+                p[at - 9] = flipped[at];
+                let _ = if kind == RESP_PING {
+                    decode_ping_reply(&p, 2).map(drop)
+                } else {
+                    decode_ping_request(&p).map(drop)
+                };
+            }
+        }
+
+        // A tier index past CarType::ALL.
+        let mut bad = reply.clone();
+        let first_tier = 4 + 8 + 16 + 4;
+        bad[first_tier] = CarType::ALL.len() as u8;
+        assert!(decode_ping_reply(&bad, 2).is_err(), "unknown tier index");
+
+        // Counts far beyond the bytes that follow are refused before any
+        // reservation (a u32::MAX-element reserve would abort the test).
+        let huge = u32::MAX.to_le_bytes();
+        let mut bad = reply.clone();
+        bad[..4].copy_from_slice(&huge);
+        assert!(decode_ping_reply(&bad, u32::MAX as usize).is_err(), "response count");
+        let mut bad = reply.clone();
+        bad[4 + 8 + 16..4 + 8 + 16 + 4].copy_from_slice(&huge);
+        assert!(decode_ping_reply(&bad, 2).is_err(), "tier count");
+        let mut bad = request.clone();
+        bad[8..12].copy_from_slice(&huge);
+        assert!(decode_ping_request(&bad).is_err(), "ping count");
+    }
+
+    #[test]
+    fn ping_reply_stops_at_the_frame_limit() {
+        let responses = sample_responses();
+        let whole = reply_payload(&responses);
+        let mut out = Vec::new();
+        assert!(encode_ping_reply(&mut out, responses.iter(), whole.len() + 1).is_ok());
+        out.clear();
+        let err = encode_ping_reply(&mut out, responses.iter(), whole.len())
+            .expect_err("one byte short of the whole body");
+        assert!(err.contains("frame limit"), "unexpected error: {err}");
     }
 }

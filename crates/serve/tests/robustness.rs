@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize, Value};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+use surgescope_geo::LatLng;
 use surgescope_serve::wire;
 use surgescope_serve::{ServeConfig, Server};
 
@@ -225,16 +226,14 @@ fn advance_reacks_the_current_tick_and_refuses_a_skip() {
         ]);
         rpc(stream, wire::REQ_ADVANCE, &v)
     };
-    let ping = Value::Map(vec![
-        ("campaign".into(), campaign.to_value()),
-        ("key".into(), 3u64.to_value()),
-        ("lat".into(), 37.78.to_value()),
-        ("lng".into(), (-122.41).to_value()),
-    ]);
+    // `wire::ping` fails unless the reply is a `RESP_PING`; its
+    // responses are compared as the reply's layout bytes.
     let ping_bytes = |stream: &mut TcpStream| {
-        let (kind, v) = rpc(stream, wire::REQ_PING, &ping);
-        assert_eq!(kind, wire::RESP_PING, "PING refused: {v:?}");
-        surgescope_store::encode_to_vec(&v)
+        let responses = wire::ping(stream, campaign, [(3, LatLng::new(37.78, -122.41))])
+            .expect("PING refused");
+        let mut bytes = Vec::new();
+        wire::encode_ping_reply(&mut bytes, responses.iter(), usize::MAX).expect("re-encode");
+        bytes
     };
 
     for tick in 1..=3u64 {
@@ -311,27 +310,57 @@ fn hostile_coordinates_answered_with_error_and_worker_survives() {
     let mut stream = connect(&server);
     hello(&mut stream);
     let campaign = open_campaign(&mut stream);
-    let v = Value::Map(vec![
-        ("campaign".into(), campaign.to_value()),
-        ("key".into(), 1u64.to_value()),
-        ("lat".into(), f64::NAN.to_value()),
-        ("lng".into(), (-122.4).to_value()),
-    ]);
-    let (kind, _) = rpc(&mut stream, wire::REQ_PING, &v);
+    // A NaN latitude behind a valid ping: one bad location refuses the
+    // whole batch.
+    let pings = [(2, LatLng::new(37.78, -122.41)), (1, LatLng { lat: f64::NAN, lng: -122.4 })];
+    let frame = wire::frame_with(wire::REQ_PING, |out| {
+        wire::encode_ping_request(out, campaign, pings);
+    });
+    stream.write_all(&frame).expect("send PING");
+    let (kind, _, _) = wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME).expect("read reply");
     assert_eq!(kind, wire::RESP_ERR, "NaN coordinates must be refused, not panic a worker");
     assert_closed(&mut stream);
 
     // The worker pool is intact: a fresh connection still gets answers.
     let mut stream = connect(&server);
     hello(&mut stream);
-    let v = Value::Map(vec![
-        ("campaign".into(), campaign.to_value()),
-        ("key".into(), 1u64.to_value()),
-        ("lat".into(), 37.78.to_value()),
-        ("lng".into(), (-122.41).to_value()),
-    ]);
-    let (kind, _) = rpc(&mut stream, wire::REQ_PING, &v);
-    assert_eq!(kind, wire::RESP_PING);
+    let responses = wire::ping(&mut stream, campaign, [(1, LatLng::new(37.78, -122.41))])
+        .expect("a valid PING is answered RESP_PING");
+    assert_eq!(responses.len(), 1);
+}
+
+/// A `PING` reply can be some 500 times the size of its request, so the
+/// server bounds it by `max_frame` too: a batch whose reply would pass
+/// the limit is answered `RESP_ERR` and closed — a protocol error, not a
+/// framing one — and a fresh connection is still served. Only answered
+/// batches count in `serve.pings`.
+#[test]
+fn ping_reply_past_max_frame_is_refused_and_a_fresh_connection_is_served() {
+    let cfg = ServeConfig { max_frame: 4096, ..ServeConfig::default() };
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let mut stream = connect(&server);
+    hello(&mut stream);
+    let campaign = open_campaign(&mut stream);
+    let at = |key: u64| (key, LatLng::new(37.78, -122.41));
+    assert_eq!(wire::ping(&mut stream, campaign, [at(1)]).expect("one ping fits").len(), 1);
+
+    // 100 pings: a 2,412-byte request whose reply would pass 4 KB.
+    let frame = wire::frame_with(wire::REQ_PING, |out| {
+        wire::encode_ping_request(out, campaign, (0..100).map(at));
+    });
+    assert!(frame.len() - 8 <= 4096, "the request itself fits the limit");
+    stream.write_all(&frame).expect("send PING");
+    let (kind, v, _) = wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME).expect("read reply");
+    assert_eq!(kind, wire::RESP_ERR, "an oversized reply must be refused");
+    let msg = String::from_value(v.field("error").unwrap()).unwrap();
+    assert!(msg.contains("frame limit"), "unexpected error: {msg}");
+    assert_closed(&mut stream);
+
+    let mut stream = connect(&server);
+    hello(&mut stream);
+    assert_eq!(wire::ping(&mut stream, campaign, [at(2)]).expect("fresh connection").len(), 1);
+    assert_eq!(server.metrics().pings.get(), 2, "the refused batch is not counted");
+    assert_eq!(server.metrics().frame_errors.get(), 0);
 }
 
 #[test]

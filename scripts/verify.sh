@@ -61,6 +61,8 @@ echo "== ping kernels: pinned output =="
 # reproduce the removed 4-thread ping pool's lossy output and, with and
 # without location noise, the wire response's conversion; the taxi
 # kernel must reproduce the pings of the sorting kernel it replaced.
+# The wire response must convert to the same observations after a round
+# trip through the binary PING layout the remote client reads.
 run_named_tests -p surgescope-geo --lib -- \
   nearest::tests::ties_rank_in_offer_order \
   nearest::tests::lattice_sweep_matches_stable_sort_with_ties_at_the_cutoff \
@@ -72,7 +74,8 @@ run_named_tests -p surgescope-core --lib -- \
   systems::tests::lossy_ping_all_matches_pinned_pool_output \
   systems::tests::taxi_ping_all_matches_pinned_sort_output
 run_named_tests -p surgescope-core --test ping_equivalence -- \
-  ping_all_matches_wire_response_conversion
+  ping_all_matches_wire_response_conversion \
+  ping_all_matches_wire_layout_round_trip
 
 echo "== marketplace: idle index and EWT =="
 # Dispatch and the marketplace's EWT scan one unordered idle list per
@@ -127,28 +130,43 @@ run_named_tests -p surgescope-core --test checkpoint_resume -- \
 run_named_tests -p surgescope-bench --test checkpoint_heap -- \
   checkpoint_write_heap_peak_is_bounded_by_file_size
 
+echo "== store: sliced CRC-32 =="
+# Every frame, log record and checkpoint is checked by the slicing-by-8
+# CRC, which must equal the bitwise definition at every length from 0 to
+# 1,024 and every start offset from 0 to 7, and keep the known vectors.
+run_named_tests -p surgescope-store --lib -- \
+  crc32::tests::known_vectors \
+  crc32::tests::sliced_matches_bitwise_reference_at_every_length_and_offset
+
 echo "== store: corrupted-log handling =="
 # Truncated tails and flipped bits must surface clean errors, not panics.
 run_named_tests -p surgescope-core --test checkpoint_resume -- \
   truncated_log_errors_cleanly \
   corrupted_log_fails_crc_cleanly
 
-echo "== serve: one frame reader, one ping loop, client-ordered ticks =="
+echo "== serve: one frame reader, one batched PING per connection, client-ordered ticks =="
 # Client and server parse frames through one reader and differ only in
 # what a stalled read means. The server waits at an idle frame boundary,
 # drops a frame once io_timeout has passed since its first byte, whether
 # the frame went silent or trickles in, refuses an oversized length on
 # the prefix alone, and answers what arrives inside the shutdown drain
-# window. A payload nested past the codec's depth bound costs its
-# connection, never the process. A frame is byte for byte an event-log
-# record. The server ticks a world only on ADVANCE(tick+1), acks
-# ADVANCE(tick) again without moving it, and refuses a skipped tick; any
-# connection that said HELLO may ping. The remote client sends one
-# ADVANCE per tick on its first connection, answers that connection's
-# chunk of clients on the calling thread and a scoped thread each
-# further one, and reconnects with connect + HELLO; at 1 and 4
-# connections, with a connection left without pings, and under chaos,
-# its campaigns must equal the in-process bytes.
+# window. The client fails a reply frame not complete within its socket
+# deadline of its first byte, so a trickled reply cannot hold it. A
+# payload nested past the codec's depth bound costs its connection,
+# never the process. A frame is byte for byte an event-log record. PING
+# carries one connection's whole chunk of a tick in a fixed binary
+# layout: it round-trips every bit (NaN and -0 included), its decoders
+# refuse every truncation, trailing bytes, an unknown tier and counts
+# beyond the bytes that follow without a panic, a batch whose reply
+# would pass max_frame is refused with RESP_ERR, and serve.pings counts
+# every sent ping exactly once. The server ticks a world only on
+# ADVANCE(tick+1), acks ADVANCE(tick) again without moving it, and
+# refuses a skipped tick; any connection that said HELLO may ping. The
+# remote client sends one ADVANCE per tick on its first connection,
+# answers that connection's chunk of clients on the calling thread and
+# a scoped thread each further one, and reconnects with connect +
+# HELLO; at 1 and 4 connections, with a connection left without pings,
+# and under chaos, its campaigns must equal the in-process bytes.
 run_named_tests -p surgescope-serve --test robustness -- \
   stall_after_the_length_prefix_is_dropped \
   idle_connection_outlives_io_timeout \
@@ -158,20 +176,26 @@ run_named_tests -p surgescope-serve --test robustness -- \
   truncated_length_prefix_closes_with_error_count \
   deeply_nested_payload_costs_only_its_connection \
   advance_reacks_the_current_tick_and_refuses_a_skip \
-  shutdown_drains_inflight_requests
+  shutdown_drains_inflight_requests \
+  ping_reply_past_max_frame_is_refused_and_a_fresh_connection_is_served
 run_named_tests -p surgescope-serve --lib -- \
   wire::tests::frame_roundtrip \
   wire::tests::crc_flip_detected \
   wire::tests::clean_close_vs_truncated_prefix \
   wire::tests::oversized_length_rejected_before_allocation \
-  wire::tests::frame_bytes_match_log_record_bytes
+  wire::tests::frame_bytes_match_log_record_bytes \
+  wire::tests::trickled_reply_fails_the_client_read_at_its_deadline \
+  wire::tests::ping_layout_round_trip_preserves_every_bit \
+  wire::tests::corrupt_ping_payloads_are_refused_without_panic \
+  wire::tests::ping_reply_stops_at_the_frame_limit
 run_named_tests -p surgescope-store --lib -- \
   codec::tests::nesting_is_bounded_at_max_depth
 run_named_tests -p surgescope-core --test remote_lockstep -- \
   remote_campaign_matches_local_bytes_clean_and_faulted \
   more_connections_than_chunks_matches_local_bytes \
   remote_campaign_rejects_store_hooks \
-  server_deterministic_counters_stable_across_reruns
+  server_deterministic_counters_stable_across_reruns \
+  server_answers_each_sent_ping_exactly_once
 run_named_tests -p surgescope-core --test remote_chaos -- \
   chaotic_remote_campaign_matches_local_bytes_clean_and_faulted \
   zero_retry_budget_trips_the_breaker_and_local_fallback_matches \
