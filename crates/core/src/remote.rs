@@ -27,12 +27,13 @@
 //! A tick's pings split the clients into contiguous chunks, one per
 //! connection. Each connection sends its chunk's undropped pings as one
 //! `PING` frame in the wire's fixed binary layout and reads one reply
-//! frame, whose responses it decodes into
+//! frame, whose car table and responses it decodes into
 //! [`PingClientResponse`](surgescope_api::PingClientResponse)s and
 //! converts exactly as the in-process kernel is locked to. The calling
-//! thread answers the first connection's chunk and a scoped thread each
-//! further one, so one connection spawns no thread and K connections
-//! spawn K − 1.
+//! thread writes every connection's `PING` before it reads any reply,
+//! so the server's workers answer the batches in parallel, and then
+//! reads the replies in connection order: a tick spawns no thread at
+//! any connection count.
 //!
 //! ## Resilience
 //!
@@ -188,14 +189,13 @@ struct Conn {
     /// Bumped per reconnect so each incarnation draws a fresh fault
     /// schedule instead of replaying the one that just killed it.
     incarnation: u64,
-    /// Backoff jitter stream — per connection, so connections retrying
-    /// on different threads share no RNG state.
+    /// Backoff jitter stream — per connection, so one connection's
+    /// retries never shift another's schedule.
     jitter: SimRng,
 }
 
 /// Everything a retry loop needs to rebuild a connection, built
-/// once at connect. It holds only `Sync` state, so the ping threads
-/// share it by reference while each retries its own [`Conn`].
+/// once at connect.
 struct Link {
     addr: String,
     campaign: u64,
@@ -242,41 +242,51 @@ fn reconnect(conn: &mut Conn, link: &Link) -> io::Result<()> {
     Ok(())
 }
 
-/// Runs `op` against `conn`, reconnecting and re-sending on failure until
-/// it succeeds or the retry budget is spent — at which point the returned
-/// error is the circuit breaker tripping. Failed *reconnects* burn budget
-/// too, so a dead server cannot loop forever. `op` must be safe to
-/// re-send blind (every campaign verb is; see the module docs).
+/// Runs `op` against `conn` under the retry policy; see [`retry_after`].
 fn with_retry<T>(
     conn: &mut Conn,
     link: &Link,
     mut op: impl FnMut(&mut Conn) -> io::Result<T>,
 ) -> io::Result<T> {
+    let first = op(conn);
+    retry_after(conn, link, first, op)
+}
+
+/// Finishes an operation whose first attempt, made by the caller, ended
+/// in `first`: on failure it reconnects and re-sends `op` until it
+/// succeeds or the retry budget is spent — at which point the returned
+/// error is the circuit breaker tripping. Failed *reconnects* burn budget
+/// too, so a dead server cannot loop forever. `op` must be safe to
+/// re-send blind (every campaign verb is; see the module docs).
+fn retry_after<T>(
+    conn: &mut Conn,
+    link: &Link,
+    first: io::Result<T>,
+    mut op: impl FnMut(&mut Conn) -> io::Result<T>,
+) -> io::Result<T> {
+    let mut last = match first {
+        Ok(v) => return Ok(v),
+        Err(e) => e,
+    };
     let mut backoff = Backoff::new(link.policy.backoff_base, link.policy.backoff_cap);
     let mut attempts = 0u32;
-    let mut last;
     loop {
+        if attempts >= link.policy.max_retries {
+            return Err(io::Error::other(format!(
+                "circuit breaker open: retry budget of {} exhausted (last: {last})",
+                link.policy.max_retries
+            )));
+        }
+        attempts += 1;
+        link.res.retries.incr();
+        std::thread::sleep(backoff.next_delay(&mut conn.jitter));
+        if let Err(e) = reconnect(conn, link) {
+            last = e;
+            continue;
+        }
         match op(conn) {
             Ok(v) => return Ok(v),
             Err(e) => last = e,
-        }
-        loop {
-            if attempts >= link.policy.max_retries {
-                return Err(io::Error::new(
-                    io::ErrorKind::Other,
-                    format!(
-                        "circuit breaker open: retry budget of {} exhausted (last: {last})",
-                        link.policy.max_retries
-                    ),
-                ));
-            }
-            attempts += 1;
-            link.res.retries.incr();
-            std::thread::sleep(backoff.next_delay(&mut conn.jitter));
-            match reconnect(conn, link) {
-                Ok(()) => break,
-                Err(e) => last = e,
-            }
         }
     }
 }
@@ -523,36 +533,53 @@ fn decode_estimates<T: Deserialize>(
     Ok(Ok(est))
 }
 
-/// Sends one chunk's undropped pings down one connection as one `PING`
-/// frame (nothing when the whole chunk is dropped), reads the one reply,
-/// and routes each response by its fault outcome. Returns the delayed
-/// payloads in client order.
-///
-/// Safe to re-run wholesale after a reconnect: every `out` slot is
-/// overwritten (or cleared) per attempt, the `delayed` list is rebuilt
-/// from scratch, and the frozen snapshot answers byte-identically
-/// however often it is asked.
-#[allow(clippy::too_many_arguments)]
-fn ping_chunk(
+/// One connection's share of a tick: a contiguous chunk of the clients,
+/// their fault outcomes and their observation slots.
+struct Chunk<'a> {
+    clients: &'a [ClientSpec],
+    outcomes: &'a [FaultOutcome],
+    slots: &'a mut [Vec<TypeObservation>],
+    /// Index of the chunk's first client.
+    base: usize,
+}
+
+/// Sends a chunk's undropped pings as one `PING` frame (nothing when the
+/// whole chunk is dropped) and returns how many it sent.
+fn send_chunk(
     stream: &mut ChaosStream<TcpStream>,
     campaign: u64,
     proj: &LocalProjection,
-    clients: &[ClientSpec],
-    outcomes: &[FaultOutcome],
-    out: &mut [Vec<TypeObservation>],
-    base: usize,
-    tick_secs: u64,
-) -> io::Result<Vec<(usize, u64, Vec<TypeObservation>)>> {
-    let sent = clients
+    chunk: &Chunk<'_>,
+) -> io::Result<usize> {
+    let sent = chunk
+        .clients
         .iter()
-        .zip(outcomes)
+        .zip(chunk.outcomes)
         .filter(|(_, oc)| **oc != FaultOutcome::Drop)
         .map(|(c, _)| (c.key, proj.to_latlng(c.position)));
+    wire::send_ping(stream, campaign, sent)
+}
+
+/// Reads the reply to a chunk's `PING` of `sent` pings and routes each
+/// response by its fault outcome. Returns the delayed payloads in client
+/// order.
+///
+/// Safe to re-run wholesale after a reconnect: every slot is overwritten
+/// (or cleared) per attempt, the `delayed` list is rebuilt from scratch,
+/// and the frozen snapshot answers byte-identically however often it is
+/// asked.
+fn read_chunk(
+    stream: &mut ChaosStream<TcpStream>,
+    sent: usize,
+    proj: &LocalProjection,
+    chunk: &mut Chunk<'_>,
+    tick_secs: u64,
+) -> io::Result<Vec<(usize, u64, Vec<TypeObservation>)>> {
     // The reply carries exactly one response per ping sent, or is refused.
-    let mut responses = wire::ping(stream, campaign, sent)?.into_iter();
+    let mut responses = wire::read_ping_reply(stream, sent)?.into_iter();
 
     let mut delayed = Vec::new();
-    for (i, (slot, oc)) in out.iter_mut().zip(outcomes).enumerate() {
+    for (i, (slot, oc)) in chunk.slots.iter_mut().zip(chunk.outcomes).enumerate() {
         match oc {
             FaultOutcome::Drop => slot.clear(),
             outcome => {
@@ -562,14 +589,43 @@ fn ping_chunk(
                     FaultOutcome::Deliver => *slot = blocks,
                     FaultOutcome::Delay(d) => {
                         slot.clear();
-                        delayed.push((base + i, ticks_late(*d, tick_secs), blocks));
+                        delayed.push((chunk.base + i, ticks_late(*d, tick_secs), blocks));
                     }
-                    FaultOutcome::Drop => unreachable!("filtered above"),
+                    FaultOutcome::Drop => unreachable!("matched above"),
                 }
             }
         }
     }
     Ok(delayed)
+}
+
+/// One tick's ping exchanges, one per chunk: every connection's `PING`
+/// is written before any reply is read, so the server's workers answer
+/// the batches in parallel, and the replies are read in connection order
+/// on the calling thread. A connection whose write or read fails reruns
+/// its whole exchange under the retry policy. Returns the delayed
+/// payloads in client order.
+fn exchange_all(
+    conns: &mut [Conn],
+    link: &Link,
+    proj: &LocalProjection,
+    tick_secs: u64,
+    mut chunks: Vec<Chunk<'_>>,
+) -> io::Result<Vec<(usize, u64, Vec<TypeObservation>)>> {
+    let sent: Vec<io::Result<usize>> = conns
+        .iter_mut()
+        .zip(&chunks)
+        .map(|(conn, chunk)| send_chunk(&mut conn.stream, link.campaign, proj, chunk))
+        .collect();
+    let mut late = Vec::new();
+    for ((conn, sent), chunk) in conns.iter_mut().zip(sent).zip(&mut chunks) {
+        let first = sent.and_then(|n| read_chunk(&mut conn.stream, n, proj, chunk, tick_secs));
+        late.extend(retry_after(conn, link, first, |c| {
+            let n = send_chunk(&mut c.stream, link.campaign, proj, chunk)?;
+            read_chunk(&mut c.stream, n, proj, chunk, tick_secs)
+        })?);
+    }
+    Ok(late)
 }
 
 impl MeasuredSystem for RemoteMeasuredSystem {
@@ -605,9 +661,9 @@ impl MeasuredSystem for RemoteMeasuredSystem {
     /// client order, each connection answering one contiguous chunk of
     /// clients, delayed responses queued and merged in `(sent_tick,
     /// client)` order. The server's world stays frozen until the next
-    /// `ADVANCE`, so which thread sends a chunk, and when, cannot change
-    /// what any ping observes — which is also why a whole chunk can be
-    /// re-sent blind after a reconnect.
+    /// `ADVANCE`, so when a chunk is sent, and in which order the
+    /// replies are read, cannot change what any ping observes — which is
+    /// also why a whole chunk can be re-sent blind after a reconnect.
     fn ping_all_into(&mut self, clients: &[ClientSpec], out: &mut Vec<Vec<TypeObservation>>) {
         if self.broken.is_some() {
             return;
@@ -635,43 +691,21 @@ impl MeasuredSystem for RemoteMeasuredSystem {
 
         // Chunks of ceil(n / K) clients, one per connection in order;
         // connections past the last chunk carry no pings this tick.
-        let chunk = n.div_ceil(self.conns.len()).max(1);
-        let (link, proj, tick_secs) = (&self.link, &self.proj, self.tick_secs);
-        let mut jobs = self
-            .conns
-            .iter_mut()
-            .zip(clients.chunks(chunk).zip(self.outcomes.chunks(chunk)).zip(out.chunks_mut(chunk)))
+        let size = n.div_ceil(self.conns.len()).max(1);
+        let chunks = clients
+            .chunks(size)
+            .zip(self.outcomes.chunks(size))
+            .zip(out.chunks_mut(size))
             .enumerate()
-            .map(move |(i, (conn, ((clients, outcomes), slots)))| {
-                move || {
-                    with_retry(conn, link, |c| {
-                        ping_chunk(
-                            &mut c.stream,
-                            link.campaign,
-                            proj,
-                            clients,
-                            outcomes,
-                            slots,
-                            i * chunk,
-                            tick_secs,
-                        )
-                    })
-                }
-            });
-        // The calling thread answers the first connection's chunk and a
-        // scoped thread each further one: K connections cost K - 1
-        // threads. Results are joined in chunk order, so the delayed
-        // lists concatenate in client order.
-        let late = std::thread::scope(|s| {
-            let first = jobs.next();
-            let rest: Vec<_> = jobs.map(|job| s.spawn(job)).collect();
-            let mut late = vec![first.map_or_else(|| Ok(Vec::new()), |mut job| job())];
-            late.extend(rest.into_iter().map(|h| {
-                h.join().unwrap_or_else(|_| Err(io::Error::other("remote ping thread panicked")))
-            }));
-            late.into_iter().collect::<io::Result<Vec<_>>>()
-        });
-        let late = match late {
+            .map(|(i, ((clients, outcomes), slots))| Chunk {
+                clients,
+                outcomes,
+                slots,
+                base: i * size,
+            })
+            .collect();
+        let (link, proj) = (&self.link, &self.proj);
+        let late = match exchange_all(&mut self.conns, link, proj, self.tick_secs, chunks) {
             Ok(late) => late,
             Err(e) => {
                 self.trip(&e);
@@ -680,7 +714,7 @@ impl MeasuredSystem for RemoteMeasuredSystem {
         };
 
         // Serial post-pass in client order, exactly like the local path.
-        for (client, ticks, payload) in late.into_iter().flatten() {
+        for (client, ticks, payload) in late {
             self.transport.send_delayed(client, ticks, payload);
         }
         for env in self.transport.take_due() {

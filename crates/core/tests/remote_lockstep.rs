@@ -94,11 +94,15 @@ fn more_connections_than_chunks_matches_local_bytes() {
 /// Every ping the client sends is answered exactly once, and a dropped
 /// ping is never sent: on a chaos-free faulted campaign the server's
 /// `serve.pings` equals the client's delivered plus delayed pings, at 1
-/// and 4 connections.
+/// and 4 connections. The cars shown to those pings do not depend on
+/// how they are batched, so `serve.ping_sightings` is the same at both;
+/// a reply's table lists each car once, so `serve.ping_cars` is at most
+/// that.
 #[test]
 fn server_answers_each_sent_ping_exactly_once() {
     let faults = FaultPlan { drop_chance: 0.05, delay_chance: 0.15, max_delay_secs: 20 };
     let cfg = lockstep_cfg(7_0931, faults);
+    let mut sightings = Vec::new();
     for connections in [1usize, 4] {
         let mut server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
         let addr = server.local_addr().to_string();
@@ -122,7 +126,16 @@ fn server_answers_each_sent_ping_exactly_once() {
             count("pings.delivered") + count("pings.delayed"),
             "{connections} connection(s): serve.pings differs from the pings sent"
         );
+        let (cars, seen) =
+            (server.metrics().ping_cars.get(), server.metrics().ping_sightings.get());
+        assert!(seen > 0, "{connections} connection(s): no ping was shown a car");
+        assert!(cars <= seen, "{connections} connection(s): {cars} table cars, {seen} sightings");
+        sightings.push(seen);
     }
+    assert_eq!(
+        sightings[0], sightings[1],
+        "serve.ping_sightings differs between 1 and 4 connections"
+    );
 }
 
 #[test]

@@ -5,12 +5,14 @@
 //! that missing half. A dependency-free std-`TcpListener` thread-pool
 //! server exposes the simulated marketplace over a length-prefixed,
 //! CRC-framed wire protocol ([`wire`]) — `pingClient` batches in a fixed
-//! binary layout, one frame per connection per tick, price/time
-//! estimates, a session handshake that keys the per-account rate limiter
-//! by session token, and campaign worlds that tick only when their client
-//! asks, so a remote campaign is byte-identical to the in-process one. Every world the server hosts
-//! is such a campaign: the [`loadgen`] module benchmarks heavy traffic by
-//! opening one and holding it at a frozen tick.
+//! binary layout, one frame per connection per tick, whose reply lists
+//! each car it shows once, in a table its responses index; price/time
+//! estimates; a session handshake that keys the per-account rate limiter
+//! by session token; and campaign worlds that tick only when their
+//! client asks, so a remote campaign is byte-identical to the in-process
+//! one. Every world the server hosts is such a campaign: the [`loadgen`]
+//! module benchmarks heavy traffic by opening one and holding it at a
+//! frozen tick.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -26,12 +26,16 @@
 //! A `PING` frame carries a batch of pings, one connection's whole chunk
 //! of a tick. The server looks its campaign up, and takes the snapshot
 //! and ping configuration under the campaign lock, once per batch, then
-//! renders each `ping_client` response outside the lock straight into
-//! the reply frame in the wire's binary layout. Invalid coordinates
-//! anywhere in the batch are answered `RESP_ERR`; so is a batch whose
-//! reply would pass `max_frame`, where encoding stops, since a reply
-//! can be some 500 times the size of its request. `serve.pings` counts
-//! the pings of every answered batch.
+//! encodes the reply outside the lock straight from the snapshot
+//! ([`wire::encode_ping_reply`]): each car the batch is shown goes into
+//! the reply's table once, and each response lists its cars as indices
+//! into it. Invalid coordinates anywhere in the batch are answered
+//! `RESP_ERR`; so is a batch whose reply would pass `max_frame`, which
+//! the encoder knows before it writes a byte, since one ping's reply can
+//! run to about 11.7 KB (9 tiers × 8 cars × 8 path points) against its
+//! 24 request bytes, nearly 500 times as much. For every answered
+//! batch, `serve.pings` counts its pings, `serve.ping_cars` its table's
+//! cars and `serve.ping_sightings` the indices its responses list.
 //!
 //! ## Framing
 //!
@@ -126,6 +130,11 @@ pub struct ServeMetrics {
     pub campaigns_opened: Counter,
     /// Pings answered: each answered `PING` batch adds its size.
     pub pings: Counter,
+    /// Car records written into answered `PING` replies' tables.
+    pub ping_cars: Counter,
+    /// Table indices written into answered `PING` replies, one per car
+    /// shown to a ping.
+    pub ping_sightings: Counter,
     /// Request handlers that panicked. The worker survives (the panic is
     /// caught at the dispatch boundary), the confused connection gets a
     /// `RESP_ERR` and closes, and any lock the handler held is recovered
@@ -148,6 +157,8 @@ impl ServeMetrics {
             throttled_wire: Counter::new(),
             campaigns_opened: Counter::new(),
             pings: Counter::new(),
+            ping_cars: Counter::new(),
+            ping_sightings: Counter::new(),
             worker_panics: Counter::new(),
             campaigns_expired: Counter::new(),
         }
@@ -165,6 +176,8 @@ impl ServeMetrics {
         reg.adopt_counter("serve.throttled_wire", &self.throttled_wire);
         reg.adopt_counter("serve.campaigns_opened", &self.campaigns_opened);
         reg.adopt_counter("serve.pings", &self.pings);
+        reg.adopt_counter("serve.ping_cars", &self.ping_cars);
+        reg.adopt_counter("serve.ping_sightings", &self.ping_sightings);
         reg.adopt_counter("serve.worker_panics", &self.worker_panics);
         reg.adopt_counter("serve.campaigns_expired", &self.campaigns_expired);
     }
@@ -642,10 +655,9 @@ fn handle_request(
 
 /// Answers a whole `PING` batch from one snapshot. Snapshot and ping
 /// core are taken under the lock once; the (comparatively expensive)
-/// responses render outside it, so batches on several connections are
-/// answered concurrently. Each response is encoded straight into the
-/// reply frame, and encoding stops once the reply would pass
-/// `max_frame`.
+/// reply is encoded outside it, straight into its frame, so batches on
+/// several connections are answered concurrently. A reply that would
+/// pass `max_frame` is refused before any of it is written.
 fn ping_batch(shared: &Shared, batch: &PingBatch) -> Result<Reply, String> {
     let host = campaign(shared, batch.campaign)?;
     for &(_, loc) in &batch.pings {
@@ -656,13 +668,14 @@ fn ping_batch(shared: &Shared, batch: &PingBatch) -> Result<Reply, String> {
         let world = st.world.as_mut().ok_or("campaign already finished")?;
         (world.snapshot(), world.api.ping_config())
     };
-    let mut encoded = Ok(());
+    let mut encoded = Err(String::new());
     let frame = wire::frame_with(wire::RESP_PING, |out| {
-        let responses = batch.pings.iter().map(|&(key, loc)| ping.ping_client(&snap, key, loc));
-        encoded = wire::encode_ping_reply(out, responses, shared.max_frame);
+        encoded = wire::encode_ping_reply(out, &ping, &snap, &batch.pings, shared.max_frame);
     });
-    encoded?;
+    let tally = encoded?;
     shared.metrics.pings.add(batch.pings.len() as u64);
+    shared.metrics.ping_cars.add(tally.cars);
+    shared.metrics.ping_sightings.add(tally.sightings);
     Ok(Reply { frame, close: false })
 }
 

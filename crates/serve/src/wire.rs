@@ -19,20 +19,31 @@
 //!
 //! ```text
 //! PING      = campaign u64 | n u32 | n × (key u64 | lat f64 | lng f64)
-//! RESP_PING = n u32 | n × response                  (in request order)
-//! response  = at u64 | lat f64 | lng f64 | tiers u32 | tiers × tier
-//! tier      = car_type u8 | ewt_min f64 | surge f64 | cars u32 | cars × car
+//! RESP_PING = cars u32 | cars × car | n u32 | n × response  (responses in request order)
 //! car       = id u64 | lat f64 | lng f64 | path u32 | path × (lat f64 | lng f64)
+//! response  = at u64 | lat f64 | lng f64 | tiers u32 | tiers × tier
+//! tier      = car_type u8 | ewt_min f64 | surge f64 | shown u32 | shown × index u32
 //! ```
 //!
+//! Neighbouring clients see mostly the same cars, so a reply lists each
+//! car it shows once, in a table, and each tier lists its shown cars,
+//! nearest first, as indices into that table. The table runs in order of
+//! first sighting (request order, then tier order, then nearest first),
+//! so a reply's bytes are a pure function of the snapshot and the batch.
 //! `car_type` is the tier's index in `CarType::ALL` and path points run
 //! oldest first, so the layout carries exactly the fields of a
 //! [`PingClientResponse`]. Both codecs write every float as its raw
 //! IEEE-754 bits, so a remote campaign's NaN gaps survive byte-exactly.
-//! The layout's decoders check every count against the bytes that remain
-//! before reserving anything, and refuse a wrong length, an unknown tier,
-//! trailing bytes and a reply count other than the request's; they never
-//! panic.
+//!
+//! [`encode_ping_reply`] is the layout's one production encoder: it
+//! answers a batch straight from the tick's [`WorldSnapshot`] through
+//! [`PingConfig::ping_visit`], rendering each shown car once.
+//! [`decode_ping_reply`] decodes each table car once and hands every
+//! sighting of it a clone of that car's one path handle. The layout's
+//! decoders check every count against the bytes that remain before
+//! reserving anything, and refuse a wrong length, an unknown tier, an
+//! index past the table, trailing bytes and a reply count other than the
+//! request's; they never panic.
 //!
 //! Request kinds live in `0x01..=0x7F`, responses in `0x80..=0xFF`;
 //! production builds serve seven request kinds. A connection speaks
@@ -50,12 +61,11 @@
 //! deadline has passed.
 
 use serde::{Deserialize, Serialize, Value};
-use std::borrow::Borrow;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use surgescope_api::{CarInfo, PingClientResponse, TypeStatus};
+use surgescope_api::{CarInfo, PingClientResponse, PingConfig, SnapCar, TypeStatus, WorldSnapshot};
 use surgescope_city::CarType;
 use surgescope_geo::{LatLng, PathVector};
 use surgescope_simcore::SimTime;
@@ -63,8 +73,9 @@ use surgescope_store::crc32::crc32;
 use surgescope_store::{decode_value, encode_value};
 
 /// Protocol version carried in the HELLO handshake. Version 2 gave
-/// `PING` and `RESP_PING` their batched binary layout.
-pub const PROTO_VERSION: u64 = 2;
+/// `PING` and `RESP_PING` their batched binary layout; version 3 gave
+/// `RESP_PING` its car table.
+pub const PROTO_VERSION: u64 = 3;
 
 /// Default upper bound on a frame body. A tick's `PING` reply for a few
 /// dozen clients is a few tens of kilobytes; 16 MiB leaves room for the
@@ -373,22 +384,44 @@ pub fn hello<S: Read + Write + ReadDeadline>(stream: &mut S) -> io::Result<()> {
     call(stream, REQ_HELLO, &hello, RESP_HELLO).map(drop)
 }
 
-/// One `PING` exchange (client side): sends `pings`, as `(client key,
-/// location)`, against `campaign` in one frame, then reads the one reply
-/// and decodes its responses, one per ping in request order. An empty
-/// batch sends nothing. A malformed reply is `InvalidData`.
+/// One `PING` exchange (client side): [`send_ping`], then
+/// [`read_ping_reply`].
 pub fn ping<S: Read + Write + ReadDeadline>(
     stream: &mut S,
     campaign: u64,
     pings: impl IntoIterator<Item = (u64, LatLng)>,
 ) -> io::Result<Vec<PingClientResponse>> {
+    let n = send_ping(stream, campaign, pings)?;
+    read_ping_reply(stream, n)
+}
+
+/// Sends `pings`, as `(client key, location)`, against `campaign` in one
+/// `PING` frame and returns how many it carried. An empty batch sends
+/// nothing.
+pub fn send_ping<S: Write>(
+    stream: &mut S,
+    campaign: u64,
+    pings: impl IntoIterator<Item = (u64, LatLng)>,
+) -> io::Result<usize> {
     let mut n = 0;
     let frame = frame_with(REQ_PING, |out| n = encode_ping_request(out, campaign, pings));
+    if n > 0 {
+        stream.write_all(&frame)?;
+        stream.flush()?;
+    }
+    Ok(n)
+}
+
+/// Reads the one reply to a `PING` of `n` pings and decodes its
+/// responses, one per ping in request order; `n == 0` reads nothing. A
+/// malformed reply is `InvalidData`.
+pub fn read_ping_reply<S: Read + ReadDeadline>(
+    stream: &mut S,
+    n: usize,
+) -> io::Result<Vec<PingClientResponse>> {
     if n == 0 {
         return Ok(Vec::new());
     }
-    stream.write_all(&frame)?;
-    stream.flush()?;
     let reply = read_reply_frame(stream)?;
     if reply.kind() != RESP_PING {
         return Err(unexpected_reply(REQ_PING, reply.kind()));
@@ -408,11 +441,13 @@ pub struct PingBatch {
 
 /// Bytes of one ping in a `PING` request: key, latitude, longitude.
 const PING_BYTES: usize = 24;
-/// Fewest bytes a response, a tier, a car and a path point can take.
+/// Fewest bytes a response, a tier and a car can take, and the bytes of
+/// a path point and of a table index.
 const RESPONSE_MIN: usize = 8 + 16 + 4;
 const TIER_MIN: usize = 1 + 8 + 8 + 4;
 const CAR_MIN: usize = 8 + 16 + 4;
 const POINT_BYTES: usize = 16;
+const INDEX_BYTES: usize = 4;
 
 fn put_u32(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&(v as u32).to_le_bytes());
@@ -467,50 +502,110 @@ pub fn decode_ping_request(payload: &[u8]) -> Result<PingBatch, WireError> {
     Ok(PingBatch { campaign, pings })
 }
 
-/// Appends a `RESP_PING` payload to `out`: the count, then each response
-/// in order. Fails, leaving the bytes written so far, once the frame
-/// body the payload goes in (kind byte included) would pass `max_frame`
-/// bytes, so a reply stays within what its reader accepts however large
+/// What a `RESP_PING` payload carries besides its responses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PingTally {
+    /// Car records in the reply's table: one per distinct car shown.
+    pub cars: u64,
+    /// Table indices in the reply's tiers: one per car shown to a ping.
+    pub sightings: u64,
+}
+
+/// Appends the `RESP_PING` payload answering `pings` from `snap` to
+/// `out`, each response exactly what [`PingConfig::ping_client`] answers.
+/// One [`PingConfig::ping_visit`] pass per ping writes the responses into
+/// a scratch buffer and marks each shown car in a per-tier slot array,
+/// which numbers the cars in order of first sighting; the table then
+/// renders each car once, ahead of the responses. The pass keeps count of
+/// the payload's size, so a reply whose frame body (kind byte included)
+/// would pass `max_frame` bytes is refused as soon as it does, before
+/// anything is written to `out` and with scratch bounded by the limit,
+/// which keeps every reply within what its reader accepts however large
 /// the batch.
-pub fn encode_ping_reply<R: Borrow<PingClientResponse>>(
+pub fn encode_ping_reply(
     out: &mut Vec<u8>,
-    responses: impl ExactSizeIterator<Item = R>,
+    ping: &PingConfig,
+    snap: &WorldSnapshot,
+    pings: &[(u64, LatLng)],
     max_frame: usize,
-) -> Result<(), String> {
-    let start = out.len();
-    put_u32(out, responses.len());
-    for (i, resp) in responses.enumerate() {
-        let resp = resp.borrow();
-        put_u64(out, resp.at.as_secs());
-        put_latlng(out, resp.location);
-        put_u32(out, resp.statuses.len());
-        for s in &resp.statuses {
-            out.push(s.car_type as u8);
-            put_u64(out, s.ewt_min.to_bits());
-            put_u64(out, s.surge.to_bits());
-            put_u32(out, s.cars.len());
-            for car in &s.cars {
-                put_u64(out, car.id);
-                put_latlng(out, car.position);
-                put_u32(out, car.path.len());
-                for p in car.path.points() {
-                    put_latlng(out, p);
+) -> Result<PingTally, String> {
+    // `ping_visit` visits every offered tier in `offered_types` order, so
+    // the `t`-th tier of every response shows cars of `tiers[t]`, and
+    // `slot[t][i]` holds the table index of its `i`-th car once shown.
+    let tiers: Vec<&[SnapCar]> = snap.offered_types().map(|t| snap.cars_of(t)).collect();
+    const UNSEEN: u32 = u32::MAX;
+    let mut slot: Vec<Vec<u32>> = tiers.iter().map(|cars| vec![UNSEEN; cars.len()]).collect();
+    // The table, as (tier, index in the tier's snapshot cars).
+    let mut table: Vec<(usize, usize)> = Vec::new();
+    let mut table_bytes = 4;
+    let mut sightings = 0;
+    let now = snap.now();
+    let mut responses = Vec::new();
+    put_u32(&mut responses, pings.len());
+    for (r, &(key, loc)) in pings.iter().enumerate() {
+        put_u64(&mut responses, now.as_secs());
+        put_latlng(&mut responses, loc);
+        put_u32(&mut responses, tiers.len());
+        let mut t = 0;
+        ping.ping_visit(snap, key, loc, |tier| {
+            responses.push(tier.car_type as u8);
+            put_u64(&mut responses, tier.ewt_min.to_bits());
+            put_u64(&mut responses, tier.surge.to_bits());
+            put_u32(&mut responses, tier.shown());
+            for &i in tier.nearest() {
+                let s = &mut slot[t][i];
+                if *s == UNSEEN {
+                    *s = table.len() as u32;
+                    table.push((t, i));
+                    table_bytes += CAR_MIN + POINT_BYTES * tiers[t][i].path.len();
                 }
+                responses.extend_from_slice(&s.to_le_bytes());
             }
-        }
-        if 1 + out.len() - start > max_frame {
+            sightings += tier.shown();
+            t += 1;
+        });
+        if 1 + table_bytes + responses.len() > max_frame {
             return Err(format!(
                 "PING reply passes the {max_frame}-byte frame limit at response {}",
-                i + 1
+                r + 1
             ));
         }
     }
-    Ok(())
+
+    out.reserve(table_bytes + responses.len());
+    put_u32(out, table.len());
+    for &(t, i) in &table {
+        let car = &tiers[t][i];
+        put_u64(out, car.id);
+        put_latlng(out, ping.reported_position(car, now));
+        put_u32(out, car.path.len());
+        for p in car.path.points() {
+            put_latlng(out, p);
+        }
+    }
+    out.extend_from_slice(&responses);
+    Ok(PingTally { cars: table.len() as u64, sightings: sightings as u64 })
 }
 
-/// Decodes a `RESP_PING` payload answering a `PING` of `n` pings.
+/// Decodes a `RESP_PING` payload answering a `PING` of `n` pings. Each
+/// table car is decoded once, and every sighting of it shares its path.
 pub fn decode_ping_reply(payload: &[u8], n: usize) -> Result<Vec<PingClientResponse>, WireError> {
     let mut f = Fields(payload);
+    let cars = f.count(CAR_MIN)?;
+    let mut table = Vec::with_capacity(cars);
+    for _ in 0..cars {
+        let id = f.u64()?;
+        let position = f.latlng()?;
+        let points = f.count(POINT_BYTES)?;
+        let mut path = PathVector::new(points.max(2));
+        // The points are read in bulk: paths are most of a table.
+        let raw = f.bytes(points * POINT_BYTES)?;
+        for p in raw.as_chunks::<8>().0.chunks_exact(2) {
+            let (lat, lng) = (f64::from_le_bytes(p[0]), f64::from_le_bytes(p[1]));
+            path.push(LatLng { lat, lng });
+        }
+        table.push(CarInfo { id, position, path: Arc::new(path) });
+    }
     let got = f.count(RESPONSE_MIN)?;
     if got != n {
         return Err(malformed(format!("PING of {n} pings answered with {got} responses")));
@@ -528,20 +623,14 @@ pub fn decode_ping_reply(payload: &[u8], n: usize) -> Result<Vec<PingClientRespo
                 .ok_or_else(|| malformed(format!("unknown tier index {index}")))?;
             let ewt_min = f.f64()?;
             let surge = f.f64()?;
-            let cars = f.count(CAR_MIN)?;
-            let mut infos = Vec::with_capacity(cars);
-            for _ in 0..cars {
-                let id = f.u64()?;
-                let position = f.latlng()?;
-                let points = f.count(POINT_BYTES)?;
-                let mut path = PathVector::new(points.max(2));
-                // The points are read in bulk: a path is most of a reply.
-                let raw = f.bytes(points * POINT_BYTES)?;
-                for p in raw.as_chunks::<8>().0.chunks_exact(2) {
-                    let (lat, lng) = (f64::from_le_bytes(p[0]), f64::from_le_bytes(p[1]));
-                    path.push(LatLng { lat, lng });
-                }
-                infos.push(CarInfo { id, position, path: Arc::new(path) });
+            let shown = f.count(INDEX_BYTES)?;
+            let mut infos = Vec::with_capacity(shown);
+            for _ in 0..shown {
+                let at = f.u32()? as usize;
+                let car = table.get(at).ok_or_else(|| {
+                    malformed(format!("car index {at} past a table of {} cars", table.len()))
+                })?;
+                infos.push(car.clone());
             }
             statuses.push(TypeStatus { car_type, cars: infos, ewt_min, surge });
         }
@@ -787,9 +876,43 @@ mod tests {
         ]
     }
 
+    /// The layout written from responses rather than a snapshot, for
+    /// values no snapshot holds (NaN, -0, an empty path). The table lists
+    /// each car id once, in order of first sighting, as the production
+    /// encoder does.
     fn reply_payload(responses: &[PingClientResponse]) -> Vec<u8> {
+        let mut table: Vec<&CarInfo> = Vec::new();
+        let mut body = Vec::new();
+        put_u32(&mut body, responses.len());
+        for resp in responses {
+            put_u64(&mut body, resp.at.as_secs());
+            put_latlng(&mut body, resp.location);
+            put_u32(&mut body, resp.statuses.len());
+            for s in &resp.statuses {
+                body.push(s.car_type as u8);
+                put_u64(&mut body, s.ewt_min.to_bits());
+                put_u64(&mut body, s.surge.to_bits());
+                put_u32(&mut body, s.cars.len());
+                for car in &s.cars {
+                    let at = table.iter().position(|c| c.id == car.id).unwrap_or_else(|| {
+                        table.push(car);
+                        table.len() - 1
+                    });
+                    put_u32(&mut body, at);
+                }
+            }
+        }
         let mut out = Vec::new();
-        encode_ping_reply(&mut out, responses.iter(), DEFAULT_MAX_FRAME).unwrap();
+        put_u32(&mut out, table.len());
+        for car in table {
+            put_u64(&mut out, car.id);
+            put_latlng(&mut out, car.position);
+            put_u32(&mut out, car.path.len());
+            for p in car.path.points() {
+                put_latlng(&mut out, p);
+            }
+        }
+        out.extend_from_slice(&body);
         out
     }
 
@@ -828,10 +951,31 @@ mod tests {
         assert_eq!(again, request);
     }
 
+    /// One response whose one tier shows one car with an empty path:
+    /// 89 bytes, laid out as
+    ///
+    /// ```text
+    /// [0..4] cars | [4..32] car (its path count at [28..32])
+    /// [32..36] n | [36..64] response head (its tier count at [60..64])
+    /// [64] car_type | [65..81] ewt_min, surge | [81..85] shown | [85..89] index
+    /// ```
+    fn minimal_reply() -> Vec<u8> {
+        let here = LatLng::new(37.78, -122.41);
+        let car = CarInfo { id: 1, position: here, path: path(&[]) };
+        let status =
+            TypeStatus { car_type: CarType::UberX, cars: vec![car], ewt_min: 2.0, surge: 1.0 };
+        reply_payload(&[PingClientResponse {
+            at: SimTime(5),
+            location: here,
+            statuses: vec![status],
+        }])
+    }
+
     /// Every truncation of a request and a reply, trailing bytes, an
-    /// unknown tier and counts far beyond the bytes that follow are
-    /// refused. Seeded single-byte flips are refused by the frame's CRC,
-    /// and the payload decoders take the same flips without a panic.
+    /// unknown tier, an index past the table and counts far beyond the
+    /// bytes that follow are refused. Seeded single-byte flips are refused
+    /// by the frame's CRC, and the payload decoders take the same flips
+    /// without a panic.
     #[test]
     fn corrupt_ping_payloads_are_refused_without_panic() {
         let responses = sample_responses();
@@ -873,35 +1017,68 @@ mod tests {
             }
         }
 
-        // A tier index past CarType::ALL.
-        let mut bad = reply.clone();
-        let first_tier = 4 + 8 + 16 + 4;
-        bad[first_tier] = CarType::ALL.len() as u8;
-        assert!(decode_ping_reply(&bad, 2).is_err(), "unknown tier index");
+        let minimal = minimal_reply();
+        assert_eq!(minimal.len(), 89, "the offsets below assume this layout");
+        let back = decode_ping_reply(&minimal, 1).expect("the unaltered payload decodes");
+        assert_eq!(back[0].statuses[0].cars[0].id, 1);
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut bad = minimal.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            bad
+        };
+        // A tier index past CarType::ALL, and a car index equal to the
+        // table's length.
+        let bad = patched(64, &[CarType::ALL.len() as u8]);
+        assert!(decode_ping_reply(&bad, 1).is_err(), "unknown tier index");
+        let bad = patched(85, &1u32.to_le_bytes());
+        assert!(decode_ping_reply(&bad, 1).is_err(), "an index equal to the table's length");
 
         // Counts far beyond the bytes that follow are refused before any
         // reservation (a u32::MAX-element reserve would abort the test).
         let huge = u32::MAX.to_le_bytes();
-        let mut bad = reply.clone();
-        bad[..4].copy_from_slice(&huge);
+        assert!(decode_ping_reply(&patched(0, &huge), 1).is_err(), "table count");
+        assert!(decode_ping_reply(&patched(28, &huge), 1).is_err(), "path count");
+        let bad = patched(32, &huge);
         assert!(decode_ping_reply(&bad, u32::MAX as usize).is_err(), "response count");
-        let mut bad = reply.clone();
-        bad[4 + 8 + 16..4 + 8 + 16 + 4].copy_from_slice(&huge);
-        assert!(decode_ping_reply(&bad, 2).is_err(), "tier count");
+        assert!(decode_ping_reply(&patched(60, &huge), 1).is_err(), "tier count");
+        assert!(decode_ping_reply(&patched(81, &huge), 1).is_err(), "shown count");
         let mut bad = request.clone();
         bad[8..12].copy_from_slice(&huge);
         assert!(decode_ping_request(&bad).is_err(), "ping count");
     }
 
+    /// A quarter-scale SF world ten minutes in: its snapshot, the ping
+    /// core of its endpoint and two pings downtown.
+    fn world() -> (WorldSnapshot, PingConfig, Vec<(u64, LatLng)>) {
+        use surgescope_api::{ApiService, ProtocolEra};
+        use surgescope_city::CityModel;
+        use surgescope_marketplace::{Marketplace, MarketplaceConfig};
+        let mut city = CityModel::san_francisco_downtown();
+        city.supply = city.supply.scaled(0.25);
+        city.demand = city.demand.scaled(0.25);
+        let mut mp = Marketplace::new(city, MarketplaceConfig::default(), 11);
+        for _ in 0..120 {
+            mp.tick();
+        }
+        let ping = ApiService::new(ProtocolEra::Apr2015, 11).ping_config();
+        let pings = vec![(1, LatLng::new(37.7749, -122.4194)), (2, LatLng::new(37.78, -122.41))];
+        (WorldSnapshot::of(&mp), ping, pings)
+    }
+
     #[test]
     fn ping_reply_stops_at_the_frame_limit() {
-        let responses = sample_responses();
-        let whole = reply_payload(&responses);
+        let (snap, ping, pings) = world();
+        let mut whole = Vec::new();
+        let tally = encode_ping_reply(&mut whole, &ping, &snap, &pings, usize::MAX).unwrap();
+        assert!(tally.cars > 0, "the world shows cars");
         let mut out = Vec::new();
-        assert!(encode_ping_reply(&mut out, responses.iter(), whole.len() + 1).is_ok());
+        encode_ping_reply(&mut out, &ping, &snap, &pings, whole.len() + 1)
+            .expect("the whole body fits exactly");
+        assert_eq!(out, whole);
         out.clear();
-        let err = encode_ping_reply(&mut out, responses.iter(), whole.len())
+        let err = encode_ping_reply(&mut out, &ping, &snap, &pings, whole.len())
             .expect_err("one byte short of the whole body");
         assert!(err.contains("frame limit"), "unexpected error: {err}");
+        assert!(out.is_empty(), "a refused reply writes nothing");
     }
 }

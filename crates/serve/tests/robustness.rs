@@ -226,14 +226,18 @@ fn advance_reacks_the_current_tick_and_refuses_a_skip() {
         ]);
         rpc(stream, wire::REQ_ADVANCE, &v)
     };
-    // `wire::ping` fails unless the reply is a `RESP_PING`; its
-    // responses are compared as the reply's layout bytes.
+    // The reply must be a `RESP_PING` that decodes; replies are compared
+    // as their payload bytes, which the layout makes a pure function of
+    // the snapshot and the batch.
     let ping_bytes = |stream: &mut TcpStream| {
-        let responses = wire::ping(stream, campaign, [(3, LatLng::new(37.78, -122.41))])
-            .expect("PING refused");
-        let mut bytes = Vec::new();
-        wire::encode_ping_reply(&mut bytes, responses.iter(), usize::MAX).expect("re-encode");
-        bytes
+        wire::send_ping(stream, campaign, [(3, LatLng::new(37.78, -122.41))]).expect("send PING");
+        let reply = wire::read_frame_with(stream, wire::DEFAULT_MAX_FRAME, |timed_out, _| {
+            timed_out.map_or(Ok(()), |e| Err(e.into()))
+        })
+        .expect("read the reply");
+        assert_eq!(reply.kind(), wire::RESP_PING, "PING refused");
+        wire::decode_ping_reply(reply.payload(), 1).expect("decode the reply");
+        reply.payload().to_vec()
     };
 
     for tick in 1..=3u64 {
