@@ -308,7 +308,7 @@ impl SystemBackend {
     /// `estimates/price` against the current tick's state. The local arm
     /// reuses the tick's cached snapshot (the pings above captured it);
     /// the remote arm asks the server, whose world stays at the same tick
-    /// until the client's next `ADVANCE`.
+    /// until the client's first `PING` of the next one.
     fn probe_price(
         &mut self,
         account: u64,
@@ -347,9 +347,9 @@ impl SystemBackend {
 
     /// The remote circuit breaker, if it tripped: the wire retry budget
     /// ran out mid-campaign and no further progress is possible. Local
-    /// backends never fault. The runner checks this after every phase so
-    /// a dead connection aborts the campaign with an error instead of
-    /// silently recording garbage.
+    /// backends never fault. The runner checks this after every phase
+    /// that talks to the server, so a dead connection aborts the campaign
+    /// with an error instead of silently recording garbage.
     fn remote_fault(&self) -> Option<std::io::Error> {
         match self {
             SystemBackend::Local(_) => None,
@@ -658,13 +658,13 @@ impl CampaignRunner {
     /// stream the observations into the estimators, and append this
     /// tick's record to the event log (if one is open).
     ///
-    /// On a remote backend every phase is followed by a circuit-breaker
-    /// check: a wire failure that survived the retry budget surfaces
-    /// here as `StoreError::Io` instead of a panic, before any partial
+    /// On a remote backend the pings and the probes, the phases that
+    /// talk to the server, are each followed by a circuit-breaker check:
+    /// a wire failure that survived the retry budget surfaces here as
+    /// `StoreError::Io` instead of a panic, before any partial
     /// observations are consumed.
     pub fn tick(&mut self) -> Result<(), StoreError> {
         self.sys.advance_tick();
-        self.check_remote_fault()?;
         let now = self.sys.now();
         // The tick advanced the world from `state_t` to `now`; the
         // observations describe the state at `state_t`. Stamping them
@@ -724,8 +724,8 @@ impl CampaignRunner {
         if now.seconds_into_surge_interval() == PROBE_OFFSET_SECS {
             // Same tick as ping_all above: the local backend reuses its
             // cached snapshot, the remote one probes the server world,
-            // frozen until the next ADVANCE — both read the identical
-            // state.
+            // frozen until the next tick's first PING — both read the
+            // identical state.
             let mut this_interval = Vec::with_capacity(self.n_areas);
             let mut limited_logged = self.probe_limited_logged;
             for (ai, centroid) in self.centroids.iter().enumerate() {

@@ -10,24 +10,29 @@
 //! `CampaignData` **byte-identical** to the in-process run — clean or
 //! faulted, at any connection count.
 //!
-//! The server ticks a campaign's world only when asked to: one `ADVANCE`
-//! per tick on the first connection. The client reads every reply of
-//! tick t before it sends `ADVANCE(t+1)`, so every request of a tick
-//! reads the same frozen world, whichever connection carries it.
+//! Every `PING` names its tick, and the server ticks a campaign's world
+//! when the first `PING` of the next tick arrives, on whichever
+//! connection. Advancing a tick is therefore local: the client counts
+//! the tick, and its next `PING`s carry it. The client reads every reply
+//! of tick t, probes included, before it sends any `PING` of t+1, so
+//! every request of a tick reads the same frozen world, whichever
+//! connection carries it.
 //!
 //! Fault injection stays client-side: the fault RNG is seeded exactly as
 //! `UberSystem` seeds it, draws happen in client order before any I/O, a
-//! `Drop` outcome suppresses the request entirely, and a `Delay(d)`
+//! `Drop` outcome suppresses the ping entirely, and a `Delay(d)`
 //! response is fetched at its send tick (the world cannot move before
-//! the client's next `ADVANCE`) and parked in the same [`Transport`]
-//! queue until its delivery tick.
+//! the client's first `PING` of the next tick) and parked in the same
+//! [`Transport`] queue until its delivery tick.
 //!
 //! ## Pings and threading
 //!
 //! A tick's pings split the clients into contiguous chunks, one per
-//! connection. Each connection sends its chunk's undropped pings as one
-//! `PING` frame in the wire's fixed binary layout and reads one reply
-//! frame, whose car table and responses it decodes into
+//! connection. Each connection sends exactly one `PING` frame per tick in
+//! the wire's fixed binary layout, carrying its chunk's undropped pings
+//! (none, when the chunk is empty or all dropped: the frame still names
+//! the tick), and reads one reply frame, whose car table and responses
+//! it decodes into
 //! [`PingClientResponse`](surgescope_api::PingClientResponse)s and
 //! converts exactly as the in-process kernel is locked to. The calling
 //! thread writes every connection's `PING` before it reads any reply,
@@ -44,15 +49,15 @@
 //! reconnects (connect + `HELLO`), and re-sends the failed operation.
 //! Re-sends are safe because every verb is idempotent against the frozen
 //! world: pings and probes are pure reads (a re-sent `PING` repeats its
-//! whole batch), `ADVANCE` to the current tick is acknowledged again,
-//! and `FINISH` returns a cached truth. A socket read fails once a reply
-//! frame has not completed within `op_timeout` of its first byte, so a
-//! server trickling a reply costs one attempt, not the campaign. Once the
-//! per-op retry budget is exhausted a circuit breaker trips: the system
-//! marks itself broken, the runner's next fault check aborts the campaign
-//! with an `io::Error`, and the caller (the experiments cache) falls back
-//! to local execution — counted in `resilience.breaker_trips`, never
-//! silent. An optional [`ChaosSpec`] wires a [`ChaosStream`] fault
+//! whole batch and names the tick the server already stands at, which it
+//! reads unmoved), and `FINISH` returns a cached truth. A socket read
+//! fails once a reply frame has not completed within `op_timeout` of its
+//! first byte, so a server trickling a reply costs one attempt, not the
+//! campaign. Once the per-op retry budget is exhausted a circuit breaker
+//! trips: the system marks itself broken, the runner's next fault check
+//! aborts the campaign with an `io::Error`, and the caller (the
+//! experiments cache) falls back to local execution — counted in
+//! `resilience.breaker_trips`, never silent. An optional [`ChaosSpec`] wires a [`ChaosStream`] fault
 //! schedule under the whole stack for the chaos byte-identity gates.
 
 use crate::observe::{response_to_observations, ClientSpec, TypeObservation};
@@ -295,9 +300,9 @@ fn retry_after<T>(
 /// `surgescope-serve` campaign. See the module docs for the determinism
 /// and resilience contracts.
 pub struct RemoteMeasuredSystem {
-    /// Connections; `conns[0]` opened the campaign and carries the
-    /// `ADVANCE` and probe traffic. Each carries one contiguous chunk of
-    /// the clients' pings.
+    /// Connections; `conns[0]` opened the campaign and carries the probe
+    /// and `FINISH` traffic. Each carries one contiguous chunk of the
+    /// clients' pings, and one `PING` per tick.
     conns: Vec<Conn>,
     link: Link,
     tick: u64,
@@ -405,8 +410,8 @@ impl RemoteMeasuredSystem {
 
     /// The tripped circuit breaker, if any: the campaign can no longer
     /// make wire progress and must abort (the runner checks this after
-    /// every phase). `io::Error` is not `Clone`, so the stored message is
-    /// re-wrapped per call.
+    /// the pings and after the probes). `io::Error` is not `Clone`, so
+    /// the stored message is re-wrapped per call.
     pub fn fault(&self) -> Option<io::Error> {
         self.broken
             .as_ref()
@@ -534,7 +539,9 @@ fn decode_estimates<T: Deserialize>(
 }
 
 /// One connection's share of a tick: a contiguous chunk of the clients,
-/// their fault outcomes and their observation slots.
+/// their fault outcomes and their observation slots. A connection past
+/// the last chunk gets the empty default.
+#[derive(Default)]
 struct Chunk<'a> {
     clients: &'a [ClientSpec],
     outcomes: &'a [FaultOutcome],
@@ -543,11 +550,12 @@ struct Chunk<'a> {
     base: usize,
 }
 
-/// Sends a chunk's undropped pings as one `PING` frame (nothing when the
-/// whole chunk is dropped) and returns how many it sent.
+/// Sends a chunk's undropped pings for `tick` as one `PING` frame, empty
+/// when none is left, and returns how many it sent.
 fn send_chunk(
     stream: &mut ChaosStream<TcpStream>,
     campaign: u64,
+    tick: u64,
     proj: &LocalProjection,
     chunk: &Chunk<'_>,
 ) -> io::Result<usize> {
@@ -557,7 +565,7 @@ fn send_chunk(
         .zip(chunk.outcomes)
         .filter(|(_, oc)| **oc != FaultOutcome::Drop)
         .map(|(c, _)| (c.key, proj.to_latlng(c.position)));
-    wire::send_ping(stream, campaign, sent)
+    wire::send_ping(stream, campaign, tick, sent)
 }
 
 /// Reads the reply to a chunk's `PING` of `sent` pings and routes each
@@ -599,15 +607,16 @@ fn read_chunk(
     Ok(delayed)
 }
 
-/// One tick's ping exchanges, one per chunk: every connection's `PING`
-/// is written before any reply is read, so the server's workers answer
-/// the batches in parallel, and the replies are read in connection order
-/// on the calling thread. A connection whose write or read fails reruns
-/// its whole exchange under the retry policy. Returns the delayed
-/// payloads in client order.
+/// One tick's ping exchanges, one per connection: every connection's
+/// `PING` for `tick` is written before any reply is read, so the server's
+/// workers answer the batches in parallel, and the replies are read in
+/// connection order on the calling thread. A connection whose write or
+/// read fails reruns its whole exchange under the retry policy. Returns
+/// the delayed payloads in client order.
 fn exchange_all(
     conns: &mut [Conn],
     link: &Link,
+    tick: u64,
     proj: &LocalProjection,
     tick_secs: u64,
     mut chunks: Vec<Chunk<'_>>,
@@ -615,13 +624,13 @@ fn exchange_all(
     let sent: Vec<io::Result<usize>> = conns
         .iter_mut()
         .zip(&chunks)
-        .map(|(conn, chunk)| send_chunk(&mut conn.stream, link.campaign, proj, chunk))
+        .map(|(conn, chunk)| send_chunk(&mut conn.stream, link.campaign, tick, proj, chunk))
         .collect();
     let mut late = Vec::new();
     for ((conn, sent), chunk) in conns.iter_mut().zip(sent).zip(&mut chunks) {
         let first = sent.and_then(|n| read_chunk(&mut conn.stream, n, proj, chunk, tick_secs));
         late.extend(retry_after(conn, link, first, |c| {
-            let n = send_chunk(&mut c.stream, link.campaign, proj, chunk)?;
+            let n = send_chunk(&mut c.stream, link.campaign, tick, proj, chunk)?;
             read_chunk(&mut c.stream, n, proj, chunk, tick_secs)
         })?);
     }
@@ -629,27 +638,10 @@ fn exchange_all(
 }
 
 impl MeasuredSystem for RemoteMeasuredSystem {
-    /// Asks the server to tick the world: one `ADVANCE` on `conns[0]`,
-    /// under the retry policy. A reconnect re-sends it, and the server
-    /// acknowledges the current tick again if the first one already
-    /// landed. A retry budget running out trips the breaker instead of
-    /// panicking — the runner's fault check aborts the campaign.
+    /// Counts the tick, which this tick's `PING`s carry to the server: the
+    /// first of them to arrive ticks the world there. No I/O happens here.
     fn advance_tick(&mut self) {
-        if self.broken.is_some() {
-            return;
-        }
         self.tick += 1;
-        let v = Value::Map(vec![
-            ("campaign".into(), self.link.campaign.to_value()),
-            ("tick".into(), self.tick.to_value()),
-        ]);
-        let acked = with_retry(&mut self.conns[0], &self.link, |c| {
-            wire::call(&mut c.stream, wire::REQ_ADVANCE, &v, wire::RESP_OK)
-        });
-        if let Err(e) = acked {
-            self.trip(&e);
-            return;
-        }
         self.transport.advance_tick();
     }
 
@@ -660,10 +652,11 @@ impl MeasuredSystem for RemoteMeasuredSystem {
     /// Same contract as the in-process system: serial fault pre-pass in
     /// client order, each connection answering one contiguous chunk of
     /// clients, delayed responses queued and merged in `(sent_tick,
-    /// client)` order. The server's world stays frozen until the next
-    /// `ADVANCE`, so when a chunk is sent, and in which order the
-    /// replies are read, cannot change what any ping observes — which is
-    /// also why a whole chunk can be re-sent blind after a reconnect.
+    /// client)` order. Every `PING` names this tick, so the server's world
+    /// stands at it for all of them: when a chunk is sent, and in which
+    /// order the replies are read, cannot change what any ping observes —
+    /// which is also why a whole chunk can be re-sent blind after a
+    /// reconnect.
     fn ping_all_into(&mut self, clients: &[ClientSpec], out: &mut Vec<Vec<TypeObservation>>) {
         if self.broken.is_some() {
             return;
@@ -690,9 +683,9 @@ impl MeasuredSystem for RemoteMeasuredSystem {
         out.truncate(n);
 
         // Chunks of ceil(n / K) clients, one per connection in order;
-        // connections past the last chunk carry no pings this tick.
+        // connections past the last chunk send an empty `PING`.
         let size = n.div_ceil(self.conns.len()).max(1);
-        let chunks = clients
+        let mut chunks: Vec<Chunk<'_>> = clients
             .chunks(size)
             .zip(self.outcomes.chunks(size))
             .zip(out.chunks_mut(size))
@@ -704,8 +697,9 @@ impl MeasuredSystem for RemoteMeasuredSystem {
                 base: i * size,
             })
             .collect();
-        let (link, proj) = (&self.link, &self.proj);
-        let late = match exchange_all(&mut self.conns, link, proj, self.tick_secs, chunks) {
+        chunks.resize_with(self.conns.len(), Chunk::default);
+        let (link, proj, tick) = (&self.link, &self.proj, self.tick);
+        let late = match exchange_all(&mut self.conns, link, tick, proj, self.tick_secs, chunks) {
             Ok(late) => late,
             Err(e) => {
                 self.trip(&e);

@@ -4,8 +4,9 @@
 //! truncations, write stalls, delayed reads — still produces
 //! [`CampaignData`] bytes identical to the in-process run, because every
 //! reconnect (connect + `HELLO`) re-sends an idempotent operation
-//! against a world that only the client's next `ADVANCE` moves. The oracle is
-//! [`persist::campaign_encoded`] (raw IEEE-754 bits, NaN gaps included).
+//! against a world that only a `PING` naming the next tick moves. The
+//! oracle is [`persist::campaign_encoded`] (raw IEEE-754 bits, NaN gaps
+//! included).
 //!
 //! With the retry budget forced to 0, the first injected fault trips the
 //! circuit breaker instead: the run aborts with an error naming the
@@ -32,8 +33,12 @@ fn chaos_cfg(seed: u64, faults: FaultPlan) -> CampaignConfig {
     cfg
 }
 
-/// Fault chances tuned so a 720-tick campaign (tens of thousands of
-/// frame writes) sees *many* of every class, while retries stay cheap.
+/// Fault chances tuned so a 720-tick campaign sees every class at 1 and
+/// at 4 connections, while retries stay cheap. Each frame write draws
+/// one write fault, and a campaign writes 817 frames on the first
+/// connection (720 `PING`s, 96 probes, one `FINISH`) and 720 on each
+/// other one, plus one per re-send: seed `0xC4A05 ^ K` injects 3 resets,
+/// 2 truncations and 4 stalls at K = 1, and 16, 6 and 16 at K = 4.
 /// Stall/delay durations are tiny — they only have to exercise the code
 /// path, not simulate a real WAN.
 fn chaos_plan() -> ChaosPlan {

@@ -1,9 +1,11 @@
 //! The serving layer's determinism contract, regression-locked: a
 //! campaign measured **over the wire** (sockets to a `surgescope-serve`
-//! server, which ticks the world only on the client's one `ADVANCE` per
-//! tick) produces byte-identical [`CampaignData`] to the in-process run
-//! with the same config — clean and faulted, at any connection count. The oracle is [`persist::campaign_encoded`], which
-//! encodes floats as raw IEEE-754 bits, so NaN gaps must match too.
+//! server, which ticks the world when the first `PING` naming the next
+//! tick arrives, each connection sending one `PING` per tick) produces
+//! byte-identical [`CampaignData`] to the in-process run with the same
+//! config — clean and faulted, at any connection count. The oracle is
+//! [`persist::campaign_encoded`], which encodes floats as raw IEEE-754
+//! bits, so NaN gaps must match too.
 
 use surgescope_city::CityModel;
 use surgescope_core::persist::campaign_encoded;
@@ -70,8 +72,8 @@ fn remote_campaign_matches_local_bytes_clean_and_faulted() {
 }
 
 /// More connections than chunks: 6 clients over 4 connections are split
-/// into chunks of 2, 2 and 2, so the fourth connection only says HELLO
-/// and carries no pings.
+/// into chunks of 2, 2 and 2, so the fourth connection carries no pings
+/// and sends an empty `PING` every tick.
 #[test]
 fn more_connections_than_chunks_matches_local_bytes() {
     let mut server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
@@ -89,6 +91,28 @@ fn more_connections_than_chunks_matches_local_bytes() {
         );
     }
     server.shutdown();
+}
+
+/// With every ping dropped the client sends only empty `PING`s: they
+/// alone move the server's world, so the interval probes must still read
+/// the right tick and the ground truth must be the whole campaign's, at 1
+/// and 2 connections.
+#[test]
+fn every_ping_dropped_matches_local_bytes() {
+    let cfg = lockstep_cfg(7_0931, FaultPlan::lossy(1.0));
+    let local = campaign_encoded(&run_local(&cfg));
+    for connections in [1usize, 2] {
+        let mut server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let remote = run_remote(&server.local_addr().to_string(), &cfg, connections);
+        // Shutdown joins the workers, so every counter has landed.
+        server.shutdown();
+        assert_eq!(
+            local, remote,
+            "{connections} connection(s): a campaign of empty PINGs diverged \
+             from the in-process bytes"
+        );
+        assert_eq!(server.metrics().pings.get(), 0, "{connections} connection(s): a ping was sent");
+    }
 }
 
 /// Every ping the client sends is answered exactly once, and a dropped

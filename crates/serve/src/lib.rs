@@ -9,10 +9,10 @@
 //! each car it shows once, in a table its responses index; price/time
 //! estimates; a session handshake that keys the per-account rate limiter
 //! by session token; and campaign worlds that tick only when their
-//! client asks, so a remote campaign is byte-identical to the in-process
-//! one. Every world the server hosts is such a campaign: the [`loadgen`]
-//! module benchmarks heavy traffic by opening one and holding it at a
-//! frozen tick.
+//! client's first `PING` names the next tick, so a remote campaign is
+//! byte-identical to the in-process one. Every world the server hosts is
+//! such a campaign: the [`loadgen`] module benchmarks heavy traffic by
+//! opening one and holding it at a frozen tick.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,13 +3,13 @@
 //! latency percentiles.
 //!
 //! The load goes where a measuring client's pings go: the generator
-//! OPENs an ordinary campaign, ADVANCEs it through one simulated hour on
-//! one connection so the fleet is settled, and then holds it at that
-//! tick while every connection sends `REQ_PING` against it, each a
-//! batch of one ping through [`wire::ping`], so a request is one ping
-//! and its latency one round trip. A frozen world keeps runs
-//! comparable; the server's janitor reclaims the campaign once the run
-//! goes idle.
+//! OPENs an ordinary campaign, moves it through one simulated hour with
+//! one empty `PING` per tick on one connection so the fleet is settled,
+//! and then holds it at that tick while every connection sends
+//! `REQ_PING` against it, each a batch of one ping through
+//! [`wire::ping`], so a request is one ping and its latency one round
+//! trip. A frozen world keeps runs comparable; the server's janitor
+//! reclaims the campaign once the run goes idle.
 
 use crate::wire;
 use serde::{Deserialize, Serialize, Value};
@@ -27,8 +27,8 @@ use surgescope_marketplace::SurgePolicy;
 const LOAD_SCALE: f64 = 0.5;
 /// Marketplace seed of the load world.
 const LOAD_SEED: u64 = 2026;
-/// Ticks the load world advances before the pings start: one simulated
-/// hour of 5-second ticks.
+/// Ticks the load world advances before the pings start, and the tick
+/// they read: one simulated hour of 5-second ticks.
 const WARMUP_TICKS: u64 = 720;
 /// Where every ping reports: SF downtown's centre.
 const LOCATION: LatLng = LatLng { lat: 37.7749, lng: -122.4194 };
@@ -87,7 +87,7 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
         let mut stream = connect(&cfg.addr)?;
         let campaign = open_campaign(&mut stream, LOAD_SCALE, LOAD_SEED)?;
         for tick in 1..=WARMUP_TICKS {
-            advance(&mut stream, campaign, tick)?;
+            wire::ping(&mut stream, campaign, tick, [])?;
         }
         campaign
     };
@@ -157,7 +157,7 @@ fn drive_conn(
             next_send += period;
         }
         let t0 = Instant::now();
-        match wire::ping(&mut stream, campaign, [(conn_id as u64, LOCATION)]) {
+        match wire::ping(&mut stream, campaign, WARMUP_TICKS, [(conn_id as u64, LOCATION)]) {
             Ok(_) => latencies.push(t0.elapsed().as_micros() as u64),
             Err(_) => {
                 errors.fetch_add(1, Ordering::Relaxed);
@@ -196,21 +196,6 @@ pub(crate) fn open_campaign(stream: &mut TcpStream, scale: f64, seed: u64) -> io
     ]);
     let v = wire::call(stream, wire::REQ_OPEN, &open, wire::RESP_OPEN)?;
     u64::from_value(v.field("campaign").map_err(invalid)?).map_err(invalid)
-}
-
-/// ADVANCEs `campaign` to `tick`, which must be its current tick or the
-/// next one.
-pub(crate) fn advance(stream: &mut TcpStream, campaign: u64, tick: u64) -> io::Result<()> {
-    let v = Value::Map(vec![
-        ("campaign".into(), campaign.to_value()),
-        ("tick".into(), tick.to_value()),
-    ]);
-    let v = wire::call(stream, wire::REQ_ADVANCE, &v, wire::RESP_OK)?;
-    let at = u64::from_value(v.field("tick").map_err(invalid)?).map_err(invalid)?;
-    if at != tick {
-        return Err(invalid(format!("ADVANCE to tick {tick} answered tick {at}")));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -3,29 +3,33 @@
 //!
 //! ## Threading model
 //!
-//! `workers` threads each run their own accept loop on a shared
-//! non-blocking listener; an accepted connection is served by that worker
-//! until it closes, so each open connection holds one worker and the pool
-//! size bounds concurrent connections.
+//! `workers` threads each block in `accept` on a shared listener; an
+//! accepted connection is served by that worker until it closes, so each
+//! open connection holds one worker and the pool size bounds concurrent
+//! connections. Shutdown wakes each worker blocked in `accept` with one
+//! loopback connection, which the worker drops unserved.
 //!
 //! ## Tick order
 //!
-//! A campaign's marketplace advances only on `REQ_ADVANCE(tick+1)`, which
-//! ticks the world on arrival (recycling its snapshot through the same
-//! `TickSnapshot` arena the in-process `UberSystem` uses). Between two
-//! advances the world is frozen, so any interleaving of ping and
-//! estimates requests across connections reads the same snapshot. The
-//! client orders the ticks: it reads every reply of tick t before it
-//! sends `ADVANCE(t+1)`, which is what makes a remote campaign
-//! byte-identical to the in-process one at any connection count.
-//! `ADVANCE(tick)` is acknowledged again without moving the world, so a
-//! client whose connection died mid-exchange re-sends it harmlessly.
+//! Every `PING` names the campaign tick it reads. A `PING` naming
+//! `tick + 1` ticks the world before it is answered (recycling the
+//! snapshot through the same `TickSnapshot` arena the in-process
+//! `UberSystem` uses), one naming `tick` reads the world unmoved, and any
+//! other is a lockstep violation. Between two ticks the world is frozen,
+//! so any interleaving of ping and estimates requests across connections
+//! reads the same snapshot. The client orders the ticks: it reads every
+//! reply of tick t, probes included, before it sends any `PING` of t+1,
+//! which is what makes a remote campaign byte-identical to the
+//! in-process one at any connection count. Whichever of a tick's `PING`s
+//! arrives first moves the world, and a client whose connection died
+//! mid-exchange re-sends its `PING` harmlessly.
 //!
 //! ## Pings
 //!
 //! A `PING` frame carries a batch of pings, one connection's whole chunk
-//! of a tick. The server looks its campaign up, and takes the snapshot
-//! and ping configuration under the campaign lock, once per batch, then
+//! of a tick. The server looks its campaign up and checks every
+//! coordinate, then applies the tick rule and takes the snapshot and ping
+//! configuration under the campaign lock, once per batch, then
 //! encodes the reply outside the lock straight from the snapshot
 //! ([`wire::encode_ping_reply`]): each car the batch is shown goes into
 //! the reply's table once, and each response lists its cars as indices
@@ -58,7 +62,7 @@ use crate::wire::{self, Frame, PingBatch, WireError};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -68,7 +72,8 @@ use surgescope_geo::LatLng;
 use surgescope_marketplace::{Marketplace, MarketplaceConfig, SurgePolicy};
 use surgescope_obs::{Counter, Gauge, MetricsRegistry, Snapshot, Timer};
 
-/// How often blocked reads and accept loops re-check the shutdown flag.
+/// How often blocked reads re-check the shutdown flag, and how long a
+/// failed `accept` backs off.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Server tuning knobs. `Default` suits tests and loopback benches.
@@ -230,27 +235,21 @@ struct CampaignState {
     tick: u64,
 }
 
-impl CampaignHost {
-    /// Advances the world to `want`, which must be `tick + 1`.
-    /// `want == tick` answers OK without moving the world, so a client
-    /// whose connection died after its ADVANCE was served, but before
-    /// the ack arrived, reconnects and re-sends the same request
-    /// harmlessly.
-    fn advance(&self, want: u64) -> Result<u64, String> {
-        let mut st = lock_ok(&self.state);
-        if st.world.is_none() {
-            return Err("campaign already finished".into());
+impl CampaignState {
+    /// The world at tick `want`, which must be `tick + 1` (the world
+    /// advances first) or `tick` (it stays put, so a client whose
+    /// connection died after its `PING` was served, but before the reply
+    /// arrived, reconnects and re-sends the same request harmlessly).
+    /// Any other tick is refused and leaves the world where it is.
+    fn at_tick(&mut self, want: u64) -> Result<&mut HostWorld, String> {
+        let world = self.world.as_mut().ok_or("campaign already finished")?;
+        if want == self.tick + 1 {
+            world.advance();
+            self.tick = want;
+        } else if want != self.tick {
+            return Err(format!("lockstep violation: PING for tick {want} while at {}", self.tick));
         }
-        if want == st.tick + 1 {
-            st.world.as_mut().expect("checked above").advance();
-            st.tick = want;
-        } else if want != st.tick {
-            return Err(format!(
-                "lockstep violation: advance to tick {want} while at {}",
-                st.tick
-            ));
-        }
-        Ok(st.tick)
+        Ok(world)
     }
 }
 
@@ -304,7 +303,6 @@ impl Server {
     pub fn bind(addr: &str, cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let registry = MetricsRegistry::new();
         let metrics = ServeMetrics::new();
@@ -373,6 +371,21 @@ impl Server {
     /// the workers. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
+        // A worker blocked in `accept` sees the flag once a connection
+        // wakes it, and takes at most one, so one loopback connect per
+        // thread wakes them all; a worker serving a connection sees the
+        // flag at its next read poll. A wildcard bind is woken through
+        // the loopback address of its family.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        for _ in 0..self.threads.len() {
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -386,12 +399,15 @@ impl Drop for Server {
 }
 
 fn accept_loop(shared: &Shared, listener: &TcpListener, busy: &Timer) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Past shutdown, whatever woke the worker goes unserved.
+        if shared.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => serve_conn(shared, stream, busy),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL)
-            }
+            // Out of file descriptors, say: back off rather than spin.
             Err(_) => std::thread::sleep(POLL),
         }
     }
@@ -438,9 +454,6 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream, busy: &Timer) {
     shared.metrics.connections_accepted.incr();
     let active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
     shared.metrics.connections_peak.set_max(active as u64);
-    // Accepted sockets must be blocking-with-timeout regardless of the
-    // listener's non-blocking flag (inheritance is platform-dependent).
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_write_timeout(Some(shared.io_timeout));
@@ -617,12 +630,6 @@ fn handle_request(
             let _st = host.state.lock();
             panic!("injected crash (REQ_CRASH test verb)");
         }
-        wire::REQ_ADVANCE => {
-            let host = campaign_of(shared, v)?;
-            let want = field_u64(v, "tick")?;
-            let tick = host.advance(want)?;
-            Reply::ok(wire::RESP_OK, Value::Map(vec![("tick".into(), tick.to_value())]))
-        }
         wire::REQ_PRICE | wire::REQ_TIME => {
             let host = campaign_of(shared, v)?;
             let account = field_u64(v, "account")?;
@@ -653,11 +660,14 @@ fn handle_request(
     }
 }
 
-/// Answers a whole `PING` batch from one snapshot. Snapshot and ping
-/// core are taken under the lock once; the (comparatively expensive)
-/// reply is encoded outside it, straight into its frame, so batches on
-/// several connections are answered concurrently. A reply that would
-/// pass `max_frame` is refused before any of it is written.
+/// Answers a whole `PING` batch from one snapshot. The campaign and
+/// every coordinate are checked first, so a batch refused for either
+/// never moves the world. The tick rule ([`CampaignState::at_tick`]),
+/// snapshot and ping core are then taken under the lock once; the
+/// (comparatively expensive) reply is encoded outside it, straight into
+/// its frame, so batches on several connections are answered
+/// concurrently. A reply that would pass `max_frame` is refused before
+/// any of it is written.
 fn ping_batch(shared: &Shared, batch: &PingBatch) -> Result<Reply, String> {
     let host = campaign(shared, batch.campaign)?;
     for &(_, loc) in &batch.pings {
@@ -665,7 +675,7 @@ fn ping_batch(shared: &Shared, batch: &PingBatch) -> Result<Reply, String> {
     }
     let (snap, ping) = {
         let mut st = lock_ok(&host.state);
-        let world = st.world.as_mut().ok_or("campaign already finished")?;
+        let world = st.at_tick(batch.tick)?;
         (world.snapshot(), world.api.ping_config())
     };
     let mut encoded = Err(String::new());
@@ -724,7 +734,7 @@ fn estimates_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loadgen::{advance, connect, open_campaign};
+    use crate::loadgen::{connect, open_campaign};
     use crate::wire::rpc;
 
     fn campaign_payload(campaign: u64) -> Value {
@@ -733,8 +743,8 @@ mod tests {
 
     /// A worker panic mid-campaign poisons at most the campaign lock,
     /// which every other session recovers from, never the server. The
-    /// crashed session reconnects, re-sends the ADVANCE it last had
-    /// acknowledged (answered again, the world unmoved) and finishes the
+    /// crashed session reconnects, re-sends the `PING` it last had
+    /// answered (answered again, the world unmoved) and finishes the
     /// campaign, while a sibling session that only said HELLO keeps
     /// pinging it. `REQ_CRASH`, compiled into unit-test builds only, is
     /// the deterministic trigger: it panics a handler while it holds the
@@ -745,17 +755,17 @@ mod tests {
         let addr = server.local_addr().to_string();
         // `wire::ping` fails unless the reply is a `RESP_PING` with one
         // response per ping.
-        let ping = |stream: &mut TcpStream, campaign: u64| {
-            let responses =
-                wire::ping(stream, campaign, [(7, LatLng::new(37.78, -122.41))]).expect("PING");
+        let ping = |stream: &mut TcpStream, campaign: u64, tick: u64| {
+            let responses = wire::ping(stream, campaign, tick, [(7, LatLng::new(37.78, -122.41))])
+                .expect("PING");
             assert_eq!(responses.len(), 1);
         };
 
         let mut a = connect(&addr).expect("connect A");
         let campaign = open_campaign(&mut a, 0.2, 4242).expect("OPEN");
         let mut b = connect(&addr).expect("connect B");
-        advance(&mut a, campaign, 1).expect("A advances");
-        ping(&mut b, campaign);
+        ping(&mut a, campaign, 1);
+        ping(&mut b, campaign, 1);
 
         // Session A's handler panics *while holding the campaign lock*. The
         // panic boundary answers with an internal error (`RESP_ERR`, which
@@ -766,14 +776,14 @@ mod tests {
         assert!(err.to_string().contains("panicked"), "unexpected error: {err}");
         assert_eq!(server.metrics().worker_panics.get(), 1);
 
-        // A reconnects (connect + HELLO) and re-sends ADVANCE(1): the
-        // poisoned campaign lock is recovered and the re-send is acked
-        // at tick 1 without moving the world.
+        // A reconnects (connect + HELLO) and re-sends PING(1): the
+        // poisoned campaign lock is recovered and the re-send is
+        // answered at tick 1 without moving the world.
         let mut a2 = connect(&addr).expect("reconnect A");
-        advance(&mut a2, campaign, 1).expect("re-sent ADVANCE is acked again");
-        for want in 2..=3 {
-            advance(&mut a2, campaign, want).expect("A advances");
-            ping(&mut b, campaign);
+        ping(&mut a2, campaign, 1);
+        for tick in 2..=3 {
+            ping(&mut a2, campaign, tick);
+            ping(&mut b, campaign, tick);
         }
         let (kind, v) =
             rpc(&mut a2, wire::REQ_FINISH, &campaign_payload(campaign)).expect("FINISH");

@@ -13,17 +13,23 @@
 //!
 //! Every payload but `PING`'s and `RESP_PING`'s is a [`serde::Value`]
 //! tree through [`surgescope_store::codec`]. `PING` is the hot verb: a
-//! remote client sends one per connection per tick, carrying its whole
-//! chunk of pings, and both it and its reply use a fixed little-endian
-//! layout instead of a `Value` tree:
+//! remote client sends exactly one per connection per tick, carrying its
+//! whole chunk of pings (none, when the chunk is empty or all dropped),
+//! and both it and its reply use a fixed little-endian layout instead of
+//! a `Value` tree:
 //!
 //! ```text
-//! PING      = campaign u64 | n u32 | n × (key u64 | lat f64 | lng f64)
+//! PING      = campaign u64 | tick u64 | n u32 | n × (key u64 | lat f64 | lng f64)
 //! RESP_PING = cars u32 | cars × car | n u32 | n × response  (responses in request order)
 //! car       = id u64 | lat f64 | lng f64 | path u32 | path × (lat f64 | lng f64)
 //! response  = at u64 | lat f64 | lng f64 | tiers u32 | tiers × tier
 //! tier      = car_type u8 | ewt_min f64 | surge f64 | shown u32 | shown × index u32
 //! ```
+//!
+//! `tick` is the campaign tick the batch reads: the server moves the
+//! world one tick for a `PING` naming the tick after its current one,
+//! reads it unmoved for one naming the current tick, and refuses any
+//! other, so no verb exists only to advance the world.
 //!
 //! Neighbouring clients see mostly the same cars, so a reply lists each
 //! car it shows once, in a table, and each tier lists its shown cars,
@@ -46,7 +52,7 @@
 //! request's; they never panic.
 //!
 //! Request kinds live in `0x01..=0x7F`, responses in `0x80..=0xFF`;
-//! production builds serve seven request kinds. A connection speaks
+//! production builds serve six request kinds. A connection speaks
 //! strictly request→response in order, and the server answers in
 //! arrival order.
 //!
@@ -74,8 +80,8 @@ use surgescope_store::{decode_value, encode_value};
 
 /// Protocol version carried in the HELLO handshake. Version 2 gave
 /// `PING` and `RESP_PING` their batched binary layout; version 3 gave
-/// `RESP_PING` its car table.
-pub const PROTO_VERSION: u64 = 3;
+/// `RESP_PING` its car table; version 4 gave `PING` its tick.
+pub const PROTO_VERSION: u64 = 4;
 
 /// Default upper bound on a frame body. A tick's `PING` reply for a few
 /// dozen clients is a few tens of kilobytes; 16 MiB leaves room for the
@@ -86,11 +92,9 @@ pub const DEFAULT_MAX_FRAME: usize = 1 << 24;
 pub const REQ_HELLO: u8 = 0x01;
 /// Open a campaign (scaled city + seed + era + surge policy).
 pub const REQ_OPEN: u8 = 0x02;
-/// Advance the campaign world to the given tick, which must be the
-/// current tick plus one; the current tick itself is acknowledged again.
-pub const REQ_ADVANCE: u8 = 0x04;
-/// A batch of pingClient requests against a campaign's current tick
-/// snapshot, in the binary layout of the module docs.
+/// A batch of pingClient requests against the campaign tick it names,
+/// which must be the current tick (read unmoved) or the next one (the
+/// world advances first), in the binary layout of the module docs.
 pub const REQ_PING: u8 = 0x05;
 /// `estimates/price` against a campaign's current tick snapshot.
 pub const REQ_PRICE: u8 = 0x06;
@@ -105,8 +109,6 @@ pub const REQ_FINISH: u8 = 0x08;
 #[cfg(test)]
 pub const REQ_CRASH: u8 = 0x0D;
 
-/// ADVANCE acknowledgement, carries the current tick.
-pub const RESP_OK: u8 = 0x80;
 /// HELLO acknowledgement, carries the session token.
 pub const RESP_HELLO: u8 = 0x81;
 /// OPEN acknowledgement, carries the campaign id.
@@ -389,39 +391,36 @@ pub fn hello<S: Read + Write + ReadDeadline>(stream: &mut S) -> io::Result<()> {
 pub fn ping<S: Read + Write + ReadDeadline>(
     stream: &mut S,
     campaign: u64,
+    tick: u64,
     pings: impl IntoIterator<Item = (u64, LatLng)>,
 ) -> io::Result<Vec<PingClientResponse>> {
-    let n = send_ping(stream, campaign, pings)?;
+    let n = send_ping(stream, campaign, tick, pings)?;
     read_ping_reply(stream, n)
 }
 
-/// Sends `pings`, as `(client key, location)`, against `campaign` in one
-/// `PING` frame and returns how many it carried. An empty batch sends
-/// nothing.
+/// Sends `pings`, as `(client key, location)`, against `campaign` at
+/// `tick` in one `PING` frame and returns how many it carried. An empty
+/// batch is sent too: it moves the world like any other.
 pub fn send_ping<S: Write>(
     stream: &mut S,
     campaign: u64,
+    tick: u64,
     pings: impl IntoIterator<Item = (u64, LatLng)>,
 ) -> io::Result<usize> {
     let mut n = 0;
-    let frame = frame_with(REQ_PING, |out| n = encode_ping_request(out, campaign, pings));
-    if n > 0 {
-        stream.write_all(&frame)?;
-        stream.flush()?;
-    }
+    let frame = frame_with(REQ_PING, |out| n = encode_ping_request(out, campaign, tick, pings));
+    stream.write_all(&frame)?;
+    stream.flush()?;
     Ok(n)
 }
 
 /// Reads the one reply to a `PING` of `n` pings and decodes its
-/// responses, one per ping in request order; `n == 0` reads nothing. A
-/// malformed reply is `InvalidData`.
+/// responses, one per ping in request order. A malformed reply is
+/// `InvalidData`.
 pub fn read_ping_reply<S: Read + ReadDeadline>(
     stream: &mut S,
     n: usize,
 ) -> io::Result<Vec<PingClientResponse>> {
-    if n == 0 {
-        return Ok(Vec::new());
-    }
     let reply = read_reply_frame(stream)?;
     if reply.kind() != RESP_PING {
         return Err(unexpected_reply(REQ_PING, reply.kind()));
@@ -429,17 +428,21 @@ pub fn read_ping_reply<S: Read + ReadDeadline>(
     decode_ping_reply(reply.payload(), n).map_err(WireError::into_io)
 }
 
-/// A decoded `PING` request: the campaign, then each ping as `(client
-/// key, location)`. Locations are as sent, not yet validated.
+/// A decoded `PING` request: the campaign and tick, then each ping as
+/// `(client key, location)`. Locations are as sent, not yet validated.
 #[derive(Debug)]
 pub struct PingBatch {
     /// The campaign every ping reads.
     pub campaign: u64,
+    /// The campaign tick every ping reads.
+    pub tick: u64,
     /// The pings, in request order.
     pub pings: Vec<(u64, LatLng)>,
 }
 
-/// Bytes of one ping in a `PING` request: key, latitude, longitude.
+/// Bytes of a `PING` request's head (campaign, tick, count) and of one
+/// ping in it (key, latitude, longitude).
+const PING_HEAD: usize = 8 + 8 + 4;
 const PING_BYTES: usize = 24;
 /// Fewest bytes a response, a tier and a car can take, and the bytes of
 /// a path point and of a table index.
@@ -467,9 +470,11 @@ fn put_latlng(out: &mut Vec<u8>, p: LatLng) {
 pub fn encode_ping_request(
     out: &mut Vec<u8>,
     campaign: u64,
+    tick: u64,
     pings: impl IntoIterator<Item = (u64, LatLng)>,
 ) -> usize {
     put_u64(out, campaign);
+    put_u64(out, tick);
     let count_at = out.len();
     put_u32(out, 0);
     let mut n = 0;
@@ -483,12 +488,13 @@ pub fn encode_ping_request(
 }
 
 /// Decodes a `PING` request payload, which must be exactly
-/// `12 + 24 n` bytes.
+/// `20 + 24 n` bytes.
 pub fn decode_ping_request(payload: &[u8]) -> Result<PingBatch, WireError> {
     let mut f = Fields(payload);
     let campaign = f.u64()?;
+    let tick = f.u64()?;
     let n = f.u32()? as usize;
-    let want = 12 + PING_BYTES as u64 * n as u64;
+    let want = PING_HEAD as u64 + PING_BYTES as u64 * n as u64;
     if payload.len() as u64 != want {
         return Err(malformed(format!(
             "PING of {n} pings must be {want} bytes, not {}",
@@ -499,7 +505,7 @@ pub fn decode_ping_request(payload: &[u8]) -> Result<PingBatch, WireError> {
     for _ in 0..n {
         pings.push((f.u64()?, f.latlng()?));
     }
-    Ok(PingBatch { campaign, pings })
+    Ok(PingBatch { campaign, tick, pings })
 }
 
 /// What a `RESP_PING` payload carries besides its responses.
@@ -714,15 +720,15 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let payload = Value::Map(vec![
-            ("tick".into(), 42u64.to_value()),
+            ("campaign".into(), 42u64.to_value()),
             ("x".into(), f64::NAN.to_value()),
         ]);
-        let bytes = frame_bytes(REQ_ADVANCE, &payload);
+        let bytes = frame_bytes(REQ_FINISH, &payload);
         let mut cur = io::Cursor::new(bytes.clone());
         let (kind, back, n) = read_frame(&mut cur, DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(kind, REQ_ADVANCE);
+        assert_eq!(kind, REQ_FINISH);
         assert_eq!(n as usize, bytes.len());
-        assert_eq!(u64::from_value(back.field("tick").unwrap()).unwrap(), 42);
+        assert_eq!(u64::from_value(back.field("campaign").unwrap()).unwrap(), 42);
         // NaN crossed the frame bit-exactly.
         let x = f64::from_value(back.field("x").unwrap()).unwrap();
         assert!(x.is_nan());
@@ -942,13 +948,17 @@ mod tests {
             (u64::MAX, LatLng { lat: f64::NAN, lng: -0.0 }),
         ];
         let mut request = Vec::new();
-        assert_eq!(encode_ping_request(&mut request, 3, pings.iter().copied()), 2);
-        assert_eq!(request.len(), 12 + 24 * 2);
+        assert_eq!(encode_ping_request(&mut request, 3, u64::MAX, pings.iter().copied()), 2);
+        assert_eq!(request.len(), 20 + 24 * 2);
         let batch = decode_ping_request(&request).expect("decode request");
-        assert_eq!(batch.campaign, 3);
+        assert_eq!((batch.campaign, batch.tick), (3, u64::MAX));
         let mut again = Vec::new();
-        encode_ping_request(&mut again, batch.campaign, batch.pings.iter().copied());
+        encode_ping_request(&mut again, batch.campaign, batch.tick, batch.pings.iter().copied());
         assert_eq!(again, request);
+        let mut empty = Vec::new();
+        assert_eq!(encode_ping_request(&mut empty, 3, 7, []), 0);
+        let batch = decode_ping_request(&empty).expect("decode an empty request");
+        assert_eq!((batch.campaign, batch.tick, batch.pings.len()), (3, 7, 0));
     }
 
     /// One response whose one tier shows one car with an empty path:
@@ -982,7 +992,7 @@ mod tests {
         let reply = reply_payload(&responses);
         let mut request = Vec::new();
         let pings = [(1, LatLng::new(37.7, -122.4)), (2, LatLng::new(37.8, -122.5))];
-        encode_ping_request(&mut request, 9, pings);
+        encode_ping_request(&mut request, 9, 4, pings);
 
         for cut in 0..reply.len() {
             assert!(decode_ping_reply(&reply[..cut], 2).is_err(), "reply cut at {cut}");
@@ -1043,7 +1053,7 @@ mod tests {
         assert!(decode_ping_reply(&patched(60, &huge), 1).is_err(), "tier count");
         assert!(decode_ping_reply(&patched(81, &huge), 1).is_err(), "shown count");
         let mut bad = request.clone();
-        bad[8..12].copy_from_slice(&huge);
+        bad[16..20].copy_from_slice(&huge);
         assert!(decode_ping_request(&bad).is_err(), "ping count");
     }
 

@@ -1,14 +1,16 @@
 //! Raw-wire client helpers shared by the serve integration tests. Unlike
-//! `wire::rpc`, `rpc` here hands back every reply as sent, `RESP_ERR`
-//! included, so tests can assert on protocol errors.
+//! `wire::rpc` and `wire::ping`, `rpc` and `ping` here hand back every
+//! reply as sent, `RESP_ERR` included, so tests can assert on protocol
+//! errors.
 
 use serde::{Deserialize, Serialize, Value};
 use std::net::TcpStream;
 use std::time::Duration;
 use surgescope_api::ProtocolEra;
 use surgescope_city::CityModel;
+use surgescope_geo::LatLng;
 use surgescope_marketplace::SurgePolicy;
-use surgescope_serve::wire;
+use surgescope_serve::wire::{self, Frame};
 use surgescope_serve::Server;
 
 pub fn connect(server: &Server) -> TcpStream {
@@ -28,6 +30,23 @@ pub fn rpc(stream: &mut TcpStream, kind: u8, payload: &Value) -> (u8, Value) {
     let (kind, v, _) =
         wire::read_frame(stream, wire::DEFAULT_MAX_FRAME).expect("read reply");
     (kind, v)
+}
+
+/// Sends one `PING` of `pings` against `campaign` at `tick` and returns
+/// the reply frame.
+pub fn ping(stream: &mut TcpStream, campaign: u64, tick: u64, pings: &[(u64, LatLng)]) -> Frame {
+    wire::send_ping(stream, campaign, tick, pings.iter().copied()).expect("send PING");
+    wire::read_frame_with(stream, wire::DEFAULT_MAX_FRAME, |timed_out, _| {
+        timed_out.map_or(Ok(()), |e| Err(e.into()))
+    })
+    .expect("read reply")
+}
+
+/// The message of a `RESP_ERR` reply.
+pub fn error_of(reply: &Frame) -> String {
+    assert_eq!(reply.kind(), wire::RESP_ERR, "expected an error reply");
+    let v = reply.value().expect("error payload");
+    String::from_value(v.field("error").expect("error field")).expect("error message")
 }
 
 pub fn hello(stream: &mut TcpStream) {

@@ -6,8 +6,7 @@
 
 mod common;
 
-use common::{connect, hello, open_campaign, rpc};
-use serde::{Deserialize, Serialize, Value};
+use common::{connect, error_of, hello, open_campaign, ping};
 use std::time::Duration;
 use surgescope_serve::wire;
 use surgescope_serve::{ServeConfig, Server};
@@ -22,13 +21,8 @@ fn janitor_expires_an_orphaned_campaign_slot() {
     let mut stream = connect(&server);
     hello(&mut stream);
     let campaign = open_campaign(&mut stream);
-    let v = Value::Map(vec![
-        ("campaign".into(), campaign.to_value()),
-        ("tick".into(), 1u64.to_value()),
-    ]);
-    let (kind, v) = rpc(&mut stream, wire::REQ_ADVANCE, &v);
-    assert_eq!(kind, wire::RESP_OK, "ADVANCE failed: {v:?}");
-    assert_eq!(u64::from_value(v.field("tick").unwrap()).unwrap(), 1);
+    let reply = ping(&mut stream, campaign, 1, &[]);
+    assert_eq!(reply.kind(), wire::RESP_PING, "PING(1) refused");
 
     // Go silent past the idle timeout; the janitor reclaims the slot.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -41,13 +35,7 @@ fn janitor_expires_an_orphaned_campaign_slot() {
     }
 
     // The world is gone: further traffic is an explicit error.
-    let v = Value::Map(vec![
-        ("campaign".into(), campaign.to_value()),
-        ("tick".into(), 2u64.to_value()),
-    ]);
-    let (kind, v) = rpc(&mut stream, wire::REQ_ADVANCE, &v);
-    assert_eq!(kind, wire::RESP_ERR);
-    let msg = String::from_value(v.field("error").unwrap()).unwrap();
+    let msg = error_of(&ping(&mut stream, campaign, 2, &[]));
     assert!(msg.contains("unknown campaign"), "unexpected error: {msg}");
     assert_eq!(server.metrics().campaigns_expired.get(), 1);
 }

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{connect, hello, open_campaign, rpc};
+use common::{connect, error_of, hello, open_campaign, ping, rpc};
 use serde::{Deserialize, Serialize, Value};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -58,6 +58,25 @@ fn port_zero_bind_reports_ephemeral_address() {
     let mut stream = TcpStream::connect(addr).expect("dial the reported address");
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     hello(&mut stream);
+}
+
+/// Workers block in `accept`, so an idle server answers a fresh
+/// connection's HELLO within a round trip, with no wait for a worker to
+/// poll the listener. Each sample first leaves the server idle for
+/// 20 ms, so no worker is just back from serving the previous one.
+#[test]
+fn fresh_connection_hello_is_answered_without_an_accept_poll() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let mut took: Vec<Duration> = (0..10)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(20));
+            let t0 = Instant::now();
+            hello(&mut connect(&server));
+            t0.elapsed()
+        })
+        .collect();
+    took.sort();
+    assert!(took[5] < Duration::from_millis(10), "HELLOs on fresh connections took {took:?}");
 }
 
 #[test]
@@ -209,63 +228,52 @@ fn deeply_nested_payload_costs_only_its_connection() {
     assert_eq!(server.metrics().frame_errors.get(), 1);
 }
 
-/// The client orders the ticks, so the server keeps only three rules:
-/// `ADVANCE(tick)` is acknowledged again without moving the world,
-/// `ADVANCE` past `tick + 1` is refused and closes the connection, and
-/// any connection that said HELLO can ping any campaign.
+/// Every `PING` names its tick, and the server keeps the tick rule on
+/// it: `tick + 1` advances the world, a re-sent `tick` reads it unmoved
+/// (the same reply bytes), a skipped tick and a past tick are each refused
+/// as a lockstep violation that closes the connection and leaves the world
+/// where it was, and any connection that said HELLO can ping any
+/// campaign. Replies are compared as their payload bytes, which the
+/// layout makes a pure function of the snapshot and the batch.
 #[test]
-fn advance_reacks_the_current_tick_and_refuses_a_skip() {
+fn ping_names_its_tick_and_a_skipped_or_past_tick_is_refused() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut stream = connect(&server);
     hello(&mut stream);
     let campaign = open_campaign(&mut stream);
-    let advance = |stream: &mut TcpStream, tick: u64| {
-        let v = Value::Map(vec![
-            ("campaign".into(), campaign.to_value()),
-            ("tick".into(), tick.to_value()),
-        ]);
-        rpc(stream, wire::REQ_ADVANCE, &v)
-    };
-    // The reply must be a `RESP_PING` that decodes; replies are compared
-    // as their payload bytes, which the layout makes a pure function of
-    // the snapshot and the batch.
-    let ping_bytes = |stream: &mut TcpStream| {
-        wire::send_ping(stream, campaign, [(3, LatLng::new(37.78, -122.41))]).expect("send PING");
-        let reply = wire::read_frame_with(stream, wire::DEFAULT_MAX_FRAME, |timed_out, _| {
-            timed_out.map_or(Ok(()), |e| Err(e.into()))
-        })
-        .expect("read the reply");
-        assert_eq!(reply.kind(), wire::RESP_PING, "PING refused");
+    // The reply must be a `RESP_PING` that decodes.
+    let ping_bytes = |stream: &mut TcpStream, tick: u64| {
+        let reply = ping(stream, campaign, tick, &[(3, LatLng::new(37.78, -122.41))]);
+        assert_eq!(reply.kind(), wire::RESP_PING, "PING({tick}) refused");
         wire::decode_ping_reply(reply.payload(), 1).expect("decode the reply");
         reply.payload().to_vec()
     };
+    let refused = |stream: &mut TcpStream, tick: u64| {
+        let msg = error_of(&ping(stream, campaign, tick, &[]));
+        assert!(msg.contains("lockstep violation"), "PING({tick}): unexpected error: {msg}");
+        assert_closed(stream);
+    };
 
-    for tick in 1..=3u64 {
-        let (kind, v) = advance(&mut stream, tick);
-        assert_eq!(kind, wire::RESP_OK, "ADVANCE({tick}) refused: {v:?}");
+    for tick in 1..=2u64 {
+        ping_bytes(&mut stream, tick);
     }
-    let before = ping_bytes(&mut stream);
-    let (kind, v) = advance(&mut stream, 3);
-    assert_eq!(kind, wire::RESP_OK, "re-sent ADVANCE refused: {v:?}");
-    assert_eq!(u64::from_value(v.field("tick").unwrap()).unwrap(), 3);
-    assert_eq!(ping_bytes(&mut stream), before, "a re-sent ADVANCE moved the world");
+    let before = ping_bytes(&mut stream, 3);
+    assert_eq!(ping_bytes(&mut stream, 3), before, "a re-sent PING moved the world");
 
     // A connection that only said HELLO reads the same frozen world.
     let mut sibling = connect(&server);
     hello(&mut sibling);
-    assert_eq!(ping_bytes(&mut sibling), before);
+    assert_eq!(ping_bytes(&mut sibling, 3), before);
 
-    let (kind, v) = advance(&mut stream, 5);
-    assert_eq!(kind, wire::RESP_ERR, "a skipped tick must be refused");
-    let msg = String::from_value(v.field("error").unwrap()).unwrap();
-    assert!(msg.contains("lockstep violation"), "unexpected error: {msg}");
-    assert_closed(&mut stream);
-    assert_eq!(ping_bytes(&mut sibling), before, "a refused ADVANCE moved the world");
+    refused(&mut stream, 5);
+    assert_eq!(ping_bytes(&mut sibling, 3), before, "a skipped tick moved the world");
+    let mut late = connect(&server);
+    hello(&mut late);
+    refused(&mut late, 2);
+    assert_eq!(ping_bytes(&mut sibling, 3), before, "a past tick moved the world");
 
     // The comparisons above can fail: one real tick changes the reply.
-    let (kind, v) = advance(&mut sibling, 4);
-    assert_eq!(kind, wire::RESP_OK, "ADVANCE(4) refused: {v:?}");
-    assert_ne!(ping_bytes(&mut sibling), before, "a tick left the ping reply unchanged");
+    assert_ne!(ping_bytes(&mut sibling, 4), before, "a tick left the ping reply unchanged");
     assert_eq!(server.metrics().frame_errors.get(), 0);
 }
 
@@ -284,20 +292,26 @@ fn idle_connection_outlives_io_timeout() {
 }
 
 /// A production build serves none of these kinds: 0x7F and 0x09–0x0B are
-/// unassigned, 0x03 and 0x0C were the retired JOIN and RESUME verbs, and
-/// 0x0D, the crash verb, exists only in the serve crate's unit-test build.
+/// unassigned, 0x03, 0x04 and 0x0C were the retired JOIN, ADVANCE and
+/// RESUME verbs, and 0x0D, the crash verb, exists only in the serve
+/// crate's unit-test build. Each payload carries the fields the retired
+/// ADVANCE read, so only an unknown kind can explain the refusal.
 #[test]
 fn unknown_kind_is_a_protocol_error_not_a_frame_error() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let mut opener = connect(&server);
     hello(&mut opener);
-    let v = Value::Map(vec![("campaign".into(), open_campaign(&mut opener).to_value())]);
-    for unknown in [0x7F, 0x03, 0x09, 0x0A, 0x0B, 0x0C, 0x0D] {
+    let v = Value::Map(vec![
+        ("campaign".into(), open_campaign(&mut opener).to_value()),
+        ("tick".into(), 1u64.to_value()),
+    ]);
+    for unknown in [0x7F, 0x03, 0x04, 0x09, 0x0A, 0x0B, 0x0C, 0x0D] {
         let mut stream = connect(&server);
         hello(&mut stream);
         let (kind, payload) = rpc(&mut stream, unknown, &v);
         assert_eq!(kind, wire::RESP_ERR, "kind {unknown:#04x} is answered, then closed");
-        assert!(payload.field("error").is_ok());
+        let msg = String::from_value(payload.field("error").unwrap()).unwrap();
+        assert!(msg.contains("unknown request kind"), "kind {unknown:#04x}: {msg}");
         assert_closed(&mut stream);
     }
     assert_eq!(
@@ -317,18 +331,14 @@ fn hostile_coordinates_answered_with_error_and_worker_survives() {
     // A NaN latitude behind a valid ping: one bad location refuses the
     // whole batch.
     let pings = [(2, LatLng::new(37.78, -122.41)), (1, LatLng { lat: f64::NAN, lng: -122.4 })];
-    let frame = wire::frame_with(wire::REQ_PING, |out| {
-        wire::encode_ping_request(out, campaign, pings);
-    });
-    stream.write_all(&frame).expect("send PING");
-    let (kind, _, _) = wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME).expect("read reply");
-    assert_eq!(kind, wire::RESP_ERR, "NaN coordinates must be refused, not panic a worker");
+    let msg = error_of(&ping(&mut stream, campaign, 1, &pings));
+    assert!(msg.contains("invalid coordinates"), "unexpected error: {msg}");
     assert_closed(&mut stream);
 
     // The worker pool is intact: a fresh connection still gets answers.
     let mut stream = connect(&server);
     hello(&mut stream);
-    let responses = wire::ping(&mut stream, campaign, [(1, LatLng::new(37.78, -122.41))])
+    let responses = wire::ping(&mut stream, campaign, 1, [(1, LatLng::new(37.78, -122.41))])
         .expect("a valid PING is answered RESP_PING");
     assert_eq!(responses.len(), 1);
 }
@@ -346,23 +356,19 @@ fn ping_reply_past_max_frame_is_refused_and_a_fresh_connection_is_served() {
     hello(&mut stream);
     let campaign = open_campaign(&mut stream);
     let at = |key: u64| (key, LatLng::new(37.78, -122.41));
-    assert_eq!(wire::ping(&mut stream, campaign, [at(1)]).expect("one ping fits").len(), 1);
+    assert_eq!(wire::ping(&mut stream, campaign, 1, [at(1)]).expect("one ping fits").len(), 1);
 
-    // 100 pings: a 2,412-byte request whose reply would pass 4 KB.
-    let frame = wire::frame_with(wire::REQ_PING, |out| {
-        wire::encode_ping_request(out, campaign, (0..100).map(at));
-    });
-    assert!(frame.len() - 8 <= 4096, "the request itself fits the limit");
-    stream.write_all(&frame).expect("send PING");
-    let (kind, v, _) = wire::read_frame(&mut stream, wire::DEFAULT_MAX_FRAME).expect("read reply");
-    assert_eq!(kind, wire::RESP_ERR, "an oversized reply must be refused");
-    let msg = String::from_value(v.field("error").unwrap()).unwrap();
+    // 100 pings: a 2,421-byte request body, inside the limit (a frame
+    // error would close the connection unanswered), whose reply would
+    // pass 4 KB.
+    let pings: Vec<_> = (0..100).map(at).collect();
+    let msg = error_of(&ping(&mut stream, campaign, 1, &pings));
     assert!(msg.contains("frame limit"), "unexpected error: {msg}");
     assert_closed(&mut stream);
 
     let mut stream = connect(&server);
     hello(&mut stream);
-    assert_eq!(wire::ping(&mut stream, campaign, [at(2)]).expect("fresh connection").len(), 1);
+    assert_eq!(wire::ping(&mut stream, campaign, 1, [at(2)]).expect("fresh connection").len(), 1);
     assert_eq!(server.metrics().pings.get(), 2, "the refused batch is not counted");
     assert_eq!(server.metrics().frame_errors.get(), 0);
 }

@@ -147,7 +147,7 @@ run_named_tests -p surgescope-core --test checkpoint_resume -- \
   truncated_log_errors_cleanly \
   corrupted_log_fails_crc_cleanly
 
-echo "== serve: one frame reader, one PING per connection with a car table, pipelined client, client-ordered ticks =="
+echo "== serve: one frame reader, one PING per connection per tick naming its tick, car table, pipelined client =="
 # Client and server parse frames through one reader and differ only in
 # what a stalled read means. The server waits at an idle frame boundary,
 # drops a frame once io_timeout has passed since its first byte, whether
@@ -166,14 +166,19 @@ echo "== serve: one frame reader, one PING per connection with a car table, pipe
 # RESP_ERR before any of it is written, serve.pings counts every sent
 # ping exactly once, and serve.ping_sightings does not depend on the
 # connection count (the ping kernels step above gates the encoder's
-# replies against ping_client). The server ticks a world only on ADVANCE(tick+1),
-# acks ADVANCE(tick) again without moving it, and refuses a skipped
-# tick; any connection that said HELLO may ping. The remote client
-# sends one ADVANCE per tick on its first connection, writes every
+# replies against ping_client). Every PING names its tick: the server
+# ticks a world on a PING for tick+1, reads it unmoved on a PING for the
+# current tick, and refuses a skipped or past tick without moving it;
+# any connection that said HELLO may ping, and the retired ADVANCE
+# (0x04) is an unknown kind. Workers block in accept, so an idle server
+# answers a fresh connection's HELLO within 10 ms. The remote client
+# counts ticks locally and sends exactly one PING per connection per
+# tick, empty when the connection has no ping to carry, writes every
 # connection's PING before it reads any reply, reads the replies on the
-# calling thread, and reconnects with connect + HELLO; at 1 and 4
-# connections, with a connection left without pings, and under chaos,
-# its campaigns must equal the in-process bytes.
+# calling thread, and reconnects with connect + HELLO; at 1, 2 and 4
+# connections, with a connection left without pings, with every ping
+# dropped, and under chaos, its campaigns must equal the in-process
+# bytes.
 run_named_tests -p surgescope-serve --test robustness -- \
   stall_after_the_length_prefix_is_dropped \
   idle_connection_outlives_io_timeout \
@@ -182,7 +187,9 @@ run_named_tests -p surgescope-serve --test robustness -- \
   oversized_frame_rejected_with_error_count \
   truncated_length_prefix_closes_with_error_count \
   deeply_nested_payload_costs_only_its_connection \
-  advance_reacks_the_current_tick_and_refuses_a_skip \
+  ping_names_its_tick_and_a_skipped_or_past_tick_is_refused \
+  unknown_kind_is_a_protocol_error_not_a_frame_error \
+  fresh_connection_hello_is_answered_without_an_accept_poll \
   shutdown_drains_inflight_requests \
   ping_reply_past_max_frame_is_refused_and_a_fresh_connection_is_served
 run_named_tests -p surgescope-serve --lib -- \
@@ -200,6 +207,7 @@ run_named_tests -p surgescope-store --lib -- \
 run_named_tests -p surgescope-core --test remote_lockstep -- \
   remote_campaign_matches_local_bytes_clean_and_faulted \
   more_connections_than_chunks_matches_local_bytes \
+  every_ping_dropped_matches_local_bytes \
   remote_campaign_rejects_store_hooks \
   server_deterministic_counters_stable_across_reruns \
   server_answers_each_sent_ping_exactly_once
