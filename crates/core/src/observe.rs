@@ -1,7 +1,14 @@
 //! Observation records: what one emulated client sees in one ping.
+//!
+//! Both Uber ping kernels write a response into a client's slot through
+//! one block writer, `write_block` and `retire_blocks`: the in-process
+//! kernel copies cars it rendered once per tick, and the remote client
+//! copies cars it decoded once per `PING` reply.
+//! [`response_to_observations`] is the reference conversion both are
+//! tested against.
 
 use serde::{Deserialize, Serialize};
-use surgescope_api::PingClientResponse;
+use surgescope_api::{PingClientResponse, NEAREST_CARS_SHOWN};
 use surgescope_city::CarType;
 use surgescope_geo::{LocalProjection, Meters};
 
@@ -42,9 +49,10 @@ pub struct TypeObservation {
 /// Converts a full `pingClient` wire response into the per-tier blocks a
 /// measurement client records: positions projected into the city's planar
 /// frame, path vectors reduced to their net displacement. This is the
-/// honest client-side pipeline — the in-process ping kernel's snapshot
-/// shortcut is regression-locked byte-identical to it, and the remote
-/// (socket) client uses it directly.
+/// honest client-side pipeline and the reference both ping kernels are
+/// regression-locked to, byte for byte: the in-process kernel's snapshot
+/// shortcut and the remote client's decoding of a `PING` reply straight
+/// into its slots.
 pub fn response_to_observations(
     resp: &PingClientResponse,
     proj: &LocalProjection,
@@ -66,6 +74,50 @@ pub fn response_to_observations(
             surge: s.surge,
         })
         .collect()
+}
+
+/// Writes tier `n` of a response into `out[n]`, overwriting the block
+/// there and reusing its `cars` vector; a slot with only `n` blocks
+/// takes one from `spare` before allocating. Tiers are written in order,
+/// `n` counting from 0, and [`retire_blocks`] ends the response.
+pub(crate) fn write_block(
+    out: &mut Vec<TypeObservation>,
+    n: usize,
+    spare: &mut Vec<TypeObservation>,
+    car_type: CarType,
+    ewt_min: f64,
+    surge: f64,
+    cars: impl IntoIterator<Item = ObservedCar>,
+) {
+    if n == out.len() {
+        out.push(spare.pop().unwrap_or_else(|| TypeObservation {
+            car_type,
+            // Full capacity up front: a tier shows at most
+            // NEAREST_CARS_SHOWN cars, so this vector never grows again
+            // even as the local fleet fills in.
+            cars: Vec::with_capacity(NEAREST_CARS_SHOWN),
+            ewt_min: 0.0,
+            surge: 0.0,
+        }));
+    }
+    let block = &mut out[n];
+    block.car_type = car_type;
+    block.ewt_min = ewt_min;
+    block.surge = surge;
+    block.cars.clear();
+    block.cars.extend(cars);
+}
+
+/// Ends a response of `n` tiers written by [`write_block`]: the blocks
+/// past the first `n` retire into `spare`, `cars` capacity intact.
+pub(crate) fn retire_blocks(
+    out: &mut Vec<TypeObservation>,
+    n: usize,
+    spare: &mut Vec<TypeObservation>,
+) {
+    while out.len() > n {
+        spare.extend(out.pop());
+    }
 }
 
 /// The last block of tier `t` in arrival order — what the client app

@@ -5,10 +5,11 @@
 //! `surgescope-serve` endpoint. The campaign runner drives it through the
 //! exact same trait surface as the in-process [`crate::UberSystem`], and
 //! the combination of the client's tick order, the serial fault pre-pass
-//! here, and the shared wire/local observation conversion
-//! ([`crate::observe::response_to_observations`]) makes the resulting
-//! `CampaignData` **byte-identical** to the in-process run — clean or
-//! faulted, at any connection count.
+//! here, and observations written as the in-process kernel writes them
+//! (one block writer, one displacement formula, both locked to the
+//! reference conversion [`crate::observe::response_to_observations`])
+//! makes the resulting `CampaignData` **byte-identical** to the
+//! in-process run — clean or faulted, at any connection count.
 //!
 //! Every `PING` names its tick, and the server ticks a campaign's world
 //! when the first `PING` of the next tick arrives, on whichever
@@ -31,14 +32,20 @@
 //! connection. Each connection sends exactly one `PING` frame per tick in
 //! the wire's fixed binary layout, carrying its chunk's undropped pings
 //! (none, when the chunk is empty or all dropped: the frame still names
-//! the tick), and reads one reply frame, whose car table and responses
-//! it decodes into
-//! [`PingClientResponse`](surgescope_api::PingClientResponse)s and
-//! converts exactly as the in-process kernel is locked to. The calling
-//! thread writes every connection's `PING` before it reads any reply,
-//! so the server's workers answer the batches in parallel, and then
-//! reads the replies in connection order: a tick spawns no thread at
-//! any connection count.
+//! the tick), and reads one reply frame, which it decodes straight into
+//! the chunk's observation slots through the wire's one reply walker:
+//! each table car becomes one [`ObservedCar`] (its position projected
+//! once, its displacement taken once between its path's first and last
+//! points), and each tier copies its shown cars out of that table into
+//! the slot's blocks, reusing them as the in-process kernel does. No
+//! [`PingClientResponse`](surgescope_api::PingClientResponse), path or
+//! path handle is built. A delivered response is written into its slot,
+//! a delayed one into the slot's blocks, taken from it and queued, and a
+//! dropped ping's blocks retire to a spare pool that every response
+//! reclaims from. The calling thread writes every connection's `PING`
+//! before it reads any reply, so the server's workers answer the batches
+//! in parallel, and then reads the replies in connection order: a tick
+//! spawns no thread at any connection count.
 //!
 //! ## Resilience
 //!
@@ -50,17 +57,21 @@
 //! Re-sends are safe because every verb is idempotent against the frozen
 //! world: pings and probes are pure reads (a re-sent `PING` repeats its
 //! whole batch and names the tick the server already stands at, which it
-//! reads unmoved), and `FINISH` returns a cached truth. A socket read
+//! reads unmoved), and `FINISH` returns a cached truth. A `PING` reply
+//! refused part-way through decoding may leave its chunk's slots
+//! half-written; the rerun overwrites every one of them and rebuilds the
+//! chunk's delayed list. A socket read
 //! fails once a reply frame has not completed within `op_timeout` of its
 //! first byte, so a server trickling a reply costs one attempt, not the
 //! campaign. Once the per-op retry budget is exhausted a circuit breaker
 //! trips: the system marks itself broken, the runner's next fault check
-//! aborts the campaign with an `io::Error`, and the caller (the
-//! experiments cache) falls back to local execution — counted in
-//! `resilience.breaker_trips`, never silent. An optional [`ChaosSpec`] wires a [`ChaosStream`] fault
-//! schedule under the whole stack for the chaos byte-identity gates.
+//! aborts the campaign with an `io::Error` before any slot is read, and
+//! the caller (the experiments cache) falls back to local execution —
+//! counted in `resilience.breaker_trips`, never silent. An optional
+//! [`ChaosSpec`] wires a [`ChaosStream`] fault schedule under the whole
+//! stack for the chaos byte-identity gates.
 
-use crate::observe::{response_to_observations, ClientSpec, TypeObservation};
+use crate::observe::{retire_blocks, write_block, ClientSpec, ObservedCar, TypeObservation};
 use crate::systems::{MeasuredSystem, SystemMetrics};
 use serde::{Deserialize, Serialize, Value};
 use std::io;
@@ -68,13 +79,13 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use surgescope_api::{PriceEstimate, RateLimitError, TimeEstimate};
 use surgescope_city::CityModel;
-use surgescope_geo::{LatLng, LocalProjection};
+use surgescope_geo::{displacement, LatLng, LocalProjection};
 use surgescope_marketplace::GroundTruth;
 use surgescope_obs::{Counter, Histogram, MetricsRegistry};
 use surgescope_serve::chaos::{ChaosCounters, ChaosPlan, ChaosStream};
-use surgescope_serve::wire::{self, hello, rpc};
+use surgescope_serve::wire::{self, hello, rpc, WireError};
 use surgescope_simcore::{
-    ticks_late, Backoff, FaultOutcome, FaultPlan, SimRng, SimTime, Transport,
+    ticks_late, Backoff, FaultOutcome, FaultPlan, SimDuration, SimRng, SimTime, Transport,
 };
 
 /// Parameters a remote campaign ships to the server when opening its
@@ -307,11 +318,11 @@ pub struct RemoteMeasuredSystem {
     link: Link,
     tick: u64,
     tick_secs: u64,
-    proj: LocalProjection,
     faults: FaultPlan,
     fault_rng: SimRng,
     transport: Transport<Vec<TypeObservation>>,
     outcomes: Vec<FaultOutcome>,
+    decoder: Decoder,
     metrics: SystemMetrics,
     /// Breaker state: the message of the failure that exhausted a retry
     /// budget. Once set, every wire op is a no-op and
@@ -393,11 +404,11 @@ impl RemoteMeasuredSystem {
             },
             tick: 0,
             tick_secs: 5,
-            proj: spec.city.projection,
             faults: faults.validated(),
             fault_rng: SimRng::seed_from_u64(spec.seed).split("transport-faults"),
             transport: Transport::new(),
             outcomes: Vec::new(),
+            decoder: Decoder::new(spec.city.projection),
             metrics: SystemMetrics::default(),
             broken: None,
         })
@@ -568,73 +579,188 @@ fn send_chunk(
     wire::send_ping(stream, campaign, tick, sent)
 }
 
-/// Reads the reply to a chunk's `PING` of `sent` pings and routes each
-/// response by its fault outcome. Returns the delayed payloads in client
-/// order.
+/// A delayed response: the client it belongs to, its delay and its
+/// blocks.
+type Late = (usize, SimDuration, Vec<TypeObservation>);
+
+/// Decodes `PING` replies straight into the chunks' observation slots,
+/// keeping its buffers tick over tick.
+struct Decoder {
+    proj: LocalProjection,
+    /// The current reply's table, each car as a client observes it:
+    /// position projected once, path reduced to its displacement once.
+    table: Vec<ObservedCar>,
+    /// Retired observation blocks, as in `UberSystem`: a dropped ping's
+    /// slot, the surplus of a slot whose tier count shrank and the blocks
+    /// of a delivered late response park here, `cars` capacity intact,
+    /// and every response reclaims from here before allocating.
+    spare: Vec<TypeObservation>,
+    /// This tick's delayed responses, in client order.
+    late: Vec<Late>,
+}
+
+impl Decoder {
+    fn new(proj: LocalProjection) -> Self {
+        Decoder { proj, table: Vec::new(), spare: Vec::new(), late: Vec::new() }
+    }
+
+    /// Decodes a `RESP_PING` payload answering the `sent` undropped pings
+    /// of `chunk` into the chunk's slots, routing each response by its
+    /// fault outcome as the in-process kernel does: a delivered one is
+    /// written into its slot, a delayed one into the slot's blocks, taken
+    /// from it and queued in `late`, and a dropped slot's blocks retire to
+    /// `spare`. Every block is written by [`write_block`], as in the
+    /// in-process kernel, so no `PingClientResponse` is built.
+    ///
+    /// A refused payload may leave the chunk's slots half-written and
+    /// part of its responses queued; decoding the chunk again first
+    /// takes back what an earlier attempt queued, then writes every slot
+    /// afresh, so a rerun ends as a first attempt would.
+    fn decode(
+        &mut self,
+        payload: &[u8],
+        sent: usize,
+        chunk: &mut Chunk<'_>,
+    ) -> Result<(), WireError> {
+        let clients = chunk.base..chunk.base + chunk.slots.len();
+        while let Some((_, _, blocks)) = self.late.pop_if(|l| clients.contains(&l.0)) {
+            self.spare.extend(blocks);
+        }
+        for (slot, oc) in chunk.slots.iter_mut().zip(chunk.outcomes) {
+            if *oc == FaultOutcome::Drop {
+                self.spare.append(slot);
+            }
+        }
+        self.table.clear();
+        let mut sink =
+            SlotSink { dec: self, chunk, slot: None, next: 0, blocks: Vec::new(), tiers: 0 };
+        let walked = wire::walk_ping_reply(payload, sent, &mut sink);
+        sink.end_response();
+        walked
+    }
+}
+
+/// The [`wire::PingReplySink`] that writes a reply into a chunk's slots;
+/// see [`Decoder::decode`].
+struct SlotSink<'d, 's, 'c> {
+    dec: &'d mut Decoder,
+    chunk: &'s mut Chunk<'c>,
+    /// The chunk index of the slot the current response answers.
+    slot: Option<usize>,
+    /// The chunk index of the next slot a response may answer.
+    next: usize,
+    /// The current response's blocks, taken from its slot.
+    blocks: Vec<TypeObservation>,
+    /// Tiers written into `blocks` so far.
+    tiers: usize,
+}
+
+impl SlotSink<'_, '_, '_> {
+    /// Ends the current response: the blocks it did not write retire to
+    /// the pool, and the rest go back to its slot, or into `late` for a
+    /// delayed ping.
+    fn end_response(&mut self) {
+        let Some(i) = self.slot.take() else { return };
+        let mut blocks = std::mem::take(&mut self.blocks);
+        retire_blocks(&mut blocks, self.tiers, &mut self.dec.spare);
+        match self.chunk.outcomes[i] {
+            FaultOutcome::Delay(d) => self.dec.late.push((self.chunk.base + i, d, blocks)),
+            _ => self.chunk.slots[i] = blocks,
+        }
+    }
+}
+
+impl wire::PingReplySink for SlotSink<'_, '_, '_> {
+    fn car(&mut self, car: &wire::TableCar<'_>) {
+        let proj = &self.dec.proj;
+        self.dec.table.push(ObservedCar {
+            id: car.id,
+            position: proj.to_meters(car.position),
+            displacement: car.path_ends().map(|(first, last)| displacement(first, last, proj)),
+        });
+    }
+
+    /// Moves on to the chunk's next undropped slot, whose blocks the
+    /// response's tiers overwrite. The walker hands on exactly one
+    /// response per undropped slot.
+    fn response(&mut self, _at: SimTime, _location: LatLng, _tiers: usize) {
+        self.end_response();
+        let outcomes = self.chunk.outcomes;
+        while outcomes.get(self.next) == Some(&FaultOutcome::Drop) {
+            self.next += 1;
+        }
+        self.tiers = 0;
+        if let Some(slot) = self.chunk.slots.get_mut(self.next) {
+            self.blocks = std::mem::take(slot);
+            self.slot = Some(self.next);
+            self.next += 1;
+        }
+    }
+
+    fn tier(&mut self, tier: &wire::ShownTier<'_>) {
+        let table = &self.dec.table;
+        let cars = tier.shown().map(|at| table[at]);
+        let spare = &mut self.dec.spare;
+        write_block(
+            &mut self.blocks,
+            self.tiers,
+            spare,
+            tier.car_type,
+            tier.ewt_min,
+            tier.surge,
+            cars,
+        );
+        self.tiers += 1;
+    }
+}
+
+/// Reads the reply to a chunk's `PING` of `sent` pings and decodes it
+/// straight into the chunk's slots ([`Decoder::decode`]), delayed
+/// responses into `dec.late` in client order.
 ///
-/// Safe to re-run wholesale after a reconnect: every slot is overwritten
-/// (or cleared) per attempt, the `delayed` list is rebuilt from scratch,
-/// and the frozen snapshot answers byte-identically however often it is
-/// asked.
+/// Safe to re-run wholesale after a reconnect. A reply refused part-way
+/// through decoding may leave slots half-written, but the retry reruns
+/// the whole exchange: the decode takes back what the refused attempt
+/// queued and overwrites every slot, and the frozen snapshot answers
+/// byte-identically however often it is asked. A tripped breaker aborts
+/// the campaign before any slot is read.
 fn read_chunk(
     stream: &mut ChaosStream<TcpStream>,
     sent: usize,
-    proj: &LocalProjection,
     chunk: &mut Chunk<'_>,
-    tick_secs: u64,
-) -> io::Result<Vec<(usize, u64, Vec<TypeObservation>)>> {
-    // The reply carries exactly one response per ping sent, or is refused.
-    let mut responses = wire::read_ping_reply(stream, sent)?.into_iter();
-
-    let mut delayed = Vec::new();
-    for (i, (slot, oc)) in chunk.slots.iter_mut().zip(chunk.outcomes).enumerate() {
-        match oc {
-            FaultOutcome::Drop => slot.clear(),
-            outcome => {
-                let resp = responses.next().ok_or_else(|| invalid("PING reply ran short"))?;
-                let blocks = response_to_observations(&resp, proj);
-                match outcome {
-                    FaultOutcome::Deliver => *slot = blocks,
-                    FaultOutcome::Delay(d) => {
-                        slot.clear();
-                        delayed.push((chunk.base + i, ticks_late(*d, tick_secs), blocks));
-                    }
-                    FaultOutcome::Drop => unreachable!("matched above"),
-                }
-            }
-        }
-    }
-    Ok(delayed)
+    dec: &mut Decoder,
+) -> io::Result<()> {
+    let reply = wire::read_ping_frame(stream)?;
+    dec.decode(reply.payload(), sent, chunk).map_err(WireError::into_io)
 }
 
 /// One tick's ping exchanges, one per connection: every connection's
 /// `PING` for `tick` is written before any reply is read, so the server's
 /// workers answer the batches in parallel, and the replies are read in
 /// connection order on the calling thread. A connection whose write or
-/// read fails reruns its whole exchange under the retry policy. Returns
-/// the delayed payloads in client order.
+/// read fails reruns its whole exchange under the retry policy. Leaves
+/// the delayed responses in `dec.late`, in client order.
 fn exchange_all(
     conns: &mut [Conn],
     link: &Link,
     tick: u64,
-    proj: &LocalProjection,
-    tick_secs: u64,
     mut chunks: Vec<Chunk<'_>>,
-) -> io::Result<Vec<(usize, u64, Vec<TypeObservation>)>> {
+    dec: &mut Decoder,
+) -> io::Result<()> {
+    let proj = dec.proj;
     let sent: Vec<io::Result<usize>> = conns
         .iter_mut()
         .zip(&chunks)
-        .map(|(conn, chunk)| send_chunk(&mut conn.stream, link.campaign, tick, proj, chunk))
+        .map(|(conn, chunk)| send_chunk(&mut conn.stream, link.campaign, tick, &proj, chunk))
         .collect();
-    let mut late = Vec::new();
     for ((conn, sent), chunk) in conns.iter_mut().zip(sent).zip(&mut chunks) {
-        let first = sent.and_then(|n| read_chunk(&mut conn.stream, n, proj, chunk, tick_secs));
-        late.extend(retry_after(conn, link, first, |c| {
-            let n = send_chunk(&mut c.stream, link.campaign, tick, proj, chunk)?;
-            read_chunk(&mut c.stream, n, proj, chunk, tick_secs)
-        })?);
+        let first = sent.and_then(|n| read_chunk(&mut conn.stream, n, chunk, dec));
+        retry_after(conn, link, first, |c| {
+            let n = send_chunk(&mut c.stream, link.campaign, tick, &proj, chunk)?;
+            read_chunk(&mut c.stream, n, chunk, dec)
+        })?;
     }
-    Ok(late)
+    Ok(())
 }
 
 impl MeasuredSystem for RemoteMeasuredSystem {
@@ -698,23 +824,440 @@ impl MeasuredSystem for RemoteMeasuredSystem {
             })
             .collect();
         chunks.resize_with(self.conns.len(), Chunk::default);
-        let (link, proj, tick) = (&self.link, &self.proj, self.tick);
-        let late = match exchange_all(&mut self.conns, link, tick, proj, self.tick_secs, chunks) {
-            Ok(late) => late,
-            Err(e) => {
-                self.trip(&e);
-                return;
-            }
-        };
+        let dec = &mut self.decoder;
+        if let Err(e) = exchange_all(&mut self.conns, &self.link, self.tick, chunks, dec) {
+            self.trip(&e);
+            return;
+        }
 
         // Serial post-pass in client order, exactly like the local path.
-        for (client, ticks, payload) in late {
-            self.transport.send_delayed(client, ticks, payload);
+        for (client, delay, payload) in self.decoder.late.drain(..) {
+            self.transport.send_delayed(client, ticks_late(delay, self.tick_secs), payload);
         }
         for env in self.transport.take_due() {
             if let Some(slot) = out.get_mut(env.client) {
                 slot.extend(env.payload);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::calibration::placement;
+    use crate::observe::response_to_observations;
+    use surgescope_api::{ApiService, PingConfig, ProtocolEra, WorldSnapshot};
+    use surgescope_city::CarType;
+    use surgescope_marketplace::{Marketplace, MarketplaceConfig};
+    use surgescope_store::encode_value;
+
+    use FaultOutcome::{Deliver, Drop};
+
+    /// The store codec's bytes of `blocks`, every float as its raw bits.
+    fn bytes(blocks: &[TypeObservation]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_value(&blocks.to_value(), &mut out);
+        out
+    }
+
+    /// A chunk of `outcomes` and `slots` starting at client `base`.
+    fn chunk<'a>(
+        outcomes: &'a [FaultOutcome],
+        slots: &'a mut [Vec<TypeObservation>],
+        base: usize,
+    ) -> Chunk<'a> {
+        Chunk { clients: &[], outcomes, slots, base }
+    }
+
+    /// Asserts that a decode of `payload` left in `slots` and `late` what
+    /// the reference pipeline, `decode_ping_reply` then
+    /// `response_to_observations`, gives for `outcomes`: each delivered
+    /// slot its response's conversion, each delayed response's conversion
+    /// queued with its client and delay and its slot empty, each dropped
+    /// slot empty, and nothing else of the chunk queued.
+    fn assert_matches_reference(
+        payload: &[u8],
+        outcomes: &[FaultOutcome],
+        base: usize,
+        slots: &[Vec<TypeObservation>],
+        late: &[Late],
+        proj: &LocalProjection,
+        at: &str,
+    ) {
+        let sent = outcomes.iter().filter(|oc| **oc != Drop).count();
+        let reference = wire::decode_ping_reply(payload, sent).expect("reference decode");
+        let mut want = reference.iter().map(|r| bytes(&response_to_observations(r, proj)));
+        let clients = base..base + slots.len();
+        let mut queued = late.iter().filter(|l| clients.contains(&l.0));
+        for (i, (slot, oc)) in slots.iter().zip(outcomes).enumerate() {
+            let at = format!("{at}, client {}", base + i);
+            match *oc {
+                Drop => assert!(slot.is_empty(), "{at}: a dropped ping's slot holds blocks"),
+                Deliver => {
+                    let want = want.next().expect("a response per delivered ping");
+                    assert!(bytes(slot) == want, "{at}: the slot differs from the reference");
+                }
+                FaultOutcome::Delay(d) => {
+                    assert!(slot.is_empty(), "{at}: a delayed ping's slot holds blocks");
+                    let (client, delay, blocks) = queued.next().expect("a queued response");
+                    assert_eq!((*client, *delay), (base + i, d), "{at}: queued as another");
+                    let want = want.next().expect("a response per delayed ping");
+                    assert!(bytes(blocks) == want, "{at}: the queued blocks differ");
+                }
+            }
+        }
+        assert!(want.next().is_none() && queued.next().is_none(), "{at}: responses left over");
+    }
+
+    /// A `RESP_PING` payload written field by field, for values no
+    /// snapshot holds.
+    #[derive(Default)]
+    struct Payload(Vec<u8>);
+
+    impl Payload {
+        fn u32(&mut self, v: u32) -> &mut Self {
+            self.0.extend_from_slice(&v.to_le_bytes());
+            self
+        }
+
+        fn u64(&mut self, v: u64) -> &mut Self {
+            self.0.extend_from_slice(&v.to_le_bytes());
+            self
+        }
+
+        fn latlng(&mut self, p: LatLng) -> &mut Self {
+            self.u64(p.lat.to_bits()).u64(p.lng.to_bits())
+        }
+
+        fn car(&mut self, id: u64, position: LatLng, path: &[LatLng]) -> &mut Self {
+            self.u64(id).latlng(position).u32(path.len() as u32);
+            path.iter().fold(self, |p, &point| p.latlng(point))
+        }
+
+        fn response(&mut self, at: u64, location: LatLng, tiers: u32) -> &mut Self {
+            self.u64(at).latlng(location).u32(tiers)
+        }
+
+        fn tier(
+            &mut self,
+            car_type: CarType,
+            ewt_min: f64,
+            surge: f64,
+            shown: &[u32],
+        ) -> &mut Self {
+            self.0.push(car_type as u8);
+            self.u64(ewt_min.to_bits()).u64(surge.to_bits()).u32(shown.len() as u32);
+            shown.iter().fold(self, |p, &i| p.u32(i))
+        }
+    }
+
+    const HERE: LatLng = LatLng { lat: 37.78, lng: -122.41 };
+    const ODD: LatLng = LatLng { lat: f64::NAN, lng: -0.0 };
+
+    /// Three responses over a table of four cars: NaN and -0 in every
+    /// float field, an empty path, a one-point path, a NaN path point
+    /// between two good ones and a NaN path end, a tier with no cars and a
+    /// response with no tiers.
+    fn odd_reply() -> Vec<u8> {
+        let there = LatLng::new(37.781, -122.409);
+        let mut p = Payload::default();
+        p.u32(4)
+            .car(1, ODD, &[])
+            .car(2, HERE, &[HERE])
+            .car(3, there, &[HERE, ODD, there])
+            .car(4, HERE, &[ODD, HERE])
+            .u32(3)
+            .response(86_400, ODD, 2)
+            .tier(CarType::UberX, f64::NAN, -0.0, &[0, 1, 2, 3])
+            .tier(CarType::UberBlack, 3.5, 1.0, &[])
+            .response(u64::MAX, HERE, 1)
+            .tier(CarType::UberPool, -0.0, f64::INFINITY, &[3, 0])
+            .response(0, HERE, 0);
+        p.0
+    }
+
+    /// One outcome of each kind for [`odd_reply`]'s three responses.
+    const ODD_OUTCOMES: [FaultOutcome; 4] =
+        [Deliver, Drop, FaultOutcome::Delay(SimDuration::secs(7)), Deliver];
+
+    /// One response whose one tier shows one car with an empty path:
+    /// 89 bytes, laid out as
+    ///
+    /// ```text
+    /// [0..4] cars | [4..32] car (its path count at [28..32])
+    /// [32..36] n | [36..64] response head (its tier count at [60..64])
+    /// [64] car_type | [65..81] ewt_min, surge | [81..85] shown | [85..89] index
+    /// ```
+    fn minimal_reply() -> Vec<u8> {
+        let mut p = Payload::default();
+        p.u32(1).car(1, HERE, &[]).u32(1).response(5, HERE, 1).tier(CarType::UberX, 2.0, 1.0, &[0]);
+        p.0
+    }
+
+    /// The remote world shape (quarter-scale SF downtown measured from a
+    /// 500 m lattice), its ping core in `era` with `sigma_m` of location
+    /// noise, and its pings.
+    fn remote_world(
+        era: ProtocolEra,
+        sigma_m: f64,
+    ) -> (Marketplace, PingConfig, Vec<(u64, LatLng)>, LocalProjection) {
+        let mut city = CityModel::san_francisco_downtown();
+        city.supply = city.supply.scaled(0.25);
+        city.demand = city.demand.scaled(0.25);
+        let proj = city.projection;
+        let pings = placement(&city.measurement_region, 500.0)
+            .iter()
+            .map(|c| (c.key, proj.to_latlng(c.position)))
+            .collect();
+        let seed = 7_0931;
+        let mp = Marketplace::new(city, MarketplaceConfig::default(), seed);
+        let ping = ApiService::new(era, seed ^ 0xB0B5).with_location_noise(sigma_m).ping_config();
+        (mp, ping, pings, proj)
+    }
+
+    /// The server's reply to the undropped pings of `batch` from `snap`,
+    /// and how many it answers.
+    fn reply(
+        ping: &PingConfig,
+        snap: &WorldSnapshot,
+        batch: &[(u64, LatLng)],
+        outcomes: &[FaultOutcome],
+    ) -> (Vec<u8>, usize) {
+        let sent: Vec<_> =
+            batch.iter().zip(outcomes).filter(|(_, oc)| **oc != Drop).map(|(p, _)| *p).collect();
+        let mut payload = Vec::new();
+        wire::encode_ping_reply(&mut payload, ping, snap, &sent, wire::DEFAULT_MAX_FRAME)
+            .expect("encode reply");
+        (payload, sent.len())
+    }
+
+    /// The client decoder writes exactly the reference conversion of each
+    /// response: a hand-built reply of odd values, then 120 ticks of the
+    /// remote world shape in both eras, with and without location noise,
+    /// in batches of 1, 12 and every client, under a fault plan that
+    /// delivers, delays and drops. Each batch size keeps one slot buffer
+    /// tick over tick, and delayed responses come back into it through a
+    /// transport, as in `ping_all_into`.
+    #[test]
+    fn client_decoder_matches_reference_conversion() {
+        let proj = LocalProjection::new(HERE);
+        let payload = odd_reply();
+        let mut slots = vec![Vec::new(); ODD_OUTCOMES.len()];
+        let mut dec = Decoder::new(proj);
+        dec.decode(&payload, 3, &mut chunk(&ODD_OUTCOMES, &mut slots, 0)).expect("decode");
+        assert_matches_reference(&payload, &ODD_OUTCOMES, 0, &slots, &dec.late, &proj, "odd");
+        let cars = &slots[0][0].cars;
+        assert!(cars[0].position.y.is_nan(), "a NaN latitude stays NaN");
+        assert!(cars[0].displacement.is_none(), "an empty path has no displacement");
+        assert!(cars[1].displacement.is_none(), "a one-point path has no displacement");
+        assert!(cars[2].displacement.is_some_and(|d| d.x.is_finite()), "ends, not middle");
+        assert!(cars[3].displacement.is_some_and(|d| d.y.is_nan()), "a NaN end");
+        assert_eq!(slots[0][0].surge.to_bits(), (-0.0f64).to_bits());
+        assert!(slots[3].is_empty(), "a response with no tiers");
+
+        let plan = FaultPlan { drop_chance: 0.1, delay_chance: 0.2, max_delay_secs: 20 };
+        let mut rng = SimRng::seed_from_u64(0xDEC0DE);
+        let mut seen = [0usize; 3];
+        for era in [ProtocolEra::Feb2015, ProtocolEra::Apr2015] {
+            for sigma_m in [0.0, 50.0] {
+                let (mut mp, ping, pings, proj) = remote_world(era, sigma_m);
+                let sizes = [1, 12, pings.len()];
+                let mut fleets: Vec<_> = sizes
+                    .iter()
+                    .map(|_| (Decoder::new(proj), vec![Vec::new(); pings.len()], Transport::new()))
+                    .collect();
+                for tick in 0..120 {
+                    mp.tick();
+                    let snap = WorldSnapshot::of(&mp);
+                    for ((dec, slots, transport), &size) in fleets.iter_mut().zip(&sizes) {
+                        transport.advance_tick();
+                        let outcomes: Vec<_> =
+                            pings.iter().map(|_| plan.decide(&mut rng)).collect();
+                        for oc in &outcomes {
+                            seen[match oc {
+                                Deliver => 0,
+                                Drop => 1,
+                                _ => 2,
+                            }] += 1;
+                        }
+                        let batches = pings.chunks(size).zip(outcomes.chunks(size));
+                        for (c, ((batch, outcomes), slots)) in
+                            batches.zip(slots.chunks_mut(size)).enumerate()
+                        {
+                            let at =
+                                format!("{era:?}, noise {sigma_m} m, tick {tick}, batch of {size}");
+                            let (payload, sent) = reply(&ping, &snap, batch, outcomes);
+                            let mut chunk = chunk(outcomes, slots, c * size);
+                            dec.decode(&payload, sent, &mut chunk).expect("decode");
+                            let base = chunk.base;
+                            assert_matches_reference(
+                                &payload,
+                                outcomes,
+                                base,
+                                chunk.slots,
+                                &dec.late,
+                                &proj,
+                                &at,
+                            );
+                        }
+                        for (client, delay, blocks) in dec.late.drain(..) {
+                            transport.send_delayed(client, ticks_late(delay, 5), blocks);
+                        }
+                        for env in transport.take_due() {
+                            slots[env.client].extend(env.payload);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "outcomes {seen:?}: a kind never came up");
+    }
+
+    /// A reply refused part-way through decoding leaves slots that a
+    /// rerun of the whole decode puts right: for every truncation of a
+    /// 12-ping reply, decoding the cut payload into warmed slots fails,
+    /// and decoding the whole reply into the same slots then leaves the
+    /// slots and the delayed list as a decode into fresh slots does. An
+    /// earlier chunk's queued response stays queued throughout, and after
+    /// an empty chunk's decode.
+    #[test]
+    fn a_refused_reply_leaves_slots_safe_to_rerun() {
+        let (mut mp, ping, pings, proj) = remote_world(ProtocolEra::Apr2015, 50.0);
+        let batch = &pings[..12];
+        let outcomes: Vec<_> = (0..12)
+            .map(|i| match i % 4 {
+                1 => FaultOutcome::Delay(SimDuration::secs(3)),
+                3 => Drop,
+                _ => Deliver,
+            })
+            .collect();
+        for _ in 0..60 {
+            mp.tick();
+        }
+        let (warm, _) = reply(&ping, &WorldSnapshot::of(&mp), batch, &[Deliver; 12]);
+        for _ in 0..60 {
+            mp.tick();
+        }
+        let (payload, sent) = reply(&ping, &WorldSnapshot::of(&mp), batch, &outcomes);
+
+        let base = 12;
+        let earlier: Late = (3, SimDuration::secs(9), Vec::new());
+        let mut fresh = Decoder::new(proj);
+        fresh.late.push(earlier.clone());
+        let mut fresh_slots = vec![Vec::new(); 12];
+        fresh.decode(&payload, sent, &mut chunk(&outcomes, &mut fresh_slots, base)).expect("fresh");
+        let queued = |late: &[Late]| -> Vec<_> {
+            late.iter().map(|(c, d, blocks)| (*c, *d, bytes(blocks))).collect()
+        };
+
+        let mut dec = Decoder::new(proj);
+        dec.late.push(earlier);
+        let mut slots = vec![Vec::new(); 12];
+        dec.decode(&warm, 12, &mut chunk(&[Deliver; 12], &mut slots, base)).expect("warm-up");
+        assert!(slots.iter().all(|s| !s.is_empty()), "every slot is warm");
+        for cut in 0..payload.len() {
+            let mut chunk = chunk(&outcomes, &mut slots, base);
+            assert!(dec.decode(&payload[..cut], sent, &mut chunk).is_err(), "cut at {cut}");
+            dec.decode(&payload, sent, &mut chunk).expect("the whole reply");
+            for (i, (got, want)) in slots.iter().zip(&fresh_slots).enumerate() {
+                assert!(bytes(got) == bytes(want), "cut at {cut}: slot {i} differs");
+            }
+            assert_eq!(queued(&dec.late), queued(&fresh.late), "cut at {cut}: the queue differs");
+        }
+        // A connection past the last chunk reads an empty reply (no cars,
+        // no responses) and takes back nothing another chunk queued.
+        dec.decode(&[0; 8], 0, &mut Chunk::default()).expect("an empty reply");
+        assert_eq!(queued(&dec.late), queued(&fresh.late), "an empty chunk took from the queue");
+    }
+
+    /// Every truncation of a request and a reply, trailing bytes, an
+    /// unknown tier, an index equal to the table's length and counts far
+    /// beyond the bytes that follow are refused by the request decoder
+    /// and by the reply walker through both of its sinks, the reference
+    /// `decode_ping_reply` and the client's slot decoder. Seeded
+    /// single-byte flips are refused by the frame's CRC, and the payload
+    /// decoders take the same flips without a panic.
+    #[test]
+    fn corrupt_ping_payloads_are_refused_without_panic() {
+        let mut dec = Decoder::new(LocalProjection::new(HERE));
+        let mut slots = vec![Vec::new(); ODD_OUTCOMES.len()];
+        // Decodes `payload` as the answer to `n` pings through both sinks,
+        // the client's into slots of `outcomes`; true if both refuse it.
+        let mut refused = |payload: &[u8], n: usize, outcomes: &[FaultOutcome]| {
+            let reference = wire::decode_ping_reply(payload, n).is_err();
+            let slots = &mut slots[..outcomes.len()];
+            let client = dec.decode(payload, n, &mut chunk(outcomes, slots, 0)).is_err();
+            reference && client
+        };
+
+        let reply = odd_reply();
+        let mut request = Vec::new();
+        let pings = [(1, LatLng::new(37.7, -122.4)), (2, LatLng::new(37.8, -122.5))];
+        wire::encode_ping_request(&mut request, 9, 4, pings);
+        assert!(!refused(&reply, 3, &ODD_OUTCOMES), "the unaltered reply decodes");
+        for cut in 0..reply.len() {
+            assert!(refused(&reply[..cut], 3, &ODD_OUTCOMES), "reply cut at {cut}");
+        }
+        for cut in 0..request.len() {
+            assert!(wire::decode_ping_request(&request[..cut]).is_err(), "request cut at {cut}");
+        }
+        let mut padded = reply.clone();
+        padded.push(0);
+        assert!(refused(&padded, 3, &ODD_OUTCOMES), "trailing bytes");
+        let mut padded = request.clone();
+        padded.push(0);
+        assert!(wire::decode_ping_request(&padded).is_err(), "request length off by one");
+        assert!(refused(&reply, 1, &[Deliver]), "a reply count other than the request's");
+
+        let mut rng = SimRng::seed_from_u64(0xF11D);
+        for (kind, payload) in [(wire::RESP_PING, &reply), (wire::REQ_PING, &request)] {
+            let frame = wire::frame_with(kind, |out| out.extend_from_slice(payload));
+            for _ in 0..1_000 {
+                let mut flipped = frame.clone();
+                let at = rng.range_usize(9, flipped.len());
+                flipped[at] ^= rng.range_u64(1, 256) as u8;
+                let read = wire::read_frame_with(
+                    &mut &flipped[..],
+                    wire::DEFAULT_MAX_FRAME,
+                    |_, _| Ok(()),
+                );
+                assert!(read.is_err(), "a flip at byte {at} passed the CRC");
+                let mut p = payload.clone();
+                p[at - 9] = flipped[at];
+                if kind == wire::RESP_PING {
+                    refused(&p, 3, &ODD_OUTCOMES);
+                } else {
+                    let _ = wire::decode_ping_request(&p);
+                }
+            }
+        }
+
+        let minimal = minimal_reply();
+        assert_eq!(minimal.len(), 89, "the offsets below assume this layout");
+        assert!(!refused(&minimal, 1, &[Deliver]), "the unaltered payload decodes");
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut bad = minimal.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            bad
+        };
+        // A tier index past CarType::ALL, and a car index equal to the
+        // table's length.
+        let bad = patched(64, &[CarType::ALL.len() as u8]);
+        assert!(refused(&bad, 1, &[Deliver]), "unknown tier index");
+        let bad = patched(85, &1u32.to_le_bytes());
+        assert!(refused(&bad, 1, &[Deliver]), "an index equal to the table's length");
+
+        // Counts far beyond the bytes that follow are refused before any
+        // reservation (a u32::MAX-element reserve would abort the test).
+        let huge = u32::MAX.to_le_bytes();
+        assert!(refused(&patched(0, &huge), 1, &[Deliver]), "table count");
+        assert!(refused(&patched(28, &huge), 1, &[Deliver]), "path count");
+        assert!(refused(&patched(32, &huge), u32::MAX as usize, &[Deliver]), "response count");
+        assert!(refused(&patched(60, &huge), 1, &[Deliver]), "tier count");
+        assert!(refused(&patched(81, &huge), 1, &[Deliver]), "shown count");
+        let mut bad = request.clone();
+        bad[16..20].copy_from_slice(&huge);
+        assert!(wire::decode_ping_request(&bad).is_err(), "ping count");
     }
 }

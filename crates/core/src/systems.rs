@@ -5,9 +5,11 @@
 //! [`MeasuredSystem`] trait captures the minimal contract (advance one
 //! 5-second tick; answer a batch of client pings), with implementations
 //! for the simulated marketplace ([`UberSystem`]) and the taxi replay
-//! ([`TaxiSystem`]).
+//! ([`TaxiSystem`]); `core::remote` implements it over sockets. Both Uber
+//! systems write each response into its client's slot through one block
+//! writer in `core::observe`, reusing the slot's blocks tick over tick.
 
-use crate::observe::{ClientSpec, ObservedCar, TypeObservation};
+use crate::observe::{retire_blocks, write_block, ClientSpec, ObservedCar, TypeObservation};
 use std::sync::Arc;
 use surgescope_api::{ApiService, PingConfig, TickSnapshot, WorldSnapshot, NEAREST_CARS_SHOWN};
 use surgescope_city::CarType;
@@ -75,7 +77,9 @@ pub trait MeasuredSystem {
 /// displacement) is the same for every client that is shown it, so each
 /// tick renders every car once into a per-tier table, and a ping copies
 /// its shown cars from there instead of rendering them again per
-/// client.
+/// client. The remote client does the same with each `PING` reply's car
+/// table, and both write their blocks through one writer
+/// (`observe::write_block`).
 pub struct UberSystem {
     /// The world. Public so experiments can consult ground truth after a
     /// campaign (the paper could not; we can score ourselves).
@@ -242,13 +246,14 @@ fn render_cars(
 
 /// Answers one client's ping against the tick snapshot, overwriting `out`
 /// block by block and reusing its per-tier `cars` vectors. This is the
-/// only Uber ping kernel. Its observations are byte-identical to
-/// converting a full `ping_client` wire response (regression-tested); it
-/// just skips materializing the response, copying the shown cars from
-/// `rendered` (see [`render_cars`]). Clients see the same tier list every
-/// tick, so in steady state nothing here allocates; when the tier count
-/// shrinks the surplus blocks retire into `spare`, and a growing tier
-/// count reclaims from it before allocating.
+/// only in-process Uber ping kernel. Its observations are byte-identical
+/// to converting a full `ping_client` wire response (regression-tested);
+/// it just skips materializing the response, copying the shown cars from
+/// `rendered` (see [`render_cars`]) through the block writer the remote
+/// client shares ([`write_block`], [`retire_blocks`]). Clients see the
+/// same tier list every tick, so in steady state nothing here allocates;
+/// when the tier count shrinks the surplus blocks retire into `spare`,
+/// and a growing tier count reclaims from it before allocating.
 fn ping_one_into(
     ping: &PingConfig,
     snap: &WorldSnapshot,
@@ -263,28 +268,12 @@ fn ping_one_into(
     // `ping_visit` visits the tiers in `offered_types` order, the order
     // `rendered`'s rows follow, so the `n`-th tier reads row `n`.
     ping.ping_visit(snap, c.key, loc, |tier| {
-        if n == out.len() {
-            out.push(spare.pop().unwrap_or_else(|| TypeObservation {
-                car_type: tier.car_type,
-                // Full capacity up front: a tier shows at most
-                // NEAREST_CARS_SHOWN cars, so this vector never grows
-                // again even as the local fleet fills in.
-                cars: Vec::with_capacity(NEAREST_CARS_SHOWN),
-                ewt_min: 0.0,
-                surge: 0.0,
-            }));
-        }
-        let block = &mut out[n];
-        block.car_type = tier.car_type;
-        block.ewt_min = tier.ewt_min;
-        block.surge = tier.surge;
-        block.cars.clear();
-        block.cars.extend(tier.nearest().iter().map(|&i| rendered[n][i]));
+        let row = &rendered[n];
+        let cars = tier.nearest().iter().map(|&i| row[i]);
+        write_block(out, n, spare, tier.car_type, tier.ewt_min, tier.surge, cars);
         n += 1;
     });
-    while out.len() > n {
-        spare.push(out.pop().expect("len > n"));
-    }
+    retire_blocks(out, n, spare);
 }
 
 impl MeasuredSystem for UberSystem {

@@ -11,6 +11,7 @@
 //! layout's car table, and the client's decoding of it must be exactly
 //! what `ping_client` answers.
 
+use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use surgescope_api::{ApiService, PingClientResponse, PingConfig, ProtocolEra, WorldSnapshot};
@@ -21,6 +22,7 @@ use surgescope_geo::{LatLng, LocalProjection};
 use surgescope_marketplace::{Marketplace, MarketplaceConfig};
 use surgescope_serve::wire;
 use surgescope_simcore::SimDuration;
+use surgescope_store::encode_value;
 
 /// Runs 24 ticks of a midday SF fleet, clean and with the driver-safety
 /// perturbation on, and hands `check` each client's kernel observations
@@ -61,12 +63,19 @@ fn each_ping(
     }
 }
 
-/// Byte-level comparison (via serialization) rather than `PartialEq`: a
-/// NaN gap must also match bit-for-bit.
+/// The store codec's bytes of `blocks`, which keep every float's raw
+/// bits (JSON would print NaN and both infinities alike, as `null`).
+fn codec_bytes(blocks: &[TypeObservation]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_value(&blocks.to_value(), &mut out);
+    out
+}
+
+/// Byte-level comparison (via the store codec) rather than `PartialEq`:
+/// a NaN gap must also match bit-for-bit.
 fn assert_same(direct: &[TypeObservation], converted: &[TypeObservation], at: &str) {
-    assert_eq!(
-        serde_json::to_string(direct).expect("serialize direct observations"),
-        serde_json::to_string(converted).expect("serialize converted response"),
+    assert!(
+        codec_bytes(direct) == codec_bytes(converted),
         "{at}: the kernel's observations diverged from the wire response's conversion"
     );
 }

@@ -27,7 +27,7 @@ pub mod grid;
 
 pub use latlng::{haversine_m, LatLng, EARTH_RADIUS_M};
 pub use nearest::NearestK;
-pub use path::PathVector;
+pub use path::{displacement, PathVector};
 pub use polygon::{BoundingBox, Polygon};
 pub use project::{LocalProjection, Meters, Vec2};
 

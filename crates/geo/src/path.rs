@@ -11,6 +11,14 @@ use crate::project::{LocalProjection, Meters};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
+/// Net displacement (metres east/north) of a path from its oldest point
+/// `first` to its newest point `last`: the one formula behind
+/// [`PathVector::displacement`], for callers that hold a path's two ends
+/// but not the path.
+pub fn displacement(first: LatLng, last: LatLng, proj: &LocalProjection) -> Meters {
+    proj.to_meters(last).sub(proj.to_meters(first))
+}
+
 /// A bounded FIFO of a car's recent positions, most recent last.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PathVector {
@@ -57,12 +65,12 @@ impl PathVector {
     /// Net displacement (metres east/north) from the oldest to the newest
     /// stored point, or `None` with fewer than 2 points.
     pub fn displacement(&self, proj: &LocalProjection) -> Option<Meters> {
-        if self.points.len() < 2 {
-            return None;
+        match (self.points.front(), self.points.back()) {
+            (Some(&first), Some(&last)) if self.points.len() >= 2 => {
+                Some(displacement(first, last, proj))
+            }
+            _ => None,
         }
-        let first = proj.to_meters(*self.points.front().unwrap());
-        let last = proj.to_meters(*self.points.back().unwrap());
-        Some(last.sub(first))
     }
 
     /// Heuristic from the paper's edge filter: does this path look like the

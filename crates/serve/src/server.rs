@@ -39,7 +39,12 @@
 //! run to about 11.7 KB (9 tiers × 8 cars × 8 path points) against its
 //! 24 request bytes, nearly 500 times as much. For every answered
 //! batch, `serve.pings` counts its pings, `serve.ping_cars` its table's
-//! cars and `serve.ping_sightings` the indices its responses list.
+//! cars and `serve.ping_sightings` the indices its responses list. Four
+//! wall-clock timers split a batch's time by stage: `serve.lock_wait`
+//! (waiting for the campaign lock), `serve.world_tick` (the tick rule
+//! and the snapshot under the lock, the world's tick for a tick's first
+//! `PING`), `serve.encode` (the reply and its frame's CRC) and
+//! `serve.write` (the reply on the socket).
 //!
 //! ## Framing
 //!
@@ -57,6 +62,8 @@
 //! executing, then *drains*: it keeps serving frames that arrive within
 //! the configured drain window and closes only from an idle frame
 //! boundary. A request fully written before shutdown is always answered.
+//! The janitor parks between sweeps and `shutdown` unparks it, so an idle
+//! server stops without waiting out a sweep interval.
 
 use crate::wire::{self, Frame, PingBatch, WireError};
 use serde::{Deserialize, Serialize, Value};
@@ -110,9 +117,10 @@ impl Default for ServeConfig {
 }
 
 /// Always-on server telemetry. Everything here lands in the snapshot's
-/// deterministic section except the per-worker busy timers, so two
-/// remote runs of the same campaign render byte-identical counter
-/// sections regardless of scheduling.
+/// deterministic section except the wall-clock timers (the per-`PING`
+/// stage timers below and the per-worker busy timers), so two remote runs
+/// of the same campaign render byte-identical counter sections regardless
+/// of scheduling.
 pub struct ServeMetrics {
     /// Connections accepted over the server's lifetime.
     pub connections_accepted: Counter,
@@ -147,6 +155,18 @@ pub struct ServeMetrics {
     pub worker_panics: Counter,
     /// Orphaned campaign slots reclaimed by the janitor.
     pub campaigns_expired: Counter,
+    /// Per `PING` batch that reaches its campaign, wall clock: waiting
+    /// for the campaign lock.
+    pub lock_wait: Timer,
+    /// Per `PING` batch that reaches its campaign: the tick rule and the
+    /// snapshot under the lock, which is the world's tick for the first
+    /// `PING` of a tick.
+    pub world_tick: Timer,
+    /// Per `PING` batch the tick rule admits: encoding the reply and its
+    /// frame's CRC.
+    pub encode: Timer,
+    /// Per `PING` reply: writing its frame to the socket.
+    pub write: Timer,
 }
 
 impl ServeMetrics {
@@ -166,6 +186,10 @@ impl ServeMetrics {
             ping_sightings: Counter::new(),
             worker_panics: Counter::new(),
             campaigns_expired: Counter::new(),
+            lock_wait: Timer::new(),
+            world_tick: Timer::new(),
+            encode: Timer::new(),
+            write: Timer::new(),
         }
     }
 
@@ -185,6 +209,10 @@ impl ServeMetrics {
         reg.adopt_counter("serve.ping_sightings", &self.ping_sightings);
         reg.adopt_counter("serve.worker_panics", &self.worker_panics);
         reg.adopt_counter("serve.campaigns_expired", &self.campaigns_expired);
+        reg.adopt_timer("serve.lock_wait", &self.lock_wait);
+        reg.adopt_timer("serve.world_tick", &self.world_tick);
+        reg.adopt_timer("serve.encode", &self.encode);
+        reg.adopt_timer("serve.write", &self.write);
     }
 }
 
@@ -338,7 +366,10 @@ impl Server {
             threads.push(std::thread::spawn(move || {
                 let mut last_sweep = Instant::now();
                 while !shared.shutdown.load(Ordering::Relaxed) {
-                    std::thread::sleep(POLL);
+                    // `shutdown` unparks the janitor, so an idle server
+                    // stops at once; a timeout or a spurious wake only
+                    // re-checks the sweep's cadence.
+                    std::thread::park_timeout(POLL);
                     let cadence = (shared.idle_timeout / 4).max(POLL);
                     if last_sweep.elapsed() >= cadence {
                         shared.expire_orphans();
@@ -385,6 +416,11 @@ impl Server {
         }
         for _ in 0..self.threads.len() {
             let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        }
+        // The janitor parks between sweeps; an unpark wakes it to see the
+        // flag, and is a no-op for a worker.
+        for t in &self.threads {
+            t.thread().unpark();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -507,7 +543,10 @@ fn serve_conn(shared: &Shared, mut stream: TcpStream, busy: &Timer) {
             Err("internal error: request handler panicked".into())
         })
         .unwrap_or_else(|msg| Reply::error(&msg));
-        match stream.write_all(&reply.frame).and_then(|()| stream.flush()) {
+        let writing = matches!(request, Request::Ping(_)).then(|| shared.metrics.write.start());
+        let written = stream.write_all(&reply.frame).and_then(|()| stream.flush());
+        drop(writing);
+        match written {
             Ok(()) => {
                 shared.metrics.frames_out.incr();
                 shared.metrics.bytes_out.add(reply.frame.len() as u64);
@@ -673,15 +712,21 @@ fn ping_batch(shared: &Shared, batch: &PingBatch) -> Result<Reply, String> {
     for &(_, loc) in &batch.pings {
         checked(loc)?;
     }
+    let m = &shared.metrics;
     let (snap, ping) = {
+        let waited = m.lock_wait.start();
         let mut st = lock_ok(&host.state);
+        drop(waited);
+        let _tick = m.world_tick.start();
         let world = st.at_tick(batch.tick)?;
         (world.snapshot(), world.api.ping_config())
     };
+    let encoding = m.encode.start();
     let mut encoded = Err(String::new());
     let frame = wire::frame_with(wire::RESP_PING, |out| {
         encoded = wire::encode_ping_reply(out, &ping, &snap, &batch.pings, shared.max_frame);
     });
+    drop(encoding);
     let tally = encoded?;
     shared.metrics.pings.add(batch.pings.len() as u64);
     shared.metrics.ping_cars.add(tally.cars);

@@ -44,12 +44,19 @@
 //! [`encode_ping_reply`] is the layout's one production encoder: it
 //! answers a batch straight from the tick's [`WorldSnapshot`] through
 //! [`PingConfig::ping_visit`], rendering each shown car once.
-//! [`decode_ping_reply`] decodes each table car once and hands every
-//! sighting of it a clone of that car's one path handle. The layout's
-//! decoders check every count against the bytes that remain before
-//! reserving anything, and refuse a wrong length, an unknown tier, an
-//! index past the table, trailing bytes and a reply count other than the
-//! request's; they never panic.
+//!
+//! A reply has one parser and two sinks. [`walk_ping_reply`] walks the
+//! layout and hands each table car, each response head and each tier
+//! (its shown cars as table indices) to a [`PingReplySink`].
+//! [`decode_ping_reply`] is the sink that builds [`PingClientResponse`]s,
+//! each table car decoded once and every sighting of it a clone of that
+//! car's one path handle; the remote measurement client's sink writes
+//! each table car once as an observation and each tier straight into its
+//! observation slots. The layout's decoders check every count against the
+//! bytes that remain before reserving anything, and refuse a wrong
+//! length, an unknown tier, an index past the table, trailing bytes and a
+//! reply count other than the request's, each before a sink sees what it
+//! guards; they never panic.
 //!
 //! Request kinds live in `0x01..=0x7F`, responses in `0x80..=0xFF`;
 //! production builds serve six request kinds. A connection speaks
@@ -414,6 +421,16 @@ pub fn send_ping<S: Write>(
     Ok(n)
 }
 
+/// Reads the one reply frame to a `PING`, which must be a `RESP_PING`;
+/// its payload goes to [`walk_ping_reply`] or [`decode_ping_reply`].
+pub fn read_ping_frame<S: Read + ReadDeadline>(stream: &mut S) -> io::Result<Frame> {
+    let reply = read_reply_frame(stream)?;
+    if reply.kind() != RESP_PING {
+        return Err(unexpected_reply(REQ_PING, reply.kind()));
+    }
+    Ok(reply)
+}
+
 /// Reads the one reply to a `PING` of `n` pings and decodes its
 /// responses, one per ping in request order. A malformed reply is
 /// `InvalidData`.
@@ -421,10 +438,7 @@ pub fn read_ping_reply<S: Read + ReadDeadline>(
     stream: &mut S,
     n: usize,
 ) -> io::Result<Vec<PingClientResponse>> {
-    let reply = read_reply_frame(stream)?;
-    if reply.kind() != RESP_PING {
-        return Err(unexpected_reply(REQ_PING, reply.kind()));
-    }
+    let reply = read_ping_frame(stream)?;
     decode_ping_reply(reply.payload(), n).map_err(WireError::into_io)
 }
 
@@ -593,35 +607,105 @@ pub fn encode_ping_reply(
     Ok(PingTally { cars: table.len() as u64, sightings: sightings as u64 })
 }
 
-/// Decodes a `RESP_PING` payload answering a `PING` of `n` pings. Each
-/// table car is decoded once, and every sighting of it shares its path.
-pub fn decode_ping_reply(payload: &[u8], n: usize) -> Result<Vec<PingClientResponse>, WireError> {
+/// One table car of a `RESP_PING` payload, borrowed from the payload.
+pub struct TableCar<'a> {
+    /// The car's session id.
+    pub id: u64,
+    /// Its reported position, as sent.
+    pub position: LatLng,
+    /// Its path points, oldest first, as raw `lat, lng` bit words.
+    path: &'a [[u8; 8]],
+}
+
+fn point(words: &[[u8; 8]; 2]) -> LatLng {
+    LatLng { lat: f64::from_le_bytes(words[0]), lng: f64::from_le_bytes(words[1]) }
+}
+
+impl<'a> TableCar<'a> {
+    /// Number of path points.
+    fn path_len(&self) -> usize {
+        self.path.len() / 2
+    }
+
+    /// The path points, oldest first.
+    fn path(&self) -> impl Iterator<Item = LatLng> + 'a {
+        self.path.as_chunks::<2>().0.iter().map(point)
+    }
+
+    /// The oldest and newest path points, when the path has at least two:
+    /// what a path's displacement is taken between.
+    pub fn path_ends(&self) -> Option<(LatLng, LatLng)> {
+        if self.path_len() < 2 {
+            return None;
+        }
+        Some((point(self.path.first_chunk()?), point(self.path.last_chunk()?)))
+    }
+}
+
+/// One tier of a `RESP_PING` response, its shown cars as table indices.
+pub struct ShownTier<'a> {
+    /// The tier.
+    pub car_type: CarType,
+    /// Estimated wait time, minutes.
+    pub ewt_min: f64,
+    /// Surge multiplier.
+    pub surge: f64,
+    /// The shown cars' table indices, nearest first, each already
+    /// checked to lie inside the table.
+    shown: &'a [[u8; INDEX_BYTES]],
+}
+
+impl<'a> ShownTier<'a> {
+    /// The shown cars' indices into the reply's table, nearest first.
+    pub fn shown(&self) -> impl ExactSizeIterator<Item = usize> + 'a {
+        self.shown.iter().map(|&b| u32::from_le_bytes(b) as usize)
+    }
+}
+
+/// What [`walk_ping_reply`] hands a decoded `RESP_PING` to, in payload
+/// order: each table car, then each response's head followed by its
+/// tiers.
+pub trait PingReplySink {
+    /// The next table car.
+    fn car(&mut self, car: &TableCar<'_>);
+    /// The head of the next response, in request order, which has
+    /// `tiers` tiers.
+    fn response(&mut self, at: SimTime, location: LatLng, tiers: usize);
+    /// The next tier of the current response.
+    fn tier(&mut self, tier: &ShownTier<'_>);
+}
+
+/// Walks a `RESP_PING` payload answering a `PING` of `n` pings, handing
+/// what it reads to `sink` in payload order. This is the layout's one
+/// parser. Every refusal comes before the sink sees what it guards: a
+/// count is checked against the bytes that remain before the sink hears
+/// of it, the response count must be `n` before any response is handed
+/// on, and a tier reaches the sink only with a known tier index and every
+/// shown index inside the table. Trailing bytes are refused once the
+/// walk is done, so a refused payload may leave the sink part-fed.
+pub fn walk_ping_reply(
+    payload: &[u8],
+    n: usize,
+    sink: &mut impl PingReplySink,
+) -> Result<(), WireError> {
     let mut f = Fields(payload);
     let cars = f.count(CAR_MIN)?;
-    let mut table = Vec::with_capacity(cars);
     for _ in 0..cars {
         let id = f.u64()?;
         let position = f.latlng()?;
         let points = f.count(POINT_BYTES)?;
-        let mut path = PathVector::new(points.max(2));
-        // The points are read in bulk: paths are most of a table.
-        let raw = f.bytes(points * POINT_BYTES)?;
-        for p in raw.as_chunks::<8>().0.chunks_exact(2) {
-            let (lat, lng) = (f64::from_le_bytes(p[0]), f64::from_le_bytes(p[1]));
-            path.push(LatLng { lat, lng });
-        }
-        table.push(CarInfo { id, position, path: Arc::new(path) });
+        let path = f.bytes(points * POINT_BYTES)?.as_chunks().0;
+        sink.car(&TableCar { id, position, path });
     }
     let got = f.count(RESPONSE_MIN)?;
     if got != n {
         return Err(malformed(format!("PING of {n} pings answered with {got} responses")));
     }
-    let mut responses = Vec::with_capacity(n);
     for _ in 0..n {
         let at = SimTime(f.u64()?);
         let location = f.latlng()?;
         let tiers = f.count(TIER_MIN)?;
-        let mut statuses = Vec::with_capacity(tiers);
+        sink.response(at, location, tiers);
         for _ in 0..tiers {
             let index = f.u8()?;
             let car_type = *CarType::ALL
@@ -629,23 +713,66 @@ pub fn decode_ping_reply(payload: &[u8], n: usize) -> Result<Vec<PingClientRespo
                 .ok_or_else(|| malformed(format!("unknown tier index {index}")))?;
             let ewt_min = f.f64()?;
             let surge = f.f64()?;
-            let shown = f.count(INDEX_BYTES)?;
-            let mut infos = Vec::with_capacity(shown);
-            for _ in 0..shown {
-                let at = f.u32()? as usize;
-                let car = table.get(at).ok_or_else(|| {
-                    malformed(format!("car index {at} past a table of {} cars", table.len()))
-                })?;
-                infos.push(car.clone());
+            let count = f.count(INDEX_BYTES)?;
+            let tier = ShownTier {
+                car_type,
+                ewt_min,
+                surge,
+                shown: f.bytes(count * INDEX_BYTES)?.as_chunks().0,
+            };
+            if let Some(at) = tier.shown().find(|&at| at >= cars) {
+                return Err(malformed(format!("car index {at} past a table of {cars} cars")));
             }
-            statuses.push(TypeStatus { car_type, cars: infos, ewt_min, surge });
+            sink.tier(&tier);
         }
-        responses.push(PingClientResponse { at, location, statuses });
     }
     if !f.0.is_empty() {
         return Err(malformed(format!("{} trailing bytes after a PING reply", f.0.len())));
     }
-    Ok(responses)
+    Ok(())
+}
+
+/// The sink behind [`decode_ping_reply`]: each table car becomes one
+/// [`CarInfo`], and every sighting of it a clone of that car's one path
+/// handle.
+#[derive(Default)]
+struct Responses {
+    table: Vec<CarInfo>,
+    responses: Vec<PingClientResponse>,
+}
+
+impl PingReplySink for Responses {
+    fn car(&mut self, car: &TableCar<'_>) {
+        let mut path = PathVector::new(car.path_len().max(2));
+        car.path().for_each(|p| path.push(p));
+        self.table.push(CarInfo { id: car.id, position: car.position, path: Arc::new(path) });
+    }
+
+    fn response(&mut self, at: SimTime, location: LatLng, tiers: usize) {
+        let statuses = Vec::with_capacity(tiers);
+        self.responses.push(PingClientResponse { at, location, statuses });
+    }
+
+    fn tier(&mut self, tier: &ShownTier<'_>) {
+        let cars = tier.shown().map(|at| self.table[at].clone()).collect();
+        if let Some(resp) = self.responses.last_mut() {
+            resp.statuses.push(TypeStatus {
+                car_type: tier.car_type,
+                cars,
+                ewt_min: tier.ewt_min,
+                surge: tier.surge,
+            });
+        }
+    }
+}
+
+/// Decodes a `RESP_PING` payload answering a `PING` of `n` pings into
+/// [`PingClientResponse`]s, through [`walk_ping_reply`]. Each table car
+/// is decoded once, and every sighting of it shares its path.
+pub fn decode_ping_reply(payload: &[u8], n: usize) -> Result<Vec<PingClientResponse>, WireError> {
+    let mut sink = Responses::default();
+    walk_ping_reply(payload, n, &mut sink)?;
+    Ok(sink.responses)
 }
 
 /// The unread rest of a layout payload; every read is bounds-checked.
@@ -708,7 +835,6 @@ impl<'a> Fields<'a> {
 mod tests {
     use super::*;
     use serde::{Deserialize, Serialize};
-    use surgescope_simcore::SimRng;
 
     /// In-memory readers have no socket deadline.
     impl ReadDeadline for io::Cursor<Vec<u8>> {
@@ -959,102 +1085,6 @@ mod tests {
         assert_eq!(encode_ping_request(&mut empty, 3, 7, []), 0);
         let batch = decode_ping_request(&empty).expect("decode an empty request");
         assert_eq!((batch.campaign, batch.tick, batch.pings.len()), (3, 7, 0));
-    }
-
-    /// One response whose one tier shows one car with an empty path:
-    /// 89 bytes, laid out as
-    ///
-    /// ```text
-    /// [0..4] cars | [4..32] car (its path count at [28..32])
-    /// [32..36] n | [36..64] response head (its tier count at [60..64])
-    /// [64] car_type | [65..81] ewt_min, surge | [81..85] shown | [85..89] index
-    /// ```
-    fn minimal_reply() -> Vec<u8> {
-        let here = LatLng::new(37.78, -122.41);
-        let car = CarInfo { id: 1, position: here, path: path(&[]) };
-        let status =
-            TypeStatus { car_type: CarType::UberX, cars: vec![car], ewt_min: 2.0, surge: 1.0 };
-        reply_payload(&[PingClientResponse {
-            at: SimTime(5),
-            location: here,
-            statuses: vec![status],
-        }])
-    }
-
-    /// Every truncation of a request and a reply, trailing bytes, an
-    /// unknown tier, an index past the table and counts far beyond the
-    /// bytes that follow are refused. Seeded single-byte flips are refused
-    /// by the frame's CRC, and the payload decoders take the same flips
-    /// without a panic.
-    #[test]
-    fn corrupt_ping_payloads_are_refused_without_panic() {
-        let responses = sample_responses();
-        let reply = reply_payload(&responses);
-        let mut request = Vec::new();
-        let pings = [(1, LatLng::new(37.7, -122.4)), (2, LatLng::new(37.8, -122.5))];
-        encode_ping_request(&mut request, 9, 4, pings);
-
-        for cut in 0..reply.len() {
-            assert!(decode_ping_reply(&reply[..cut], 2).is_err(), "reply cut at {cut}");
-        }
-        for cut in 0..request.len() {
-            assert!(decode_ping_request(&request[..cut]).is_err(), "request cut at {cut}");
-        }
-        let mut padded = reply.clone();
-        padded.push(0);
-        assert!(decode_ping_reply(&padded, 2).is_err(), "trailing bytes");
-        let mut padded = request.clone();
-        padded.push(0);
-        assert!(decode_ping_request(&padded).is_err(), "request length off by one");
-        assert!(decode_ping_reply(&reply, 1).is_err(), "a reply count other than the request's");
-
-        let mut rng = SimRng::seed_from_u64(0xF11D);
-        for (kind, payload) in [(RESP_PING, &reply), (REQ_PING, &request)] {
-            let frame = frame_with(kind, |out| out.extend_from_slice(payload));
-            for _ in 0..1_000 {
-                let mut flipped = frame.clone();
-                let at = rng.range_usize(9, flipped.len());
-                flipped[at] ^= rng.range_u64(1, 256) as u8;
-                let read = read_frame_with(&mut &flipped[..], DEFAULT_MAX_FRAME, |_, _| Ok(()));
-                assert!(read.is_err(), "a flip at byte {at} passed the CRC");
-                let mut p = payload.clone();
-                p[at - 9] = flipped[at];
-                let _ = if kind == RESP_PING {
-                    decode_ping_reply(&p, 2).map(drop)
-                } else {
-                    decode_ping_request(&p).map(drop)
-                };
-            }
-        }
-
-        let minimal = minimal_reply();
-        assert_eq!(minimal.len(), 89, "the offsets below assume this layout");
-        let back = decode_ping_reply(&minimal, 1).expect("the unaltered payload decodes");
-        assert_eq!(back[0].statuses[0].cars[0].id, 1);
-        let patched = |at: usize, bytes: &[u8]| {
-            let mut bad = minimal.clone();
-            bad[at..at + bytes.len()].copy_from_slice(bytes);
-            bad
-        };
-        // A tier index past CarType::ALL, and a car index equal to the
-        // table's length.
-        let bad = patched(64, &[CarType::ALL.len() as u8]);
-        assert!(decode_ping_reply(&bad, 1).is_err(), "unknown tier index");
-        let bad = patched(85, &1u32.to_le_bytes());
-        assert!(decode_ping_reply(&bad, 1).is_err(), "an index equal to the table's length");
-
-        // Counts far beyond the bytes that follow are refused before any
-        // reservation (a u32::MAX-element reserve would abort the test).
-        let huge = u32::MAX.to_le_bytes();
-        assert!(decode_ping_reply(&patched(0, &huge), 1).is_err(), "table count");
-        assert!(decode_ping_reply(&patched(28, &huge), 1).is_err(), "path count");
-        let bad = patched(32, &huge);
-        assert!(decode_ping_reply(&bad, u32::MAX as usize).is_err(), "response count");
-        assert!(decode_ping_reply(&patched(60, &huge), 1).is_err(), "tier count");
-        assert!(decode_ping_reply(&patched(81, &huge), 1).is_err(), "shown count");
-        let mut bad = request.clone();
-        bad[16..20].copy_from_slice(&huge);
-        assert!(decode_ping_request(&bad).is_err(), "ping count");
     }
 
     /// A quarter-scale SF world ten minutes in: its snapshot, the ping

@@ -79,6 +79,27 @@ fn fresh_connection_hello_is_answered_without_an_accept_poll() {
     assert!(took[5] < Duration::from_millis(10), "HELLOs on fresh connections took {took:?}");
 }
 
+/// `shutdown` wakes the janitor as it wakes the workers, so an idle
+/// server stops without waiting out the janitor's 50 ms sleep between
+/// sweeps. Each sample binds a server, answers one HELLO on a connection
+/// that then closes, leaves the server idle for 7 ms and times
+/// `shutdown`.
+#[test]
+fn idle_server_shuts_down_without_waiting_for_the_janitor() {
+    let mut took: Vec<Duration> = (0..10)
+        .map(|_| {
+            let mut server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+            hello(&mut connect(&server));
+            std::thread::sleep(Duration::from_millis(7));
+            let t0 = Instant::now();
+            server.shutdown();
+            t0.elapsed()
+        })
+        .collect();
+    took.sort();
+    assert!(took[5] < Duration::from_millis(10), "idle shutdowns took {took:?}");
+}
+
 #[test]
 fn malformed_body_closes_connection_with_error_count() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");

@@ -65,6 +65,12 @@ echo "== ping kernels: pinned output =="
 # trip through the binary PING layout the remote client reads, and the
 # server's encoder, answering batches straight from the snapshot, must
 # decode to exactly what ping_client answers, each car in its table once.
+# The remote client decodes each reply straight into its observation
+# slots through the one reply walker, with the in-process kernel's block
+# writer and displacement formula: every slot and every delayed payload
+# must equal the reference conversion of the decoded response, float bits
+# included, over the remote world shape under drops and delays, with the
+# slot buffer reused tick over tick.
 run_named_tests -p surgescope-geo --lib -- \
   nearest::tests::ties_rank_in_offer_order \
   nearest::tests::lattice_sweep_matches_stable_sort_with_ties_at_the_cutoff \
@@ -74,7 +80,8 @@ run_named_tests -p surgescope-api --lib -- \
   service::proptests::scan_tier_matches_stable_sort_and_first_min_scan
 run_named_tests -p surgescope-core --lib -- \
   systems::tests::lossy_ping_all_matches_pinned_pool_output \
-  systems::tests::taxi_ping_all_matches_pinned_sort_output
+  systems::tests::taxi_ping_all_matches_pinned_sort_output \
+  remote::tests::client_decoder_matches_reference_conversion
 run_named_tests -p surgescope-core --test ping_equivalence -- \
   ping_all_matches_wire_response_conversion \
   ping_all_matches_wire_layout_round_trip \
@@ -147,7 +154,7 @@ run_named_tests -p surgescope-core --test checkpoint_resume -- \
   truncated_log_errors_cleanly \
   corrupted_log_fails_crc_cleanly
 
-echo "== serve: one frame reader, one PING per connection per tick naming its tick, car table, pipelined client =="
+echo "== serve: one frame reader, one PING per connection per tick naming its tick, car table, pipelined client decoding into its slots =="
 # Client and server parse frames through one reader and differ only in
 # what a stalled read means. The server waits at an idle frame boundary,
 # drops a frame once io_timeout has passed since its first byte, whether
@@ -160,9 +167,12 @@ echo "== serve: one frame reader, one PING per connection per tick naming its ti
 # carries one connection's whole chunk of a tick in a fixed binary
 # layout, and its reply lists each shown car once in a table that the
 # responses index: it round-trips every bit (NaN and -0 included), its
-# decoders refuse every truncation, trailing bytes, an unknown tier, an
-# index past the table and counts beyond the bytes that follow without
-# a panic, a batch whose reply would pass max_frame is refused with
+# request decoder and its one reply walker, through both of its sinks
+# (the reference decode and the client's slot decoder), refuse every
+# truncation, trailing bytes, an unknown tier, an index past the table
+# and counts beyond the bytes that follow without a panic, a reply
+# refused part-way leaves slots that rerunning the decode puts right,
+# a batch whose reply would pass max_frame is refused with
 # RESP_ERR before any of it is written, serve.pings counts every sent
 # ping exactly once, and serve.ping_sightings does not depend on the
 # connection count (the ping kernels step above gates the encoder's
@@ -171,11 +181,13 @@ echo "== serve: one frame reader, one PING per connection per tick naming its ti
 # current tick, and refuses a skipped or past tick without moving it;
 # any connection that said HELLO may ping, and the retired ADVANCE
 # (0x04) is an unknown kind. Workers block in accept, so an idle server
-# answers a fresh connection's HELLO within 10 ms. The remote client
+# answers a fresh connection's HELLO within 10 ms, and shutdown wakes the
+# janitor, so an idle server stops within 10 ms. The remote client
 # counts ticks locally and sends exactly one PING per connection per
 # tick, empty when the connection has no ping to carry, writes every
 # connection's PING before it reads any reply, reads the replies on the
-# calling thread, and reconnects with connect + HELLO; at 1, 2 and 4
+# calling thread, decodes each straight into its observation slots, and
+# reconnects with connect + HELLO; at 1, 2 and 4
 # connections, with a connection left without pings, with every ping
 # dropped, and under chaos, its campaigns must equal the in-process
 # bytes.
@@ -190,6 +202,7 @@ run_named_tests -p surgescope-serve --test robustness -- \
   ping_names_its_tick_and_a_skipped_or_past_tick_is_refused \
   unknown_kind_is_a_protocol_error_not_a_frame_error \
   fresh_connection_hello_is_answered_without_an_accept_poll \
+  idle_server_shuts_down_without_waiting_for_the_janitor \
   shutdown_drains_inflight_requests \
   ping_reply_past_max_frame_is_refused_and_a_fresh_connection_is_served
 run_named_tests -p surgescope-serve --lib -- \
@@ -200,8 +213,10 @@ run_named_tests -p surgescope-serve --lib -- \
   wire::tests::frame_bytes_match_log_record_bytes \
   wire::tests::trickled_reply_fails_the_client_read_at_its_deadline \
   wire::tests::ping_layout_round_trip_preserves_every_bit \
-  wire::tests::corrupt_ping_payloads_are_refused_without_panic \
   wire::tests::ping_reply_stops_at_the_frame_limit
+run_named_tests -p surgescope-core --lib -- \
+  remote::tests::corrupt_ping_payloads_are_refused_without_panic \
+  remote::tests::a_refused_reply_leaves_slots_safe_to_rerun
 run_named_tests -p surgescope-store --lib -- \
   codec::tests::nesting_is_bounded_at_max_depth
 run_named_tests -p surgescope-core --test remote_lockstep -- \
