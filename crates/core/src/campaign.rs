@@ -873,8 +873,8 @@ impl CampaignRunner {
             ("ticks_done", (self.ticks_done as u64).to_value()),
             ("marketplace", sys.marketplace.save_state()),
             ("limiter", sys.api.limiter().to_value()),
-            ("fault_rng", sys.fault_rng().to_value()),
-            ("transport", sys.transport().to_value()),
+            ("fault_rng", sys.delivery.rng.to_value()),
+            ("transport", sys.delivery.transport.to_value()),
             ("estimator", self.estimator.to_value()),
             ("transitions", self.transitions.save_state()),
         ];
@@ -961,8 +961,8 @@ impl CampaignRunner {
         let mut api = ApiService::new(cfg.era, cfg.seed ^ 0xB0B5);
         api.set_limiter(RateLimiter::from_value(v.field("limiter")?)?);
         let mut sys = UberSystem::new(mp, api).with_faults(cfg.faults, cfg.seed);
-        sys.set_fault_rng(SimRng::from_value(v.field("fault_rng")?)?);
-        sys.set_transport(Transport::from_value(v.field("transport")?)?);
+        sys.delivery.rng = SimRng::from_value(v.field("fault_rng")?)?;
+        sys.delivery.transport = Transport::from_value(v.field("transport")?)?;
         let sys = SystemBackend::Local(sys);
 
         let estimator = SupplyDemandEstimator::from_value(v.field("estimator")?)?;

@@ -3,9 +3,11 @@
 //! Both Uber ping kernels write a response into a client's slot through
 //! one block writer, `write_block` and `retire_blocks`: the in-process
 //! kernel copies cars it rendered once per tick, and the remote client
-//! copies cars it decoded once per `PING` reply.
-//! [`response_to_observations`] is the reference conversion both are
-//! tested against.
+//! copies cars it decoded once per `PING` reply. Each writes every
+//! undropped response, delayed or not, reclaiming blocks from the pool
+//! of the system's `Delivery` (`core::systems`), which queues a delayed
+//! slot's blocks afterwards. [`response_to_observations`] is the
+//! reference conversion both are tested against.
 
 use serde::{Deserialize, Serialize};
 use surgescope_api::{PingClientResponse, NEAREST_CARS_SHOWN};

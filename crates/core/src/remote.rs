@@ -4,12 +4,13 @@
 //! [`RemoteMeasuredSystem`] reproduces that topology against a
 //! `surgescope-serve` endpoint. The campaign runner drives it through the
 //! exact same trait surface as the in-process [`crate::UberSystem`], and
-//! the combination of the client's tick order, the serial fault pre-pass
-//! here, and observations written as the in-process kernel writes them
-//! (one block writer, one displacement formula, both locked to the
-//! reference conversion [`crate::observe::response_to_observations`])
-//! makes the resulting `CampaignData` **byte-identical** to the
-//! in-process run — clean or faulted, at any connection count.
+//! the combination of the client's tick order, the fault delivery it
+//! shares with that system, and observations written as the in-process
+//! kernel writes them (one block writer, one displacement formula, both
+//! locked to the reference conversion
+//! [`crate::observe::response_to_observations`]) makes the resulting
+//! `CampaignData` **byte-identical** to the in-process run — clean or
+//! faulted, at any connection count.
 //!
 //! Every `PING` names its tick, and the server ticks a campaign's world
 //! when the first `PING` of the next tick arrives, on whichever
@@ -19,12 +20,12 @@
 //! every request of a tick reads the same frozen world, whichever
 //! connection carries it.
 //!
-//! Fault injection stays client-side: the fault RNG is seeded exactly as
-//! `UberSystem` seeds it, draws happen in client order before any I/O, a
-//! `Drop` outcome suppresses the ping entirely, and a `Delay(d)`
+//! Fault injection stays client-side, in the same [`Delivery`] the
+//! in-process system uses: its draws happen in client order before any
+//! I/O, a `Drop` outcome suppresses the ping entirely, and a `Delay(d)`
 //! response is fetched at its send tick (the world cannot move before
-//! the client's first `PING` of the next tick) and parked in the same
-//! [`Transport`] queue until its delivery tick.
+//! the client's first `PING` of the next tick), written into its slot and
+//! queued from there until its delivery tick.
 //!
 //! ## Pings and threading
 //!
@@ -39,13 +40,13 @@
 //! points), and each tier copies its shown cars out of that table into
 //! the slot's blocks, reusing them as the in-process kernel does. No
 //! [`PingClientResponse`](surgescope_api::PingClientResponse), path or
-//! path handle is built. A delivered response is written into its slot,
-//! a delayed one into the slot's blocks, taken from it and queued, and a
-//! dropped ping's blocks retire to a spare pool that every response
-//! reclaims from. The calling thread writes every connection's `PING`
-//! before it reads any reply, so the server's workers answer the batches
-//! in parallel, and then reads the replies in connection order: a tick
-//! spawns no thread at any connection count.
+//! path handle is built. Every undropped response, delayed or not, is
+//! written into its slot, reclaiming blocks from the delivery's pool; the
+//! decoder never looks at an outcome beyond skipping a dropped slot. The
+//! calling thread writes every connection's `PING` before it reads any
+//! reply, so the server's workers answer the batches in parallel, and
+//! then reads the replies in connection order: a tick spawns no thread
+//! at any connection count.
 //!
 //! ## Resilience
 //!
@@ -59,11 +60,11 @@
 //! whole batch and names the tick the server already stands at, which it
 //! reads unmoved), and `FINISH` returns a cached truth. A `PING` reply
 //! refused part-way through decoding may leave its chunk's slots
-//! half-written; the rerun overwrites every one of them and rebuilds the
-//! chunk's delayed list. A socket read
-//! fails once a reply frame has not completed within `op_timeout` of its
-//! first byte, so a server trickling a reply costs one attempt, not the
-//! campaign. Once the per-op retry budget is exhausted a circuit breaker
+//! half-written; nothing is queued before every reply of the tick is
+//! read, so the rerun only overwrites them. A socket read fails once a
+//! reply frame has not completed within `op_timeout` of its first byte,
+//! so a server trickling a reply costs one attempt, not the campaign.
+//! Once the per-op retry budget is exhausted a circuit breaker
 //! trips: the system marks itself broken, the runner's next fault check
 //! aborts the campaign with an `io::Error` before any slot is read, and
 //! the caller (the experiments cache) falls back to local execution —
@@ -72,7 +73,7 @@
 //! stack for the chaos byte-identity gates.
 
 use crate::observe::{retire_blocks, write_block, ClientSpec, ObservedCar, TypeObservation};
-use crate::systems::{MeasuredSystem, SystemMetrics};
+use crate::systems::{Delivery, MeasuredSystem};
 use serde::{Deserialize, Serialize, Value};
 use std::io;
 use std::net::TcpStream;
@@ -84,9 +85,7 @@ use surgescope_marketplace::GroundTruth;
 use surgescope_obs::{Counter, Histogram, MetricsRegistry};
 use surgescope_serve::chaos::{ChaosCounters, ChaosPlan, ChaosStream};
 use surgescope_serve::wire::{self, hello, rpc, WireError};
-use surgescope_simcore::{
-    ticks_late, Backoff, FaultOutcome, FaultPlan, SimDuration, SimRng, SimTime, Transport,
-};
+use surgescope_simcore::{Backoff, FaultOutcome, FaultPlan, SimRng, SimTime};
 
 /// Parameters a remote campaign ships to the server when opening its
 /// world. Deliberately a subset of `CampaignConfig`: everything
@@ -318,12 +317,8 @@ pub struct RemoteMeasuredSystem {
     link: Link,
     tick: u64,
     tick_secs: u64,
-    faults: FaultPlan,
-    fault_rng: SimRng,
-    transport: Transport<Vec<TypeObservation>>,
-    outcomes: Vec<FaultOutcome>,
+    delivery: Delivery,
     decoder: Decoder,
-    metrics: SystemMetrics,
     /// Breaker state: the message of the failure that exhausted a retry
     /// budget. Once set, every wire op is a no-op and
     /// [`RemoteMeasuredSystem::fault`] reports the campaign as dead.
@@ -373,15 +368,8 @@ impl RemoteMeasuredSystem {
         let mut first = mk_conn(0, connect_raw(addr, policy.op_timeout)?);
         hello(&mut first.stream)?;
 
-        let open = Value::Map(vec![
-            ("city".into(), spec.city.to_value()),
-            ("seed".into(), spec.seed.to_value()),
-            ("era".into(), spec.era.to_value()),
-            ("surge_policy".into(), spec.surge_policy.to_value()),
-        ]);
-        let v = wire::call(&mut first.stream, wire::REQ_OPEN, &open, wire::RESP_OPEN)?;
         let campaign =
-            u64::from_value(v.field("campaign").map_err(invalid)?).map_err(invalid)?;
+            wire::open(&mut first.stream, spec.city, spec.seed, spec.era, spec.surge_policy)?;
         conns.push(first);
         for index in 1..connections {
             let mut conn = mk_conn(index, connect_raw(addr, policy.op_timeout)?);
@@ -404,19 +392,15 @@ impl RemoteMeasuredSystem {
             },
             tick: 0,
             tick_secs: 5,
-            faults: faults.validated(),
-            fault_rng: SimRng::seed_from_u64(spec.seed).split("transport-faults"),
-            transport: Transport::new(),
-            outcomes: Vec::new(),
+            delivery: Delivery::new(faults, spec.seed),
             decoder: Decoder::new(spec.city.projection),
-            metrics: SystemMetrics::default(),
             broken: None,
         })
     }
 
     /// Delayed responses currently in flight client-side (diagnostic).
     pub fn in_flight(&self) -> usize {
-        self.transport.in_flight()
+        self.delivery.transport.in_flight()
     }
 
     /// The tripped circuit breaker, if any: the campaign can no longer
@@ -440,11 +424,7 @@ impl RemoteMeasuredSystem {
     /// transport queue, phase timers, resilience counters). Server-side
     /// counters live in the server's own registry.
     pub fn register_metrics(&self, reg: &MetricsRegistry) {
-        reg.adopt_counter("pings.delivered", &self.metrics.pings_delivered);
-        reg.adopt_counter("pings.delayed", &self.metrics.pings_delayed);
-        reg.adopt_counter("pings.dropped", &self.metrics.pings_dropped);
-        reg.adopt_timer("phase.ping", &self.metrics.ping);
-        self.transport.metrics().register(reg);
+        self.delivery.register(reg);
         let res = &self.link.res;
         reg.adopt_counter("resilience.retries", &res.retries);
         reg.adopt_counter("resilience.reconnects", &res.reconnects);
@@ -557,8 +537,6 @@ struct Chunk<'a> {
     clients: &'a [ClientSpec],
     outcomes: &'a [FaultOutcome],
     slots: &'a mut [Vec<TypeObservation>],
-    /// Index of the chunk's first client.
-    base: usize,
 }
 
 /// Sends a chunk's undropped pings for `tick` as one `PING` frame, empty
@@ -579,61 +557,35 @@ fn send_chunk(
     wire::send_ping(stream, campaign, tick, sent)
 }
 
-/// A delayed response: the client it belongs to, its delay and its
-/// blocks.
-type Late = (usize, SimDuration, Vec<TypeObservation>);
-
 /// Decodes `PING` replies straight into the chunks' observation slots,
-/// keeping its buffers tick over tick.
+/// keeping its car table tick over tick.
 struct Decoder {
     proj: LocalProjection,
     /// The current reply's table, each car as a client observes it:
     /// position projected once, path reduced to its displacement once.
     table: Vec<ObservedCar>,
-    /// Retired observation blocks, as in `UberSystem`: a dropped ping's
-    /// slot, the surplus of a slot whose tier count shrank and the blocks
-    /// of a delivered late response park here, `cars` capacity intact,
-    /// and every response reclaims from here before allocating.
-    spare: Vec<TypeObservation>,
-    /// This tick's delayed responses, in client order.
-    late: Vec<Late>,
 }
 
 impl Decoder {
     fn new(proj: LocalProjection) -> Self {
-        Decoder { proj, table: Vec::new(), spare: Vec::new(), late: Vec::new() }
+        Decoder { proj, table: Vec::new() }
     }
 
     /// Decodes a `RESP_PING` payload answering the `sent` undropped pings
-    /// of `chunk` into the chunk's slots, routing each response by its
-    /// fault outcome as the in-process kernel does: a delivered one is
-    /// written into its slot, a delayed one into the slot's blocks, taken
-    /// from it and queued in `late`, and a dropped slot's blocks retire to
-    /// `spare`. Every block is written by [`write_block`], as in the
-    /// in-process kernel, so no `PingClientResponse` is built.
-    ///
-    /// A refused payload may leave the chunk's slots half-written and
-    /// part of its responses queued; decoding the chunk again first
-    /// takes back what an earlier attempt queued, then writes every slot
-    /// afresh, so a rerun ends as a first attempt would.
+    /// of `chunk` into the chunk's slots, each response into the next
+    /// undropped slot, delayed or not, reclaiming blocks from `spare`.
+    /// Every block is written by [`write_block`], as in the in-process
+    /// kernel, so no `PingClientResponse` is built. A refused payload may
+    /// leave slots half-written; decoding the chunk again overwrites them.
     fn decode(
         &mut self,
         payload: &[u8],
         sent: usize,
         chunk: &mut Chunk<'_>,
+        spare: &mut Vec<TypeObservation>,
     ) -> Result<(), WireError> {
-        let clients = chunk.base..chunk.base + chunk.slots.len();
-        while let Some((_, _, blocks)) = self.late.pop_if(|l| clients.contains(&l.0)) {
-            self.spare.extend(blocks);
-        }
-        for (slot, oc) in chunk.slots.iter_mut().zip(chunk.outcomes) {
-            if *oc == FaultOutcome::Drop {
-                self.spare.append(slot);
-            }
-        }
         self.table.clear();
-        let mut sink =
-            SlotSink { dec: self, chunk, slot: None, next: 0, blocks: Vec::new(), tiers: 0 };
+        let mut sink = SlotSink { dec: self, spare, chunk, slot: None, next: 0, tiers: 0 };
         let walked = wire::walk_ping_reply(payload, sent, &mut sink);
         sink.end_response();
         walked
@@ -644,28 +596,22 @@ impl Decoder {
 /// see [`Decoder::decode`].
 struct SlotSink<'d, 's, 'c> {
     dec: &'d mut Decoder,
+    spare: &'s mut Vec<TypeObservation>,
     chunk: &'s mut Chunk<'c>,
     /// The chunk index of the slot the current response answers.
     slot: Option<usize>,
     /// The chunk index of the next slot a response may answer.
     next: usize,
-    /// The current response's blocks, taken from its slot.
-    blocks: Vec<TypeObservation>,
-    /// Tiers written into `blocks` so far.
+    /// Tiers written into the current slot so far.
     tiers: usize,
 }
 
 impl SlotSink<'_, '_, '_> {
     /// Ends the current response: the blocks it did not write retire to
-    /// the pool, and the rest go back to its slot, or into `late` for a
-    /// delayed ping.
+    /// the pool.
     fn end_response(&mut self) {
-        let Some(i) = self.slot.take() else { return };
-        let mut blocks = std::mem::take(&mut self.blocks);
-        retire_blocks(&mut blocks, self.tiers, &mut self.dec.spare);
-        match self.chunk.outcomes[i] {
-            FaultOutcome::Delay(d) => self.dec.late.push((self.chunk.base + i, d, blocks)),
-            _ => self.chunk.slots[i] = blocks,
+        if let Some(i) = self.slot.take() {
+            retire_blocks(&mut self.chunk.slots[i], self.tiers, self.spare);
         }
     }
 }
@@ -690,62 +636,53 @@ impl wire::PingReplySink for SlotSink<'_, '_, '_> {
             self.next += 1;
         }
         self.tiers = 0;
-        if let Some(slot) = self.chunk.slots.get_mut(self.next) {
-            self.blocks = std::mem::take(slot);
+        if self.next < self.chunk.slots.len() {
             self.slot = Some(self.next);
             self.next += 1;
         }
     }
 
     fn tier(&mut self, tier: &wire::ShownTier<'_>) {
+        let Some(i) = self.slot else { return };
         let table = &self.dec.table;
         let cars = tier.shown().map(|at| table[at]);
-        let spare = &mut self.dec.spare;
-        write_block(
-            &mut self.blocks,
-            self.tiers,
-            spare,
-            tier.car_type,
-            tier.ewt_min,
-            tier.surge,
-            cars,
-        );
+        let slot = &mut self.chunk.slots[i];
+        write_block(slot, self.tiers, self.spare, tier.car_type, tier.ewt_min, tier.surge, cars);
         self.tiers += 1;
     }
 }
 
 /// Reads the reply to a chunk's `PING` of `sent` pings and decodes it
-/// straight into the chunk's slots ([`Decoder::decode`]), delayed
-/// responses into `dec.late` in client order.
+/// straight into the chunk's slots ([`Decoder::decode`]).
 ///
 /// Safe to re-run wholesale after a reconnect. A reply refused part-way
 /// through decoding may leave slots half-written, but the retry reruns
-/// the whole exchange: the decode takes back what the refused attempt
-/// queued and overwrites every slot, and the frozen snapshot answers
-/// byte-identically however often it is asked. A tripped breaker aborts
-/// the campaign before any slot is read.
+/// the whole exchange: the decode overwrites every slot, and the frozen
+/// snapshot answers byte-identically however often it is asked. A
+/// tripped breaker aborts the campaign before any slot is read.
 fn read_chunk(
     stream: &mut ChaosStream<TcpStream>,
     sent: usize,
     chunk: &mut Chunk<'_>,
     dec: &mut Decoder,
+    spare: &mut Vec<TypeObservation>,
 ) -> io::Result<()> {
     let reply = wire::read_ping_frame(stream)?;
-    dec.decode(reply.payload(), sent, chunk).map_err(WireError::into_io)
+    dec.decode(reply.payload(), sent, chunk, spare).map_err(WireError::into_io)
 }
 
 /// One tick's ping exchanges, one per connection: every connection's
 /// `PING` for `tick` is written before any reply is read, so the server's
 /// workers answer the batches in parallel, and the replies are read in
 /// connection order on the calling thread. A connection whose write or
-/// read fails reruns its whole exchange under the retry policy. Leaves
-/// the delayed responses in `dec.late`, in client order.
+/// read fails reruns its whole exchange under the retry policy.
 fn exchange_all(
     conns: &mut [Conn],
     link: &Link,
     tick: u64,
     mut chunks: Vec<Chunk<'_>>,
     dec: &mut Decoder,
+    spare: &mut Vec<TypeObservation>,
 ) -> io::Result<()> {
     let proj = dec.proj;
     let sent: Vec<io::Result<usize>> = conns
@@ -754,10 +691,10 @@ fn exchange_all(
         .map(|(conn, chunk)| send_chunk(&mut conn.stream, link.campaign, tick, &proj, chunk))
         .collect();
     for ((conn, sent), chunk) in conns.iter_mut().zip(sent).zip(&mut chunks) {
-        let first = sent.and_then(|n| read_chunk(&mut conn.stream, n, chunk, dec));
+        let first = sent.and_then(|n| read_chunk(&mut conn.stream, n, chunk, dec, spare));
         retry_after(conn, link, first, |c| {
             let n = send_chunk(&mut c.stream, link.campaign, tick, &proj, chunk)?;
-            read_chunk(&mut c.stream, n, chunk, dec)
+            read_chunk(&mut c.stream, n, chunk, dec, spare)
         })?;
     }
     Ok(())
@@ -768,77 +705,44 @@ impl MeasuredSystem for RemoteMeasuredSystem {
     /// first of them to arrive ticks the world there. No I/O happens here.
     fn advance_tick(&mut self) {
         self.tick += 1;
-        self.transport.advance_tick();
+        self.delivery.transport.advance_tick();
     }
 
     fn now(&self) -> SimTime {
         SimTime(self.tick * self.tick_secs)
     }
 
-    /// Same contract as the in-process system: serial fault pre-pass in
-    /// client order, each connection answering one contiguous chunk of
-    /// clients, delayed responses queued and merged in `(sent_tick,
-    /// client)` order. Every `PING` names this tick, so the server's world
-    /// stands at it for all of them: when a chunk is sent, and in which
-    /// order the replies are read, cannot change what any ping observes —
-    /// which is also why a whole chunk can be re-sent blind after a
-    /// reconnect.
+    /// Same contract and the same `Delivery` as the in-process system:
+    /// outcomes drawn in client order, each connection answering one
+    /// contiguous chunk of clients into their slots, then delayed
+    /// responses queued and due ones merged in `(sent_tick, client)`
+    /// order. Every `PING` names this tick, so the server's world stands
+    /// at it for all of them: when a chunk is sent, and in which order the
+    /// replies are read, cannot change what any ping observes — which is
+    /// also why a whole chunk can be re-sent blind after a reconnect.
     fn ping_all_into(&mut self, clients: &[ClientSpec], out: &mut Vec<Vec<TypeObservation>>) {
         if self.broken.is_some() {
             return;
         }
-        let _span = self.metrics.ping.start();
-        let faults = self.faults;
-        let fault_rng = &mut self.fault_rng;
-        self.outcomes.clear();
-        self.outcomes.extend(clients.iter().map(|_| faults.decide(fault_rng)));
-        let (mut delivered, mut delayed, mut dropped) = (0u64, 0u64, 0u64);
-        for oc in &self.outcomes {
-            match oc {
-                FaultOutcome::Deliver => delivered += 1,
-                FaultOutcome::Delay(_) => delayed += 1,
-                FaultOutcome::Drop => dropped += 1,
-            }
-        }
-        self.metrics.pings_delivered.add(delivered);
-        self.metrics.pings_delayed.add(delayed);
-        self.metrics.pings_dropped.add(dropped);
-
-        let n = clients.len();
-        out.resize_with(n, Vec::new);
-        out.truncate(n);
+        let _span = self.delivery.metrics.ping.start();
+        let (outcomes, spare) = self.delivery.draw(clients.len(), out);
 
         // Chunks of ceil(n / K) clients, one per connection in order;
         // connections past the last chunk send an empty `PING`.
-        let size = n.div_ceil(self.conns.len()).max(1);
+        let size = clients.len().div_ceil(self.conns.len()).max(1);
         let mut chunks: Vec<Chunk<'_>> = clients
             .chunks(size)
-            .zip(self.outcomes.chunks(size))
+            .zip(outcomes.chunks(size))
             .zip(out.chunks_mut(size))
-            .enumerate()
-            .map(|(i, ((clients, outcomes), slots))| Chunk {
-                clients,
-                outcomes,
-                slots,
-                base: i * size,
-            })
+            .map(|((clients, outcomes), slots)| Chunk { clients, outcomes, slots })
             .collect();
         chunks.resize_with(self.conns.len(), Chunk::default);
         let dec = &mut self.decoder;
-        if let Err(e) = exchange_all(&mut self.conns, &self.link, self.tick, chunks, dec) {
+        if let Err(e) = exchange_all(&mut self.conns, &self.link, self.tick, chunks, dec, spare) {
             self.trip(&e);
             return;
         }
-
-        // Serial post-pass in client order, exactly like the local path.
-        for (client, delay, payload) in self.decoder.late.drain(..) {
-            self.transport.send_delayed(client, ticks_late(delay, self.tick_secs), payload);
-        }
-        for env in self.transport.take_due() {
-            if let Some(slot) = out.get_mut(env.client) {
-                slot.extend(env.payload);
-            }
-        }
+        self.delivery.deliver(out, self.tick_secs);
     }
 }
 
@@ -850,6 +754,7 @@ mod tests {
     use surgescope_api::{ApiService, PingConfig, ProtocolEra, WorldSnapshot};
     use surgescope_city::CarType;
     use surgescope_marketplace::{Marketplace, MarketplaceConfig};
+    use surgescope_simcore::SimDuration;
     use surgescope_store::encode_value;
 
     use FaultOutcome::{Deliver, Drop};
@@ -861,53 +766,35 @@ mod tests {
         out
     }
 
-    /// A chunk of `outcomes` and `slots` starting at client `base`.
-    fn chunk<'a>(
-        outcomes: &'a [FaultOutcome],
-        slots: &'a mut [Vec<TypeObservation>],
-        base: usize,
-    ) -> Chunk<'a> {
-        Chunk { clients: &[], outcomes, slots, base }
+    /// A chunk of `outcomes` and `slots`.
+    fn chunk<'a>(outcomes: &'a [FaultOutcome], slots: &'a mut [Vec<TypeObservation>]) -> Chunk<'a> {
+        Chunk { clients: &[], outcomes, slots }
     }
 
-    /// Asserts that a decode of `payload` left in `slots` and `late` what
-    /// the reference pipeline, `decode_ping_reply` then
-    /// `response_to_observations`, gives for `outcomes`: each delivered
-    /// slot its response's conversion, each delayed response's conversion
-    /// queued with its client and delay and its slot empty, each dropped
-    /// slot empty, and nothing else of the chunk queued.
+    /// Asserts that a decode of `payload` left in `slots` what the
+    /// reference pipeline, `decode_ping_reply` then
+    /// `response_to_observations`, gives for `outcomes`: each undropped
+    /// slot, delayed or not, its response's conversion, and each dropped
+    /// slot empty.
     fn assert_matches_reference(
         payload: &[u8],
         outcomes: &[FaultOutcome],
-        base: usize,
         slots: &[Vec<TypeObservation>],
-        late: &[Late],
         proj: &LocalProjection,
         at: &str,
     ) {
         let sent = outcomes.iter().filter(|oc| **oc != Drop).count();
         let reference = wire::decode_ping_reply(payload, sent).expect("reference decode");
         let mut want = reference.iter().map(|r| bytes(&response_to_observations(r, proj)));
-        let clients = base..base + slots.len();
-        let mut queued = late.iter().filter(|l| clients.contains(&l.0));
         for (i, (slot, oc)) in slots.iter().zip(outcomes).enumerate() {
-            let at = format!("{at}, client {}", base + i);
-            match *oc {
-                Drop => assert!(slot.is_empty(), "{at}: a dropped ping's slot holds blocks"),
-                Deliver => {
-                    let want = want.next().expect("a response per delivered ping");
-                    assert!(bytes(slot) == want, "{at}: the slot differs from the reference");
-                }
-                FaultOutcome::Delay(d) => {
-                    assert!(slot.is_empty(), "{at}: a delayed ping's slot holds blocks");
-                    let (client, delay, blocks) = queued.next().expect("a queued response");
-                    assert_eq!((*client, *delay), (base + i, d), "{at}: queued as another");
-                    let want = want.next().expect("a response per delayed ping");
-                    assert!(bytes(blocks) == want, "{at}: the queued blocks differ");
-                }
+            if *oc == Drop {
+                assert!(slot.is_empty(), "{at}, slot {i}: a dropped ping's slot holds blocks");
+            } else {
+                let want = want.next().expect("a response per undropped ping");
+                assert!(bytes(slot) == want, "{at}, slot {i}: the slot differs from the reference");
             }
         }
-        assert!(want.next().is_none() && queued.next().is_none(), "{at}: responses left over");
+        assert!(want.next().is_none(), "{at}: responses left over");
     }
 
     /// A `RESP_PING` payload written field by field, for values no
@@ -1037,16 +924,19 @@ mod tests {
     /// remote world shape in both eras, with and without location noise,
     /// in batches of 1, 12 and every client, under a fault plan that
     /// delivers, delays and drops. Each batch size keeps one slot buffer
-    /// tick over tick, and delayed responses come back into it through a
-    /// transport, as in `ping_all_into`.
+    /// tick over tick and goes through a [`Delivery`]'s draw and deliver
+    /// steps, as `ping_all_into` does, so delayed responses leave their
+    /// slots and come back into them late.
     #[test]
     fn client_decoder_matches_reference_conversion() {
         let proj = LocalProjection::new(HERE);
         let payload = odd_reply();
         let mut slots = vec![Vec::new(); ODD_OUTCOMES.len()];
         let mut dec = Decoder::new(proj);
-        dec.decode(&payload, 3, &mut chunk(&ODD_OUTCOMES, &mut slots, 0)).expect("decode");
-        assert_matches_reference(&payload, &ODD_OUTCOMES, 0, &slots, &dec.late, &proj, "odd");
+        let mut spare = Vec::new();
+        dec.decode(&payload, 3, &mut chunk(&ODD_OUTCOMES, &mut slots), &mut spare)
+            .expect("decode");
+        assert_matches_reference(&payload, &ODD_OUTCOMES, &slots, &proj, "odd");
         let cars = &slots[0][0].cars;
         assert!(cars[0].position.y.is_nan(), "a NaN latitude stays NaN");
         assert!(cars[0].displacement.is_none(), "an empty path has no displacement");
@@ -1057,7 +947,6 @@ mod tests {
         assert!(slots[3].is_empty(), "a response with no tiers");
 
         let plan = FaultPlan { drop_chance: 0.1, delay_chance: 0.2, max_delay_secs: 20 };
-        let mut rng = SimRng::seed_from_u64(0xDEC0DE);
         let mut seen = [0usize; 3];
         for era in [ProtocolEra::Feb2015, ProtocolEra::Apr2015] {
             for sigma_m in [0.0, 50.0] {
@@ -1065,16 +954,15 @@ mod tests {
                 let sizes = [1, 12, pings.len()];
                 let mut fleets: Vec<_> = sizes
                     .iter()
-                    .map(|_| (Decoder::new(proj), vec![Vec::new(); pings.len()], Transport::new()))
+                    .map(|_| (Decoder::new(proj), Vec::new(), Delivery::new(plan, 0xDEC0DE)))
                     .collect();
                 for tick in 0..120 {
                     mp.tick();
                     let snap = WorldSnapshot::of(&mp);
-                    for ((dec, slots, transport), &size) in fleets.iter_mut().zip(&sizes) {
-                        transport.advance_tick();
-                        let outcomes: Vec<_> =
-                            pings.iter().map(|_| plan.decide(&mut rng)).collect();
-                        for oc in &outcomes {
+                    for ((dec, slots, delivery), &size) in fleets.iter_mut().zip(&sizes) {
+                        delivery.transport.advance_tick();
+                        let (outcomes, spare) = delivery.draw(pings.len(), slots);
+                        for oc in outcomes {
                             seen[match oc {
                                 Deliver => 0,
                                 Drop => 1,
@@ -1085,28 +973,15 @@ mod tests {
                         for (c, ((batch, outcomes), slots)) in
                             batches.zip(slots.chunks_mut(size)).enumerate()
                         {
-                            let at =
-                                format!("{era:?}, noise {sigma_m} m, tick {tick}, batch of {size}");
-                            let (payload, sent) = reply(&ping, &snap, batch, outcomes);
-                            let mut chunk = chunk(outcomes, slots, c * size);
-                            dec.decode(&payload, sent, &mut chunk).expect("decode");
-                            let base = chunk.base;
-                            assert_matches_reference(
-                                &payload,
-                                outcomes,
-                                base,
-                                chunk.slots,
-                                &dec.late,
-                                &proj,
-                                &at,
+                            let at = format!(
+                                "{era:?}, noise {sigma_m} m, tick {tick}, batch {c} of {size}"
                             );
+                            let (payload, sent) = reply(&ping, &snap, batch, outcomes);
+                            dec.decode(&payload, sent, &mut chunk(outcomes, slots), spare)
+                                .expect("decode");
+                            assert_matches_reference(&payload, outcomes, slots, &proj, &at);
                         }
-                        for (client, delay, blocks) in dec.late.drain(..) {
-                            transport.send_delayed(client, ticks_late(delay, 5), blocks);
-                        }
-                        for env in transport.take_due() {
-                            slots[env.client].extend(env.payload);
-                        }
+                        delivery.deliver(slots, 5);
                     }
                 }
             }
@@ -1117,10 +992,8 @@ mod tests {
     /// A reply refused part-way through decoding leaves slots that a
     /// rerun of the whole decode puts right: for every truncation of a
     /// 12-ping reply, decoding the cut payload into warmed slots fails,
-    /// and decoding the whole reply into the same slots then leaves the
-    /// slots and the delayed list as a decode into fresh slots does. An
-    /// earlier chunk's queued response stays queued throughout, and after
-    /// an empty chunk's decode.
+    /// and decoding the whole reply into the same slots then leaves them
+    /// as a decode into fresh slots does.
     #[test]
     fn a_refused_reply_leaves_slots_safe_to_rerun() {
         let (mut mp, ping, pings, proj) = remote_world(ProtocolEra::Apr2015, 50.0);
@@ -1141,34 +1014,32 @@ mod tests {
         }
         let (payload, sent) = reply(&ping, &WorldSnapshot::of(&mp), batch, &outcomes);
 
-        let base = 12;
-        let earlier: Late = (3, SimDuration::secs(9), Vec::new());
-        let mut fresh = Decoder::new(proj);
-        fresh.late.push(earlier.clone());
-        let mut fresh_slots = vec![Vec::new(); 12];
-        fresh.decode(&payload, sent, &mut chunk(&outcomes, &mut fresh_slots, base)).expect("fresh");
-        let queued = |late: &[Late]| -> Vec<_> {
-            late.iter().map(|(c, d, blocks)| (*c, *d, bytes(blocks))).collect()
-        };
+        let mut spare = Vec::new();
+        let mut fresh = vec![Vec::new(); 12];
+        Decoder::new(proj)
+            .decode(&payload, sent, &mut chunk(&outcomes, &mut fresh), &mut spare)
+            .expect("fresh");
 
         let mut dec = Decoder::new(proj);
-        dec.late.push(earlier);
         let mut slots = vec![Vec::new(); 12];
-        dec.decode(&warm, 12, &mut chunk(&[Deliver; 12], &mut slots, base)).expect("warm-up");
+        dec.decode(&warm, 12, &mut chunk(&[Deliver; 12], &mut slots), &mut spare)
+            .expect("warm-up");
         assert!(slots.iter().all(|s| !s.is_empty()), "every slot is warm");
+        // `Delivery::draw` empties each dropped slot before any decode.
+        for (slot, oc) in slots.iter_mut().zip(&outcomes) {
+            if *oc == Drop {
+                spare.append(slot);
+            }
+        }
         for cut in 0..payload.len() {
-            let mut chunk = chunk(&outcomes, &mut slots, base);
-            assert!(dec.decode(&payload[..cut], sent, &mut chunk).is_err(), "cut at {cut}");
-            dec.decode(&payload, sent, &mut chunk).expect("the whole reply");
-            for (i, (got, want)) in slots.iter().zip(&fresh_slots).enumerate() {
+            let mut chunk = chunk(&outcomes, &mut slots);
+            let cut_decode = dec.decode(&payload[..cut], sent, &mut chunk, &mut spare);
+            assert!(cut_decode.is_err(), "cut at {cut}");
+            dec.decode(&payload, sent, &mut chunk, &mut spare).expect("the whole reply");
+            for (i, (got, want)) in slots.iter().zip(&fresh).enumerate() {
                 assert!(bytes(got) == bytes(want), "cut at {cut}: slot {i} differs");
             }
-            assert_eq!(queued(&dec.late), queued(&fresh.late), "cut at {cut}: the queue differs");
         }
-        // A connection past the last chunk reads an empty reply (no cars,
-        // no responses) and takes back nothing another chunk queued.
-        dec.decode(&[0; 8], 0, &mut Chunk::default()).expect("an empty reply");
-        assert_eq!(queued(&dec.late), queued(&fresh.late), "an empty chunk took from the queue");
     }
 
     /// Every truncation of a request and a reply, trailing bytes, an
@@ -1182,12 +1053,13 @@ mod tests {
     fn corrupt_ping_payloads_are_refused_without_panic() {
         let mut dec = Decoder::new(LocalProjection::new(HERE));
         let mut slots = vec![Vec::new(); ODD_OUTCOMES.len()];
+        let mut spare = Vec::new();
         // Decodes `payload` as the answer to `n` pings through both sinks,
         // the client's into slots of `outcomes`; true if both refuse it.
         let mut refused = |payload: &[u8], n: usize, outcomes: &[FaultOutcome]| {
             let reference = wire::decode_ping_reply(payload, n).is_err();
             let slots = &mut slots[..outcomes.len()];
-            let client = dec.decode(payload, n, &mut chunk(outcomes, slots, 0)).is_err();
+            let client = dec.decode(payload, n, &mut chunk(outcomes, slots), &mut spare).is_err();
             reference && client
         };
 

@@ -6,8 +6,10 @@
 //! 5-second tick; answer a batch of client pings), with implementations
 //! for the simulated marketplace ([`UberSystem`]) and the taxi replay
 //! ([`TaxiSystem`]); `core::remote` implements it over sockets. Both Uber
-//! systems write each response into its client's slot through one block
-//! writer in `core::observe`, reusing the slot's blocks tick over tick.
+//! systems deliver a tick's pings through one [`Delivery`] (fault draws,
+//! the late queue and the retired-block pool) and write each response
+//! into its client's slot through one block writer in `core::observe`,
+//! reusing the slot's blocks tick over tick.
 
 use crate::observe::{retire_blocks, write_block, ClientSpec, ObservedCar, TypeObservation};
 use std::sync::Arc;
@@ -33,6 +35,118 @@ pub struct SystemMetrics {
     pub pings_dropped: Counter,
     /// Wall clock spent in `ping_all_into` (fault draws, pings, merge).
     pub ping: Timer,
+}
+
+/// The client side of the transport, written once for both Uber systems
+/// (each holds one): the fault plan, its RNG, the late queue and the pool
+/// of retired blocks. A tick's pings go through it in three steps:
+///
+/// 1. [`Delivery::draw`] draws every client's outcome in client order
+///    (a plan that never perturbs draws nothing), counts them, sizes the
+///    caller's slots and retires each dropped slot's blocks to the pool;
+/// 2. the system answers every undropped ping into its slot, a delayed
+///    one too, against this tick's world, reclaiming blocks from the pool
+///    (in process `ping_one_into`, remotely the client's slot decoder);
+/// 3. [`Delivery::deliver`] moves each delayed slot's blocks into the
+///    queue, in client order, and appends to each slot what is due.
+///
+/// So a delayed response carries its send tick's data and lands after
+/// the fresh one of its delivery tick: the §5.2 staleness channel. A
+/// dropped ping is never answered, and yields no block for its client
+/// that tick, ever.
+pub(crate) struct Delivery {
+    plan: FaultPlan,
+    /// Draws every outcome; checkpointed.
+    pub(crate) rng: SimRng,
+    /// This tick's outcomes, one per client.
+    outcomes: Vec<FaultOutcome>,
+    /// In-flight delayed responses, keyed by delivery tick; checkpointed.
+    /// Due ones append to their client's slot in `(sent_tick, client)`
+    /// order.
+    pub(crate) transport: Transport<Vec<TypeObservation>>,
+    /// Retired observation blocks. A slot shrinks when a tier drops out
+    /// of the snapshot, when a ping is dropped, and on the tick after a
+    /// late response joined it; the surplus blocks park here, `cars`
+    /// capacity intact, and every response reclaims from here before
+    /// allocating. So the pool holds at most the blocks that were ever
+    /// live at once, and the ping path stays allocation-free in steady
+    /// state.
+    spare: Vec<TypeObservation>,
+    /// Fault-outcome counters and the ping timer.
+    pub(crate) metrics: SystemMetrics,
+}
+
+impl Delivery {
+    /// A delivery under `plan`, its fault RNG derived from `seed`. Panics
+    /// on an invalid plan (probabilities outside `[0, 1]` or NaN): this is
+    /// where struct-literal plans enter a system.
+    pub(crate) fn new(plan: FaultPlan, seed: u64) -> Self {
+        Delivery {
+            plan: plan.validated(),
+            rng: SimRng::seed_from_u64(seed).split("transport-faults"),
+            outcomes: Vec::new(),
+            transport: Transport::new(),
+            spare: Vec::new(),
+            metrics: SystemMetrics::default(),
+        }
+    }
+
+    /// Registers `pings.*`, `phase.ping` and `transport.*` into `reg`.
+    pub(crate) fn register(&self, reg: &MetricsRegistry) {
+        reg.adopt_counter("pings.delivered", &self.metrics.pings_delivered);
+        reg.adopt_counter("pings.delayed", &self.metrics.pings_delayed);
+        reg.adopt_counter("pings.dropped", &self.metrics.pings_dropped);
+        reg.adopt_timer("phase.ping", &self.metrics.ping);
+        self.transport.metrics().register(reg);
+    }
+
+    /// Step 1: draws the outcomes of `n` pings, resizes `out` to `n`
+    /// slots and empties each dropped one into the pool. Returns the
+    /// outcomes and the pool the answers reclaim blocks from.
+    pub(crate) fn draw(
+        &mut self,
+        n: usize,
+        out: &mut Vec<Vec<TypeObservation>>,
+    ) -> (&[FaultOutcome], &mut Vec<TypeObservation>) {
+        let (plan, rng) = (self.plan, &mut self.rng);
+        self.outcomes.clear();
+        self.outcomes.extend((0..n).map(|_| plan.decide(rng)));
+        out.resize_with(n, Vec::new);
+        out.truncate(n);
+        let (mut delivered, mut delayed, mut dropped) = (0u64, 0u64, 0u64);
+        for (oc, slot) in self.outcomes.iter().zip(out.iter_mut()) {
+            match oc {
+                FaultOutcome::Deliver => delivered += 1,
+                FaultOutcome::Delay(_) => delayed += 1,
+                FaultOutcome::Drop => {
+                    dropped += 1;
+                    self.spare.append(slot);
+                }
+            }
+        }
+        // Tallied locally, published in three atomic adds.
+        self.metrics.pings_delivered.add(delivered);
+        self.metrics.pings_delayed.add(delayed);
+        self.metrics.pings_dropped.add(dropped);
+        (&self.outcomes, &mut self.spare)
+    }
+
+    /// Step 3: queues each delayed slot's blocks, in client order, due
+    /// `ticks_late` ticks of `tick_secs` from now, then appends every
+    /// response due this tick to its client's slot.
+    pub(crate) fn deliver(&mut self, out: &mut [Vec<TypeObservation>], tick_secs: u64) {
+        for (client, (oc, slot)) in self.outcomes.iter().zip(out.iter_mut()).enumerate() {
+            if let FaultOutcome::Delay(d) = *oc {
+                let late = ticks_late(d, tick_secs);
+                self.transport.send_delayed(client, late, std::mem::take(slot));
+            }
+        }
+        for env in self.transport.take_due() {
+            if let Some(slot) = out.get_mut(env.client) {
+                slot.extend(env.payload);
+            }
+        }
+    }
 }
 
 /// Anything the client fleet can measure.
@@ -87,17 +201,9 @@ pub struct UberSystem {
     /// The protocol endpoint used by the fleet.
     pub api: ApiService,
     /// Transport fault injection between clients and the service
-    /// (smoltcp-style; [`FaultPlan::none`] by default). A dropped ping
-    /// yields no observation blocks for that client this tick, ever; a
-    /// delayed ping is answered against the send-time snapshot and parked
-    /// in [`UberSystem::transport`] until its delivery tick.
-    faults: FaultPlan,
-    fault_rng: SimRng,
-    /// In-flight delayed responses, keyed by delivery tick. Drained at the
-    /// end of every `ping_all_into`; late arrivals append to the
-    /// destination client's observation vector in `(sent_tick, client)`
-    /// order.
-    transport: Transport<Vec<TypeObservation>>,
+    /// ([`FaultPlan::none`] by default), the late queue and the block
+    /// pool; see [`Delivery`].
+    pub(crate) delivery: Delivery,
     /// This tick's snapshot, shared between `ping_all` and any same-tick
     /// probes (campaign estimates, experiment price probes), recycled
     /// through its arena at the top of `advance_tick`.
@@ -106,16 +212,6 @@ pub struct UberSystem {
     /// snapshot's tier and car order, rendered at the top of every
     /// `ping_all_into`. Rows keep their capacity tick over tick.
     rendered: Vec<Vec<ObservedCar>>,
-    /// Retired observation blocks. A slot shrinks when a tier drops out
-    /// of the snapshot, when a ping is dropped, and on the tick after a
-    /// late response joined it; the surplus blocks park here, `cars`
-    /// capacity intact, and every response (fresh or delayed) reclaims
-    /// from here before allocating. So the pool holds at most the blocks
-    /// that were ever live at once, and the ping path stays
-    /// allocation-free in steady state.
-    spare_blocks: Vec<TypeObservation>,
-    /// Ping telemetry (fault-outcome counters + ping timer).
-    metrics: SystemMetrics,
 }
 
 impl UberSystem {
@@ -123,39 +219,29 @@ impl UberSystem {
     /// derived from the marketplace's root seed (formerly a hardcoded
     /// constant, which made every campaign share one fault pattern).
     pub fn new(marketplace: Marketplace, api: ApiService) -> Self {
-        let fault_rng =
-            SimRng::seed_from_u64(marketplace.seed()).split("transport-faults");
+        let delivery = Delivery::new(FaultPlan::none(), marketplace.seed());
         UberSystem {
             marketplace,
             api,
-            faults: FaultPlan::none(),
-            fault_rng,
-            transport: Transport::new(),
+            delivery,
             snapshot: TickSnapshot::new(),
             rendered: Vec::new(),
-            spare_blocks: Vec::new(),
-            metrics: SystemMetrics::default(),
         }
     }
 
     /// This system's own telemetry handles.
     pub fn metrics(&self) -> &SystemMetrics {
-        &self.metrics
+        &self.delivery.metrics
     }
 
     /// Registers every instrument this system (and its layers) owns into
     /// `reg` under stable names. Call after construction is complete —
-    /// in particular after any [`UberSystem::set_transport`] /
-    /// [`ApiService::set_limiter`] restore calls, which install fresh
-    /// counter cells.
+    /// in particular after a checkpoint resume has restored the late
+    /// queue and the rate limiter, which install fresh counter cells.
     pub fn register_metrics(&self, reg: &MetricsRegistry) {
-        reg.adopt_counter("pings.delivered", &self.metrics.pings_delivered);
-        reg.adopt_counter("pings.delayed", &self.metrics.pings_delayed);
-        reg.adopt_counter("pings.dropped", &self.metrics.pings_dropped);
+        self.delivery.register(reg);
         reg.adopt_timer("phase.capture", self.snapshot.capture_timer());
-        reg.adopt_timer("phase.ping", &self.metrics.ping);
         self.marketplace.tick_timers().register(reg);
-        self.transport.metrics().register(reg);
         reg.adopt_counter("api.rate_limited", self.api.limiter().throttled());
         reg.adopt_counter("api.jitter_window_hits", self.api.jitter_hits());
     }
@@ -167,18 +253,18 @@ impl UberSystem {
         self.snapshot.get(&self.marketplace)
     }
 
-    /// Enables transport fault injection on client pings. Panics on an
-    /// invalid plan (probabilities outside `[0, 1]` or NaN) — this is the
-    /// boundary where struct-literal plans enter the system.
+    /// Enables transport fault injection on client pings, drawn from a
+    /// fault RNG derived from `seed`: a builder step, which starts the
+    /// delivery afresh. Panics on an invalid plan (probabilities outside
+    /// `[0, 1]` or NaN).
     pub fn with_faults(mut self, plan: FaultPlan, seed: u64) -> Self {
-        self.faults = plan.validated();
-        self.fault_rng = SimRng::seed_from_u64(seed).split("transport-faults");
+        self.delivery = Delivery::new(plan, seed);
         self
     }
 
     /// Number of delayed responses currently in flight (diagnostic).
     pub fn in_flight(&self) -> usize {
-        self.transport.in_flight()
+        self.delivery.transport.in_flight()
     }
 
     /// Formerly set the worker-thread count of the per-tick ping fan-out.
@@ -191,31 +277,6 @@ impl UberSystem {
 
     fn projection(&self) -> LocalProjection {
         self.marketplace.city().projection
-    }
-
-    /// Fault plan in force (checkpoint access).
-    pub fn faults(&self) -> FaultPlan {
-        self.faults
-    }
-
-    /// Transport fault RNG (checkpoint access).
-    pub fn fault_rng(&self) -> &SimRng {
-        &self.fault_rng
-    }
-
-    /// Restores the fault RNG mid-stream (checkpoint resume).
-    pub fn set_fault_rng(&mut self, rng: SimRng) {
-        self.fault_rng = rng;
-    }
-
-    /// In-flight delayed responses (checkpoint access).
-    pub fn transport(&self) -> &Transport<Vec<TypeObservation>> {
-        &self.transport
-    }
-
-    /// Restores the in-flight queue (checkpoint resume).
-    pub fn set_transport(&mut self, transport: Transport<Vec<TypeObservation>>) {
-        self.transport = transport;
     }
 }
 
@@ -280,7 +341,7 @@ impl MeasuredSystem for UberSystem {
     fn advance_tick(&mut self) {
         self.snapshot.release();
         self.marketplace.tick();
-        self.transport.advance_tick();
+        self.delivery.transport.advance_tick();
     }
 
     fn now(&self) -> SimTime {
@@ -295,59 +356,23 @@ impl MeasuredSystem for UberSystem {
     /// the tick, and a stale response genuinely displaces fresh data on
     /// the screen, which is the §5.2 staleness channel.
     fn ping_all_into(&mut self, clients: &[ClientSpec], out: &mut Vec<Vec<TypeObservation>>) {
-        let _ping_span = self.metrics.ping.start();
+        let _ping_span = self.delivery.metrics.ping.start();
         let proj = self.projection();
         let snap = self.tick_snapshot();
         let tick_secs = self.marketplace.config().tick_secs;
-
-        // Answer straight into the caller's slots, reusing their block and
-        // car vectors tick over tick. Fault draws come from `fault_rng` in
-        // client order (a plan that never perturbs draws nothing).
         let ping = self.api.ping_config();
         render_cars(&ping, &snap, &proj, &mut self.rendered);
-        let rendered = self.rendered.as_slice();
-        let faults = self.faults;
-        let fault_rng = &mut self.fault_rng;
-        let spare = &mut self.spare_blocks;
-        let transport = &mut self.transport;
-        let (mut delivered, mut delayed, mut dropped) = (0u64, 0u64, 0u64);
-        out.resize_with(clients.len(), Vec::new);
-        out.truncate(clients.len());
-        for (i, (c, slot)) in clients.iter().zip(out.iter_mut()).enumerate() {
-            match faults.decide(fault_rng) {
-                FaultOutcome::Deliver => {
-                    delivered += 1;
-                    ping_one_into(&ping, &snap, &proj, rendered, c, spare, slot);
-                }
-                FaultOutcome::Delay(d) => {
-                    // Answered against the send-time snapshot and this
-                    // tick's rendered cars, so it lands carrying stale
-                    // data. It outlives this tick in the in-flight queue
-                    // and takes the slot's blocks along; on delivery they
-                    // join a slot again, and the tick after parks the
-                    // surplus in `spare` for reuse.
-                    delayed += 1;
-                    let mut resp = std::mem::take(slot);
-                    ping_one_into(&ping, &snap, &proj, rendered, c, spare, &mut resp);
-                    transport.send_delayed(i, ticks_late(d, tick_secs), resp);
-                }
-                FaultOutcome::Drop => {
-                    // A dropped ping is never answered.
-                    dropped += 1;
-                    spare.append(slot);
-                }
+        // Answer every undropped ping straight into the caller's slot,
+        // reusing its block and car vectors tick over tick. A delayed one
+        // is answered against this tick's snapshot too, so it lands
+        // carrying stale data once `deliver` has queued it.
+        let (outcomes, spare) = self.delivery.draw(clients.len(), out);
+        for ((c, slot), oc) in clients.iter().zip(out.iter_mut()).zip(outcomes) {
+            if *oc != FaultOutcome::Drop {
+                ping_one_into(&ping, &snap, &proj, &self.rendered, c, spare, slot);
             }
         }
-        // Tallied locally, published in three atomic adds.
-        self.metrics.pings_delivered.add(delivered);
-        self.metrics.pings_delayed.add(delayed);
-        self.metrics.pings_dropped.add(dropped);
-        // Merge late arrivals due this tick, `(sent_tick, client)` order.
-        for env in self.transport.take_due() {
-            if let Some(slot) = out.get_mut(env.client) {
-                slot.extend(env.payload);
-            }
-        }
+        self.delivery.deliver(out, tick_secs);
     }
 }
 
@@ -476,9 +501,9 @@ mod tests {
         );
     }
 
-    /// Every block in `spare_blocks` was once live in a slot or in flight,
-    /// and each client has at most `1 + max delay` responses alive at
-    /// once, so the pool is bounded. A delayed response built in fresh
+    /// Every block in the delivery's pool was once live in a slot or in
+    /// flight, and each client has at most `1 + max delay` responses alive
+    /// at once, so the pool is bounded. A delayed response built in fresh
     /// blocks instead of pooled ones would grow it by a tier list per
     /// delay, with nothing to trim it.
     #[test]
@@ -494,9 +519,9 @@ mod tests {
         for tick in 0..2000 {
             sys.ping_all_into(&clients, &mut out);
             assert!(
-                sys.spare_blocks.len() <= bound,
+                sys.delivery.spare.len() <= bound,
                 "tick {tick}: {} spare blocks exceed the bound {bound}",
-                sys.spare_blocks.len()
+                sys.delivery.spare.len()
             );
             sys.advance_tick();
         }

@@ -33,18 +33,30 @@ fn run_local(cfg: &CampaignConfig) -> CampaignData {
     runner.finish().expect("local finish")
 }
 
-fn run_remote(addr: &str, cfg: &CampaignConfig, connections: usize) -> Vec<u8> {
-    let mut runner = CampaignRunner::new_remote(
-        CityModel::san_francisco_downtown(),
-        cfg,
-        addr,
-        connections,
-    )
-    .expect("remote campaign");
-    runner.run_to_end().expect("remote run");
-    campaign_encoded(&runner.finish().expect("remote finish"))
+fn new_remote(addr: &str, cfg: &CampaignConfig, connections: usize) -> CampaignRunner {
+    CampaignRunner::new_remote(CityModel::san_francisco_downtown(), cfg, addr, connections)
+        .expect("remote campaign")
 }
 
+fn run_remote(addr: &str, cfg: &CampaignConfig, connections: usize) -> Vec<u8> {
+    run_measured(new_remote(addr, cfg, connections)).0
+}
+
+/// Runs `runner` to the end and returns its campaign's bytes and its
+/// deterministic client metrics: every key under `pings.`, `transport.`
+/// and `campaign.`.
+fn run_measured(mut runner: CampaignRunner) -> (Vec<u8>, Vec<(String, u64)>) {
+    runner.run_to_end().expect("run");
+    let client = ["pings.", "transport.", "campaign."];
+    let metrics = (runner.metrics_snapshot().deterministic.into_iter())
+        .filter(|(key, _)| client.iter().any(|prefix| key.starts_with(prefix)))
+        .collect();
+    (campaign_encoded(&runner.finish().expect("finish")), metrics)
+}
+
+/// The campaign bytes and the client metrics (fault outcomes, the late
+/// queue, the runner's counters) of a remote campaign equal the
+/// in-process ones, clean and faulted, at 1 and 4 connections.
 #[test]
 fn remote_campaign_matches_local_bytes_clean_and_faulted() {
     let mut server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
@@ -58,13 +70,30 @@ fn remote_campaign_matches_local_bytes_clean_and_faulted() {
     ];
     for (label, faults) in plans {
         let cfg = lockstep_cfg(7_0931, faults);
-        let local = campaign_encoded(&run_local(&cfg));
+        let local = CampaignRunner::new(CityModel::san_francisco_downtown(), &cfg)
+            .expect("local campaign");
+        let (local, local_metrics) = run_measured(local);
+        let value = |key: &str| {
+            let found = local_metrics.iter().find(|(k, _)| k == key);
+            found.unwrap_or_else(|| panic!("{label}: {key} missing")).1
+        };
+        assert!(value("pings.delivered") > 0, "{label}: no ping was delivered");
+        assert!(value("campaign.ticks") > 0, "{label}: no tick was counted");
+        if label == "faulted" {
+            assert!(value("pings.dropped") > 0, "faulted: no ping was dropped");
+            assert!(value("transport.delivered_late") > 0, "faulted: nothing arrived late");
+        }
         for connections in [1usize, 4] {
-            let remote = run_remote(&addr, &cfg, connections);
+            let (remote, remote_metrics) = run_measured(new_remote(&addr, &cfg, connections));
             assert_eq!(
                 local, remote,
                 "{label}: remote campaign over {connections} connection(s) \
                  diverged from the in-process bytes"
+            );
+            assert_eq!(
+                local_metrics, remote_metrics,
+                "{label}: the client metrics over {connections} connection(s) \
+                 differ from the in-process ones"
             );
         }
     }
@@ -130,13 +159,7 @@ fn server_answers_each_sent_ping_exactly_once() {
     for connections in [1usize, 4] {
         let mut server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
         let addr = server.local_addr().to_string();
-        let mut runner = CampaignRunner::new_remote(
-            CityModel::san_francisco_downtown(),
-            &cfg,
-            &addr,
-            connections,
-        )
-        .expect("remote campaign");
+        let mut runner = new_remote(&addr, &cfg, connections);
         runner.run_to_end().expect("remote run");
         let snap = runner.metrics_snapshot();
         runner.finish().expect("remote finish");

@@ -12,7 +12,6 @@
 //! reclaims the campaign once the run goes idle.
 
 use crate::wire;
-use serde::{Deserialize, Serialize, Value};
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -178,24 +177,13 @@ pub(crate) fn connect(addr: &str) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
-fn invalid(e: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-}
-
 /// OPENs a campaign over SF downtown with fleet and demand scaled by
 /// `scale` (era `Apr2015`, `Threshold` surge); returns its id.
 pub(crate) fn open_campaign(stream: &mut TcpStream, scale: f64, seed: u64) -> io::Result<u64> {
     let mut city = CityModel::san_francisco_downtown();
     city.supply = city.supply.scaled(scale);
     city.demand = city.demand.scaled(scale);
-    let open = Value::Map(vec![
-        ("city".into(), city.to_value()),
-        ("seed".into(), seed.to_value()),
-        ("era".into(), ProtocolEra::Apr2015.to_value()),
-        ("surge_policy".into(), SurgePolicy::Threshold.to_value()),
-    ]);
-    let v = wire::call(stream, wire::REQ_OPEN, &open, wire::RESP_OPEN)?;
-    u64::from_value(v.field("campaign").map_err(invalid)?).map_err(invalid)
+    wire::open(stream, &city, seed, ProtocolEra::Apr2015, SurgePolicy::Threshold)
 }
 
 #[cfg(test)]

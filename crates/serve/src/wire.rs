@@ -78,9 +78,12 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use surgescope_api::{CarInfo, PingClientResponse, PingConfig, SnapCar, TypeStatus, WorldSnapshot};
-use surgescope_city::CarType;
+use surgescope_api::{
+    CarInfo, PingClientResponse, PingConfig, ProtocolEra, SnapCar, TypeStatus, WorldSnapshot,
+};
+use surgescope_city::{CarType, CityModel};
 use surgescope_geo::{LatLng, PathVector};
+use surgescope_marketplace::SurgePolicy;
 use surgescope_simcore::SimTime;
 use surgescope_store::crc32::crc32;
 use surgescope_store::{decode_value, encode_value};
@@ -391,6 +394,28 @@ pub fn call<S: Read + Write + ReadDeadline>(
 pub fn hello<S: Read + Write + ReadDeadline>(stream: &mut S) -> io::Result<()> {
     let hello = Value::Map(vec![("proto".into(), PROTO_VERSION.to_value())]);
     call(stream, REQ_HELLO, &hello, RESP_HELLO).map(drop)
+}
+
+/// Opens a campaign world (client side) and returns its id. The server
+/// builds the world from the post-scale `city`, `seed`, `era` and
+/// `surge_policy` exactly as an in-process campaign builds its own; this
+/// is the one writer of the `OPEN` payload.
+pub fn open<S: Read + Write + ReadDeadline>(
+    stream: &mut S,
+    city: &CityModel,
+    seed: u64,
+    era: ProtocolEra,
+    surge_policy: SurgePolicy,
+) -> io::Result<u64> {
+    let open = Value::Map(vec![
+        ("city".into(), city.to_value()),
+        ("seed".into(), seed.to_value()),
+        ("era".into(), era.to_value()),
+        ("surge_policy".into(), surge_policy.to_value()),
+    ]);
+    let v = call(stream, REQ_OPEN, &open, RESP_OPEN)?;
+    let id = v.field("campaign").and_then(u64::from_value);
+    id.map_err(|e| WireError::Malformed(e.to_string()).into_io())
 }
 
 /// One `PING` exchange (client side): [`send_ping`], then

@@ -61,13 +61,5 @@ pub fn open_campaign(stream: &mut TcpStream) -> u64 {
     let mut city = CityModel::san_francisco_downtown();
     city.supply = city.supply.scaled(0.2);
     city.demand = city.demand.scaled(0.2);
-    let v = Value::Map(vec![
-        ("city".into(), city.to_value()),
-        ("seed".into(), 4242u64.to_value()),
-        ("era".into(), ProtocolEra::Apr2015.to_value()),
-        ("surge_policy".into(), SurgePolicy::Threshold.to_value()),
-    ]);
-    let (kind, v) = rpc(stream, wire::REQ_OPEN, &v);
-    assert_eq!(kind, wire::RESP_OPEN, "OPEN refused: {v:?}");
-    u64::from_value(v.field("campaign").expect("campaign id")).expect("id")
+    wire::open(stream, &city, 4242, ProtocolEra::Apr2015, SurgePolicy::Threshold).expect("OPEN")
 }

@@ -14,7 +14,13 @@
 //! Decoding recurses once per nested sequence or map, so it refuses
 //! nesting deeper than [`MAX_DEPTH`]: without a bound, a few kilobytes of
 //! nested sequence headers overflow the decoding thread's stack, which
-//! aborts the process rather than failing the decode.
+//! aborts the process rather than failing the decode. It reserves room
+//! for each sequence and map as its header declares, so it also refuses
+//! a payload whose headers, at every depth together, declare more
+//! elements than its bytes can hold: every element takes at least its
+//! own tag byte, and a map entry its key's length byte too. A valid
+//! payload never trips this, and a decode reserves at most about 32
+//! bytes of `Value` per payload byte.
 
 use crate::StoreError;
 use serde::Value;
@@ -137,6 +143,9 @@ pub fn encode_to_vec(v: &Value) -> Vec<u8> {
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The fewest bytes the elements declared so far, at every depth,
+    /// take; never more than `buf.len()`.
+    declared: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -172,6 +181,22 @@ impl<'a> Cursor<'a> {
         Err(StoreError::Codec("varint longer than 64 bits".into()))
     }
 
+    /// Reads a sequence or map header of elements taking at least `min`
+    /// bytes each, and refuses it once the elements declared in the whole
+    /// payload would take more bytes than it has: the count is checked
+    /// before anything is reserved for it.
+    fn count(&mut self, min: usize, what: &str) -> Result<usize, StoreError> {
+        let n = self.varint()?;
+        let declared = usize::try_from(n)
+            .ok()
+            .and_then(|n| n.checked_mul(min))
+            .and_then(|bytes| bytes.checked_add(self.declared))
+            .filter(|&total| total <= self.buf.len())
+            .ok_or_else(|| StoreError::Codec(format!("{what} count exceeds payload")))?;
+        self.declared = declared;
+        Ok(n as usize)
+    }
+
     fn string(&mut self) -> Result<String, StoreError> {
         let len = self.varint()? as usize;
         let bytes = self.take(len)?;
@@ -200,12 +225,7 @@ impl<'a> Cursor<'a> {
             }
             TAG_STR => Ok(Value::Str(self.string()?)),
             TAG_SEQ => {
-                let n = self.varint()? as usize;
-                // Guard against absurd counts from corrupt input before
-                // reserving memory: each element takes at least one byte.
-                if n > self.buf.len() - self.pos {
-                    return Err(StoreError::Codec("sequence count exceeds payload".into()));
-                }
+                let n = self.count(1, "sequence")?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
                     items.push(self.value(depth + 1)?);
@@ -213,10 +233,7 @@ impl<'a> Cursor<'a> {
                 Ok(Value::Seq(items))
             }
             TAG_MAP => {
-                let n = self.varint()? as usize;
-                if n > self.buf.len() - self.pos {
-                    return Err(StoreError::Codec("map count exceeds payload".into()));
-                }
+                let n = self.count(2, "map")?;
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let k = self.string()?;
@@ -232,7 +249,7 @@ impl<'a> Cursor<'a> {
 
 /// Decodes one value from `buf`, requiring the buffer to be fully consumed.
 pub fn decode_value(buf: &[u8]) -> Result<Value, StoreError> {
-    let mut c = Cursor { buf, pos: 0 };
+    let mut c = Cursor { buf, pos: 0, declared: 0 };
     let v = c.value(0)?;
     if c.pos != buf.len() {
         return Err(StoreError::Codec(format!(

@@ -67,10 +67,11 @@ echo "== ping kernels: pinned output =="
 # decode to exactly what ping_client answers, each car in its table once.
 # The remote client decodes each reply straight into its observation
 # slots through the one reply walker, with the in-process kernel's block
-# writer and displacement formula: every slot and every delayed payload
-# must equal the reference conversion of the decoded response, float bits
-# included, over the remote world shape under drops and delays, with the
-# slot buffer reused tick over tick.
+# writer and displacement formula: every undropped slot must equal the
+# reference conversion of the decoded response, float bits included,
+# over the remote world shape under drops and delays, with the slot
+# buffer reused tick over tick through the fault delivery both Uber
+# systems share.
 run_named_tests -p surgescope-geo --lib -- \
   nearest::tests::ties_rank_in_offer_order \
   nearest::tests::lattice_sweep_matches_stable_sort_with_ties_at_the_cutoff \
@@ -163,7 +164,9 @@ echo "== serve: one frame reader, one PING per connection per tick naming its ti
 # window. The client fails a reply frame not complete within its socket
 # deadline of its first byte, so a trickled reply cannot hold it. A
 # payload nested past the codec's depth bound costs its connection,
-# never the process. A frame is byte for byte an event-log record. PING
+# never the process, and a payload whose headers declare more elements
+# than its bytes hold is refused before it reserves more than 40x its
+# length. A frame is byte for byte an event-log record. PING
 # carries one connection's whole chunk of a tick in a fixed binary
 # layout, and its reply lists each shown car once in a table that the
 # responses index: it round-trips every bit (NaN and -0 included), its
@@ -171,7 +174,7 @@ echo "== serve: one frame reader, one PING per connection per tick naming its ti
 # (the reference decode and the client's slot decoder), refuse every
 # truncation, trailing bytes, an unknown tier, an index past the table
 # and counts beyond the bytes that follow without a panic, a reply
-# refused part-way leaves slots that rerunning the decode puts right,
+# refused part-way leaves slots that rerunning the decode overwrites,
 # a batch whose reply would pass max_frame is refused with
 # RESP_ERR before any of it is written, serve.pings counts every sent
 # ping exactly once, and serve.ping_sightings does not depend on the
@@ -190,7 +193,8 @@ echo "== serve: one frame reader, one PING per connection per tick naming its ti
 # reconnects with connect + HELLO; at 1, 2 and 4
 # connections, with a connection left without pings, with every ping
 # dropped, and under chaos, its campaigns must equal the in-process
-# bytes.
+# bytes, and its pings.*, transport.* and campaign.* metrics the
+# in-process ones.
 run_named_tests -p surgescope-serve --test robustness -- \
   stall_after_the_length_prefix_is_dropped \
   idle_connection_outlives_io_timeout \
@@ -219,6 +223,8 @@ run_named_tests -p surgescope-core --lib -- \
   remote::tests::a_refused_reply_leaves_slots_safe_to_rerun
 run_named_tests -p surgescope-store --lib -- \
   codec::tests::nesting_is_bounded_at_max_depth
+run_named_tests -p surgescope-bench --test decode_heap -- \
+  decode_reserves_in_proportion_to_the_payload
 run_named_tests -p surgescope-core --test remote_lockstep -- \
   remote_campaign_matches_local_bytes_clean_and_faulted \
   more_connections_than_chunks_matches_local_bytes \
