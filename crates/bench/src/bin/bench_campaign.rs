@@ -64,9 +64,10 @@ fn run(label: &'static str, faults: FaultPlan) -> Datapoint {
     }
 }
 
-/// Runs the same campaign streamed into an event log, then times the
-/// deterministic replay of that log back into a `CampaignData` — the
-/// store layer's read path, with no simulation in the loop.
+/// Runs the same campaign with an event log, written whole at finish,
+/// then times the deterministic replay of that log back into a
+/// `CampaignData` — the store layer's read path, with no simulation in
+/// the loop.
 struct ReplayPoint {
     logged_wall_secs: f64,
     replay_wall_secs: f64,
@@ -86,9 +87,9 @@ fn run_replay() -> ReplayPoint {
     cfg.store.log_path = Some(log.clone());
     let start = Instant::now();
     let mut runner = CampaignRunner::new(CityModel::san_francisco_downtown(), &cfg)
-        .expect("open bench log");
-    runner.run_to_end().expect("stream bench log");
-    let data = runner.finish().expect("seal bench log");
+        .expect("bench campaign runner");
+    runner.run_to_end().expect("bench campaign");
+    let data = runner.finish().expect("write bench log");
     let logged_wall_secs = start.elapsed().as_secs_f64();
 
     let log_bytes = std::fs::metadata(&log).map_or(0, |m| m.len());

@@ -38,27 +38,27 @@ use surgescope_geo::{LatLng, Meters, Polygon};
 use surgescope_marketplace::{GroundTruth, Marketplace, MarketplaceConfig};
 use surgescope_obs::{Counter, MetricsRegistry, Snapshot, Timer};
 use surgescope_simcore::{FaultPlan, SimRng, SimTime, Transport};
-use surgescope_store::{encode_key, encode_map_header, encode_value, LogWriter, StoreError};
+use surgescope_store::{encode_key, encode_map_header, encode_value, StoreError};
 
 use surgescope_taxi::{TaxiGroundTruth, TaxiTrace};
 
-/// Durable-store hooks for a campaign run. All fields default to off;
-/// the campaign then runs fully in memory, exactly as before the store
-/// existed.
+/// Durable-store hooks for a campaign run. Both default to off; the
+/// campaign then runs fully in memory, exactly as before the store
+/// existed. Every store file is written whole to a `.tmp` sibling and
+/// renamed into place, so a file on disk is always complete.
 #[derive(Debug, Clone, Default)]
 pub struct StoreHooks {
-    /// Stream the campaign into an append-only event log at this path
-    /// (one TICK record per simulated tick, a FINISH record at the end).
-    /// The finished log replays into the same `CampaignData` via
+    /// Write the campaign's event log here when it finishes:
+    /// [`CampaignRunner::finish`] writes it once, one TICK record per
+    /// simulated tick from the in-memory series, then a FINISH record.
+    /// The log replays into the same `CampaignData` via
     /// [`crate::persist::replay_campaign`] without re-simulation.
     pub log_path: Option<PathBuf>,
-    /// Write a full-state checkpoint to this path (atomically, via a
-    /// `.tmp` sibling and rename) every [`StoreHooks::checkpoint_every_ticks`].
+    /// Write full-state checkpoints here: [`CampaignRunner::run_to_end`]
+    /// writes about eight per campaign, at least 720 ticks (an hour)
+    /// apart, and [`CampaignRunner::write_checkpoint`] writes one on
+    /// demand.
     pub checkpoint_path: Option<PathBuf>,
-    /// Checkpoint cadence in ticks; `None` disables periodic checkpoints
-    /// even when a path is set (explicit [`CampaignRunner::write_checkpoint`]
-    /// calls still work).
-    pub checkpoint_every_ticks: Option<u64>,
 }
 
 impl StoreHooks {
@@ -381,9 +381,9 @@ impl SystemBackend {
 ///
 /// [`Campaign::run_uber`] used to be one monolithic loop; the runner
 /// splits it into [`CampaignRunner::tick`] steps so the campaign can be
-/// streamed into a durable log, checkpointed at any tick boundary, and
-/// resumed from a checkpoint — the resumed run continues **bit-identically**
-/// (NaN payloads included) to the uninterrupted one.
+/// checkpointed at any tick boundary and resumed from a checkpoint — the
+/// resumed run continues **bit-identically** (NaN payloads included) to
+/// the uninterrupted one — and written to a durable log when it finishes.
 pub struct CampaignRunner {
     cfg: CampaignConfig,
     city: CityModel,
@@ -423,7 +423,6 @@ pub struct CampaignRunner {
     probe_limited_logged: bool,
     ticks_total: usize,
     ticks_done: usize,
-    log: Option<LogWriter>,
     /// Campaign-scoped metrics registry plus the runner's own handles.
     /// Observational only: never serialized, never part of
     /// [`CampaignData`] (which must stay byte-stable across resume).
@@ -446,29 +445,32 @@ struct RunnerMetrics {
     checkpoint_timer: Timer,
     /// Each tick's client observation loop, `end_tick` and per-area flush.
     observe: Timer,
+    /// Bytes and records of every store file this runner wrote: each
+    /// checkpoint as it is written, the log when `finish` writes it.
+    log_bytes: Counter,
+    log_records: Counter,
 }
 
 impl RunnerMetrics {
     /// Builds the campaign registry: the runner's own instruments plus
-    /// everything the fully-constructed `sys` (and the open log, if any)
-    /// exposes. Call only after restore-time `set_*` calls are done —
-    /// they install fresh counter cells.
-    fn new(sys: &SystemBackend, n_clients: usize, log: Option<&mut LogWriter>) -> Self {
+    /// everything the fully-constructed `sys` exposes. Call only after a
+    /// resume has restored the system's layers — restores install fresh
+    /// counter cells.
+    fn new(sys: &SystemBackend, n_clients: usize) -> Self {
         let registry = MetricsRegistry::new();
         sys.register_metrics(&registry);
         registry.gauge("campaign.clients").set(n_clients as u64);
-        let gaps = registry.counter("campaign.gaps");
-        let probe_nan = registry.counter("campaign.probe_nan");
-        let ticks = registry.counter("campaign.ticks");
-        let checkpoints = registry.counter("store.checkpoints");
-        let checkpoint_timer = registry.timer("store.checkpoint");
-        let observe = registry.timer("phase.observe");
-        let log_bytes = registry.counter("store.log_bytes");
-        let log_records = registry.counter("store.log_records");
-        if let Some(w) = log {
-            w.set_metrics(log_bytes, log_records);
+        RunnerMetrics {
+            gaps: registry.counter("campaign.gaps"),
+            probe_nan: registry.counter("campaign.probe_nan"),
+            ticks: registry.counter("campaign.ticks"),
+            checkpoints: registry.counter("store.checkpoints"),
+            checkpoint_timer: registry.timer("store.checkpoint"),
+            observe: registry.timer("phase.observe"),
+            log_bytes: registry.counter("store.log_bytes"),
+            log_records: registry.counter("store.log_records"),
+            registry,
         }
-        RunnerMetrics { registry, gaps, probe_nan, ticks, checkpoints, checkpoint_timer, observe }
     }
 }
 
@@ -498,7 +500,8 @@ fn geometry(
 
 impl CampaignRunner {
     /// Builds a fresh campaign over `city` (pre-scale; `cfg.scale` is
-    /// applied here). Opens the event log if `cfg.store.log_path` is set.
+    /// applied here). Opens no file: a bad store path surfaces at the
+    /// first checkpoint or at [`CampaignRunner::finish`].
     pub fn new(mut city: CityModel, cfg: &CampaignConfig) -> Result<Self, StoreError> {
         scale_city(&mut city, cfg.scale);
         let cfg = cfg.clone();
@@ -507,7 +510,7 @@ impl CampaignRunner {
         let mp = Marketplace::new(city.clone(), market_cfg, cfg.seed);
         let api = ApiService::new(cfg.era, cfg.seed ^ 0xB0B5);
         let sys = SystemBackend::Local(UberSystem::new(mp, api).with_faults(cfg.faults, cfg.seed));
-        Self::fresh(city, cfg, sys)
+        Ok(Self::fresh(city, cfg, sys))
     }
 
     /// Builds a campaign measured **over the wire**: the marketplace runs
@@ -559,12 +562,13 @@ impl CampaignRunner {
         let remote =
             RemoteMeasuredSystem::connect_with(addr, &spec, cfg.faults, connections, options)
                 .map_err(StoreError::Io)?;
-        Self::fresh(city, cfg, SystemBackend::Remote(remote))
+        Ok(Self::fresh(city, cfg, SystemBackend::Remote(remote)))
     }
 
-    /// Shared tail of the constructors: lattice + geometry, estimators,
-    /// log, metrics, zeroed accumulators. `city` is post-scale.
-    fn fresh(city: CityModel, cfg: CampaignConfig, sys: SystemBackend) -> Result<Self, StoreError> {
+    /// Shared tail of the constructors and of [`CampaignRunner::resume`]:
+    /// lattice + geometry, estimators, metrics, zeroed accumulators.
+    /// `city` is post-scale.
+    fn fresh(city: CityModel, cfg: CampaignConfig, sys: SystemBackend) -> Self {
         let (clients, client_area, area_polys, adjacency, centroids) =
             geometry(&city, &cfg);
         let n_areas = city.area_count();
@@ -575,12 +579,8 @@ impl CampaignRunner {
 
         let n = clients.len();
         let ticks_total = (cfg.hours * 3600 / 5) as usize;
-        let mut log = match &cfg.store.log_path {
-            Some(p) => Some(LogWriter::create(p, cfg.config_hash())?),
-            None => None,
-        };
-        let metrics = RunnerMetrics::new(&sys, n, log.as_mut());
-        Ok(CampaignRunner {
+        let metrics = RunnerMetrics::new(&sys, n);
+        CampaignRunner {
             city,
             clients,
             client_area,
@@ -611,10 +611,9 @@ impl CampaignRunner {
             probe_limited_logged: false,
             ticks_total,
             ticks_done: 0,
-            log,
             cfg,
             metrics,
-        })
+        }
     }
 
     /// A point-in-time reading of every instrument in the campaign's
@@ -643,20 +642,14 @@ impl CampaignRunner {
         self.ticks_done
     }
 
-    /// The configuration in force (store hooks included).
-    pub fn config(&self) -> &CampaignConfig {
-        &self.cfg
-    }
-
     /// Delayed responses currently in flight (diagnostic; non-zero at a
     /// checkpoint boundary exercises the transport-restore path).
     pub fn in_flight(&self) -> usize {
         self.sys.in_flight()
     }
 
-    /// Runs one 5-second tick: advance the world, ping every client,
-    /// stream the observations into the estimators, and append this
-    /// tick's record to the event log (if one is open).
+    /// Runs one 5-second tick: advance the world, ping every client, and
+    /// stream the observations into the estimators.
     ///
     /// On a remote backend the pings and the probes, the phases that
     /// talk to the server, are each followed by a circuit-breaker check:
@@ -804,34 +797,24 @@ impl CampaignRunner {
             }
         }
 
-        if self.log.is_some() {
-            let t = self.ticks_done;
-            let surge_row: Vec<f32> = self.client_surge.iter().map(|s| s[t]).collect();
-            let ewt_row: Vec<f32> = self.client_ewt.iter().map(|s| s[t]).collect();
-            let rec = persist::tick_record(&surge_row, &ewt_row);
-            self.log.as_mut().unwrap().append(persist::REC_TICK, &rec)?;
-        }
         self.ticks_done += 1;
         self.metrics.ticks.incr();
         Ok(())
     }
 
-    /// Runs every remaining tick, writing periodic checkpoints when the
-    /// store hooks ask for them. A checkpoint is never written after the
-    /// final tick — at that point [`CampaignRunner::finish`] is the only
-    /// sensible continuation.
+    /// Runs every remaining tick. When the store hooks name a checkpoint
+    /// path it checkpoints about eight times per campaign, at least 720
+    /// ticks (an hour) apart, but never after the final tick — at that
+    /// point [`CampaignRunner::finish`] is the only sensible continuation.
     pub fn run_to_end(&mut self) -> Result<(), StoreError> {
-        let cadence = match (&self.cfg.store.checkpoint_path, self.cfg.store.checkpoint_every_ticks)
-        {
-            (Some(_), Some(k)) if k > 0 => Some(k as usize),
-            _ => None,
-        };
+        let every = (self.ticks_total / 8).max(720);
         while self.ticks_done < self.ticks_total {
             self.tick()?;
-            if let Some(k) = cadence {
-                if self.ticks_done % k == 0 && self.ticks_done < self.ticks_total {
-                    self.write_checkpoint()?;
-                }
+            if self.cfg.store.checkpoint_path.is_some()
+                && self.ticks_done.is_multiple_of(every)
+                && self.ticks_done < self.ticks_total
+            {
+                self.write_checkpoint()?;
             }
         }
         Ok(())
@@ -914,45 +897,26 @@ impl CampaignRunner {
             encode_key(key, &mut out);
             encode_value(v, &mut out);
         }
-        surgescope_store::write_checkpoint(path, self.cfg.config_hash(), &out)
+        let bytes = surgescope_store::write_checkpoint(path, self.cfg.config_hash(), &out)?;
+        self.metrics.log_bytes.add(bytes);
+        self.metrics.log_records.incr();
+        Ok(())
     }
 
     /// Rebuilds a runner from the state [`CampaignRunner::write_checkpoint`]
     /// wrote (as [`surgescope_store::read_checkpoint`] decodes it).
-    /// `hooks` is a runtime knob supplied afresh. When `hooks.log_path` is
-    /// set, the log's tick prefix is rewritten from the checkpointed
-    /// series, so the finished log replays the *whole* campaign even
-    /// though this process only ran its tail.
+    /// `hooks` is a runtime knob supplied afresh; the log, written whole
+    /// by [`CampaignRunner::finish`], covers every tick of the campaign
+    /// although this process only runs its tail.
+    ///
+    /// Restores the system, builds the rest as [`CampaignRunner::new`]
+    /// does, then overwrites every accumulator from the checkpoint,
+    /// refusing a field whose row count does not match the lattice or
+    /// the city: resumed, it would panic ticks later.
     pub fn resume(v: &Value, hooks: StoreHooks) -> Result<Self, StoreError> {
         let mut cfg = CampaignConfig::from_value(v.field("config")?)?;
         cfg.store = hooks;
         let city = CityModel::from_value(v.field("city")?)?;
-        let (clients, client_area, area_polys, adjacency, centroids) =
-            geometry(&city, &cfg);
-        let n = clients.len();
-        let n_areas = city.area_count();
-        let ticks_total = (cfg.hours * 3600 / 5) as usize;
-        let ticks_done = u64::from_value(v.field("ticks_done")?)? as usize;
-        if ticks_done > ticks_total {
-            return Err(StoreError::Schema(format!(
-                "checkpoint at tick {ticks_done} beyond campaign horizon {ticks_total}"
-            )));
-        }
-        // A missing row would resume and then panic ticks later.
-        let per_client = ["client_surge", "client_ewt", "daily_sets", "client_daily_cars",
-            "interval_sets", "interval_car_sum", "interval_car_n", "interval_seen", "ewt_sum",
-            "ewt_n", "client_delivered"];
-        let per_area = ["api_surge", "api_ewt", "avg_visible", "inst_sum", "probe_pending"];
-        for (keys, want) in [(&per_client[..], n), (&per_area[..], n_areas)] {
-            for &key in keys {
-                match v.field(key)? {
-                    Value::Null if key == "probe_pending" => {}
-                    Value::Seq(rows) if rows.len() == want => {}
-                    _ => return Err(StoreError::Schema(format!("{key}: want {want} rows"))),
-                }
-            }
-        }
-
         let market_cfg =
             MarketplaceConfig { surge_policy: cfg.surge_policy, ..Default::default() };
         // The checkpointed city is already scaled; restore_state rebuilds
@@ -963,86 +927,53 @@ impl CampaignRunner {
         let mut sys = UberSystem::new(mp, api).with_faults(cfg.faults, cfg.seed);
         sys.delivery.rng = SimRng::from_value(v.field("fault_rng")?)?;
         sys.delivery.transport = Transport::from_value(v.field("transport")?)?;
-        let sys = SystemBackend::Local(sys);
+        // `fresh` registers the metrics after the restores above, which
+        // installed fresh counter cells.
+        let mut r = Self::fresh(city, cfg, SystemBackend::Local(sys));
 
-        let estimator = SupplyDemandEstimator::from_value(v.field("estimator")?)?;
-        if *v.field("estimator")?.field("areas")? != area_polys.to_value() {
+        r.ticks_done = u64::from_value(v.field("ticks_done")?)? as usize;
+        if r.ticks_done > r.ticks_total {
+            return Err(StoreError::Schema(format!(
+                "checkpoint at tick {} beyond campaign horizon {}",
+                r.ticks_done, r.ticks_total
+            )));
+        }
+        let areas: Vec<Value> = r.city.areas.iter().map(|a| a.polygon.to_value()).collect();
+        if *v.field("estimator")?.field("areas")? != Value::Seq(areas) {
             return Err(StoreError::Schema("estimator areas differ from the city's".into()));
         }
-        let transitions = TransitionTracker::restore_state(adjacency, v.field("transitions")?)?;
+        r.estimator = SupplyDemandEstimator::from_value(v.field("estimator")?)?;
+        let adjacency = persist::area_adjacency(&r.city);
+        r.transitions = TransitionTracker::restore_state(adjacency, v.field("transitions")?)?;
 
-        let from_sets = |v: &Value| -> Result<Vec<FastHashSet<u64>>, serde::Error> {
-            Ok(Vec::<Vec<u64>>::from_value(v)?
-                .into_iter()
-                .map(|ids| ids.into_iter().collect())
-                .collect())
+        let (n, a) = (r.clients.len(), r.n_areas);
+        let bits = persist::bits_to_f32s;
+        let sets = |v: &Value| Ok(Vec::<u64>::from_value(v)?.into_iter().collect());
+        r.client_surge = rows(v, "client_surge", n, bits)?;
+        r.client_ewt = rows(v, "client_ewt", n, bits)?;
+        r.api_surge = rows(v, "api_surge", a, bits)?;
+        r.api_ewt = rows(v, "api_ewt", a, bits)?;
+        r.avg_visible = rows(v, "avg_visible", a, bits)?;
+        r.daily_sets = rows(v, "daily_sets", n, sets)?;
+        r.client_daily_cars = rows(v, "client_daily_cars", n, Vec::<u32>::from_value)?;
+        r.interval_sets = rows(v, "interval_sets", n, sets)?;
+        r.interval_car_sum = rows(v, "interval_car_sum", n, f64::from_value)?;
+        r.interval_car_n = rows(v, "interval_car_n", n, u64::from_value)?;
+        r.interval_seen = rows(v, "interval_seen", n, bool::from_value)?;
+        r.inst_sum = rows(v, "inst_sum", a, f64::from_value)?;
+        r.inst_ticks = u64::from_value(v.field("inst_ticks")?)?;
+        r.ewt_sum = rows(v, "ewt_sum", n, f64::from_value)?;
+        r.ewt_n = rows(v, "ewt_n", n, u64::from_value)?;
+        r.client_delivered = rows(v, "client_delivered", n, u64::from_value)?;
+        r.probe_pending = match v.field("probe_pending")? {
+            Value::Null => None,
+            _ => Some(rows(v, "probe_pending", a, |x| Ok(f32::from_bits(u32::from_value(x)?)))?),
         };
-        let client_surge = persist::bits_to_f32_rows(v.field("client_surge")?)?;
-        let client_ewt = persist::bits_to_f32_rows(v.field("client_ewt")?)?;
-        if client_surge.iter().chain(&client_ewt).any(|s| s.len() != ticks_done) {
-            return Err(StoreError::Schema(
-                "checkpointed series length != ticks_done".into(),
-            ));
+        r.probe_limited_logged = bool::from_value(v.field("probe_limited_logged")?)?;
+        if r.client_surge.iter().chain(&r.client_ewt).any(|s| s.len() != r.ticks_done) {
+            return Err(StoreError::Schema("checkpointed series length != ticks_done".into()));
         }
-
-        let mut log = match &cfg.store.log_path {
-            Some(p) => {
-                // Rewrite the prefix the interrupted process had streamed:
-                // the checkpointed series *is* those TICK records.
-                let mut w = LogWriter::create(p, cfg.config_hash())?;
-                for t in 0..ticks_done {
-                    let surge_row: Vec<f32> =
-                        client_surge.iter().map(|s| s[t]).collect();
-                    let ewt_row: Vec<f32> = client_ewt.iter().map(|s| s[t]).collect();
-                    w.append(persist::REC_TICK, &persist::tick_record(&surge_row, &ewt_row))?;
-                }
-                Some(w)
-            }
-            None => None,
-        };
-        // Registered last: the restore calls above installed fresh counter
-        // cells in the system's layers. `store.log_bytes` credits the
-        // rewritten prefix — it reports this process's writes.
-        let metrics = RunnerMetrics::new(&sys, n, log.as_mut());
-
-        Ok(CampaignRunner {
-            city,
-            clients,
-            client_area,
-            centroids,
-            n_areas,
-            sys,
-            estimator,
-            transitions,
-            client_surge,
-            client_ewt,
-            api_surge: persist::bits_to_f32_rows(v.field("api_surge")?)?,
-            api_ewt: persist::bits_to_f32_rows(v.field("api_ewt")?)?,
-            avg_visible: persist::bits_to_f32_rows(v.field("avg_visible")?)?,
-            daily_sets: from_sets(v.field("daily_sets")?)?,
-            client_daily_cars: Vec::<Vec<u32>>::from_value(v.field("client_daily_cars")?)?,
-            interval_sets: from_sets(v.field("interval_sets")?)?,
-            interval_car_sum: Vec::<f64>::from_value(v.field("interval_car_sum")?)?,
-            interval_car_n: Vec::<u64>::from_value(v.field("interval_car_n")?)?,
-            interval_seen: Vec::<bool>::from_value(v.field("interval_seen")?)?,
-            tick_area_sets: vec![FastHashSet::default(); n_areas],
-            obs: Vec::new(),
-            inst_sum: Vec::<f64>::from_value(v.field("inst_sum")?)?,
-            inst_ticks: u64::from_value(v.field("inst_ticks")?)?,
-            ewt_sum: Vec::<f64>::from_value(v.field("ewt_sum")?)?,
-            ewt_n: Vec::<u64>::from_value(v.field("ewt_n")?)?,
-            client_delivered: Vec::<u64>::from_value(v.field("client_delivered")?)?,
-            probe_pending: match v.field("probe_pending")? {
-                Value::Null => None,
-                bits => Some(persist::bits_to_f32s(bits)?),
-            },
-            probe_limited_logged: bool::from_value(v.field("probe_limited_logged")?)?,
-            ticks_total,
-            ticks_done,
-            log,
-            cfg,
-            metrics,
-        })
+        Ok(r)
     }
 
     /// Loads a checkpoint file and resumes from it. The file's recorded
@@ -1060,10 +991,10 @@ impl CampaignRunner {
     }
 
     /// Finalizes the campaign: finishes the estimator, flushes the last
-    /// partial day, computes the summary series, appends the FINISH
-    /// record and seals the log. Panics if ticks remain (finishing early
-    /// would silently truncate every series — call
-    /// [`CampaignRunner::run_to_end`] first).
+    /// partial day, computes the summary series and, when the hooks name
+    /// a log path, writes the whole log (see [`persist::write_log`]).
+    /// Panics if ticks remain (finishing early would silently truncate
+    /// every series — call [`CampaignRunner::run_to_end`] first).
     pub fn finish(mut self) -> Result<CampaignData, StoreError> {
         assert_eq!(
             self.ticks_done, self.ticks_total,
@@ -1115,11 +1046,28 @@ impl CampaignRunner {
             intervals,
             truth,
         };
-        if let Some(mut log) = self.log {
-            log.append(persist::REC_FINISH, &persist::finish_value(&data))?;
-            log.finish()?;
+        if let Some(path) = &self.cfg.store.log_path {
+            let (bytes, records) = persist::write_log(path, self.cfg.config_hash(), &data)?;
+            self.metrics.log_bytes.add(bytes);
+            self.metrics.log_records.add(records);
         }
         Ok(data)
+    }
+}
+
+/// Decodes checkpoint field `key` as exactly `want` rows, each through
+/// `row`.
+fn rows<T>(
+    v: &Value,
+    key: &str,
+    want: usize,
+    row: impl Fn(&Value) -> Result<T, serde::Error>,
+) -> Result<Vec<T>, StoreError> {
+    match v.field(key)? {
+        Value::Seq(items) if items.len() == want => {
+            Ok(items.iter().map(row).collect::<Result<_, _>>()?)
+        }
+        _ => Err(StoreError::Schema(format!("{key}: want {want} rows"))),
     }
 }
 
@@ -1139,10 +1087,9 @@ impl Campaign {
     /// are enabled; callers that need to handle those use
     /// [`CampaignRunner`] directly.
     pub fn run_uber(city: CityModel, cfg: &CampaignConfig) -> CampaignData {
-        let mut runner =
-            CampaignRunner::new(city, cfg).expect("campaign store: open log");
-        runner.run_to_end().expect("campaign store: stream log/checkpoints");
-        runner.finish().expect("campaign store: seal log")
+        let mut runner = CampaignRunner::new(city, cfg).expect("campaign runner");
+        runner.run_to_end().expect("campaign store: write checkpoints");
+        runner.finish().expect("campaign store: write log")
     }
 
     /// Runs the §3.5 validation campaign against a taxi replay. Returns

@@ -1,15 +1,17 @@
 //! Campaign persistence: the on-disk schema shared by the durable event
 //! log, checkpoints and deterministic replay.
 //!
-//! A campaign log (see [`surgescope_store::LogWriter`]) is a header
-//! followed by one [`REC_TICK`] record per simulated tick and a single
-//! trailing [`REC_FINISH`] record:
+//! A campaign log is a header followed by one [`REC_TICK`] record per
+//! simulated tick and a single trailing [`REC_FINISH`] record:
 //!
 //! * **TICK** carries the per-client displayed UberX surge and EWT for
 //!   that tick, as raw `f32` bit patterns — `NaN` gaps survive byte-exact.
 //! * **FINISH** carries every other [`CampaignData`] field (estimator,
 //!   transition tallies, API probe series, ground truth, …).
 //!
+//! [`write_log`] writes the whole log once, from a finished campaign,
+//! through [`surgescope_store::write_atomic`], so a log on disk is always
+//! complete: an interrupted campaign leaves its checkpoint, never a log.
 //! [`replay_campaign`] folds the TICK records back into the per-client
 //! series and merges the FINISH record, reconstructing the `CampaignData`
 //! **without re-running the simulation**. Because every collection is
@@ -26,7 +28,10 @@ use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 use surgescope_city::CityModel;
 use surgescope_marketplace::GroundTruth;
-use surgescope_store::{encode_seq_header, encode_to_vec, encode_u64, LogReader, StoreError};
+use surgescope_store::{
+    encode_key, encode_map_header, encode_seq_header, encode_to_vec, encode_u64, write_atomic,
+    LogReader, StoreError,
+};
 
 /// Record kind: one simulated tick's per-client surge/EWT row.
 pub const REC_TICK: u8 = 0x10;
@@ -73,14 +78,6 @@ pub(crate) fn area_adjacency(city: &CityModel) -> Vec<Vec<usize>> {
     city.adjacency.iter().map(|v| v.iter().map(|a| a.0).collect()).collect()
 }
 
-/// Builds one TICK record from this tick's per-client rows.
-pub(crate) fn tick_record(surge_row: &[f32], ewt_row: &[f32]) -> Value {
-    Value::Map(vec![
-        ("s".into(), f32s_to_bits(surge_row)),
-        ("e".into(), f32s_to_bits(ewt_row)),
-    ])
-}
-
 /// Parses a TICK record back into `(surge_row, ewt_row)`.
 pub(crate) fn parse_tick(v: &Value) -> Result<(Vec<f32>, Vec<f32>), serde::Error> {
     Ok((bits_to_f32s(v.field("s")?)?, bits_to_f32s(v.field("e")?)?))
@@ -107,6 +104,34 @@ pub(crate) fn finish_value(data: &CampaignData) -> Value {
         ("intervals".into(), (data.intervals as u64).to_value()),
         ("truth".into(), data.truth.to_value()),
     ])
+}
+
+/// Writes `data`'s whole log at `path` (see the module docs), atomically.
+/// Each TICK payload is encoded straight from the per-client series,
+/// byte-identical to the `{"s": [bits..], "e": [bits..]}` tree
+/// [`parse_tick`] reads. Returns the file's size in bytes and its record
+/// count.
+pub(crate) fn write_log(
+    path: &Path,
+    config_hash: u64,
+    data: &CampaignData,
+) -> Result<(u64, u64), StoreError> {
+    write_atomic(path, config_hash, |w| {
+        let mut rec = Vec::new();
+        for t in 0..data.ticks {
+            rec.clear();
+            encode_map_header(2, &mut rec);
+            for (key, series) in [("s", &data.client_surge), ("e", &data.client_ewt)] {
+                encode_key(key, &mut rec);
+                encode_seq_header(series.len(), &mut rec);
+                for s in series {
+                    encode_u64(u64::from(s[t].to_bits()), &mut rec);
+                }
+            }
+            w.append_raw(REC_TICK, &rec)?;
+        }
+        w.append(REC_FINISH, &finish_value(data))
+    })
 }
 
 /// Full canonical serialization of a [`CampaignData`] (finish fields plus

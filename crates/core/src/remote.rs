@@ -327,22 +327,12 @@ pub struct RemoteMeasuredSystem {
 
 impl RemoteMeasuredSystem {
     /// Connects `connections` sockets to `addr` and opens a campaign
-    /// world there, with default transport options.
-    pub fn connect(
-        addr: &str,
-        spec: &RemoteWorldSpec<'_>,
-        faults: FaultPlan,
-        connections: usize,
-    ) -> io::Result<Self> {
-        Self::connect_with(addr, spec, faults, connections, RemoteOptions::default())
-    }
-
-    /// [`RemoteMeasuredSystem::connect`] with explicit retry policy and
-    /// optional chaos injection. The initial handshakes (HELLO on every
-    /// connection, OPEN on the first) run clean — chaos arms once every
-    /// connection is up — and an initial connect failure surfaces
-    /// immediately (the caller's local fallback is cheaper than a
-    /// campaign that never existed).
+    /// world there, with the given retry policy and optional chaos
+    /// injection (see [`RemoteOptions`]). The initial handshakes (HELLO
+    /// on every connection, OPEN on the first) run clean — chaos arms
+    /// once every connection is up — and an initial connect failure
+    /// surfaces immediately (the caller's local fallback is cheaper than
+    /// a campaign that never existed).
     pub fn connect_with(
         addr: &str,
         spec: &RemoteWorldSpec<'_>,

@@ -7,9 +7,9 @@
 //! for the simulated marketplace ([`UberSystem`]) and the taxi replay
 //! ([`TaxiSystem`]); `core::remote` implements it over sockets. Both Uber
 //! systems deliver a tick's pings through one [`Delivery`] (fault draws,
-//! the late queue and the retired-block pool) and write each response
-//! into its client's slot through one block writer in `core::observe`,
-//! reusing the slot's blocks tick over tick.
+//! the late queue and the pools of retired blocks and payload vectors)
+//! and write each response into its client's slot through one block
+//! writer in `core::observe`, reusing the slot's blocks tick over tick.
 
 use crate::observe::{retire_blocks, write_block, ClientSpec, ObservedCar, TypeObservation};
 use std::sync::Arc;
@@ -38,8 +38,9 @@ pub struct SystemMetrics {
 }
 
 /// The client side of the transport, written once for both Uber systems
-/// (each holds one): the fault plan, its RNG, the late queue and the pool
-/// of retired blocks. A tick's pings go through it in three steps:
+/// (each holds one): the fault plan, its RNG, the late queue and the pools
+/// of retired blocks and emptied payload vectors. A tick's pings go
+/// through it in three steps:
 ///
 /// 1. [`Delivery::draw`] draws every client's outcome in client order
 ///    (a plan that never perturbs draws nothing), counts them, sizes the
@@ -54,6 +55,12 @@ pub struct SystemMetrics {
 /// the fresh one of its delivery tick: the §5.2 staleness channel. A
 /// dropped ping is never answered, and yields no block for its client
 /// that tick, ever.
+///
+/// Every vector is reused: a delayed slot's blocks leave in the slot's
+/// own vector and the slot takes an emptied one from the payload pool,
+/// and each due payload returns to that pool once its blocks have joined
+/// their slot. So the faulted ping path, like the clean one, allocates
+/// nothing in steady state.
 pub(crate) struct Delivery {
     plan: FaultPlan,
     /// Draws every outcome; checkpointed.
@@ -72,6 +79,9 @@ pub(crate) struct Delivery {
     /// live at once, and the ping path stays allocation-free in steady
     /// state.
     spare: Vec<TypeObservation>,
+    /// Emptied payload vectors, capacity intact. The pool holds at most
+    /// the most payloads ever in flight at once.
+    payloads: Vec<Vec<TypeObservation>>,
     /// Fault-outcome counters and the ping timer.
     pub(crate) metrics: SystemMetrics,
 }
@@ -87,6 +97,7 @@ impl Delivery {
             outcomes: Vec::new(),
             transport: Transport::new(),
             spare: Vec::new(),
+            payloads: Vec::new(),
             metrics: SystemMetrics::default(),
         }
     }
@@ -138,13 +149,16 @@ impl Delivery {
         for (client, (oc, slot)) in self.outcomes.iter().zip(out.iter_mut()).enumerate() {
             if let FaultOutcome::Delay(d) = *oc {
                 let late = ticks_late(d, tick_secs);
-                self.transport.send_delayed(client, late, std::mem::take(slot));
+                let emptied = self.payloads.pop().unwrap_or_default();
+                self.transport.send_delayed(client, late, std::mem::replace(slot, emptied));
             }
         }
-        for env in self.transport.take_due() {
+        for mut env in self.transport.take_due() {
             if let Some(slot) = out.get_mut(env.client) {
-                slot.extend(env.payload);
+                slot.append(&mut env.payload);
             }
+            env.payload.clear();
+            self.payloads.push(env.payload);
         }
     }
 }

@@ -155,6 +155,63 @@ fn checkpoint_file_matches_pinned_bytes() {
     );
 }
 
+/// The log format is pinned too: the log of a 1-hour campaign, with a
+/// checkpoint path set, must keep the FNV-1a digest the per-tick
+/// streaming writer gave it, clean and faulted, and a faulted run resumed
+/// from a tick-300 checkpoint must write the same log as the
+/// uninterrupted one.
+#[test]
+fn log_file_matches_pinned_bytes() {
+    let faulted = FaultPlan { drop_chance: 0.05, delay_chance: 0.25, max_delay_secs: 30 };
+    for (faults, resume_at, pinned, len) in [
+        (FaultPlan::none(), None, 0xec90_5246_f503_216b, 416_511),
+        (faulted, None, 0xd125_416b_e924_3014, 416_517),
+        (faulted, Some(300), 0xd125_416b_e924_3014, 416_517),
+    ] {
+        let log = temp_path("pinned.sslog");
+        let ckpt = temp_path("pinned-log.ckpt");
+        let mut cfg = CampaignConfig { hours: 1, faults, ..CampaignConfig::test_default(5) };
+        cfg.store.log_path = Some(log.clone());
+        cfg.store.checkpoint_path = Some(ckpt.clone());
+        let mut runner = CampaignRunner::new(CityModel::manhattan_midtown(), &cfg).unwrap();
+        if let Some(t) = resume_at {
+            for _ in 0..t {
+                runner.tick().unwrap();
+            }
+            runner.write_checkpoint().unwrap();
+            drop(runner);
+            runner = CampaignRunner::resume_from_file(&ckpt, cfg.store.clone()).unwrap();
+        }
+        runner.run_to_end().unwrap();
+        runner.finish().unwrap();
+        let bytes = std::fs::read(&log).unwrap();
+        let _ = std::fs::remove_file(&log);
+        let _ = std::fs::remove_file(&ckpt);
+        assert_eq!(
+            (fnv1a64(&bytes), bytes.len()),
+            (pinned, len),
+            "log of {faults:?} resumed at {resume_at:?} diverged from the pinned format"
+        );
+    }
+}
+
+/// A log on disk is always whole: a campaign that never reaches
+/// `finish` leaves no log behind, not even a partial one.
+#[test]
+fn an_unfinished_campaign_leaves_no_log() {
+    let log = temp_path("unfinished.sslog");
+    let mut cfg = base_cfg(FaultPlan::none(), 1);
+    cfg.store.log_path = Some(log.clone());
+    let mut runner = CampaignRunner::new(CityModel::manhattan_midtown(), &cfg).unwrap();
+    for _ in 0..300 {
+        runner.tick().unwrap();
+    }
+    drop(runner);
+    let exists = log.exists();
+    let _ = std::fs::remove_file(&log);
+    assert!(!exists, "an unfinished campaign left a log at {}", log.display());
+}
+
 fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
     match v {
         Value::Map(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,

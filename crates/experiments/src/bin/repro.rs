@@ -7,20 +7,22 @@
 //!                                          first, then run experiments
 //!   repro list                           list experiment ids
 //!
-//! `--resume` loads a campaign checkpoint written by the store layer
-//! (see `results/campaign-cache/*.ckpt`), runs the remaining ticks —
-//! continuing bit-identically to the uninterrupted run — streams the
-//! completed event log into the disk cache, and seeds the in-process
-//! cache so the listed experiments reuse the finished campaign.
+//! `--resume` takes a campaign checkpoint written by the store layer
+//! (see `results/campaign-cache/*.ckpt`), moves it to the disk cache's
+//! checkpoint path for its campaign and asks the cache for the campaign,
+//! which resumes it as it resumes any interrupted run — continuing
+//! bit-identically to the uninterrupted run, locally even under
+//! `--remote` — so the listed experiments reuse the finished campaign.
 //!
 //! `--serve ADDR` hosts the simulated marketplace over TCP as lockstep
 //! campaign worlds (which `serve_load` also drives); `--remote ADDR`
 //! points the experiments' campaigns at such a server —
 //! the measured bytes are identical to the in-process run.
 
-use std::path::PathBuf;
-use surgescope_core::{CampaignConfig, CampaignRunner, StoreHooks};
-use surgescope_experiments::{cache, cache::CampaignCache, run_experiment, RunCtx, ALL_IDS};
+use std::path::{Path, PathBuf};
+use surgescope_core::CampaignConfig;
+use surgescope_experiments::cache::{self, CampaignCache, City};
+use surgescope_experiments::{run_experiment, RunCtx, ALL_IDS};
 
 fn usage() -> ! {
     eprintln!(
@@ -52,55 +54,34 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Finishes the campaign checkpointed at `ckpt` and seeds `cache` with it.
-fn resume_campaign(ckpt: &PathBuf, ctx: &RunCtx, campaigns: &CampaignCache) {
+/// Moves the checkpoint at `ckpt` to the disk cache's checkpoint path for
+/// its campaign (copies it across filesystems) and asks `campaigns` for
+/// the campaign, which resumes it there. The resume stays local: remote
+/// campaigns cannot be checkpointed.
+fn resume_campaign(ckpt: &Path, ctx: &RunCtx, campaigns: &CampaignCache) {
     use serde::Deserialize;
-    let (_, state) = surgescope_store::read_checkpoint(ckpt).unwrap_or_else(|e| {
-        eprintln!("--resume: cannot read {}: {e}", ckpt.display());
-        std::process::exit(1);
-    });
-    fn die(ckpt: &PathBuf, e: &dyn std::fmt::Display) -> ! {
+    let die = |e: &dyn std::fmt::Display| -> ! {
         eprintln!("--resume: bad checkpoint {}: {e}", ckpt.display());
         std::process::exit(1);
-    }
-    let cfg = state
-        .field("config")
-        .and_then(CampaignConfig::from_value)
-        .unwrap_or_else(|e| die(ckpt, &e));
-    let city_name = state
-        .field("city")
-        .and_then(|c| c.field("name"))
-        .and_then(String::from_value)
-        .unwrap_or_else(|e| die(ckpt, &e));
-    // Stream the finished log into the disk cache so later processes
-    // replay it instead of re-simulating.
-    let hooks = match cache::cache_dir(ctx) {
-        Some(dir) if std::fs::create_dir_all(&dir).is_ok() => {
-            cache::store_hooks(&dir, cache::cache_key(&city_name, &cfg), cfg.hours)
-        }
-        _ => StoreHooks::none(),
     };
-    let mut runner = CampaignRunner::resume(&state, hooks).unwrap_or_else(|e| die(ckpt, &e));
-    eprintln!(
-        "[resume] {} campaign at tick {}/{} — running the remaining {}…",
-        city_name,
-        runner.ticks_done(),
-        runner.ticks_total(),
-        runner.ticks_total() - runner.ticks_done()
-    );
-    let cfg = runner.config().clone();
-    let data = runner
-        .run_to_end()
-        .and_then(|()| runner.finish())
-        .unwrap_or_else(|e| die(ckpt, &e));
-    if let Some(cp) = &cfg.store.checkpoint_path {
-        let _ = std::fs::remove_file(cp);
+    let (_, state) = surgescope_store::read_checkpoint(ckpt).unwrap_or_else(|e| die(&e));
+    let cfg = state.field("config").and_then(CampaignConfig::from_value);
+    let cfg = cfg.unwrap_or_else(|e| die(&e));
+    let name = state.field("city").and_then(|c| c.field("name")).and_then(String::from_value);
+    let name = name.unwrap_or_else(|e| die(&e));
+    let city = City::BOTH.into_iter().find(|c| c.model().name == name);
+    let city = city.unwrap_or_else(|| die(&format!("unknown city {name}")));
+    let dir = cache::cache_dir(ctx).expect("repro always has an output directory");
+    let dest = cache::checkpoint_path(&dir, cache::cache_key(&name, &cfg));
+    let moved = std::fs::create_dir_all(&dir).and_then(|()| {
+        std::fs::rename(ckpt, &dest).or_else(|_| std::fs::copy(ckpt, &dest).map(drop))
+    });
+    if let Err(e) = moved {
+        eprintln!("--resume: cannot move {} to {}: {e}", ckpt.display(), dest.display());
+        std::process::exit(1);
     }
-    if ckpt.exists() && Some(ckpt) != cfg.store.checkpoint_path.as_ref() {
-        let _ = std::fs::remove_file(ckpt);
-    }
-    eprintln!("[resume] campaign finished ({} ticks); cache seeded", data.ticks);
-    campaigns.insert(&cfg, data);
+    let local = RunCtx { remote: None, ..ctx.clone() };
+    campaigns.campaign_custom(city, cfg, &local);
 }
 
 /// `--serve ADDR`: host lockstep remote campaigns over the wire until the

@@ -9,11 +9,14 @@
 //!   own entry. The old key was `(city, era)` only, which silently served
 //!   stale data to callers that varied anything else.
 //! * **On disk** — when the run context has an output directory, each
-//!   campaign is streamed into a durable event log under
-//!   `results/campaign-cache/` (override with `SURGESCOPE_CACHE_DIR`).
-//!   A later process replays the log into the identical `CampaignData`
-//!   without re-simulation, and an interrupted campaign resumes from its
-//!   periodic checkpoint instead of starting over.
+//!   campaign checkpoints about eight times on the way and writes its
+//!   event log once, when it finishes, under `results/campaign-cache/`
+//!   (override with `SURGESCOPE_CACHE_DIR`). A later process replays the
+//!   log into the identical `CampaignData` without re-simulation, and an
+//!   interrupted campaign, which leaves a checkpoint but never a log,
+//!   resumes from its checkpoint instead of starting over. `repro
+//!   --resume` goes through the same path: it moves its checkpoint to
+//!   [`checkpoint_path`] and asks the cache for the campaign.
 
 use crate::RunCtx;
 use std::collections::{BTreeMap, HashMap};
@@ -28,6 +31,7 @@ use surgescope_core::persist::replay_campaign;
 use surgescope_core::{
     Campaign, CampaignConfig, CampaignData, CampaignRunner, RemoteOptions, StoreHooks,
 };
+use surgescope_store::StoreError;
 use surgescope_taxi::{TaxiGroundTruth, TaxiTrace, TraceGenerator};
 
 /// Which study city.
@@ -154,6 +158,14 @@ pub fn cache_dir(ctx: &RunCtx) -> Option<PathBuf> {
     ctx.out_dir.as_ref().map(|d| d.join("campaign-cache"))
 }
 
+/// Runs `runner` to its end and finishes it, returning the campaign and
+/// its metrics snapshot, read at the last tick boundary.
+fn run_to_finish(mut runner: CampaignRunner) -> Result<(CampaignData, Snapshot), StoreError> {
+    runner.run_to_end()?;
+    let snap = runner.metrics_snapshot();
+    Ok((runner.finish()?, snap))
+}
+
 /// Event-log path for a cache key inside `dir`.
 pub fn log_path(dir: &std::path::Path, key: u64) -> PathBuf {
     dir.join(format!("campaign-{key:016x}.sslog"))
@@ -164,14 +176,11 @@ pub fn checkpoint_path(dir: &std::path::Path, key: u64) -> PathBuf {
     dir.join(format!("campaign-{key:016x}.ckpt"))
 }
 
-/// Store hooks of a cached campaign of `hours` simulated hours: its log
-/// and checkpoint in `dir`, checkpointed ~8 times per campaign and at
-/// least hourly.
-pub fn store_hooks(dir: &std::path::Path, key: u64, hours: u64) -> StoreHooks {
+/// Store hooks of a cached campaign: its log and checkpoint in `dir`.
+pub fn store_hooks(dir: &std::path::Path, key: u64) -> StoreHooks {
     StoreHooks {
         log_path: Some(log_path(dir, key)),
         checkpoint_path: Some(checkpoint_path(dir, key)),
-        checkpoint_every_ticks: Some(((hours * 720) / 8).max(720)),
     }
 }
 
@@ -229,9 +238,7 @@ impl CampaignCache {
         s
     }
 
-    /// The standard campaign configuration for (city, era) under `ctx` —
-    /// shared by the cache and the `repro --resume` path so both compute
-    /// the same identity hash.
+    /// The standard campaign configuration for (city, era) under `ctx`.
     pub fn campaign_config(city: City, era: ProtocolEra, ctx: &RunCtx) -> CampaignConfig {
         CampaignConfig {
             seed: ctx.seed ^ (city as u64 + 1) ^ ((era == ProtocolEra::Apr2015) as u64) << 8,
@@ -247,8 +254,7 @@ impl CampaignCache {
         }
     }
 
-    /// Seeds the in-process layer with an externally produced campaign
-    /// (e.g. one finished via `repro --resume <checkpoint>`).
+    /// Seeds the in-process layer with an externally produced campaign.
     pub fn insert(&self, cfg: &CampaignConfig, data: CampaignData) -> Arc<CampaignData> {
         let key = cache_key(&data.city.name, cfg);
         let rc = Arc::new(data);
@@ -265,7 +271,8 @@ impl CampaignCache {
     /// Checks the layers in order: in-process map, on-disk log (replayed,
     /// no re-simulation), leftover checkpoint (resumed from the
     /// interruption point), and only then runs the campaign from scratch —
-    /// streaming it into the disk cache when one is configured.
+    /// checkpointing it and writing its log into the disk cache when one
+    /// is configured.
     ///
     /// `cfg.store` is overwritten; the cache owns persistence placement.
     pub fn campaign_custom(
@@ -284,7 +291,7 @@ impl CampaignCache {
         // Remote measurement: the campaign runs against a serve endpoint
         // over a set of sockets. Byte-identical to the local
         // path, so it can share the in-process layer; the disk layers are
-        // skipped (remote campaigns cannot stream the event log). A wire
+        // skipped (remote campaigns cannot be checkpointed). A wire
         // failure degrades to the in-process path below with a warning —
         // a dead server must cost the topology, never the run.
         if let Some(addr) = ctx.remote.clone() {
@@ -306,18 +313,9 @@ impl CampaignCache {
             if let Some(secs) = ctx.remote_op_timeout {
                 options.policy.op_timeout = Duration::from_secs(secs.max(1));
             }
-            let fallible = CampaignRunner::new_remote_with(
-                city.model(),
-                &cfg,
-                &addr,
-                connections,
-                options,
-            )
-            .and_then(|mut r| r.run_to_end().map(|()| r))
-            .and_then(|r| {
-                let snap = r.metrics_snapshot();
-                r.finish().map(|data| (data, snap))
-            });
+            let fallible =
+                CampaignRunner::new_remote_with(city.model(), &cfg, &addr, connections, options)
+                    .and_then(run_to_finish);
             match fallible {
                 Ok((data, snap)) => {
                     lock_ok(&self.snapshots).insert(key, snap);
@@ -345,6 +343,9 @@ impl CampaignCache {
                 match replay_campaign(&lp) {
                     Ok(data) => {
                         self.disk_replays.incr();
+                        // A finished log makes any checkpoint beside it
+                        // (one `repro --resume` moved in) obsolete.
+                        let _ = std::fs::remove_file(checkpoint_path(dir, key));
                         if !ctx.quiet {
                             eprintln!(
                                 "[cache] replayed {} campaign ({:?} era) from {}",
@@ -372,7 +373,7 @@ impl CampaignCache {
                 }
             }
             if std::fs::create_dir_all(dir).is_ok() {
-                cfg.store = store_hooks(dir, key, cfg.hours);
+                cfg.store = store_hooks(dir, key);
             }
         }
 
@@ -402,7 +403,7 @@ impl CampaignCache {
     ) -> (CampaignData, Option<Snapshot>) {
         if let Some(cp) = cfg.store.checkpoint_path.as_ref().filter(|p| p.exists()) {
             match CampaignRunner::resume_from_file(cp, cfg.store.clone()) {
-                Ok(mut runner) => {
+                Ok(runner) => {
                     self.resumes.incr();
                     if !quiet {
                         eprintln!(
@@ -413,12 +414,8 @@ impl CampaignCache {
                             runner.ticks_total()
                         );
                     }
-                    let finished = runner.run_to_end().and_then(|()| {
-                        let snap = runner.metrics_snapshot();
-                        runner.finish().map(|data| (data, Some(snap)))
-                    });
-                    match finished {
-                        Ok(out) => return out,
+                    match run_to_finish(runner) {
+                        Ok((data, snap)) => return (data, Some(snap)),
                         Err(e) => {
                             if !quiet {
                                 eprintln!(
@@ -446,13 +443,7 @@ impl CampaignCache {
                 cfg.era
             );
         }
-        let fallible = CampaignRunner::new(city.model(), cfg)
-            .and_then(|mut r| r.run_to_end().map(|()| r))
-            .and_then(|r| {
-                let snap = r.metrics_snapshot();
-                r.finish().map(|data| (data, snap))
-            });
-        match fallible {
+        match CampaignRunner::new(city.model(), cfg).and_then(run_to_finish) {
             Ok((data, snap)) => (data, Some(snap)),
             Err(e) => {
                 self.store_failures.incr();

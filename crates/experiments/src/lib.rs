@@ -38,7 +38,7 @@ pub struct RunCtx {
     /// endpoint at this address instead of in-process. Byte-identical
     /// results (the serving layer's lockstep determinism contract), so
     /// experiments neither know nor care; the disk cache is bypassed
-    /// because remote campaigns cannot stream the event log.
+    /// because remote campaigns cannot be checkpointed.
     pub remote: Option<String>,
     /// Remote wire retry budget per operation (`--remote-retries`);
     /// `None` uses the client default. 0 means the first wire failure

@@ -54,7 +54,9 @@
 //! `io_timeout` has passed since a frame's first byte, the next read
 //! inside that frame, data or timeout, drops the connection as a
 //! slow-loris. Every framing violation, an undecodable payload
-//! included, costs the connection and one `serve.frame_errors`.
+//! included, costs the connection and one `serve.frame_errors`; so does
+//! a `Value` request whose payload passes 64 KiB, refused before it is
+//! decoded.
 //!
 //! ## Shutdown
 //!
@@ -449,6 +451,13 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, busy: &Timer) {
     }
 }
 
+/// Largest payload a `Value` request, every kind but `PING`, may carry.
+/// Such a payload is decoded before the handshake is checked, and a
+/// decode may reserve about 32 B of `Value` per payload byte, so a
+/// `max_frame` payload could cost a worker about 512 MiB. The largest
+/// request a client sends, `OPEN`'s city model, is under 4 KB.
+const MAX_VALUE_REQUEST: usize = 64 << 10;
+
 /// A decoded request: `PING` carries the wire's binary batch, every
 /// other kind a `Value`.
 enum Request {
@@ -457,10 +466,15 @@ enum Request {
 }
 
 impl Request {
-    /// A payload its kind's codec refuses is a malformed frame.
+    /// A payload its kind's codec refuses, or a `Value` payload past
+    /// [`MAX_VALUE_REQUEST`], is a malformed frame.
     fn decode(frame: &Frame) -> Result<Request, WireError> {
         match frame.kind() {
             wire::REQ_PING => wire::decode_ping_request(frame.payload()).map(Request::Ping),
+            _ if frame.payload().len() > MAX_VALUE_REQUEST => Err(WireError::Malformed(format!(
+                "{}-byte request payload past the {MAX_VALUE_REQUEST}-byte limit",
+                frame.payload().len()
+            ))),
             kind => frame.value().map(|v| Request::Value(kind, v)),
         }
     }

@@ -249,6 +249,29 @@ fn deeply_nested_payload_costs_only_its_connection() {
     assert_eq!(server.metrics().frame_errors.get(), 1);
 }
 
+/// A `Value` request's payload is capped at 64 KiB and refused before it
+/// is decoded: a valid sequence of 70,000 nulls in a HELLO-kind frame,
+/// whose decode would reserve about 2.2 MB, costs a frame error and its
+/// connection, before the handshake and after it.
+#[test]
+fn oversized_value_request_is_a_frame_error_before_and_after_hello() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let raw = wire::frame_bytes(wire::REQ_HELLO, &Value::Seq(vec![Value::Null; 70_000]));
+    for (errors, handshake) in [(1, false), (2, true)] {
+        let mut stream = connect(&server);
+        if handshake {
+            hello(&mut stream);
+        }
+        stream.write_all(&raw).expect("send the oversized request");
+        assert_closed(&mut stream);
+        await_count(|| server.metrics().frame_errors.get(), errors, "serve.frame_errors");
+    }
+    // The server survived: a fresh connection is still answered.
+    let mut stream = connect(&server);
+    hello(&mut stream);
+    assert_eq!(server.metrics().frame_errors.get(), 2);
+}
+
 /// Every `PING` names its tick, and the server keeps the tick rule on
 /// it: `tick + 1` advances the world, a re-sent `tick` reads it unmoved
 /// (the same reply bytes), a skipped tick and a past tick are each refused

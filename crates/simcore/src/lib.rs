@@ -117,15 +117,17 @@ mod proptests {
                 // checked against the contract: sent_tick + max(1, delay).
                 t.send_delayed(*client, *delay, *delay);
                 t.advance_tick();
+                let now = t.tick();
                 for e in t.take_due() {
-                    prop_assert_eq!(t.tick(), e.sent_tick + e.payload.max(1));
+                    prop_assert_eq!(now, e.sent_tick + e.payload.max(1));
                     delivered += 1;
                 }
             }
             for _ in 0..16 {
                 t.advance_tick();
+                let now = t.tick();
                 for e in t.take_due() {
-                    prop_assert_eq!(t.tick(), e.sent_tick + e.payload.max(1));
+                    prop_assert_eq!(now, e.sent_tick + e.payload.max(1));
                     delivered += 1;
                 }
             }

@@ -15,6 +15,10 @@
 //! `(sent_tick, client)` — the order they were enqueued — so the merged
 //! observation stream is a pure function of the fault draws, independent
 //! of how the payloads were computed.
+//!
+//! In steady state the queue allocates nothing: emptied per-tick buckets
+//! are kept for reuse, and due messages drain through a vector the queue
+//! keeps.
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Error, Serialize, Value};
@@ -79,6 +83,10 @@ impl TransportMetrics {
 pub struct Transport<T> {
     tick: u64,
     in_flight: BTreeMap<u64, Vec<Envelope<T>>>,
+    /// Emptied buckets, capacity intact, for the next due ticks.
+    spare: Vec<Vec<Envelope<T>>>,
+    /// What [`Transport::take_due`] drains; empty between calls.
+    due: Vec<Envelope<T>>,
     metrics: TransportMetrics,
 }
 
@@ -94,6 +102,8 @@ impl<T> Transport<T> {
         Transport {
             tick: 0,
             in_flight: BTreeMap::new(),
+            spare: Vec::new(),
+            due: Vec::new(),
             metrics: TransportMetrics::default(),
         }
     }
@@ -124,9 +134,10 @@ impl<T> Transport<T> {
     /// within its own send tick).
     pub fn send_delayed(&mut self, client: usize, delay_ticks: u64, payload: T) {
         let due = self.tick + delay_ticks.max(1);
+        let spare = &mut self.spare;
         self.in_flight
             .entry(due)
-            .or_default()
+            .or_insert_with(|| spare.pop().unwrap_or_default())
             .push(Envelope { sent_tick: self.tick, client, payload });
         self.metrics.sent_delayed.incr();
         self.metrics.delay_ticks.record(delay_ticks.max(1));
@@ -134,19 +145,21 @@ impl<T> Transport<T> {
     }
 
     /// Drains every message due at or before the current tick, ordered by
-    /// `(sent_tick, client)`. Messages sent on an earlier tick were
-    /// enqueued earlier, and within one tick clients are enqueued in
-    /// index order, so plain enqueue order already is that ordering.
-    pub fn take_due(&mut self) -> Vec<Envelope<T>> {
-        let mut due = Vec::new();
-        let ready: Vec<u64> =
-            self.in_flight.range(..=self.tick).map(|(k, _)| *k).collect();
-        for k in ready {
-            due.extend(self.in_flight.remove(&k).unwrap());
+    /// `(sent_tick, client)`, through a vector the queue keeps. Messages
+    /// the caller leaves undrained are dropped with the iterator.
+    pub fn take_due(&mut self) -> std::vec::Drain<'_, Envelope<T>> {
+        self.due.clear();
+        while let Some(bucket) = self.in_flight.first_entry() {
+            if *bucket.key() > self.tick {
+                break;
+            }
+            let mut bucket = bucket.remove();
+            self.due.append(&mut bucket);
+            self.spare.push(bucket);
         }
-        due.sort_by_key(|e| (e.sent_tick, e.client));
-        self.metrics.delivered_late.add(due.len() as u64);
-        due
+        self.due.sort_by_key(|e| (e.sent_tick, e.client));
+        self.metrics.delivered_late.add(self.due.len() as u64);
+        self.due.drain(..)
     }
 }
 
@@ -207,7 +220,7 @@ impl<T: Deserialize> Deserialize for Transport<T> {
         }
         // Telemetry starts fresh on restore: counters describe this
         // process's work, not the checkpointed history.
-        Ok(Transport { tick, in_flight, metrics: TransportMetrics::default() })
+        Ok(Transport { tick, in_flight, ..Transport::new() })
     }
 }
 
@@ -225,9 +238,9 @@ mod tests {
     #[test]
     fn nothing_due_on_empty_queue() {
         let mut t: Transport<u32> = Transport::new();
-        assert!(t.take_due().is_empty());
+        assert_eq!(t.take_due().len(), 0);
         t.advance_tick();
-        assert!(t.take_due().is_empty());
+        assert_eq!(t.take_due().len(), 0);
         assert_eq!(t.in_flight(), 0);
     }
 
@@ -237,23 +250,23 @@ mod tests {
         t.send_delayed(3, 2, "hello");
         assert_eq!(t.in_flight(), 1);
         t.advance_tick(); // tick 1
-        assert!(t.take_due().is_empty(), "one tick early");
+        assert_eq!(t.take_due().len(), 0, "one tick early");
         t.advance_tick(); // tick 2
-        let due = t.take_due();
+        let due: Vec<_> = t.take_due().collect();
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].client, 3);
         assert_eq!(due[0].sent_tick, 0);
         assert_eq!(due[0].payload, "hello");
         assert_eq!(t.in_flight(), 0);
         // Draining is not idempotent within the tick: the message is gone.
-        assert!(t.take_due().is_empty());
+        assert_eq!(t.take_due().len(), 0);
     }
 
     #[test]
     fn zero_delay_clamped_to_one_tick() {
         let mut t: Transport<u8> = Transport::new();
         t.send_delayed(0, 0, 9);
-        assert!(t.take_due().is_empty(), "never delivered on the send tick");
+        assert_eq!(t.take_due().len(), 0, "never delivered on the send tick");
         t.advance_tick();
         assert_eq!(t.take_due().len(), 1);
     }
@@ -268,7 +281,7 @@ mod tests {
         t.send_delayed(2, 1, 2);
         t.advance_tick(); // tick 2: all three are due.
         let order: Vec<(u64, usize)> =
-            t.take_due().iter().map(|e| (e.sent_tick, e.client)).collect();
+            t.take_due().map(|e| (e.sent_tick, e.client)).collect();
         assert_eq!(order, vec![(0, 1), (0, 5), (1, 2)]);
     }
 
@@ -304,11 +317,7 @@ mod tests {
         let drain = |tr: &mut Transport<Vec<u32>>| -> Vec<(u64, usize, Vec<u32>)> {
             let mut out = Vec::new();
             for _ in 0..4 {
-                out.extend(
-                    tr.take_due()
-                        .into_iter()
-                        .map(|e| (e.sent_tick, e.client, e.payload)),
-                );
+                out.extend(tr.take_due().map(|e| (e.sent_tick, e.client, e.payload)));
                 tr.advance_tick();
             }
             out

@@ -1,13 +1,13 @@
 //! Single-value checkpoint files.
 //!
-//! A checkpoint is a log file with exactly one record (kind
-//! [`CHECKPOINT_RECORD`]) holding the serialized state tree. Writes go to
-//! a sibling temp file first and are renamed into place, so an interrupted
-//! write leaves either the previous checkpoint or none — never a torn one.
-//! All the framing guarantees of [`crate::log`] apply: a corrupt or
-//! truncated checkpoint reads back as a clean error.
+//! A checkpoint is a store file with exactly one record (kind
+//! [`CHECKPOINT_RECORD`]) holding the serialized state tree, written
+//! through [`write_atomic`] like the event log: an interrupted write
+//! leaves either the previous checkpoint or none, never a torn one. All
+//! the framing guarantees of [`crate::log`] apply: a corrupt or truncated
+//! checkpoint reads back as a clean error.
 
-use crate::log::{LogReader, LogWriter};
+use crate::log::{write_atomic, LogReader};
 use crate::StoreError;
 use serde::Value;
 use std::path::Path;
@@ -19,15 +19,10 @@ pub const CHECKPOINT_RECORD: u8 = 0xC0;
 /// value already encoded by [`crate::codec`]. Taking bytes rather than a
 /// `Value` lets a caller stream a large state into them (see
 /// [`crate::encode_seq_header`]) instead of building its whole tree.
-pub fn write_checkpoint(path: &Path, config_hash: u64, payload: &[u8]) -> Result<(), StoreError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    let mut w = LogWriter::create(&tmp, config_hash)?;
-    w.append_raw(CHECKPOINT_RECORD, payload)?;
-    w.finish()?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+/// Returns the file's size in bytes.
+pub fn write_checkpoint(path: &Path, config_hash: u64, payload: &[u8]) -> Result<u64, StoreError> {
+    write_atomic(path, config_hash, |w| w.append_raw(CHECKPOINT_RECORD, payload))
+        .map(|(bytes, _)| bytes)
 }
 
 /// Reads a checkpoint back as `(config_hash, state)`.

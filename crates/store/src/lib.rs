@@ -5,14 +5,15 @@
 //! re-simulates minutes of CPU for every experiment. This crate is the
 //! persistence layer that fixes both:
 //!
-//! * [`log`] — an append-only framed binary event log. Each record is
-//!   length-prefixed and CRC32-guarded; the file opens with a header
-//!   carrying a format version and the hash of the campaign config that
-//!   produced it. Reading is a zero-copy iteration over the mapped byte
-//!   buffer: records hand out `&[u8]` slices and decode on demand.
-//! * [`checkpoint`] — single-value checkpoint files (same framing, one
-//!   record) written atomically via a temp-file rename, so a crash never
-//!   leaves a half-written checkpoint behind.
+//! * [`log`] — framed binary store files. Each record is length-prefixed
+//!   and CRC32-guarded; the file opens with a header carrying a format
+//!   version and the hash of the campaign config that produced it. A file
+//!   is written whole to a temp sibling and renamed into place
+//!   ([`write_atomic`]), so a crash never leaves a torn one. Reading is a
+//!   zero-copy iteration over the file's byte buffer: records hand out
+//!   `&[u8]` slices and decode on demand.
+//! * [`checkpoint`] — single-value checkpoint files: the same framing and
+//!   the same atomic write, with one record.
 //! * [`codec`] — the binary encoding of the vendored serde [`Value`]
 //!   tree. Floats are stored as raw IEEE-754 bit patterns, so NaN series
 //!   round-trip bit-exactly — the determinism gates compare NaNs as bits.
@@ -39,7 +40,7 @@ pub use codec::{
     encode_value,
 };
 pub use hash::{fnv1a64, hash_of, value_hash};
-pub use log::{LogHeader, LogIter, LogReader, LogWriter, RawRecord};
+pub use log::{write_atomic, LogHeader, LogIter, LogReader, LogWriter, RawRecord};
 
 use std::fmt;
 

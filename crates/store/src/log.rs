@@ -1,4 +1,6 @@
-//! Append-only framed binary event log.
+//! Framed binary store files: the campaign event log and, with a single
+//! record, checkpoints. The program writes each file whole, through
+//! [`write_atomic`], so a file on disk is always complete.
 //!
 //! Layout:
 //!
@@ -10,10 +12,9 @@
 //! ```
 //!
 //! The CRC covers the whole body (kind byte included), so a flipped bit
-//! anywhere in a record is caught. A file that ends mid-frame — the
-//! classic crashed-writer tail — reads back as every complete record
-//! followed by a clean [`StoreError::Truncated`]; it never panics and
-//! never yields a partial record.
+//! anywhere in a record is caught. A file that ends mid-frame reads back
+//! as every complete record followed by a clean [`StoreError::Truncated`];
+//! it never panics and never yields a partial record.
 //!
 //! Reading is zero-copy: [`LogReader`] holds the file bytes once and
 //! [`LogIter`] hands out [`RawRecord`]s whose payloads are slices into
@@ -27,8 +28,7 @@ use crate::StoreError;
 use serde::Value;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
-use std::path::Path;
-use surgescope_obs::Counter;
+use std::path::{Path, PathBuf};
 
 /// First bytes of every log file.
 pub const LOG_MAGIC: [u8; 8] = *b"SSLOG1\0\0";
@@ -76,17 +76,13 @@ fn decode_header(buf: &[u8]) -> Result<LogHeader, StoreError> {
     Ok(LogHeader { format_version, config_hash })
 }
 
-/// Streaming writer for a new log file.
+/// Writer of a new store file's header and records; [`write_atomic`]
+/// drives one.
 #[derive(Debug)]
 pub struct LogWriter {
     out: BufWriter<File>,
     bytes_written: u64,
     records: u64,
-    // Telemetry mirrors of the two totals above, shared with whoever
-    // called [`LogWriter::set_metrics`]. Byte/record totals are pure
-    // functions of the appended payloads, so they are snapshot-safe.
-    bytes_counter: Counter,
-    records_counter: Counter,
 }
 
 impl LogWriter {
@@ -99,24 +95,7 @@ impl LogWriter {
         }
         let mut out = BufWriter::new(File::create(path)?);
         out.write_all(&encode_header(config_hash))?;
-        Ok(LogWriter {
-            out,
-            bytes_written: HEADER_LEN as u64,
-            records: 0,
-            bytes_counter: Counter::new(),
-            records_counter: Counter::new(),
-        })
-    }
-
-    /// Replaces the telemetry counters with caller-owned handles (e.g. a
-    /// campaign's metrics registry). Bytes already written — at least the
-    /// header — are credited to the new counters so they mirror
-    /// [`bytes_written`](LogWriter::bytes_written) exactly.
-    pub fn set_metrics(&mut self, bytes: Counter, records: Counter) {
-        bytes.add(self.bytes_written);
-        records.add(self.records);
-        self.bytes_counter = bytes;
-        self.records_counter = records;
+        Ok(LogWriter { out, bytes_written: HEADER_LEN as u64, records: 0 })
     }
 
     /// Appends one record with the given kind and already-encoded payload.
@@ -132,11 +111,8 @@ impl LogWriter {
         self.out.write_all(&crc.to_le_bytes())?;
         self.out.write_all(&[kind])?;
         self.out.write_all(payload)?;
-        let frame = (FRAME_OVERHEAD + 1 + payload.len()) as u64;
-        self.bytes_written += frame;
+        self.bytes_written += (FRAME_OVERHEAD + 1 + payload.len()) as u64;
         self.records += 1;
-        self.bytes_counter.add(frame);
-        self.records_counter.incr();
         Ok(())
     }
 
@@ -145,27 +121,32 @@ impl LogWriter {
         self.append_raw(kind, &encode_to_vec(payload))
     }
 
-    /// Total bytes written so far, header included.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Number of records appended so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Flushes buffered frames to the OS.
-    pub fn flush(&mut self) -> Result<(), StoreError> {
-        self.out.flush()?;
-        Ok(())
-    }
-
     /// Flushes and closes the file, returning total bytes written.
     pub fn finish(mut self) -> Result<u64, StoreError> {
         self.out.flush()?;
         Ok(self.bytes_written)
     }
+}
+
+/// Writes a whole store file at `path`: `fill` appends its records to a
+/// writer on a `.tmp` sibling, which is then flushed and renamed into
+/// place. So `path` holds the complete new file or whatever it held
+/// before, never a torn one, wherever the process dies. Returns the
+/// file's size in bytes and its record count.
+pub fn write_atomic(
+    path: &Path,
+    config_hash: u64,
+    fill: impl FnOnce(&mut LogWriter) -> Result<(), StoreError>,
+) -> Result<(u64, u64), StoreError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut w = LogWriter::create(&tmp, config_hash)?;
+    fill(&mut w)?;
+    let records = w.records;
+    let bytes = w.finish()?;
+    std::fs::rename(&tmp, path)?;
+    Ok((bytes, records))
 }
 
 /// One record as stored: the kind byte plus a borrowed payload slice.

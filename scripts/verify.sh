@@ -71,7 +71,12 @@ echo "== ping kernels: pinned output =="
 # reference conversion of the decoded response, float bits included,
 # over the remote world shape under drops and delays, with the slot
 # buffer reused tick over tick through the fault delivery both Uber
-# systems share.
+# systems share. Once warm, the in-process ping path, clean and under
+# drops and delays, and the taxi ping path must reach windows of ticks
+# that allocate nothing: the delivery reuses its payload vectors and the
+# late queue its buckets and its drain vector.
+run_named_tests -p surgescope-bench --test alloc_free -- \
+  tick_hot_path_allocates_zero
 run_named_tests -p surgescope-geo --lib -- \
   nearest::tests::ties_rank_in_offer_order \
   nearest::tests::lattice_sweep_matches_stable_sort_with_ties_at_the_cutoff \
@@ -127,17 +132,23 @@ echo "== store: checkpoint-resume determinism (4 h campaign, checkpoint at 2 h) 
 # A campaign interrupted at a tick boundary and resumed from its
 # checkpoint must finish bit-identical to the uninterrupted run (NaN
 # gaps compared as bit patterns), under a laggy/lossy transport with
-# messages still in flight at the checkpoint — and the event log must
-# replay to the same bytes without re-simulation.
+# messages still in flight at the checkpoint — and the event log the
+# resumed run writes whole at finish must replay to the same bytes
+# without re-simulation.
 run_named_tests -p surgescope-core --test checkpoint_resume \
   -- --ignored four_hour_campaign_checkpoint_at_two_hours_gate
 
-echo "== store: checkpoint format and write memory =="
+echo "== store: checkpoint and log format, write memory =="
 # A checkpoint file must keep its pinned digest (the format is the
 # spec), and writing one must peak at no more than 4x the file's size
-# above the live campaign state.
+# above the live campaign state. The log, written once at finish to a
+# temp file renamed into place, must keep its pinned digest clean,
+# faulted and resumed from a checkpoint, and a campaign that never
+# finishes must leave no log at all.
 run_named_tests -p surgescope-core --test checkpoint_resume -- \
-  checkpoint_file_matches_pinned_bytes
+  checkpoint_file_matches_pinned_bytes \
+  log_file_matches_pinned_bytes \
+  an_unfinished_campaign_leaves_no_log
 run_named_tests -p surgescope-bench --test checkpoint_heap -- \
   checkpoint_write_heap_peak_is_bounded_by_file_size
 
@@ -166,7 +177,9 @@ echo "== serve: one frame reader, one PING per connection per tick naming its ti
 # payload nested past the codec's depth bound costs its connection,
 # never the process, and a payload whose headers declare more elements
 # than its bytes hold is refused before it reserves more than 40x its
-# length. A frame is byte for byte an event-log record. PING
+# length. A non-PING request whose payload passes 64 KiB costs a frame
+# error and its connection before it is decoded, before the handshake
+# and after it. A frame is byte for byte an event-log record. PING
 # carries one connection's whole chunk of a tick in a fixed binary
 # layout, and its reply lists each shown car once in a table that the
 # responses index: it round-trips every bit (NaN and -0 included), its
@@ -203,6 +216,7 @@ run_named_tests -p surgescope-serve --test robustness -- \
   oversized_frame_rejected_with_error_count \
   truncated_length_prefix_closes_with_error_count \
   deeply_nested_payload_costs_only_its_connection \
+  oversized_value_request_is_a_frame_error_before_and_after_hello \
   ping_names_its_tick_and_a_skipped_or_past_tick_is_refused \
   unknown_kind_is_a_protocol_error_not_a_frame_error \
   fresh_connection_hello_is_answered_without_an_accept_poll \
