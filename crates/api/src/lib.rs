@@ -34,8 +34,8 @@ pub use jitter::{JitterConfig, JitterWindow};
 pub use messages::{CarInfo, PingClientResponse, PriceEstimate, TimeEstimate, TypeStatus};
 pub use ratelimit::{session_key, RateLimitError, RateLimiter, DEFAULT_LIMIT_PER_HOUR};
 pub use service::{
-    ApiService, PingConfig, ProtocolEra, SnapCar, TickSnapshot, TierPing, WorldSnapshot,
-    NEAREST_CARS_SHOWN,
+    ApiService, PingConfig, PingOrigin, ProtocolEra, SnapCar, TickPing, TickSnapshot, TierPing,
+    WorldSnapshot, NEAREST_CARS_SHOWN,
 };
 
 #[cfg(test)]

@@ -6,8 +6,18 @@
 //! campaigns replay identically — the paper's §3.4 calibration finding
 //! that "data received from pingClient is deterministic" holds by
 //! construction here too.
+//!
+//! A ping is answered in two layers of derivation, so a kernel that
+//! answers many pings pays for each value once: [`PingConfig::tick`]
+//! derives what every ping of a snapshot shares (the surge interval and
+//! offset, the drive speed, whether the client propagation delay has
+//! passed) into a [`TickPing`], and a [`PingOrigin`] holds what depends
+//! on the client alone (its position in metres, its surge area, and its
+//! jitter window, drawn once per surge interval).
+//! [`PingConfig::ping_visit`] and [`PingConfig::ping_client`] build both
+//! for a single ping.
 
-use crate::jitter::JitterConfig;
+use crate::jitter::{JitterConfig, JitterWindow};
 use crate::messages::{CarInfo, PingClientResponse, PriceEstimate, TimeEstimate, TypeStatus};
 use crate::ratelimit::{RateLimitError, RateLimiter};
 use serde::{Deserialize, Serialize};
@@ -347,11 +357,16 @@ impl ApiService {
     }
 
     /// The stateless ping core, for callers that answer pings without
-    /// holding the service (the measurement kernel, serve workers). The
-    /// clone shares the jitter-hit counter cell with the service's own
-    /// copy.
+    /// holding the service (serve workers). The clone shares the
+    /// jitter-hit counter cell with the service's own copy.
     pub fn ping_config(&self) -> PingConfig {
         self.ping.clone()
+    }
+
+    /// The service's own ping core, borrowed: what a kernel holding the
+    /// service answers its pings through.
+    pub fn ping_core(&self) -> &PingConfig {
+        &self.ping
     }
 
     /// Telemetry handle counting consistency-bug window hits.
@@ -461,7 +476,7 @@ impl PingConfig {
     /// snapshot's time: the previous interval's board until this
     /// interval's API propagation delay has passed, the current one after.
     /// The API never sees the consistency bug; the client rule, jitter
-    /// window included, lives in [`PingConfig::ping_visit`].
+    /// window included, lives in [`TickPing::visit`].
     fn visible_surge(&self, snap: &WorldSnapshot, area: Option<AreaId>, t: CarType) -> f64 {
         let Some(area) = area else { return 1.0 };
         let now = snap.now();
@@ -490,69 +505,39 @@ impl PingConfig {
         car.latlng.offset_m(de, dn)
     }
 
+    /// What every ping of `snap`'s tick shares, derived once: see
+    /// [`TickPing`]. A kernel answering a tick's (or a batch's) pings
+    /// builds one and answers each ping through [`TickPing::visit`].
+    pub fn tick<'a>(&'a self, snap: &'a WorldSnapshot) -> TickPing<'a> {
+        let now = snap.now();
+        let interval = now.surge_interval();
+        let elapsed = now.seconds_into_surge_interval();
+        TickPing {
+            ping: self,
+            snap,
+            interval,
+            elapsed,
+            speed_mps: snap.city().drive_speed_mps(now),
+            delayed: elapsed < self.update_delay(interval, Consumer::Client),
+        }
+    }
+
     /// Visits each tier's pingClient answer without materializing a wire
     /// response: `visit` is called once per offered tier, in
     /// [`WorldSnapshot::offered_types`] order, with a borrowed
-    /// [`TierPing`] view. This is the allocation-free core shared by
-    /// [`PingConfig::ping_client`] (which renders a [`PingClientResponse`]
-    /// from it) and the measurement ping kernel (which copies
-    /// observations it rendered once per tick). Pure: usable from any
-    /// worker thread without touching the [`ApiService`].
+    /// [`TierPing`] view. A one-ping wrapper over [`PingConfig::tick`]
+    /// and [`TickPing::visit`], deriving the tick and the client afresh.
+    /// Pure: usable from any worker thread without touching the
+    /// [`ApiService`].
     pub fn ping_visit(
         &self,
         snap: &WorldSnapshot,
         client_key: u64,
         location: LatLng,
-        mut visit: impl FnMut(&TierPing<'_>),
+        visit: impl FnMut(&TierPing<'_>),
     ) {
-        let city = snap.city();
-        let now = snap.now();
-        let pos = city.projection.to_meters(location);
-        let area = city.area_of(pos);
-        // Every tier's EWT divides by the same drive speed.
-        let speed_mps = city.drive_speed_mps(now);
-        // Which surge board this client reads is tier-independent: the
-        // propagation delay keys on the interval, the bug window on the
-        // client. Resolve the board once; the tier loop only indexes it
-        // (`update_delay`/`window` are pure, so hoisting them out of the
-        // loop yields bit-identical multipliers).
-        let board = area.map(|_| {
-            let interval = now.surge_interval();
-            let elapsed = now.seconds_into_surge_interval();
-            // Split the two staleness causes so the bug window is counted
-            // separately from ordinary propagation delay; `!delayed &&`
-            // preserves the original short-circuit (a ping inside the
-            // delay window never consults the jitter window).
-            let delayed = elapsed < self.update_delay(interval, Consumer::Client);
-            let jittered = !delayed
-                && self.era == ProtocolEra::Apr2015
-                && self
-                    .jitter
-                    .window(self.bug_seed, client_key, interval)
-                    .is_some_and(|w| w.contains(elapsed));
-            if jittered {
-                self.jitter_hits.incr();
-            }
-            if delayed || jittered { &snap.surge_previous } else { &snap.surge_current }
-        });
-        for (t, cars) in &snap.by_type {
-            let (t, cars) = (*t, cars.as_slice());
-            let (nearest, l1) = scan_tier(cars, pos);
-            let ewt_min = snap.cfg.ewt_from_drive_secs(l1.map(|(_, d)| d / speed_mps));
-            let surge = match (board, area) {
-                (Some(b), Some(a)) => b.multiplier(a, t),
-                _ => 1.0,
-            };
-            visit(&TierPing {
-                car_type: t,
-                ewt_min,
-                surge,
-                ping: self,
-                now,
-                cars,
-                nearest: nearest.indices(),
-            });
-        }
+        let mut origin = PingOrigin::new(snap.city(), client_key, location);
+        self.tick(snap).visit(&mut origin, visit);
     }
 
     /// Answers a pingClient request against a snapshot, materializing the
@@ -580,8 +565,108 @@ impl PingConfig {
     }
 }
 
+/// One pinging client as the protocol derives it from what it sends:
+/// its key, the location in the city's metres and its surge area, each
+/// derived once, plus its jitter window, drawn once per surge interval
+/// (a pure function of the bug seed, the key and the interval). A kernel
+/// that pings the same clients tick after tick keeps one per client and
+/// passes it to [`TickPing::visit`] every tick; an origin belongs to one
+/// city and one [`PingConfig`].
+#[derive(Debug, Clone, Copy)]
+pub struct PingOrigin {
+    key: u64,
+    pos: Meters,
+    area: Option<AreaId>,
+    /// The last jitter window drawn, with the interval it was drawn for.
+    window: Option<(u64, Option<JitterWindow>)>,
+}
+
+impl PingOrigin {
+    /// Derives the origin of client `key` pinging from `location` in
+    /// `city`. The position is the sent location projected to metres,
+    /// which is not bit-equal to the client's own planar position: the
+    /// lat/lng round trip moves it by a few ulps.
+    pub fn new(city: &CityModel, key: u64, location: LatLng) -> Self {
+        let pos = city.projection.to_meters(location);
+        PingOrigin { key, pos, area: city.area_of(pos), window: None }
+    }
+
+    /// This client's jitter window in `interval`, drawn on the first ask
+    /// in each interval.
+    fn window(&mut self, ping: &PingConfig, interval: u64) -> Option<JitterWindow> {
+        match self.window {
+            Some((drawn, w)) if drawn == interval => w,
+            _ => {
+                let w = ping.jitter.window(ping.bug_seed, self.key, interval);
+                self.window = Some((interval, w));
+                w
+            }
+        }
+    }
+}
+
+/// What every ping of one tick shares, built once per snapshot by
+/// [`PingConfig::tick`]: the surge interval and the seconds into it, the
+/// drive speed every tier's EWT divides by, and whether this interval's
+/// client propagation delay is still running.
+pub struct TickPing<'a> {
+    ping: &'a PingConfig,
+    snap: &'a WorldSnapshot,
+    interval: u64,
+    elapsed: u64,
+    speed_mps: f64,
+    delayed: bool,
+}
+
+impl TickPing<'_> {
+    /// Answers `origin`'s ping: `visit` is called once per offered tier,
+    /// in [`WorldSnapshot::offered_types`] order, with a borrowed
+    /// [`TierPing`] view. The allocation-free core of every ping:
+    /// [`PingConfig::ping_client`] renders a [`PingClientResponse`] from
+    /// it, the measurement kernel copies observations it rendered once
+    /// per tick, and the serve encoder writes the wire layout.
+    pub fn visit(&self, origin: &mut PingOrigin, mut visit: impl FnMut(&TierPing<'_>)) {
+        let snap = self.snap;
+        // Which surge board this client reads is tier-independent: the
+        // propagation delay keys on the interval, the bug window on the
+        // client. The two staleness causes are split so the bug window is
+        // counted apart from ordinary propagation delay, and `!delayed &&`
+        // keeps the short-circuit: a ping inside the delay window never
+        // consults the jitter window, nor counts a hit.
+        let board = origin.area.map(|_| {
+            let jittered = !self.delayed
+                && self.ping.era == ProtocolEra::Apr2015
+                && origin
+                    .window(self.ping, self.interval)
+                    .is_some_and(|w| w.contains(self.elapsed));
+            if jittered {
+                self.ping.jitter_hits.incr();
+            }
+            if self.delayed || jittered { &snap.surge_previous } else { &snap.surge_current }
+        });
+        for (t, cars) in &snap.by_type {
+            let (t, cars) = (*t, cars.as_slice());
+            let (nearest, l1) = scan_tier(cars, origin.pos);
+            let ewt_min = snap.cfg.ewt_from_drive_secs(l1.map(|(_, d)| d / self.speed_mps));
+            let surge = match (board, origin.area) {
+                (Some(b), Some(a)) => b.multiplier(a, t),
+                _ => 1.0,
+            };
+            visit(&TierPing {
+                car_type: t,
+                ewt_min,
+                surge,
+                ping: self.ping,
+                now: snap.now(),
+                cars,
+                nearest: nearest.indices(),
+            });
+        }
+    }
+}
+
 /// One offered tier's pingClient answer, borrowed from the snapshot —
-/// consumed inside [`PingConfig::ping_visit`]'s `visit` callback.
+/// consumed inside [`TickPing::visit`]'s `visit` callback.
 pub struct TierPing<'a> {
     /// Product tier.
     pub car_type: CarType,
@@ -876,6 +961,117 @@ mod tests {
         }
         assert_eq!(feb_disagree, 0, "Feb era must be consistent");
         assert!(apr_disagree > 0, "April era should show client divergence");
+    }
+
+    /// One tier of a ping as raw bits: tier, EWT, surge, shown indices.
+    type TierBits = (CarType, u64, u64, Vec<usize>);
+
+    /// A ping answered as before the tick context existed: every per-ping
+    /// quantity (metres, area, drive speed, propagation delay, jitter
+    /// window) derived inline. Returns the tiers and whether the ping
+    /// counts as a jitter-window hit.
+    fn reference_ping(
+        ping: &PingConfig,
+        snap: &WorldSnapshot,
+        key: u64,
+        location: LatLng,
+    ) -> (Vec<TierBits>, bool) {
+        let city = snap.city();
+        let now = snap.now();
+        let pos = city.projection.to_meters(location);
+        let area = city.area_of(pos);
+        let (interval, elapsed) = (now.surge_interval(), now.seconds_into_surge_interval());
+        let delayed = elapsed < ping.update_delay(interval, Consumer::Client);
+        let jittered = !delayed
+            && ping.era == ProtocolEra::Apr2015
+            && ping
+                .jitter
+                .window(ping.bug_seed, key, interval)
+                .is_some_and(|w| w.contains(elapsed));
+        let board = if delayed || jittered { &snap.surge_previous } else { &snap.surge_current };
+        let tiers = snap
+            .by_type
+            .iter()
+            .map(|(t, cars)| {
+                let (nearest, l1) = scan_tier(cars, pos);
+                let speed_mps = city.drive_speed_mps(now);
+                let ewt_min = snap.cfg.ewt_from_drive_secs(l1.map(|(_, d)| d / speed_mps));
+                let surge = area.map_or(1.0, |a| board.multiplier(a, *t));
+                (*t, ewt_min.to_bits(), surge.to_bits(), nearest.indices().to_vec())
+            })
+            .collect();
+        (tiers, area.is_some() && jittered)
+    }
+
+    /// The tick context and per-client origins kept across ticks must
+    /// answer every client and tier exactly as the inline reference, in
+    /// both eras, with jitter forced on, over three surge intervals (so
+    /// pings fall inside and outside each interval's delay window and
+    /// every origin redraws its window twice), from a 6x6 lattice over
+    /// the service region that includes clients outside every surge area.
+    /// The jitter-hit counter must count exactly the reference's hits.
+    #[test]
+    fn tick_context_matches_inline_reference() {
+        let mut c = CityModel::manhattan_midtown();
+        c.supply = c.supply.scaled(0.3);
+        c.demand = c.demand.scaled(1.2);
+        let bb = c.service_region.bbox();
+        let lattice: Vec<LatLng> = (0..36)
+            .map(|k| {
+                c.projection.to_latlng(Meters::new(
+                    bb.min.x + (bb.max.x - bb.min.x) * (k % 6) as f64 / 5.0,
+                    bb.min.y + (bb.max.y - bb.min.y) * (k / 6) as f64 / 5.0,
+                ))
+            })
+            .collect();
+        let mut mp = Marketplace::new(c, MarketplaceConfig::default(), 11);
+        mp.run_for(SimDuration::hours(8));
+        let jitter = JitterConfig { prob_per_interval: 1.0, short_fraction: 0.9 };
+        // Per era: the ping core, one origin per client kept across ticks,
+        // and the reference's hit count.
+        let mut kernels = [ProtocolEra::Feb2015, ProtocolEra::Apr2015].map(|era| {
+            let ping = ApiService::new(era, 5).with_jitter(jitter).ping_config();
+            (ping, vec![None::<PingOrigin>; lattice.len()], 0u64)
+        });
+        let (mut delayed, mut fresh, mut outside, mut surged) = (0, 0, 0, 0);
+        // From the top of an interval through three whole ones.
+        while mp.now().seconds_into_surge_interval() != 0 {
+            mp.tick();
+        }
+        for _ in 0..180 {
+            mp.tick();
+            let snap = WorldSnapshot::of(&mp);
+            for (ping, origins, hits) in &mut kernels {
+                let tick = ping.tick(&snap);
+                if tick.delayed { delayed += 1 } else { fresh += 1 }
+                for (key, (&loc, origin)) in lattice.iter().zip(origins.iter_mut()).enumerate() {
+                    let key = key as u64 * 7 + 3;
+                    let origin =
+                        origin.get_or_insert_with(|| PingOrigin::new(snap.city(), key, loc));
+                    let mut got = Vec::new();
+                    tick.visit(origin, |tier| {
+                        got.push((
+                            tier.car_type,
+                            tier.ewt_min.to_bits(),
+                            tier.surge.to_bits(),
+                            tier.nearest().to_vec(),
+                        ));
+                    });
+                    let (want, hit) = reference_ping(ping, &snap, key, loc);
+                    assert_eq!(got, want, "{:?} at {:?}, client {key}", ping.era, snap.now());
+                    *hits += u64::from(hit);
+                    outside += usize::from(origin.area.is_none());
+                    surged += usize::from(got.iter().any(|t| f64::from_bits(t.2) > 1.0));
+                }
+            }
+        }
+        for (ping, _, hits) in &kernels {
+            assert_eq!(ping.jitter_hits.get(), *hits, "{:?}: jitter_window_hits", ping.era);
+        }
+        assert!(kernels[1].2 > 0, "no Apr-2015 ping hit its jitter window");
+        assert!(delayed > 0 && fresh > 0, "the delay window was never crossed");
+        assert!(outside > 0, "every client was inside a surge area");
+        assert!(surged > 0, "no ping saw surge; the board choice is untested");
     }
 }
 

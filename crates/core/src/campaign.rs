@@ -589,8 +589,10 @@ impl CampaignRunner {
             sys,
             estimator,
             transitions,
-            client_surge: vec![Vec::with_capacity(ticks_total); n],
-            client_ewt: vec![Vec::with_capacity(ticks_total); n],
+            // One reservation per row: `vec![row; n]` clones the row, and a
+            // clone of an empty vector reserves nothing.
+            client_surge: (0..n).map(|_| Vec::with_capacity(ticks_total)).collect(),
+            client_ewt: (0..n).map(|_| Vec::with_capacity(ticks_total)).collect(),
             api_surge: vec![Vec::new(); n_areas],
             api_ewt: vec![Vec::new(); n_areas],
             daily_sets: vec![FastHashSet::default(); n],
@@ -973,6 +975,12 @@ impl CampaignRunner {
         if r.client_surge.iter().chain(&r.client_ewt).any(|s| s.len() != r.ticks_done) {
             return Err(StoreError::Schema("checkpointed series length != ticks_done".into()));
         }
+        // Decoded rows hold exactly the ticks done; reserve the rest, as
+        // `fresh` does, so the remaining ticks never regrow a row.
+        let left = r.ticks_total - r.ticks_done;
+        for row in r.client_surge.iter_mut().chain(&mut r.client_ewt) {
+            row.reserve_exact(left);
+        }
         Ok(r)
     }
 
@@ -995,7 +1003,17 @@ impl CampaignRunner {
     /// a log path, writes the whole log (see [`persist::write_log`]).
     /// Panics if ticks remain (finishing early would silently truncate
     /// every series — call [`CampaignRunner::run_to_end`] first).
-    pub fn finish(mut self) -> Result<CampaignData, StoreError> {
+    pub fn finish(self) -> Result<CampaignData, StoreError> {
+        let (data, logged) = self.finish_and_log()?;
+        logged.map(|()| data)
+    }
+
+    /// [`CampaignRunner::finish`], handing the finished campaign back
+    /// beside the log write's result instead of dropping it with a failed
+    /// write. The outer error is a campaign that could not finish (a
+    /// remote system's ground truth lost on the wire); the inner one only
+    /// says that the log is not on disk.
+    pub fn finish_and_log(mut self) -> Result<(CampaignData, Result<(), StoreError>), StoreError> {
         assert_eq!(
             self.ticks_done, self.ticks_total,
             "finish() before the campaign horizon"
@@ -1046,12 +1064,16 @@ impl CampaignRunner {
             intervals,
             truth,
         };
-        if let Some(path) = &self.cfg.store.log_path {
-            let (bytes, records) = persist::write_log(path, self.cfg.config_hash(), &data)?;
-            self.metrics.log_bytes.add(bytes);
-            self.metrics.log_records.add(records);
-        }
-        Ok(data)
+        let logged = match &self.cfg.store.log_path {
+            Some(path) => {
+                persist::write_log(path, self.cfg.config_hash(), &data).map(|(bytes, records)| {
+                    self.metrics.log_bytes.add(bytes);
+                    self.metrics.log_records.add(records);
+                })
+            }
+            None => Ok(()),
+        };
+        Ok((data, logged))
     }
 }
 
@@ -1273,6 +1295,40 @@ mod tests {
                 .all(|(k, _)| !k.ends_with(".ns") && !k.ends_with(".calls")));
             assert!(snap.timing.iter().any(|(k, _)| k == "phase.move.ns"));
         }
+    }
+
+    /// Every client's per-tick series is reserved to the campaign's
+    /// horizon when the runner is built and again after a mid-campaign
+    /// resume, so no row regrows while the campaign runs.
+    #[test]
+    fn every_client_series_is_reserved_to_the_horizon() {
+        let short_rows = |r: &CampaignRunner| -> Vec<usize> {
+            let rows = r.client_surge.iter().chain(&r.client_ewt);
+            rows.enumerate()
+                .filter(|(_, row)| row.capacity() < r.ticks_total)
+                .map(|(i, _)| i)
+                .collect()
+        };
+        let ckpt = std::env::temp_dir()
+            .join(format!("surgescope-series-reserve-{}.ckpt", std::process::id()));
+        let mut cfg = CampaignConfig { hours: 1, ..CampaignConfig::test_default(12) };
+        cfg.store.checkpoint_path = Some(ckpt.clone());
+        let mut r = CampaignRunner::new(CityModel::manhattan_midtown(), &cfg).unwrap();
+        assert!(r.clients.len() > 1, "one client cannot show a per-row gap");
+        assert_eq!(short_rows(&r), Vec::<usize>::new(), "rows under the horizon after new");
+        for _ in 0..r.ticks_total / 2 {
+            r.tick().unwrap();
+        }
+        r.write_checkpoint().unwrap();
+        let resumed = CampaignRunner::resume_from_file(&ckpt, StoreHooks::none());
+        let _ = std::fs::remove_file(&ckpt);
+        let resumed = resumed.unwrap();
+        assert_eq!(resumed.ticks_done, r.ticks_total / 2);
+        assert_eq!(
+            short_rows(&resumed),
+            Vec::<usize>::new(),
+            "rows under the horizon after resume"
+        );
     }
 
     #[test]

@@ -10,12 +10,21 @@
 //! the late queue and the pools of retired blocks and payload vectors)
 //! and write each response into its client's slot through one block
 //! writer in `core::observe`, reusing the slot's blocks tick over tick.
+//!
+//! Both in-process kernels derive once what a tick's pings share. The
+//! Uber kernel renders every car once per tick, answers through one
+//! per-tick [`TickPing`] context, and keeps one [`PingOrigin`] per
+//! client (position in metres, surge area, jitter window per surge
+//! interval). The taxi kernel renders the available taxis once per tick
+//! into a dense table that every client's scan reads.
 
 use crate::observe::{retire_blocks, write_block, ClientSpec, ObservedCar, TypeObservation};
 use std::sync::Arc;
-use surgescope_api::{ApiService, PingConfig, TickSnapshot, WorldSnapshot, NEAREST_CARS_SHOWN};
-use surgescope_city::CarType;
-use surgescope_geo::LocalProjection;
+use surgescope_api::{
+    ApiService, PingConfig, PingOrigin, TickPing, TickSnapshot, WorldSnapshot, NEAREST_CARS_SHOWN,
+};
+use surgescope_city::{CarType, CityModel};
+use surgescope_geo::{LocalProjection, Meters, NearestK};
 use surgescope_marketplace::Marketplace;
 use surgescope_obs::{Counter, MetricsRegistry, Timer};
 use surgescope_simcore::{ticks_late, FaultOutcome, FaultPlan, SimRng, SimTime, Transport};
@@ -207,7 +216,11 @@ pub trait MeasuredSystem {
 /// its shown cars from there instead of rendering them again per
 /// client. The remote client does the same with each `PING` reply's car
 /// table, and both write their blocks through one writer
-/// (`observe::write_block`).
+/// (`observe::write_block`). What every ping of a tick shares (the
+/// surge interval, the drive speed, the client propagation delay) is
+/// derived once per tick ([`PingConfig::tick`]), and what depends on
+/// the client alone (its position in metres, its surge area, its jitter
+/// window per surge interval) once per client ([`PingOrigin`]).
 pub struct UberSystem {
     /// The world. Public so experiments can consult ground truth after a
     /// campaign (the paper could not; we can score ourselves).
@@ -226,6 +239,10 @@ pub struct UberSystem {
     /// snapshot's tier and car order, rendered at the top of every
     /// `ping_all_into`. Rows keep their capacity tick over tick.
     rendered: Vec<Vec<ObservedCar>>,
+    /// One ping origin per client slot, with the client it was derived
+    /// from; derived afresh whenever the clients passed differ in a key
+    /// or in position bits (see [`sync_origins`]).
+    origins: Vec<(ClientSpec, PingOrigin)>,
 }
 
 impl UberSystem {
@@ -240,6 +257,7 @@ impl UberSystem {
             delivery,
             snapshot: TickSnapshot::new(),
             rendered: Vec::new(),
+            origins: Vec::new(),
         }
     }
 
@@ -319,10 +337,31 @@ fn render_cars(
     }
 }
 
-/// Answers one client's ping against the tick snapshot, overwriting `out`
-/// block by block and reusing its per-tier `cars` vectors. This is the
-/// only in-process Uber ping kernel. Its observations are byte-identical
-/// to converting a full `ping_client` wire response (regression-tested);
+/// Keeps `origins` one per client of `clients`, in order. When every
+/// client matches its slot's key and position bits the origins stay,
+/// jitter windows included; otherwise all are derived afresh, each from
+/// the lat/lng its client sends (see [`PingOrigin::new`]).
+fn sync_origins(
+    origins: &mut Vec<(ClientSpec, PingOrigin)>,
+    clients: &[ClientSpec],
+    city: &CityModel,
+) {
+    let bits = |c: &ClientSpec| (c.key, c.position.x.to_bits(), c.position.y.to_bits());
+    if origins.len() == clients.len()
+        && origins.iter().zip(clients).all(|((o, _), c)| bits(o) == bits(c))
+    {
+        return;
+    }
+    origins.clear();
+    origins.extend(clients.iter().map(|c| {
+        (*c, PingOrigin::new(city, c.key, city.projection.to_latlng(c.position)))
+    }));
+}
+
+/// Answers one client's ping against the tick, overwriting `out` block
+/// by block and reusing its per-tier `cars` vectors. This is the only
+/// in-process Uber ping kernel. Its observations are byte-identical to
+/// converting a full `ping_client` wire response (regression-tested);
 /// it just skips materializing the response, copying the shown cars from
 /// `rendered` (see [`render_cars`]) through the block writer the remote
 /// client shares ([`write_block`], [`retire_blocks`]). Clients see the
@@ -330,19 +369,16 @@ fn render_cars(
 /// when the tier count shrinks the surplus blocks retire into `spare`,
 /// and a growing tier count reclaims from it before allocating.
 fn ping_one_into(
-    ping: &PingConfig,
-    snap: &WorldSnapshot,
-    proj: &LocalProjection,
+    tick: &TickPing<'_>,
     rendered: &[Vec<ObservedCar>],
-    c: &ClientSpec,
+    origin: &mut PingOrigin,
     spare: &mut Vec<TypeObservation>,
     out: &mut Vec<TypeObservation>,
 ) {
     let mut n = 0;
-    let loc = proj.to_latlng(c.position);
-    // `ping_visit` visits the tiers in `offered_types` order, the order
+    // `visit` visits the tiers in `offered_types` order, the order
     // `rendered`'s rows follow, so the `n`-th tier reads row `n`.
-    ping.ping_visit(snap, c.key, loc, |tier| {
+    tick.visit(origin, |tier| {
         let row = &rendered[n];
         let cars = tier.nearest().iter().map(|&i| row[i]);
         write_block(out, n, spare, tier.car_type, tier.ewt_min, tier.surge, cars);
@@ -374,16 +410,18 @@ impl MeasuredSystem for UberSystem {
         let proj = self.projection();
         let snap = self.tick_snapshot();
         let tick_secs = self.marketplace.config().tick_secs;
-        let ping = self.api.ping_config();
-        render_cars(&ping, &snap, &proj, &mut self.rendered);
+        let ping = self.api.ping_core();
+        render_cars(ping, &snap, &proj, &mut self.rendered);
+        sync_origins(&mut self.origins, clients, snap.city());
+        let tick = ping.tick(&snap);
         // Answer every undropped ping straight into the caller's slot,
         // reusing its block and car vectors tick over tick. A delayed one
         // is answered against this tick's snapshot too, so it lands
         // carrying stale data once `deliver` has queued it.
         let (outcomes, spare) = self.delivery.draw(clients.len(), out);
-        for ((c, slot), oc) in clients.iter().zip(out.iter_mut()).zip(outcomes) {
+        for (((_, origin), slot), oc) in self.origins.iter_mut().zip(out.iter_mut()).zip(outcomes) {
             if *oc != FaultOutcome::Drop {
-                ping_one_into(&ping, &snap, &proj, &self.rendered, c, spare, slot);
+                ping_one_into(&tick, &self.rendered, origin, spare, slot);
             }
         }
         self.delivery.deliver(out, tick_secs);
@@ -393,15 +431,32 @@ impl MeasuredSystem for UberSystem {
 /// The taxi replay exposed through the same contract. Taxis have a single
 /// pseudo-tier ([`CarType::UberT`]), no EWT and no surge — the §3.5
 /// validation only needs car identities and positions.
+///
+/// A tick's pings share one rendering of the fleet: `ping_all_into`
+/// renders the available taxis once, in fleet order, into a dense table,
+/// and each client scans the table's positions with the same
+/// `NearestK<8>` the Uber kernel uses and copies its winners. Offering in
+/// fleet order keeps every distance tie in fleet order, as a stable sort
+/// of the whole fleet would.
 pub struct TaxiSystem<'a> {
     replay: TaxiReplay<'a>,
+    /// This tick's available taxis in fleet order: positions for the
+    /// scan, and each taxi as a client observes it. Both are reserved to
+    /// the fleet size, so they never grow.
+    positions: Vec<Meters>,
+    cars: Vec<ObservedCar>,
 }
 
 impl<'a> TaxiSystem<'a> {
     /// Wraps a replay of `trace`; ground truth accumulates against
     /// `region` (pass the measurement polygon).
     pub fn new(trace: &'a TaxiTrace, region: surgescope_geo::Polygon, seed: u64) -> Self {
-        TaxiSystem { replay: TaxiReplay::new(trace, region, seed) }
+        let fleet = trace.taxi_count as usize;
+        TaxiSystem {
+            replay: TaxiReplay::new(trace, region, seed),
+            positions: Vec::with_capacity(fleet),
+            cars: Vec::with_capacity(fleet),
+        }
     }
 
     /// Access to the replay (for ground truth after the campaign).
@@ -419,24 +474,29 @@ impl MeasuredSystem for TaxiSystem<'_> {
         self.replay.now()
     }
 
-    /// Renders each client's nearest taxis into its slot's one block,
-    /// reusing the block's car vector, so with a reused `out` a tick's
-    /// pings allocate nothing.
+    /// Renders the available taxis once, then each client's nearest of
+    /// them into its slot's one block, reusing the block's car vector, so
+    /// with a reused `out` a tick's pings allocate nothing.
     fn ping_all_into(&mut self, clients: &[ClientSpec], out: &mut Vec<Vec<TypeObservation>>) {
+        self.positions.clear();
+        self.cars.clear();
+        self.replay.for_each_available(|id, position, displacement| {
+            self.positions.push(position);
+            self.cars.push(ObservedCar { id, position, displacement });
+        });
         out.resize_with(clients.len(), Vec::new);
         out.truncate(clients.len());
         for (c, slot) in clients.iter().zip(out.iter_mut()) {
+            let mut nearest = NearestK::<NEAREST_CARS_SHOWN>::new();
+            for (i, p) in self.positions.iter().enumerate() {
+                nearest.offer(p.dist2(c.position), i);
+            }
             let mut cars = slot
                 .pop()
                 .map_or_else(|| Vec::with_capacity(NEAREST_CARS_SHOWN), |block| block.cars);
             slot.clear();
             cars.clear();
-            self.replay.nearest_visit::<NEAREST_CARS_SHOWN>(
-                c.position,
-                |id, position, displacement| {
-                    cars.push(ObservedCar { id, position, displacement });
-                },
-            );
+            cars.extend(nearest.indices().iter().map(|&i| self.cars[i]));
             slot.push(TypeObservation { car_type: CarType::UberT, cars, ewt_min: 0.0, surge: 1.0 });
         }
     }
@@ -513,6 +573,62 @@ mod tests {
             all.iter().flatten().any(|per_client| per_client.is_empty()),
             "fault plan never dropped a ping; test is vacuous"
         );
+    }
+
+    /// The cached origins follow the clients passed. One system is pinged,
+    /// with jitter forced on, from slices that change between ticks (the
+    /// lattice, the lattice shifted 20 m, the same positions under
+    /// reversed keys, a shorter slice): runs of 7 ticks, and two holds of
+    /// 130 ticks that keep their origins across two interval boundaries,
+    /// so a stale position, area, key or jitter window would show. Every
+    /// slot must equal the conversion of `ping_client`'s response for its
+    /// client, codec bytes compared.
+    #[test]
+    fn changing_client_sets_match_ping_client() {
+        use crate::observe::response_to_observations;
+        use serde::Serialize;
+        use surgescope_api::JitterConfig;
+
+        let mut c = CityModel::manhattan_midtown();
+        c.supply = c.supply.scaled(0.3);
+        c.demand = c.demand.scaled(1.2);
+        let mut mp = Marketplace::new(c, MarketplaceConfig::default(), 3);
+        mp.run_for(SimDuration::hours(8));
+        let jitter = JitterConfig { prob_per_interval: 1.0, short_fraction: 0.9 };
+        let api = ApiService::new(ProtocolEra::Apr2015, 3).with_jitter(jitter);
+        let mut sys = UberSystem::new(mp, api);
+        let base = lattice(&sys);
+        let shift = |c: &ClientSpec| Meters::new(c.position.x + 20.0, c.position.y);
+        let shifted = base.iter().map(|c| ClientSpec { position: shift(c), ..*c }).collect();
+        let rekey = |(c, o): (&ClientSpec, &ClientSpec)| ClientSpec { key: o.key, ..*c };
+        let reversed = base.iter().zip(base.iter().rev()).map(rekey).collect();
+        let shorter = base[..10].to_vec();
+        let sets: [Vec<ClientSpec>; 4] = [base, shifted, reversed, shorter];
+        let proj = sys.marketplace.city().projection;
+        let codec = |blocks: &[TypeObservation]| {
+            let mut out = Vec::new();
+            surgescope_store::encode_value(&blocks.to_value(), &mut out);
+            out
+        };
+        let first = sys.now().surge_interval();
+        let schedule = [(0, 130), (1, 7), (2, 7), (3, 7), (0, 7), (2, 130), (3, 7), (1, 7)];
+        let mut out = Vec::new();
+        let ticks = schedule.iter().flat_map(|&(set, n)| std::iter::repeat_n(set, n));
+        for (tick, set) in ticks.enumerate() {
+            let clients = &sets[set];
+            sys.ping_all_into(clients, &mut out);
+            let snap = sys.tick_snapshot();
+            assert_eq!(out.len(), clients.len());
+            for (c, blocks) in clients.iter().zip(&out) {
+                let resp = sys.api.ping_client(&snap, c.key, proj.to_latlng(c.position));
+                let want = response_to_observations(&resp, &proj);
+                assert!(codec(blocks) == codec(&want), "tick {tick}: client {}", c.key);
+            }
+            drop(snap);
+            sys.advance_tick();
+        }
+        assert!(sys.now().surge_interval() >= first + 4, "fewer than four interval boundaries");
+        assert!(sys.api.jitter_hits().get() > 0, "no ping hit its jitter window");
     }
 
     /// Every block in the delivery's pool was once live in a slot or in

@@ -158,14 +158,6 @@ pub fn cache_dir(ctx: &RunCtx) -> Option<PathBuf> {
     ctx.out_dir.as_ref().map(|d| d.join("campaign-cache"))
 }
 
-/// Runs `runner` to its end and finishes it, returning the campaign and
-/// its metrics snapshot, read at the last tick boundary.
-fn run_to_finish(mut runner: CampaignRunner) -> Result<(CampaignData, Snapshot), StoreError> {
-    runner.run_to_end()?;
-    let snap = runner.metrics_snapshot();
-    Ok((runner.finish()?, snap))
-}
-
 /// Event-log path for a cache key inside `dir`.
 pub fn log_path(dir: &std::path::Path, key: u64) -> PathBuf {
     dir.join(format!("campaign-{key:016x}.sslog"))
@@ -236,6 +228,25 @@ impl CampaignCache {
         }
         s.push_str("}}");
         s
+    }
+
+    /// Runs `runner` to its end and finishes it, returning the campaign
+    /// and its metrics snapshot, read at the last tick boundary. A
+    /// campaign that finished but whose log could not be written is kept:
+    /// the failure is counted in `cache.store_failures` and warned about,
+    /// and only the disk layer goes without it.
+    fn run_to_finish(
+        &self,
+        mut runner: CampaignRunner,
+    ) -> Result<(CampaignData, Snapshot), StoreError> {
+        runner.run_to_end()?;
+        let snap = runner.metrics_snapshot();
+        let (data, logged) = runner.finish_and_log()?;
+        if let Err(e) = logged {
+            self.store_failures.incr();
+            eprintln!("[cache] campaign log not written ({e}); keeping the campaign in memory");
+        }
+        Ok((data, snap))
     }
 
     /// The standard campaign configuration for (city, era) under `ctx`.
@@ -315,7 +326,7 @@ impl CampaignCache {
             }
             let fallible =
                 CampaignRunner::new_remote_with(city.model(), &cfg, &addr, connections, options)
-                    .and_then(run_to_finish);
+                    .and_then(|runner| self.run_to_finish(runner));
             match fallible {
                 Ok((data, snap)) => {
                     lock_ok(&self.snapshots).insert(key, snap);
@@ -414,7 +425,7 @@ impl CampaignCache {
                             runner.ticks_total()
                         );
                     }
-                    match run_to_finish(runner) {
+                    match self.run_to_finish(runner) {
                         Ok((data, snap)) => return (data, Some(snap)),
                         Err(e) => {
                             if !quiet {
@@ -443,7 +454,8 @@ impl CampaignCache {
                 cfg.era
             );
         }
-        match CampaignRunner::new(city.model(), cfg).and_then(run_to_finish) {
+        let fresh = CampaignRunner::new(city.model(), cfg);
+        match fresh.and_then(|runner| self.run_to_finish(runner)) {
             Ok((data, snap)) => (data, Some(snap)),
             Err(e) => {
                 self.store_failures.incr();
@@ -491,5 +503,49 @@ impl CampaignCache {
         let v = Arc::new(TaxiValidation { estimator, truth, trace });
         *lock_ok(&self.taxi) = Some(Arc::clone(&v));
         v
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use surgescope_core::persist::campaign_encoded;
+
+    /// A campaign that finishes but cannot write its log (its temp file's
+    /// name is taken by a directory) is kept rather than simulated again:
+    /// one store failure, one miss, a metrics entry (the memory-only
+    /// fallback records none), and the bytes of a memory-only run.
+    #[test]
+    fn a_log_that_cannot_be_written_keeps_the_finished_campaign() {
+        let out = std::env::temp_dir()
+            .join(format!("surgescope-cache-log-failure-{}", std::process::id()));
+        let ctx = RunCtx { out_dir: Some(out.clone()), quiet: true, ..RunCtx::quick(5) };
+        let dir = cache_dir(&ctx).expect("an output directory gives a disk cache");
+        let (city, era) = (City::Manhattan, ProtocolEra::Feb2015);
+        let key = cache_key(&city.model().name, &CampaignCache::campaign_config(city, era, &ctx));
+        let mut blocked = log_path(&dir, key).into_os_string();
+        blocked.push(".tmp");
+        std::fs::create_dir_all(&blocked).unwrap();
+
+        let cache = CampaignCache::new();
+        let data = cache.campaign(city, era, &ctx);
+        let written = log_path(&dir, key).exists();
+        let _ = std::fs::remove_dir(&blocked);
+        let _ = std::fs::remove_dir_all(&out);
+        assert!(!written, "the log was written; the failure is untested");
+        let run = cache.registry().snapshot();
+        assert_eq!(run.value("cache.store_failures"), Some(1));
+        assert_eq!(run.value("cache.misses"), Some(1));
+        assert!(
+            cache.metrics_json().contains(&format!("\"campaign-{key:016x}\":")),
+            "no metrics entry for the kept campaign"
+        );
+
+        let plain = RunCtx { quiet: true, ..RunCtx::quick(5) };
+        let memory_only = CampaignCache::new().campaign(city, era, &plain);
+        assert!(
+            campaign_encoded(&data) == campaign_encoded(&memory_only),
+            "the kept campaign differs from a memory-only run"
+        );
     }
 }

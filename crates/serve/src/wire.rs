@@ -43,7 +43,8 @@
 //!
 //! [`encode_ping_reply`] is the layout's one production encoder: it
 //! answers a batch straight from the tick's [`WorldSnapshot`] through
-//! [`PingConfig::ping_visit`], rendering each shown car once.
+//! one [`PingConfig::tick`] context per batch, rendering each shown car
+//! once.
 //!
 //! A reply has one parser and two sinks. [`walk_ping_reply`] walks the
 //! layout and hands each table car, each response head and each tier
@@ -79,7 +80,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use surgescope_api::{
-    CarInfo, PingClientResponse, PingConfig, ProtocolEra, SnapCar, TypeStatus, WorldSnapshot,
+    CarInfo, PingClientResponse, PingConfig, PingOrigin, ProtocolEra, SnapCar, TypeStatus,
+    WorldSnapshot,
 };
 use surgescope_city::{CarType, CityModel};
 use surgescope_geo::{LatLng, PathVector};
@@ -558,9 +560,11 @@ pub struct PingTally {
 
 /// Appends the `RESP_PING` payload answering `pings` from `snap` to
 /// `out`, each response exactly what [`PingConfig::ping_client`] answers.
-/// One [`PingConfig::ping_visit`] pass per ping writes the responses into
-/// a scratch buffer and marks each shown car in a per-tier slot array,
-/// which numbers the cars in order of first sighting; the table then
+/// One [`PingConfig::tick`] context serves the whole batch, and one
+/// [`TickPing::visit`](surgescope_api::TickPing::visit) pass per ping
+/// writes the responses into a scratch buffer and marks each shown car
+/// in a per-tier slot array, which numbers the cars in order of first
+/// sighting; the table then
 /// renders each car once, ahead of the responses. The pass keeps count of
 /// the payload's size, so a reply whose frame body (kind byte included)
 /// would pass `max_frame` bytes is refused as soon as it does, before
@@ -574,7 +578,7 @@ pub fn encode_ping_reply(
     pings: &[(u64, LatLng)],
     max_frame: usize,
 ) -> Result<PingTally, String> {
-    // `ping_visit` visits every offered tier in `offered_types` order, so
+    // `visit` visits every offered tier in `offered_types` order, so
     // the `t`-th tier of every response shows cars of `tiers[t]`, and
     // `slot[t][i]` holds the table index of its `i`-th car once shown.
     let tiers: Vec<&[SnapCar]> = snap.offered_types().map(|t| snap.cars_of(t)).collect();
@@ -585,6 +589,7 @@ pub fn encode_ping_reply(
     let mut table_bytes = 4;
     let mut sightings = 0;
     let now = snap.now();
+    let tick = ping.tick(snap);
     let mut responses = Vec::new();
     put_u32(&mut responses, pings.len());
     for (r, &(key, loc)) in pings.iter().enumerate() {
@@ -592,7 +597,7 @@ pub fn encode_ping_reply(
         put_latlng(&mut responses, loc);
         put_u32(&mut responses, tiers.len());
         let mut t = 0;
-        ping.ping_visit(snap, key, loc, |tier| {
+        tick.visit(&mut PingOrigin::new(snap.city(), key, loc), |tier| {
             responses.push(tier.car_type as u8);
             put_u64(&mut responses, tier.ewt_min.to_bits());
             put_u64(&mut responses, tier.surge.to_bits());

@@ -11,9 +11,15 @@
 //!   the gap (the paper notes this filter removes ~5% of sessions);
 //! * the public ID is **re-randomized every time the taxi becomes
 //!   available** again.
+//!
+//! The pingClient analogue is split in two: the replay visits its
+//! available taxis in fleet order ([`TaxiReplay::for_each_available`]),
+//! and the measuring side renders them once per tick and ranks them per
+//! client (`TaxiSystem` in `surgescope-core`), so each taxi is rendered
+//! once per tick, not once per client it is shown to.
 
 use crate::trace::TaxiTrace;
-use surgescope_geo::{Meters, NearestK, PathVector, Polygon};
+use surgescope_geo::{Meters, PathVector, Polygon};
 use surgescope_simcore::{SimDuration, SimRng, SimTime};
 
 /// Idle gaps longer than this are treated as the taxi going offline.
@@ -234,29 +240,15 @@ impl<'a> TaxiReplay<'a> {
             .collect()
     }
 
-    /// pingClient analogue: visits the `K` nearest available taxis to
-    /// `pos`, nearest first, as `(session, position, displacement)`. The
-    /// displacement runs from the oldest to the newest point of the
-    /// taxi's path, `None` before it has two.
-    ///
-    /// One pass over the fleet offers every available taxi to a
-    /// [`NearestK`] in fleet order, so ties keep fleet order, as a stable
-    /// sort of the whole fleet would, and the query allocates nothing.
-    /// The fleet is a few hundred taxis, so a brute-force pass is enough;
-    /// no grid is built.
-    pub fn nearest_visit<const K: usize>(
-        &self,
-        pos: Meters,
-        mut visit: impl FnMut(u64, Meters, Option<Meters>),
-    ) {
-        let mut nearest = NearestK::<K>::new();
-        for (i, s) in self.taxis.iter().enumerate() {
-            if matches!(s.phase, Phase::Available(_)) {
-                nearest.offer(s.position.dist2(pos), i);
-            }
-        }
-        for &i in nearest.indices() {
-            let s = &self.taxis[i];
+    /// Visits every available taxi, in fleet order (the order of
+    /// [`TaxiReplay::visible`]), as `(session, position, displacement)`:
+    /// what a pingClient analogue shows of it. The displacement runs from
+    /// the oldest to the newest point of the taxi's path, `None` before it
+    /// has two. A tick's pings render the fleet once through this and
+    /// scan the rendering, so each taxi is rendered once per tick however
+    /// many clients are shown it.
+    pub fn for_each_available(&self, mut visit: impl FnMut(u64, Meters, Option<Meters>)) {
+        for s in self.taxis.iter().filter(|s| matches!(s.phase, Phase::Available(_))) {
             let displacement = match (s.path.points().next(), s.path.last()) {
                 (Some(first), Some(last)) if s.path.len() >= 2 => {
                     Some(path_meters(last).sub(path_meters(first)))
@@ -400,22 +392,33 @@ mod tests {
         assert_eq!(demand, 1);
     }
 
+    /// The visitor walks exactly the taxis `visible()` lists, in its
+    /// order (fleet order, which keeps the ping kernel's ties), at every
+    /// tick of a day, with each displacement spanning its taxi's path.
     #[test]
-    fn nearest_returns_k_sorted() {
+    fn for_each_available_visits_visible_in_fleet_order() {
         let city = CityModel::manhattan_midtown();
         let gen = TraceGenerator { taxis: 120, days: 1, ..Default::default() };
         let trace = gen.generate(&city, 9);
         let mut rp = TaxiReplay::new(&trace, city.measurement_region.clone(), 4);
-        rp.run_until(SimTime(19 * 3600)); // evening peak
-        let pos = city.measurement_region.centroid();
-        let mut near = Vec::new();
-        rp.nearest_visit::<8>(pos, |_, p, _| near.push(p));
-        assert!(!near.is_empty());
-        assert!(near.len() <= 8);
-        let d: Vec<f64> = near.iter().map(|p| p.dist(pos)).collect();
-        for w in d.windows(2) {
-            assert!(w[0] <= w[1] + 1e-9);
+        let (mut busiest, mut moving) = (0, 0);
+        while rp.now() < SimTime(86_400) {
+            rp.tick();
+            let mut seen = Vec::new();
+            rp.for_each_available(|session, position, displacement| {
+                seen.push((session, position.x.to_bits(), position.y.to_bits()));
+                moving += usize::from(displacement.is_some_and(|d| d.x != 0.0 || d.y != 0.0));
+            });
+            let want: Vec<_> = rp
+                .visible()
+                .iter()
+                .map(|t| (t.session, t.position.x.to_bits(), t.position.y.to_bits()))
+                .collect();
+            assert_eq!(seen, want, "at {:?}", rp.now());
+            busiest = busiest.max(seen.len());
         }
+        assert!(busiest > 8, "never more than 8 taxis available; the order is untested");
+        assert!(moving > 0, "no available taxi ever moved; displacements are untested");
     }
 
     #[test]

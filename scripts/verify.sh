@@ -61,6 +61,16 @@ echo "== ping kernels: pinned output =="
 # reproduce the removed 4-thread ping pool's lossy output and, with and
 # without location noise, the wire response's conversion; the taxi
 # kernel must reproduce the pings of the sorting kernel it replaced.
+# The Uber kernel derives once per tick what every ping shares and once
+# per client its origin and, per surge interval, its jitter window: in
+# both eras, jitter forced on, across delay windows and interval
+# boundaries, it must answer every client and tier as a reference that
+# re-derives each of these per ping, and count the same jitter-window
+# hits; and a system pinged with client slices that change between
+# ticks (shifted, re-keyed, shortened) must answer every slot as
+# ping_client does. The taxi kernel renders the available taxis once per
+# tick, in fleet order: its visitor must walk exactly the taxis
+# visible() lists, in that order.
 # The wire response must convert to the same observations after a round
 # trip through the binary PING layout the remote client reads, and the
 # server's encoder, answering batches straight from the snapshot, must
@@ -83,11 +93,15 @@ run_named_tests -p surgescope-geo --lib -- \
   nearest::tests::total_order_key_orders_like_total_cmp \
   nearest::proptests::nearest_k_matches_stable_sort
 run_named_tests -p surgescope-api --lib -- \
-  service::proptests::scan_tier_matches_stable_sort_and_first_min_scan
+  service::proptests::scan_tier_matches_stable_sort_and_first_min_scan \
+  service::tests::tick_context_matches_inline_reference
 run_named_tests -p surgescope-core --lib -- \
   systems::tests::lossy_ping_all_matches_pinned_pool_output \
   systems::tests::taxi_ping_all_matches_pinned_sort_output \
+  systems::tests::changing_client_sets_match_ping_client \
   remote::tests::client_decoder_matches_reference_conversion
+run_named_tests -p surgescope-taxi --lib -- \
+  replay::tests::for_each_available_visits_visible_in_fleet_order
 run_named_tests -p surgescope-core --test ping_equivalence -- \
   ping_all_matches_wire_response_conversion \
   ping_all_matches_wire_layout_round_trip \
@@ -144,11 +158,18 @@ echo "== store: checkpoint and log format, write memory =="
 # above the live campaign state. The log, written once at finish to a
 # temp file renamed into place, must keep its pinned digest clean,
 # faulted and resumed from a checkpoint, and a campaign that never
-# finishes must leave no log at all.
+# finishes must leave no log at all. Every client's per-tick series
+# must be reserved to the horizon, fresh and after a resume. A campaign
+# that finishes but cannot write its log must stay in the cache, with
+# its metrics entry and one store failure, and never run twice.
 run_named_tests -p surgescope-core --test checkpoint_resume -- \
   checkpoint_file_matches_pinned_bytes \
   log_file_matches_pinned_bytes \
   an_unfinished_campaign_leaves_no_log
+run_named_tests -p surgescope-core --lib -- \
+  campaign::tests::every_client_series_is_reserved_to_the_horizon
+run_named_tests -p surgescope-experiments --lib -- \
+  cache::tests::a_log_that_cannot_be_written_keeps_the_finished_campaign
 run_named_tests -p surgescope-bench --test checkpoint_heap -- \
   checkpoint_write_heap_peak_is_bounded_by_file_size
 
