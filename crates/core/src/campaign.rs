@@ -423,6 +423,9 @@ pub struct CampaignRunner {
     probe_limited_logged: bool,
     ticks_total: usize,
     ticks_done: usize,
+    /// The first checkpoint `run_to_end` could not write; it writes none
+    /// after it, and `finish_and_log` reports it.
+    store_failure: Option<StoreError>,
     /// Campaign-scoped metrics registry plus the runner's own handles.
     /// Observational only: never serialized, never part of
     /// [`CampaignData`] (which must stay byte-stable across resume).
@@ -613,6 +616,7 @@ impl CampaignRunner {
             probe_limited_logged: false,
             ticks_total,
             ticks_done: 0,
+            store_failure: None,
             cfg,
             metrics,
         }
@@ -808,15 +812,19 @@ impl CampaignRunner {
     /// path it checkpoints about eight times per campaign, at least 720
     /// ticks (an hour) apart, but never after the final tick — at that
     /// point [`CampaignRunner::finish`] is the only sensible continuation.
+    /// A checkpoint that cannot be written stops only the checkpoints:
+    /// the run goes on to the horizon and [`CampaignRunner::finish_and_log`]
+    /// reports the failure. The only error is a tick's (a remote breaker).
     pub fn run_to_end(&mut self) -> Result<(), StoreError> {
         let every = (self.ticks_total / 8).max(720);
         while self.ticks_done < self.ticks_total {
             self.tick()?;
-            if self.cfg.store.checkpoint_path.is_some()
+            if self.store_failure.is_none()
+                && self.cfg.store.checkpoint_path.is_some()
                 && self.ticks_done.is_multiple_of(every)
                 && self.ticks_done < self.ticks_total
             {
-                self.write_checkpoint()?;
+                self.store_failure = self.write_checkpoint().err();
             }
         }
         Ok(())
@@ -1001,7 +1009,8 @@ impl CampaignRunner {
     /// Finalizes the campaign: finishes the estimator, flushes the last
     /// partial day, computes the summary series and, when the hooks name
     /// a log path, writes the whole log (see [`persist::write_log`]).
-    /// Panics if ticks remain (finishing early would silently truncate
+    /// Fails with the first store write that failed, a checkpoint or the
+    /// log. Panics if ticks remain (finishing early would silently truncate
     /// every series — call [`CampaignRunner::run_to_end`] first).
     pub fn finish(self) -> Result<CampaignData, StoreError> {
         let (data, logged) = self.finish_and_log()?;
@@ -1009,10 +1018,12 @@ impl CampaignRunner {
     }
 
     /// [`CampaignRunner::finish`], handing the finished campaign back
-    /// beside the log write's result instead of dropping it with a failed
+    /// beside the store's result instead of dropping it with a failed
     /// write. The outer error is a campaign that could not finish (a
-    /// remote system's ground truth lost on the wire); the inner one only
-    /// says that the log is not on disk.
+    /// remote system's ground truth lost on the wire). The log is written
+    /// even after a checkpoint failed; the inner error is the first store
+    /// write that failed, that checkpoint or else the log, and only says
+    /// that the disk does not hold the campaign.
     pub fn finish_and_log(mut self) -> Result<(CampaignData, Result<(), StoreError>), StoreError> {
         assert_eq!(
             self.ticks_done, self.ticks_total,
@@ -1073,7 +1084,7 @@ impl CampaignRunner {
             }
             None => Ok(()),
         };
-        Ok((data, logged))
+        Ok((data, self.store_failure.map_or(logged, Err)))
     }
 }
 
@@ -1105,13 +1116,14 @@ pub struct Campaign;
 impl Campaign {
     /// Runs a full measurement campaign against a simulated marketplace.
     ///
-    /// Panics on store I/O errors — only possible when `cfg.store` hooks
-    /// are enabled; callers that need to handle those use
-    /// [`CampaignRunner`] directly.
+    /// Panics, once the campaign has run to its horizon, if a checkpoint
+    /// or the log could not be written — only possible when `cfg.store`
+    /// hooks are enabled; callers that keep such a campaign use
+    /// [`CampaignRunner::finish_and_log`].
     pub fn run_uber(city: CityModel, cfg: &CampaignConfig) -> CampaignData {
         let mut runner = CampaignRunner::new(city, cfg).expect("campaign runner");
-        runner.run_to_end().expect("campaign store: write checkpoints");
-        runner.finish().expect("campaign store: write log")
+        runner.run_to_end().expect("an in-process tick cannot fail");
+        runner.finish().expect("campaign store: write a checkpoint or the log")
     }
 
     /// Runs the §3.5 validation campaign against a taxi replay. Returns

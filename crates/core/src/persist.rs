@@ -18,7 +18,8 @@
 //! serialized in a canonical order (maps sorted, sets sorted, floats as
 //! bit patterns), two `CampaignData` values are bit-identical iff their
 //! [`campaign_encoded`] bytes are equal — which is how the
-//! checkpoint/resume tests assert equality down to NaN payloads.
+//! checkpoint/resume tests assert equality down to NaN payloads. Like a
+//! checkpoint, that encoding streams the per-tick series into bytes.
 
 use crate::campaign::CampaignData;
 use crate::estimate::SupplyDemandEstimator;
@@ -29,7 +30,7 @@ use std::path::Path;
 use surgescope_city::CityModel;
 use surgescope_marketplace::GroundTruth;
 use surgescope_store::{
-    encode_key, encode_map_header, encode_seq_header, encode_to_vec, encode_u64, write_atomic,
+    encode_key, encode_map_header, encode_seq_header, encode_u64, encode_value, write_atomic,
     LogReader, StoreError,
 };
 
@@ -134,20 +135,25 @@ pub(crate) fn write_log(
     })
 }
 
-/// Full canonical serialization of a [`CampaignData`] (finish fields plus
-/// the per-tick series). Equal values ⇔ equal bytes under
-/// [`campaign_encoded`].
-pub fn campaign_to_value(data: &CampaignData) -> Value {
-    let Value::Map(mut fields) = finish_value(data) else { unreachable!() };
-    fields.push(("client_surge".into(), f32_rows_to_bits(&data.client_surge)));
-    fields.push(("client_ewt".into(), f32_rows_to_bits(&data.client_ewt)));
-    Value::Map(fields)
-}
-
 /// Canonical byte encoding of a campaign; two campaigns are bit-identical
-/// (down to NaN payloads) iff these byte strings are equal.
+/// (down to NaN payloads) iff these byte strings are equal. One codec map:
+/// the FINISH record's fields, then the per-tick `client_surge` and
+/// `client_ewt` series, streamed sample by sample as checkpoints stream
+/// them rather than built as a tree of one 32-byte `Value` per sample.
 pub fn campaign_encoded(data: &CampaignData) -> Vec<u8> {
-    encode_to_vec(&campaign_to_value(data))
+    let Value::Map(fields) = finish_value(data) else { unreachable!() };
+    let series = [("client_surge", &data.client_surge), ("client_ewt", &data.client_ewt)];
+    let mut out = Vec::new();
+    encode_map_header(fields.len() + series.len(), &mut out);
+    for (key, v) in &fields {
+        encode_key(key, &mut out);
+        encode_value(v, &mut out);
+    }
+    for (key, rows) in series {
+        encode_key(key, &mut out);
+        encode_f32_rows(rows, &mut out);
+    }
+    out
 }
 
 /// Rebuilds a [`CampaignData`] from a FINISH record plus the per-client

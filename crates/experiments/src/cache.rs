@@ -16,7 +16,10 @@
 //!   interrupted campaign, which leaves a checkpoint but never a log,
 //!   resumes from its checkpoint instead of starting over. `repro
 //!   --resume` goes through the same path: it moves its checkpoint to
-//!   [`checkpoint_path`] and asks the cache for the campaign.
+//!   [`checkpoint_path`] and asks the cache for the campaign. A
+//!   checkpoint or log that cannot be written costs only this layer:
+//!   the campaign still runs to its end, once, and is kept in memory with
+//!   its metrics entry and one `cache.store_failures`.
 
 use crate::RunCtx;
 use std::collections::{BTreeMap, HashMap};
@@ -196,27 +199,20 @@ impl CampaignCache {
     /// [`CampaignCache::metrics_deterministic_json`] for the
     /// determinism-checked subset.
     pub fn metrics_json(&self) -> String {
-        let mut s = String::from("{\"run\":");
-        s.push_str(&self.registry.snapshot().to_json());
-        s.push_str(",\"campaigns\":{");
-        let snaps = lock_ok(&self.snapshots);
-        for (i, (key, snap)) in snaps.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"campaign-{key:016x}\":"));
-            s.push_str(&snap.to_json());
-        }
-        s.push_str("}}");
-        s
+        self.render_metrics(Snapshot::to_json)
     }
 
     /// The determinism-checked sections only (run + per-campaign), in the
     /// same shape as [`CampaignCache::metrics_json`]. Byte-identical at
     /// any `--jobs` setting for the same inputs.
     pub fn metrics_deterministic_json(&self) -> String {
+        self.render_metrics(Snapshot::deterministic_json)
+    }
+
+    /// The metrics document, each snapshot rendered by `section`.
+    fn render_metrics(&self, section: fn(&Snapshot) -> String) -> String {
         let mut s = String::from("{\"run\":");
-        s.push_str(&self.registry.snapshot().deterministic_json());
+        s.push_str(&section(&self.registry.snapshot()));
         s.push_str(",\"campaigns\":{");
         let snaps = lock_ok(&self.snapshots);
         for (i, (key, snap)) in snaps.iter().enumerate() {
@@ -224,7 +220,7 @@ impl CampaignCache {
                 s.push(',');
             }
             s.push_str(&format!("\"campaign-{key:016x}\":"));
-            s.push_str(&snap.deterministic_json());
+            s.push_str(&section(snap));
         }
         s.push_str("}}");
         s
@@ -232,37 +228,30 @@ impl CampaignCache {
 
     /// Runs `runner` to its end and finishes it, returning the campaign
     /// and its metrics snapshot, read at the last tick boundary. A
-    /// campaign that finished but whose log could not be written is kept:
-    /// the failure is counted in `cache.store_failures` and warned about,
-    /// and only the disk layer goes without it.
+    /// campaign that finished but whose checkpoint or log could not be
+    /// written is kept: the failure is counted in `cache.store_failures`
+    /// and warned about, and only the disk layer goes without it. The
+    /// only error is a remote campaign's, lost on the wire.
     fn run_to_finish(
         &self,
         mut runner: CampaignRunner,
     ) -> Result<(CampaignData, Snapshot), StoreError> {
         runner.run_to_end()?;
         let snap = runner.metrics_snapshot();
-        let (data, logged) = runner.finish_and_log()?;
-        if let Err(e) = logged {
+        let (data, stored) = runner.finish_and_log()?;
+        if let Err(e) = stored {
             self.store_failures.incr();
-            eprintln!("[cache] campaign log not written ({e}); keeping the campaign in memory");
+            eprintln!("[cache] campaign not stored on disk ({e}); keeping it in memory");
         }
         Ok((data, snap))
     }
 
-    /// The standard campaign configuration for (city, era) under `ctx`.
+    /// The standard campaign configuration for (city, era) under `ctx`:
+    /// the paper's, at the context's horizon and scale.
     pub fn campaign_config(city: City, era: ProtocolEra, ctx: &RunCtx) -> CampaignConfig {
-        CampaignConfig {
-            seed: ctx.seed ^ (city as u64 + 1) ^ ((era == ProtocolEra::Apr2015) as u64) << 8,
-            hours: ctx.hours(),
-            era,
-            estimator: EstimatorConfig::default(),
-            spacing_override_m: None,
-            scale: ctx.scale(),
-            surge_policy: surgescope_marketplace::SurgePolicy::Threshold,
-            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            faults: surgescope_simcore::FaultPlan::none(),
-            store: StoreHooks::none(),
-        }
+        let seed = ctx.seed ^ (city as u64 + 1) ^ ((era == ProtocolEra::Apr2015) as u64) << 8;
+        let paper = CampaignConfig::paper_default(seed, era, ctx.hours());
+        CampaignConfig { scale: ctx.scale(), ..paper }
     }
 
     /// Seeds the in-process layer with an externally produced campaign.
@@ -278,12 +267,10 @@ impl CampaignCache {
         self.campaign_custom(city, Self::campaign_config(city, era, ctx), ctx)
     }
 
-    /// The campaign for an arbitrary config, building it on first use.
-    /// Checks the layers in order: in-process map, on-disk log (replayed,
-    /// no re-simulation), leftover checkpoint (resumed from the
-    /// interruption point), and only then runs the campaign from scratch —
-    /// checkpointing it and writing its log into the disk cache when one
-    /// is configured.
+    /// The campaign for an arbitrary config, building it on first use:
+    /// past the in-process layer, a remote run, the on-disk log, a
+    /// leftover checkpoint and a fresh run, in that order. What is built
+    /// is kept in memory, with the metrics snapshot of a simulated one.
     ///
     /// `cfg.store` is overwritten; the cache owns persistence placement.
     pub fn campaign_custom(
@@ -298,7 +285,29 @@ impl CampaignCache {
             self.hits.incr();
             return Arc::clone(c);
         }
+        let (data, snapshot) = self.build(city, cfg, key, ctx);
+        if let Some(snap) = snapshot {
+            lock_ok(&self.snapshots).insert(key, snap);
+        }
+        let data = Arc::new(data);
+        lock_ok(&self.campaigns).insert(key, Arc::clone(&data));
+        data
+    }
 
+    /// Builds a campaign the in-process layer does not hold, trying in
+    /// order: a remote run, when the context names a server; the on-disk
+    /// log, replayed without re-simulation; a leftover checkpoint,
+    /// resumed from the interruption point; a fresh run. A resumed or
+    /// fresh run checkpoints into the disk cache and logs there when it
+    /// finishes, and is simulated once whatever the disk does. Returns
+    /// the campaign and, unless it was replayed, its metrics snapshot.
+    fn build(
+        &self,
+        city: City,
+        mut cfg: CampaignConfig,
+        key: u64,
+        ctx: &RunCtx,
+    ) -> (CampaignData, Option<Snapshot>) {
         // Remote measurement: the campaign runs against a serve endpoint
         // over a set of sockets. Byte-identical to the local
         // path, so it can share the in-process layer; the disk layers are
@@ -328,12 +337,7 @@ impl CampaignCache {
                 CampaignRunner::new_remote_with(city.model(), &cfg, &addr, connections, options)
                     .and_then(|runner| self.run_to_finish(runner));
             match fallible {
-                Ok((data, snap)) => {
-                    lock_ok(&self.snapshots).insert(key, snap);
-                    let data = Arc::new(data);
-                    lock_ok(&self.campaigns).insert(key, Arc::clone(&data));
-                    return data;
-                }
+                Ok((data, snap)) => return (data, Some(snap)),
                 Err(e) => {
                     self.remote_failures.incr();
                     // The client names the breaker in the error it
@@ -365,12 +369,7 @@ impl CampaignCache {
                                 lp.display()
                             );
                         }
-                        let data = Arc::new(data);
-                        self.campaigns
-                            .lock()
-                            .expect("cache lock")
-                            .insert(key, Arc::clone(&data));
-                        return data;
+                        return (data, None);
                     }
                     Err(e) => {
                         if !ctx.quiet {
@@ -389,34 +388,11 @@ impl CampaignCache {
         }
 
         self.misses.incr();
-        let (data, snapshot) = self.run_campaign(city, &cfg, ctx.quiet);
-        if let Some(snap) = snapshot {
-            lock_ok(&self.snapshots).insert(key, snap);
-        }
-        if let Some(cp) = &cfg.store.checkpoint_path {
-            let _ = std::fs::remove_file(cp);
-        }
-        let data = Arc::new(data);
-        lock_ok(&self.campaigns).insert(key, Arc::clone(&data));
-        data
-    }
-
-    /// Runs (or crash-resumes) one campaign, degrading to a memory-only
-    /// run if the store layer fails — a broken disk must cost the cache,
-    /// never the run. Returns the campaign plus its metrics snapshot,
-    /// read at the last tick boundary (the store-failure fallback path
-    /// has no runner to read from and returns `None`).
-    fn run_campaign(
-        &self,
-        city: City,
-        cfg: &CampaignConfig,
-        quiet: bool,
-    ) -> (CampaignData, Option<Snapshot>) {
-        if let Some(cp) = cfg.store.checkpoint_path.as_ref().filter(|p| p.exists()) {
+        let resumed = cfg.store.checkpoint_path.as_ref().filter(|cp| cp.exists()).and_then(|cp| {
             match CampaignRunner::resume_from_file(cp, cfg.store.clone()) {
                 Ok(runner) => {
                     self.resumes.incr();
-                    if !quiet {
+                    if !ctx.quiet {
                         eprintln!(
                             "[cache] resuming {} campaign ({:?} era) from checkpoint at tick {}/{}…",
                             city.label(),
@@ -425,48 +401,37 @@ impl CampaignCache {
                             runner.ticks_total()
                         );
                     }
-                    match self.run_to_finish(runner) {
-                        Ok((data, snap)) => return (data, Some(snap)),
-                        Err(e) => {
-                            if !quiet {
-                                eprintln!(
-                                    "[cache] resumed run failed to persist ({e}); re-running"
-                                );
-                            }
-                        }
-                    }
+                    Some(runner)
                 }
                 Err(e) => {
-                    if !quiet {
+                    if !ctx.quiet {
                         eprintln!(
                             "[cache] checkpoint {} unusable ({e}); re-running from scratch",
                             cp.display()
                         );
                     }
+                    None
                 }
             }
-        }
-        if !quiet {
-            eprintln!(
-                "[cache] running {} campaign ({} h, {:?} era)…",
-                city.label(),
-                cfg.hours,
-                cfg.era
-            );
-        }
-        let fresh = CampaignRunner::new(city.model(), cfg);
-        match fresh.and_then(|runner| self.run_to_finish(runner)) {
-            Ok((data, snap)) => (data, Some(snap)),
-            Err(e) => {
-                self.store_failures.incr();
-                if !quiet {
-                    eprintln!("[cache] store layer failed ({e}); running without persistence");
-                }
-                let mut plain = cfg.clone();
-                plain.store = StoreHooks::none();
-                (Campaign::run_uber(city.model(), &plain), None)
+        });
+        let runner = resumed.unwrap_or_else(|| {
+            if !ctx.quiet {
+                eprintln!(
+                    "[cache] running {} campaign ({} h, {:?} era)…",
+                    city.label(),
+                    cfg.hours,
+                    cfg.era
+                );
             }
+            CampaignRunner::new(city.model(), &cfg).expect("building a runner opens no file")
+        });
+        let (data, snap) = self
+            .run_to_finish(runner)
+            .expect("an in-process campaign fails only on a remote system's wire");
+        if let Some(cp) = &cfg.store.checkpoint_path {
+            let _ = std::fs::remove_file(cp);
         }
+        (data, Some(snap))
     }
 
     /// The §3.5 taxi validation (Manhattan), building it on first use.
@@ -547,5 +512,58 @@ mod tests {
             campaign_encoded(&data) == campaign_encoded(&memory_only),
             "the kept campaign differs from a memory-only run"
         );
+    }
+
+    /// A campaign whose checkpoint cannot be written (its temp file's
+    /// name is taken by a directory) runs on to its end once, writes its
+    /// log and is kept, whether it starts fresh or resumes from a
+    /// checkpoint left at tick 1,440: one store failure, one miss, a
+    /// metrics entry, and the bytes of a memory-only run, in memory and
+    /// replayed from the log.
+    #[test]
+    fn a_checkpoint_that_cannot_be_written_costs_no_simulation() {
+        let (city, era) = (City::Manhattan, ProtocolEra::Feb2015);
+        let plain = RunCtx { quiet: true, ..RunCtx::quick(6) };
+        let memory_only = campaign_encoded(&CampaignCache::new().campaign(city, era, &plain));
+        for (case, resumed) in [("fresh", false), ("resumed", true)] {
+            let out = std::env::temp_dir().join(format!(
+                "surgescope-cache-checkpoint-failure-{case}-{}",
+                std::process::id()
+            ));
+            let ctx = RunCtx { out_dir: Some(out.clone()), ..plain.clone() };
+            let dir = cache_dir(&ctx).expect("an output directory gives a disk cache");
+            let cfg = CampaignCache::campaign_config(city, era, &ctx);
+            let key = cache_key(&city.model().name, &cfg);
+            std::fs::create_dir_all(&dir).unwrap();
+            if resumed {
+                let cfg = CampaignConfig { store: store_hooks(&dir, key), ..cfg };
+                let mut runner = CampaignRunner::new(city.model(), &cfg).unwrap();
+                for _ in 0..1_440 {
+                    runner.tick().unwrap();
+                }
+                runner.write_checkpoint().unwrap();
+            }
+            let mut blocked = checkpoint_path(&dir, key).into_os_string();
+            blocked.push(".tmp");
+            std::fs::create_dir_all(&blocked).unwrap();
+
+            let cache = CampaignCache::new();
+            let data = cache.campaign(city, era, &ctx);
+            let replayed = replay_campaign(&log_path(&dir, key));
+            let _ = std::fs::remove_dir_all(&out);
+            let replayed =
+                replayed.unwrap_or_else(|e| panic!("{case}: the log was not written: {e}"));
+            let run = cache.registry().snapshot();
+            assert_eq!(run.value("cache.store_failures"), Some(1), "{case}");
+            assert_eq!(run.value("cache.misses"), Some(1), "{case}");
+            assert_eq!(run.value("cache.resumes"), Some(u64::from(resumed)), "{case}");
+            assert!(
+                cache.metrics_json().contains(&format!("\"campaign-{key:016x}\":")),
+                "{case}: no metrics entry for the kept campaign"
+            );
+            let bytes = [campaign_encoded(&data), campaign_encoded(&replayed)];
+            assert!(bytes[0] == memory_only, "{case}: not a memory-only run's bytes");
+            assert!(bytes[1] == memory_only, "{case}: the log replays to other bytes");
+        }
     }
 }

@@ -47,6 +47,27 @@ fn scheduler_prefetch_matches_serial_byte_for_byte() {
     }
 }
 
+/// `schedule::needs` must name every campaign an experiment reads: one
+/// it leaves out is built inline and serially, and nothing else says so.
+#[test]
+fn prefetch_covers_every_campaign_the_experiments_read() {
+    use surgescope_experiments::schedule;
+
+    let ctx = RunCtx { quiet: true, ..RunCtx::quick(11) };
+    let ids: Vec<String> = ALL_IDS.iter().map(|s| s.to_string()).collect();
+    let cache = CampaignCache::new();
+    let built = || {
+        let run = cache.registry().snapshot();
+        run.value("cache.misses").unwrap() + run.value("cache.taxi_runs").unwrap()
+    };
+    let tasks = schedule::prefetch(&ids, &ctx, &cache, 2);
+    assert_eq!(built(), tasks as u64, "the prefetch builds each of its tasks once");
+    for id in &ids {
+        run_experiment(id, &ctx, &cache).unwrap_or_else(|| panic!("{id} runs"));
+        assert_eq!(built(), tasks as u64, "{id} built a campaign the prefetch did not declare");
+    }
+}
+
 #[test]
 fn every_experiment_id_is_routable() {
     let ctx = RunCtx::quick(1);

@@ -159,9 +159,12 @@ echo "== store: checkpoint and log format, write memory =="
 # temp file renamed into place, must keep its pinned digest clean,
 # faulted and resumed from a checkpoint, and a campaign that never
 # finishes must leave no log at all. Every client's per-tick series
-# must be reserved to the horizon, fresh and after a resume. A campaign
-# that finishes but cannot write its log must stay in the cache, with
-# its metrics entry and one store failure, and never run twice.
+# must be reserved to the horizon, fresh and after a resume. A store
+# write that fails costs only the disk: a campaign whose log cannot be
+# written, or whose checkpoint cannot be written (fresh, or resumed
+# from a leftover checkpoint), runs to its end once and stays in the
+# cache with its metrics entry and one store failure, and a failed
+# checkpoint still leaves a log that replays to the same bytes.
 run_named_tests -p surgescope-core --test checkpoint_resume -- \
   checkpoint_file_matches_pinned_bytes \
   log_file_matches_pinned_bytes \
@@ -169,7 +172,8 @@ run_named_tests -p surgescope-core --test checkpoint_resume -- \
 run_named_tests -p surgescope-core --lib -- \
   campaign::tests::every_client_series_is_reserved_to_the_horizon
 run_named_tests -p surgescope-experiments --lib -- \
-  cache::tests::a_log_that_cannot_be_written_keeps_the_finished_campaign
+  cache::tests::a_log_that_cannot_be_written_keeps_the_finished_campaign \
+  cache::tests::a_checkpoint_that_cannot_be_written_costs_no_simulation
 run_named_tests -p surgescope-bench --test checkpoint_heap -- \
   checkpoint_write_heap_peak_is_bounded_by_file_size
 
@@ -273,6 +277,11 @@ run_named_tests -p surgescope-core --test remote_chaos -- \
   chaos_injection_counts_are_deterministic_per_seed
 
 echo "== scheduler: --jobs CSV byte-identity (jobs=1 vs jobs=4) =="
+# The prefetch must declare every campaign (and the taxi replay) that
+# any of the 26 experiments reads: after it, running them all builds
+# nothing more, so none is left to build inline and serially.
+run_named_tests -p surgescope-experiments --test harness -- \
+  prefetch_covers_every_campaign_the_experiments_read
 # A shared-campaign subset of `repro --quick` must emit byte-identical
 # CSVs whether campaigns are simulated serially or prefetched on 4
 # workers. Each run gets a fresh working directory and a fresh disk
