@@ -29,6 +29,7 @@ mod jitter;
 mod messages;
 mod ratelimit;
 mod service;
+mod world;
 
 pub use jitter::{JitterConfig, JitterWindow};
 pub use messages::{CarInfo, PingClientResponse, PriceEstimate, TimeEstimate, TypeStatus};
@@ -37,6 +38,7 @@ pub use service::{
     ApiService, PingConfig, PingOrigin, ProtocolEra, SnapCar, TickPing, TickSnapshot, TierPing,
     WorldSnapshot, NEAREST_CARS_SHOWN,
 };
+pub use world::{campaign_endpoint, campaign_market, campaign_world};
 
 #[cfg(test)]
 mod proptests {

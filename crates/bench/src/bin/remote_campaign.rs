@@ -1,5 +1,5 @@
 //! `remote_campaign` — run one measurement campaign and write its
-//! encoded [`CampaignData`] bytes to a file.
+//! encoded [`CampaignData`](surgescope_core::CampaignData) bytes to a file.
 //!
 //! With `--remote ADDR` the campaign is measured **over the wire**
 //! against a `surgescope-serve` endpoint over `--conns` sockets;

@@ -1,7 +1,7 @@
 //! Surge-area inference (§5.3, Figs. 18–19).
 //!
 //! The paper probes the API over a lattice of locations for days, then
-//! "look[s] for clusters of adjacent locations that always had equal
+//! "look\[s\] for clusters of adjacent locations that always had equal
 //! surge multipliers". Here that is: build the probe lattice, collect a
 //! per-probe multiplier series (the experiment harness does the
 //! collection), union-find adjacent probes with identical series, and —

@@ -31,11 +31,12 @@ use serde::{Deserialize, Serialize, Value};
 use surgescope_simcore::FastHashSet;
 use std::path::{Path, PathBuf};
 use surgescope_api::{
-    ApiService, PriceEstimate, ProtocolEra, RateLimitError, RateLimiter, TimeEstimate,
+    campaign_endpoint, campaign_market, campaign_world, PriceEstimate, ProtocolEra,
+    RateLimitError, RateLimiter, TimeEstimate,
 };
 use surgescope_city::{CarType, CityModel};
 use surgescope_geo::{LatLng, Meters, Polygon};
-use surgescope_marketplace::{GroundTruth, Marketplace, MarketplaceConfig};
+use surgescope_marketplace::{GroundTruth, Marketplace};
 use surgescope_obs::{Counter, MetricsRegistry, Snapshot, Timer};
 use surgescope_simcore::{FaultPlan, SimRng, SimTime, Transport};
 use surgescope_store::{encode_key, encode_map_header, encode_value, StoreError};
@@ -508,10 +509,7 @@ impl CampaignRunner {
     pub fn new(mut city: CityModel, cfg: &CampaignConfig) -> Result<Self, StoreError> {
         scale_city(&mut city, cfg.scale);
         let cfg = cfg.clone();
-        let market_cfg =
-            MarketplaceConfig { surge_policy: cfg.surge_policy, ..Default::default() };
-        let mp = Marketplace::new(city.clone(), market_cfg, cfg.seed);
-        let api = ApiService::new(cfg.era, cfg.seed ^ 0xB0B5);
+        let (mp, api) = campaign_world(city.clone(), cfg.seed, cfg.era, cfg.surge_policy);
         let sys = SystemBackend::Local(UberSystem::new(mp, api).with_faults(cfg.faults, cfg.seed));
         Ok(Self::fresh(city, cfg, sys))
     }
@@ -927,12 +925,11 @@ impl CampaignRunner {
         let mut cfg = CampaignConfig::from_value(v.field("config")?)?;
         cfg.store = hooks;
         let city = CityModel::from_value(v.field("city")?)?;
-        let market_cfg =
-            MarketplaceConfig { surge_policy: cfg.surge_policy, ..Default::default() };
         // The checkpointed city is already scaled; restore_state rebuilds
         // the world around it directly (no re-scaling).
+        let market_cfg = campaign_market(cfg.surge_policy);
         let mp = Marketplace::restore_state(city.clone(), market_cfg, v.field("marketplace")?)?;
-        let mut api = ApiService::new(cfg.era, cfg.seed ^ 0xB0B5);
+        let mut api = campaign_endpoint(cfg.era, cfg.seed);
         api.set_limiter(RateLimiter::from_value(v.field("limiter")?)?);
         let mut sys = UberSystem::new(mp, api).with_faults(cfg.faults, cfg.seed);
         sys.delivery.rng = SimRng::from_value(v.field("fault_rng")?)?;
@@ -1008,7 +1005,7 @@ impl CampaignRunner {
 
     /// Finalizes the campaign: finishes the estimator, flushes the last
     /// partial day, computes the summary series and, when the hooks name
-    /// a log path, writes the whole log (see [`persist::write_log`]).
+    /// a log path, writes the whole log (`persist::write_log`).
     /// Fails with the first store write that failed, a checkpoint or the
     /// log. Panics if ticks remain (finishing early would silently truncate
     /// every series — call [`CampaignRunner::run_to_end`] first).

@@ -9,7 +9,7 @@
 //! * **FINISH** carries every other [`CampaignData`] field (estimator,
 //!   transition tallies, API probe series, ground truth, …).
 //!
-//! [`write_log`] writes the whole log once, from a finished campaign,
+//! `write_log` writes the whole log once, from a finished campaign,
 //! through [`surgescope_store::write_atomic`], so a log on disk is always
 //! complete: an interrupted campaign leaves its checkpoint, never a log.
 //! [`replay_campaign`] folds the TICK records back into the per-client

@@ -1,11 +1,14 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! Usage:
-//!   repro [--quick] [--seed N] <id>...   run specific experiments
-//!   repro [--quick] [--seed N] all       run everything
-//!   repro --resume <checkpoint> [<id>...]  finish an interrupted campaign
-//!                                          first, then run experiments
-//!   repro list                           list experiment ids
+//!
+//! ```text
+//! repro [--quick] [--seed N] <id>...     run specific experiments
+//! repro [--quick] [--seed N] all         run everything
+//! repro --resume <checkpoint> [<id>...]  finish an interrupted campaign
+//!                                        first, then run experiments
+//! repro list                             list experiment ids
+//! ```
 //!
 //! `--resume` takes a campaign checkpoint written by the store layer
 //! (see `results/campaign-cache/*.ckpt`), moves it to the disk cache's

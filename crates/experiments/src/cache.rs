@@ -313,9 +313,10 @@ impl CampaignCache {
         // path, so it can share the in-process layer; the disk layers are
         // skipped (remote campaigns cannot be checkpointed). A wire
         // failure degrades to the in-process path below with a warning —
-        // a dead server must cost the topology, never the run.
+        // a dead server must cost the topology, never the run. A miss is
+        // counted where the campaign is simulated: here once it has run,
+        // or below before the local run, never for a replay.
         if let Some(addr) = ctx.remote.clone() {
-            self.misses.incr();
             self.remote_runs.incr();
             if !ctx.quiet {
                 eprintln!(
@@ -337,7 +338,10 @@ impl CampaignCache {
                 CampaignRunner::new_remote_with(city.model(), &cfg, &addr, connections, options)
                     .and_then(|runner| self.run_to_finish(runner));
             match fallible {
-                Ok((data, snap)) => return (data, Some(snap)),
+                Ok((data, snap)) => {
+                    self.misses.incr();
+                    return (data, Some(snap));
+                }
                 Err(e) => {
                     self.remote_failures.incr();
                     // The client names the breaker in the error it
@@ -511,6 +515,32 @@ mod tests {
         assert!(
             campaign_encoded(&data) == campaign_encoded(&memory_only),
             "the kept campaign differs from a memory-only run"
+        );
+    }
+
+    /// A campaign whose server is down is simulated once, locally, and
+    /// counted as one miss: the failed remote run builds nothing.
+    #[test]
+    fn a_dead_server_costs_one_miss() {
+        let closed = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let plain = RunCtx { quiet: true, ..RunCtx::quick(8) };
+        let ctx = RunCtx {
+            remote: Some(closed.to_string()),
+            remote_retries: Some(0),
+            ..plain.clone()
+        };
+        let (city, era) = (City::Manhattan, ProtocolEra::Feb2015);
+        let cache = CampaignCache::new();
+        let data = cache.campaign(city, era, &ctx);
+        let run = cache.registry().snapshot();
+        assert_eq!(run.value("cache.remote_runs"), Some(1));
+        assert_eq!(run.value("cache.remote_failures"), Some(1));
+        assert_eq!(run.value("resilience.breaker_trips"), Some(0));
+        assert_eq!(run.value("cache.misses"), Some(1));
+        let memory_only = CampaignCache::new().campaign(city, era, &plain);
+        assert!(
+            campaign_encoded(&data) == campaign_encoded(&memory_only),
+            "the local fallback differs from a memory-only run"
         );
     }
 

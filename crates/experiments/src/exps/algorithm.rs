@@ -2,7 +2,7 @@
 //! Table 1.
 
 use crate::cache::{CampaignCache, City};
-use crate::{Outcome, RunCtx, TextTable};
+use crate::{Report, RunCtx, TextTable};
 use surgescope_analysis::cross_correlation;
 use surgescope_api::ProtocolEra;
 use surgescope_core::forecast::{fit_city, ModelFilter};
@@ -35,10 +35,9 @@ fn area_series(data: &CampaignData) -> Vec<(Vec<u32>, Vec<u32>, Vec<f32>, Vec<f3
 fn xcorr_experiment(
     ctx: &RunCtx,
     cache: &CampaignCache,
-    id: &'static str,
     title: &'static str,
     feature_of: impl Fn(&(Vec<u32>, Vec<u32>, Vec<f32>, Vec<f32>)) -> Vec<f64>,
-) -> Outcome {
+) -> Report {
     let mut table = TextTable::new(&["lag (min)", "Manhattan r", "MHTN p", "SF r", "SF p"]);
     let mut metrics = Vec::new();
     let max_lag = 12usize; // ±60 minutes in 5-minute samples
@@ -102,18 +101,15 @@ fn xcorr_experiment(
             .unwrap_or(0);
         metrics.push((format!("{}_peak_lag_min", city.label().to_lowercase()), best_lag as f64));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv(id, &h, &rows);
-    Outcome { id, title, table: table.render(), metrics }
+    Report::new(title, table, metrics)
 }
 
 /// Fig. 20: (supply − demand) vs surge cross-correlation. The paper found
 /// a relatively strong *negative* correlation, strongest at lag 0.
-pub fn fig20(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig20(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     xcorr_experiment(
         ctx,
         cache,
-        "fig20",
         "(Supply − Demand) vs surge cross-correlation (paper Fig. 20)",
         |(supply, demand, _, _)| {
             supply
@@ -127,18 +123,17 @@ pub fn fig20(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
 
 /// Fig. 21: EWT vs surge cross-correlation. The paper found a relatively
 /// strong *positive* correlation at lag 0.
-pub fn fig21(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig21(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     xcorr_experiment(
         ctx,
         cache,
-        "fig21",
         "EWT vs surge cross-correlation (paper Fig. 21)",
         |(_, _, ewt, _)| ewt.iter().map(|&w| w as f64).collect(),
     )
 }
 
 /// Table 1: Raw / Threshold / Rush forecasting models per city.
-pub fn tab01(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn tab01(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&[
         "city",
         "model",
@@ -185,18 +180,11 @@ pub fn tab01(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
             }
         }
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("tab01", &h, &rows);
-    Outcome {
-        id: "tab01",
-        title: "Linear forecasting models: parameters and R² (paper Table 1)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Linear forecasting models: parameters and R² (paper Table 1)", table, metrics)
 }
 
 /// Fig. 22: driver transition probabilities, equal-surge vs surging.
-pub fn fig22(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig22(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&[
         "city",
         "area",
@@ -247,12 +235,5 @@ pub fn fig22(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         }
     }
     let _ = CarState::ALL; // states documented in transitions module
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig22", &h, &rows);
-    Outcome {
-        id: "fig22",
-        title: "Driver transition probabilities under surge (paper Fig. 22)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Driver transition probabilities under surge (paper Fig. 22)", table, metrics)
 }

@@ -8,13 +8,14 @@
 //! ground-truth area polygons (Rand index).
 
 use crate::cache::City;
-use crate::{Outcome, RunCtx, TextTable};
+use crate::{Report, RunCtx, TextTable};
 use surgescope_api::{ApiService, ProtocolEra, WorldSnapshot};
 use surgescope_city::CarType;
 use surgescope_core::areas::{infer_areas, probe_lattice, rand_index};
 use surgescope_marketplace::{Marketplace, MarketplaceConfig};
 
-fn run_area_inference(ctx: &RunCtx, city: City, id: &'static str) -> Outcome {
+/// Figs. 18 and 19: `city`'s surge areas, recovered from API probes.
+pub(crate) fn run_area_inference(ctx: &RunCtx, city: City) -> Report {
     let mut model = city.model();
     model.supply = model.supply.scaled(ctx.scale());
     model.demand = model.demand.scaled(ctx.scale());
@@ -78,28 +79,13 @@ fn run_area_inference(ctx: &RunCtx, city: City, id: &'static str) -> Outcome {
     }
     map.push('\n');
 
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv(id, &h, &rows);
-    Outcome {
-        id,
-        title: match city {
-            City::Manhattan => "Surge areas recovered in Manhattan (paper Fig. 18)",
-            City::SanFrancisco => "Surge areas recovered in SF (paper Fig. 19)",
-        },
-        table: format!("{}{}", table.render(), map),
-        metrics: vec![
-            ("clusters".into(), inference.clusters as f64),
-            ("rand_index".into(), ri),
-        ],
-    }
-}
-
-/// Fig. 18: Manhattan surge-area recovery.
-pub fn fig18(ctx: &RunCtx) -> Outcome {
-    run_area_inference(ctx, City::Manhattan, "fig18")
-}
-
-/// Fig. 19: SF surge-area recovery.
-pub fn fig19(ctx: &RunCtx) -> Outcome {
-    run_area_inference(ctx, City::SanFrancisco, "fig19")
+    let title = match city {
+        City::Manhattan => "Surge areas recovered in Manhattan (paper Fig. 18)",
+        City::SanFrancisco => "Surge areas recovered in SF (paper Fig. 19)",
+    };
+    let metrics =
+        vec![("clusters".into(), inference.clusters as f64), ("rand_index".into(), ri)];
+    let mut report = Report::new(title, table, metrics);
+    report.body.push_str(&map);
+    report
 }

@@ -1,7 +1,7 @@
 //! Surge-avoidance strategy (§6): Figs. 23–24.
 
 use crate::cache::{CampaignCache, City};
-use crate::{Outcome, RunCtx, TextTable};
+use crate::{Report, RunCtx, TextTable};
 use surgescope_analysis::Ecdf;
 use surgescope_api::ProtocolEra;
 use surgescope_core::avoidance::evaluate;
@@ -9,7 +9,7 @@ use surgescope_core::avoidance::evaluate;
 /// Fig. 23: per-client fraction of surged intervals where walking to an
 /// adjacent area yields a cheaper UberX (paper: 10–20% of the time around
 /// Times Square; only ~2% in SF).
-pub fn fig23(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig23(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&[
         "city",
         "clients",
@@ -40,19 +40,12 @@ pub fn fig23(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         metrics.push((format!("{k}_median_success_pct"), e.quantile(0.5)));
         metrics.push((format!("{k}_max_success_pct"), e.max()));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig23", &h, &rows);
-    Outcome {
-        id: "fig23",
-        title: "Fraction of time walking beats local surge (paper Fig. 23)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Fraction of time walking beats local surge (paper Fig. 23)", table, metrics)
 }
 
 /// Fig. 24: how much surge is reduced and how far riders walk (paper:
 /// savings ≥ 0.5 in >50% of wins; walks under 7 min MHTN / 9 min SF).
-pub fn fig24(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig24(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&[
         "city",
         "wins",
@@ -93,12 +86,6 @@ pub fn fig24(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         metrics.push((format!("{k}_median_saving"), es.quantile(0.5)));
         metrics.push((format!("{k}_max_walk_min"), ew.max()));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig24", &h, &rows);
-    Outcome {
-        id: "fig24",
-        title: "Surge reduction and walking time under the §6 strategy (paper Fig. 24)",
-        table: table.render(),
-        metrics,
-    }
+    let title = "Surge reduction and walking time under the §6 strategy (paper Fig. 24)";
+    Report::new(title, table, metrics)
 }

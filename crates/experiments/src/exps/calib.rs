@@ -1,7 +1,7 @@
 //! Calibration experiments: Fig. 2 (visibility radius) and Fig. 3
 //! (client placement).
 
-use crate::{Outcome, RunCtx, TextTable};
+use crate::{Report, RunCtx, TextTable};
 use surgescope_api::{ApiService, ProtocolEra};
 use surgescope_city::{CarType, CityModel};
 use surgescope_core::calibration::{placement, visibility_radius};
@@ -19,7 +19,7 @@ fn warmed_system(city: CityModel, scale: f64, seed: u64, hours: u64) -> UberSyst
 }
 
 /// Fig. 2: client visibility radius over the day in both cities.
-pub fn fig02(ctx: &RunCtx) -> Outcome {
+pub fn fig02(ctx: &RunCtx) -> Report {
     let hours: Vec<u64> = if ctx.quick {
         vec![4, 12, 19]
     } else {
@@ -56,19 +56,12 @@ pub fn fig02(ctx: &RunCtx) -> Outcome {
         }
     }
     // Shape check input: the paper measured 247 m (MHTN) < 387 m (SF).
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig02", &h, &rows);
-    Outcome {
-        id: "fig02",
-        title: "Visibility radius of clients over the day (paper Fig. 2)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Visibility radius of clients over the day (paper Fig. 2)", table, metrics)
 }
 
 /// Fig. 3: measurement-client placements in both cities plus the denser
 /// taxi lattice used for validation.
-pub fn fig03(ctx: &RunCtx) -> Outcome {
+pub fn fig03() -> Report {
     let mut table =
         TextTable::new(&["deployment", "spacing (m)", "clients", "region (km × km)"]);
     let mut metrics = Vec::new();
@@ -91,12 +84,5 @@ pub fn fig03(ctx: &RunCtx) -> Outcome {
             clients.len() as f64,
         ));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig03", &h, &rows);
-    Outcome {
-        id: "fig03",
-        title: "Measurement-point placement (paper Fig. 3)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Measurement-point placement (paper Fig. 3)", table, metrics)
 }

@@ -2,7 +2,7 @@
 //! 8, 9, 10 and 11.
 
 use crate::cache::{CampaignCache, City};
-use crate::{Outcome, RunCtx, TextTable};
+use crate::{Report, RunCtx, TextTable};
 use surgescope_analysis::{mean, Ecdf};
 use surgescope_api::ProtocolEra;
 use surgescope_city::CarType;
@@ -10,7 +10,7 @@ use surgescope_city::CarType;
 /// Figs. 5/6 are absent from the supplied transcription; this experiment
 /// reconstructs the §4.2 prose claims instead: the ranking of car-type
 /// prevalence per city and the data-cleaning statistics of §4.1.
-pub fn fig05(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig05(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&["type", "Manhattan avg supply", "SF avg supply"]);
     let mut per_city: Vec<Vec<(CarType, f64)>> = Vec::new();
     let mut cleaning = String::new();
@@ -44,18 +44,15 @@ pub fn fig05(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
     // §4.2: SF has ~58% more Ubers overall, mostly UberX.
     let tot = |rows: &[(CarType, f64)]| rows.iter().map(|(_, v)| v).sum::<f64>();
     metrics.push(("sf_over_manhattan_supply".into(), tot(&per_city[1]) / tot(&per_city[0]).max(1e-9)));
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig05", &h, &rows);
-    Outcome {
-        id: "fig05",
-        title: "Car-type prevalence + data cleaning (reconstruction of Figs. 5–6 / §4.1–4.2)",
-        table: format!("{}\n{}", table.render(), cleaning),
-        metrics,
-    }
+    let title = "Car-type prevalence + data cleaning (reconstruction of Figs. 5–6 / §4.1–4.2)";
+    let mut report = Report::new(title, table, metrics);
+    report.body.push('\n');
+    report.body.push_str(&cleaning);
+    report
 }
 
 /// Fig. 7: car lifespan CDFs, low-priced vs premium tiers.
-pub fn fig07(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig07(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&[
         "city",
         "group",
@@ -96,18 +93,11 @@ pub fn fig07(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
             }
         }
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig07", &h, &rows);
-    Outcome {
-        id: "fig07",
-        title: "Car lifespan distribution by tier group (paper Fig. 7)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Car lifespan distribution by tier group (paper Fig. 7)", table, metrics)
 }
 
 /// Fig. 8: supply, demand, surge and EWT time series for both cities.
-pub fn fig08(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig08(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&[
         "city",
         "hour",
@@ -183,17 +173,11 @@ pub fn fig08(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
             mean(&surge_mean),
         ));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig08", &h, &rows);
-    Outcome {
-        id: "fig08",
-        title: "Supply / demand / surge / EWT over time (paper Fig. 8)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Supply / demand / surge / EWT over time (paper Fig. 8)", table, metrics)
 }
 
-fn heatmap(ctx: &RunCtx, city: City, cache: &CampaignCache, id: &'static str) -> Outcome {
+/// Figs. 9 and 10: `city`'s per-client heatmap of cars and EWT.
+pub(crate) fn heatmap(ctx: &RunCtx, city: City, cache: &CampaignCache) -> Report {
     let data = cache.campaign(city, ProtocolEra::Apr2015, ctx);
     let mut table = TextTable::new(&[
         "client",
@@ -221,35 +205,19 @@ fn heatmap(ctx: &RunCtx, city: City, cache: &CampaignCache, id: &'static str) ->
             format!("{:.2}", data.client_mean_ewt[i]),
         ]);
     }
-    let ewts: Vec<f64> = data.client_mean_ewt.clone();
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv(id, &h, &rows);
-    Outcome {
-        id,
-        title: match city {
-            City::Manhattan => "Heatmap: cars & EWT per client, Manhattan (paper Fig. 9)",
-            City::SanFrancisco => "Heatmap: cars & EWT per client, SF (paper Fig. 10)",
-        },
-        table: table.render(),
-        metrics: vec![
-            ("max_client_cars_per_day".into(), best_cars),
-            ("mean_client_ewt".into(), mean(&ewts)),
-        ],
-    }
-}
-
-/// Fig. 9: Manhattan per-client heatmap.
-pub fn fig09(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
-    heatmap(ctx, City::Manhattan, cache, "fig09")
-}
-
-/// Fig. 10: SF per-client heatmap.
-pub fn fig10(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
-    heatmap(ctx, City::SanFrancisco, cache, "fig10")
+    let title = match city {
+        City::Manhattan => "Heatmap: cars & EWT per client, Manhattan (paper Fig. 9)",
+        City::SanFrancisco => "Heatmap: cars & EWT per client, SF (paper Fig. 10)",
+    };
+    let metrics = vec![
+        ("max_client_cars_per_day".into(), best_cars),
+        ("mean_client_ewt".into(), mean(&data.client_mean_ewt)),
+    ];
+    Report::new(title, table, metrics)
 }
 
 /// Fig. 11: distribution of EWTs (paper: 87% of waits ≤ 4 minutes).
-pub fn fig11(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig11(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&["city", "P(EWT≤2)", "P(EWT≤4)", "P(EWT≤8)", "p99 (min)", "max (min)"]);
     let mut metrics = Vec::new();
     for city in City::BOTH {
@@ -274,12 +242,5 @@ pub fn fig11(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
             e.at(4.0),
         ));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig11", &h, &rows);
-    Outcome {
-        id: "fig11",
-        title: "Distribution of EWTs for UberX (paper Fig. 11)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Distribution of EWTs for UberX (paper Fig. 11)", table, metrics)
 }

@@ -11,7 +11,8 @@
 //! impact (riders priced out vs served).
 
 use crate::cache::{CampaignCache, City};
-use crate::{Outcome, RunCtx, TextTable};
+use crate::schedule::{self, Prefetch};
+use crate::{Report, RunCtx, TextTable};
 use surgescope_analysis::Ecdf;
 use surgescope_api::ProtocolEra;
 use surgescope_core::forecast::{fit_city, ModelFilter};
@@ -20,9 +21,9 @@ use surgescope_core::CampaignConfig;
 use surgescope_marketplace::SurgePolicy;
 
 /// The SF extension campaign config under `policy`. Shared by `ext01`,
-/// `ext02` and the scheduler's needs declaration, so all three agree on
-/// the cache identity and the campaign is simulated exactly once.
-pub fn ext_config(ctx: &RunCtx, policy: SurgePolicy) -> CampaignConfig {
+/// `ext02` and their needs declarations, so all agree on the cache
+/// identity and the campaign is simulated exactly once.
+fn ext_config(ctx: &RunCtx, policy: SurgePolicy) -> CampaignConfig {
     CampaignConfig {
         seed: ctx.seed ^ 0xE801,
         hours: if ctx.quick { 8 } else { 48 },
@@ -34,12 +35,28 @@ pub fn ext_config(ctx: &RunCtx, policy: SurgePolicy) -> CampaignConfig {
 }
 
 /// The smoothed-policy variant (the paper's §8 proposal).
-pub fn smoothed_policy() -> SurgePolicy {
+fn smoothed_policy() -> SurgePolicy {
     SurgePolicy::Smoothed { alpha: 0.35 }
 }
 
+/// The campaigns `ext01` reads: the SF extension campaign under the
+/// measured policy and under the smoothed one.
+pub(crate) fn ext01_needs(ctx: &RunCtx) -> Vec<Prefetch> {
+    [SurgePolicy::Threshold, smoothed_policy()]
+        .map(|policy| Prefetch::Campaign(City::SanFrancisco, ext_config(ctx, policy)))
+        .into()
+}
+
+/// The campaigns `ext02` reads: both cities' Apr-era campaigns and the
+/// smoothed SF extension campaign.
+pub(crate) fn ext02_needs(ctx: &RunCtx) -> Vec<Prefetch> {
+    let mut v = schedule::both_apr(ctx);
+    v.push(Prefetch::Campaign(City::SanFrancisco, ext_config(ctx, smoothed_policy())));
+    v
+}
+
 /// ext01: Threshold (measured Uber) vs Smoothed (paper's §8 proposal).
-pub fn ext01(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn ext01(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&[
         "policy",
         "surge frac",
@@ -110,21 +127,15 @@ pub fn ext01(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         metrics.push((format!("{key}_raw_r2"), r2));
         metrics.push((format!("{key}_mean_surge"), mean_m));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("ext01", &h, &rows);
-    Outcome {
-        id: "ext01",
-        title: "Extension: smoothed surge updates (the paper's §8 proposal) vs measured policy",
-        table: table.render(),
-        metrics,
-    }
+    let title = "Extension: smoothed surge updates (the paper's §8 proposal) vs measured policy";
+    Report::new(title, table, metrics)
 }
 
 /// ext02: surge persistence. The paper concludes surge "cannot be
 /// forecast"; the autocorrelation function of the multiplier series makes
 /// that quantitative — and shows how the §8 smoothing proposal changes
 /// it. Uses the cached Apr-era campaigns plus a smoothed SF run.
-pub fn ext02(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn ext02(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     use surgescope_analysis::autocorrelation;
     use surgescope_api::ProtocolEra;
 
@@ -157,12 +168,6 @@ pub fn ext02(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
     let series: Vec<f64> = data.api_surge[0].iter().map(|&m| m as f64).collect();
     add_row("SF smoothed".into(), series, &mut metrics);
 
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("ext02", &h, &rows);
-    Outcome {
-        id: "ext02",
-        title: "Extension: surge persistence (autocorrelation) under both policies",
-        table: table.render(),
-        metrics,
-    }
+    let title = "Extension: surge persistence (autocorrelation) under both policies";
+    Report::new(title, table, metrics)
 }

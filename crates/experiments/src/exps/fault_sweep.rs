@@ -11,19 +11,20 @@
 //! world-level noise.
 
 use crate::cache::{CampaignCache, City};
-use crate::{Outcome, RunCtx, TextTable};
+use crate::schedule::Prefetch;
+use crate::{Report, RunCtx, TextTable};
 use surgescope_api::ProtocolEra;
 use surgescope_city::CarType;
 use surgescope_core::CampaignConfig;
 use surgescope_simcore::FaultPlan;
 
 /// Drop chances swept (the delay leg is fixed at 10% ≤ 30 s).
-pub const DROP_CHANCES: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
+const DROP_CHANCES: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
 
 /// One leg of the sweep: the Manhattan campaign under `drop` drop chance.
-/// Shared with the scheduler's needs declaration so the prefetch builds
-/// exactly the campaigns the sweep will read.
-pub fn sweep_config(ctx: &RunCtx, drop: f64) -> CampaignConfig {
+/// Shared with [`needs`] so the prefetch builds exactly the campaigns the
+/// sweep will read.
+fn sweep_config(ctx: &RunCtx, drop: f64) -> CampaignConfig {
     let hours = if ctx.quick { 6 } else { 24 };
     CampaignConfig {
         seed: ctx.seed ^ 0xFA01,
@@ -36,8 +37,13 @@ pub fn sweep_config(ctx: &RunCtx, drop: f64) -> CampaignConfig {
     }
 }
 
+/// The campaigns the sweep reads: one Manhattan campaign per drop chance.
+pub(crate) fn needs(ctx: &RunCtx) -> Vec<Prefetch> {
+    DROP_CHANCES.map(|drop| Prefetch::Campaign(City::Manhattan, sweep_config(ctx, drop))).into()
+}
+
 /// fault_sweep: estimator error vs ground truth as the drop chance grows.
-pub fn fault_sweep(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fault_sweep(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&[
         "drop",
         "gap frac",
@@ -93,12 +99,5 @@ pub fn fault_sweep(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         metrics.push((format!("supply_ratio_d{pct:02}"), ratio));
         metrics.push((format!("supply_drift_d{pct:02}"), drift));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fault_sweep", &h, &rows);
-    Outcome {
-        id: "fault_sweep",
-        title: "Robustness: supply estimation under transport drops and delays",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Robustness: supply estimation under transport drops and delays", table, metrics)
 }

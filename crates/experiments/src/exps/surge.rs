@@ -1,14 +1,14 @@
 //! Surge-pricing observations (§5.1–5.2): Figs. 12–17.
 
 use crate::cache::{CampaignCache, City};
-use crate::{Outcome, RunCtx, TextTable};
+use crate::{Report, RunCtx, TextTable};
 use surgescope_analysis::Ecdf;
 use surgescope_api::ProtocolEra;
 use surgescope_core::surge_obs::{change_moments, detect_jitter, episodes, simultaneity, JitterEvent};
 
 /// Fig. 12: distribution of surge multipliers (paper: 86% of the time no
 /// surge in Manhattan vs 43% in SF; max 2.8 vs 4.1).
-pub fn fig12(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig12(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&[
         "city",
         "P(m=1)",
@@ -42,20 +42,13 @@ pub fn fig12(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         metrics.push((format!("{k}_mean_surge"), mean_m));
         metrics.push((format!("{k}_max_surge"), e.max()));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig12", &h, &rows);
-    Outcome {
-        id: "fig12",
-        title: "Distribution of surge multipliers (paper Fig. 12)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Distribution of surge multipliers (paper Fig. 12)", table, metrics)
 }
 
 /// Fig. 13: surge episode durations — Feb-era clients (clean 5-minute
 /// stair-step), Apr-era clients (large sub-minute mass from jitter), and
 /// the API (always stair-step).
-pub fn fig13(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig13(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&[
         "stream",
         "episodes",
@@ -101,18 +94,11 @@ pub fn fig13(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         metrics.push((format!("{key}_sub_minute"), e.at(60.0)));
         metrics.push((format!("{key}_le_5min"), e.at(300.0)));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig13", &h, &rows);
-    Outcome {
-        id: "fig13",
-        title: "Duration of surges (paper Fig. 13)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Duration of surges (paper Fig. 13)", table, metrics)
 }
 
 /// Fig. 14: an example 25-minute window of API vs jittery-client surge.
-pub fn fig14(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig14(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let data = cache.campaign(City::SanFrancisco, ProtocolEra::Apr2015, ctx);
     // Find a client and a 5-interval window containing a jitter event.
     // The pick carries the client's resolved area so the render loop
@@ -153,26 +139,21 @@ pub fn fig14(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         }
     }
     let found = pick.is_some();
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig14", &h, &rows);
-    Outcome {
-        id: "fig14",
-        title: "Example surge timeline: API vs Apr-era client (paper Fig. 14)",
-        table: if found {
-            table.render()
-        } else {
-            "no jitter event found in this campaign window\n".to_string()
-        },
-        metrics: vec![
-            ("example_found".into(), found as u32 as f64),
-            ("divergent_ticks".into(), jitter_points as f64),
-        ],
+    let metrics = vec![
+        ("example_found".into(), found as u32 as f64),
+        ("divergent_ticks".into(), jitter_points as f64),
+    ];
+    let title = "Example surge timeline: API vs Apr-era client (paper Fig. 14)";
+    let mut report = Report::new(title, table, metrics);
+    if !found {
+        report.body = "no jitter event found in this campaign window\n".to_string();
     }
+    report
 }
 
 /// Fig. 15: the moment within each 5-minute interval when the observed
 /// multiplier changes (Feb/API within ~35 s; Apr clients within ~2 min).
-pub fn fig15(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig15(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&["stream", "changes", "p50 (s)", "p95 (s)", "max (s)"]);
     let mut metrics = Vec::new();
     for (name, era) in [("Feb client", ProtocolEra::Feb2015), ("Apr client", ProtocolEra::Apr2015)]
@@ -200,14 +181,8 @@ pub fn fig15(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         let key = name.to_lowercase().replace(' ', "_");
         metrics.push((format!("{key}_p95_change_s"), e.quantile(0.95)));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig15", &h, &rows);
-    Outcome {
-        id: "fig15",
-        title: "Moment of surge change within the 5-minute interval (paper Fig. 15)",
-        table: table.render(),
-        metrics,
-    }
+    let title = "Moment of surge change within the 5-minute interval (paper Fig. 15)";
+    Report::new(title, table, metrics)
 }
 
 fn all_jitter_events(
@@ -230,7 +205,7 @@ fn all_jitter_events(
 /// Fig. 16: the multiplier seen during jitter (it equals the previous
 /// interval's value, so it usually *drops* the price; 30–50% of events
 /// drop it all the way to 1).
-pub fn fig16(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig16(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&[
         "city",
         "events",
@@ -263,19 +238,12 @@ pub fn fig16(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         metrics.push((format!("{k}_jitter_drop_frac"), drops));
         metrics.push((format!("{k}_jitter_to_one_frac"), to_one));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig16", &h, &rows);
-    Outcome {
-        id: "fig16",
-        title: "Multiplier during jitter (paper Fig. 16)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Multiplier during jitter (paper Fig. 16)", table, metrics)
 }
 
 /// Fig. 17: simultaneity of jitter across the 43-client fleet (paper:
 /// ~90% of events touch a single client; never more than 5).
-pub fn fig17(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig17(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let mut table = TextTable::new(&["city", "k=1", "k=2", "k=3", "k≥4", "max k"]);
     let mut metrics = Vec::new();
     for city in City::BOTH {
@@ -306,12 +274,5 @@ pub fn fig17(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         metrics.push((format!("{k}_single_client_frac"), frac(0)));
         metrics.push((format!("{k}_max_simultaneous"), hist.len() as f64));
     }
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig17", &h, &rows);
-    Outcome {
-        id: "fig17",
-        title: "Clients with simultaneous jitter (paper Fig. 17)",
-        table: table.render(),
-        metrics,
-    }
+    Report::new("Clients with simultaneous jitter (paper Fig. 17)", table, metrics)
 }

@@ -1,12 +1,12 @@
 //! Fig. 4: methodology validation against taxi ground truth (§3.5).
 
 use crate::cache::CampaignCache;
-use crate::{Outcome, RunCtx, TextTable};
+use crate::{Report, RunCtx, TextTable};
 use surgescope_city::CarType;
 
 /// Fig. 4: measured vs ground-truth taxi supply and demand. The paper's
 /// taxi clients captured 97% of cars and 95% of deaths.
-pub fn fig04(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
+pub fn fig04(ctx: &RunCtx, cache: &CampaignCache) -> Report {
     let v = cache.taxi(ctx);
     let measured_supply = v.estimator.supply_series(CarType::UberT);
     let measured_deaths = v.estimator.death_series(CarType::UberT);
@@ -64,26 +64,21 @@ pub fn fig04(ctx: &RunCtx, cache: &CampaignCache) -> Outcome {
         ]);
     }
 
-    let mut out = table.render();
-    out.push_str(&format!(
+    let metrics = vec![
+        ("supply_capture".into(), supply_capture),
+        ("death_capture".into(), death_capture),
+    ];
+    let mut report =
+        Report::new("Measured vs ground-truth taxi supply/demand (paper Fig. 4)", table, metrics);
+    report.body.push_str(&format!(
         "\ncars captured: {:.1}% (paper: 97%)   deaths captured: {:.1}% (paper: 95%)\n",
         supply_capture * 100.0,
         death_capture * 100.0
     ));
-    out.push_str(&format!(
+    report.body.push_str(&format!(
         "trace: {} rides, {} taxis\n",
         v.trace.rides.len(),
         v.trace.taxi_count
     ));
-    let (h, rows) = table.csv_rows();
-    ctx.write_csv("fig04", &h, &rows);
-    Outcome {
-        id: "fig04",
-        title: "Measured vs ground-truth taxi supply/demand (paper Fig. 4)",
-        table: out,
-        metrics: vec![
-            ("supply_capture".into(), supply_capture),
-            ("death_capture".into(), death_capture),
-        ],
-    }
+    report
 }

@@ -1,11 +1,17 @@
 //! Experiment harness: one runnable reproduction per table and figure of
 //! the paper's evaluation.
 //!
-//! Every experiment implements the same contract: given a [`RunCtx`]
-//! (seed, quick/full fidelity, output directory) it produces an
-//! [`Outcome`] — a printable table plus named scalar metrics. The
-//! `repro` binary runs experiments by id (`repro fig12`, `repro all`),
-//! prints the tables, and drops one CSV per experiment under `results/`.
+//! One table, `EXPERIMENTS`, is the only place that names an experiment.
+//! Each entry holds the experiment's id, the campaigns it reads (what
+//! [`schedule::needs`] returns for it) and the function that computes it.
+//! The function takes a [`RunCtx`] (seed, quick/full fidelity, output
+//! directory) and the shared campaign cache, and returns a [`Report`]: a
+//! title, a [`TextTable`], the text `repro` prints and named scalar
+//! metrics. [`run_experiment`] writes the table as `<id>.csv` and builds
+//! the [`Outcome`], so no experiment writes a file or spells its own id.
+//! Adding an experiment is one table entry plus its function. The `repro`
+//! binary runs experiments by id (`repro fig12`, `repro all`), prints
+//! them, and drops one CSV per experiment under `results/`.
 //!
 //! Experiments that share a measurement campaign (most of §4–§6) obtain
 //! it from a [`cache::CampaignCache`], so `repro all` runs each
@@ -18,6 +24,12 @@ pub mod cache;
 pub mod exps;
 pub mod schedule;
 
+use cache::CampaignCache;
+use cache::City::{Manhattan, SanFrancisco};
+use exps::areas_exp::run_area_inference;
+use exps::dynamics::heatmap;
+use exps::{algorithm, avoidance_exp, calib, dynamics, extensions, fault_sweep, surge, validation};
+use schedule::{apr, both_apr, both_eras, none, taxi, Prefetch};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -96,20 +108,41 @@ impl RunCtx {
         }
     }
 
-    /// Writes a CSV artifact if an output directory is configured.
-    pub fn write_csv(&self, id: &str, header: &str, rows: &[String]) {
+    /// Writes `table` as `<id>.csv` if an output directory is configured.
+    pub fn write_csv(&self, id: &str, table: &TextTable) {
         let Some(dir) = &self.out_dir else { return };
         if std::fs::create_dir_all(dir).is_err() {
             return;
         }
-        let mut body = String::with_capacity(rows.len() * 32 + header.len() + 1);
-        body.push_str(header);
+        let (mut body, rows) = table.csv_rows();
         body.push('\n');
         for r in rows {
-            body.push_str(r);
+            body.push_str(&r);
             body.push('\n');
         }
         let _ = std::fs::write(dir.join(format!("{id}.csv")), body);
+    }
+}
+
+/// What one experiment computed. [`run_experiment`] writes `table` as the
+/// experiment's CSV and prints `body` under `title`.
+#[derive(Debug)]
+pub struct Report {
+    /// Human-readable title.
+    pub title: &'static str,
+    /// The table that becomes `<id>.csv`.
+    pub table: TextTable,
+    /// The printed reproduction: the rendered table, plus any notes.
+    pub body: String,
+    /// Named scalar metrics (used by tests and EXPERIMENTS.md).
+    pub metrics: Vec<(String, f64)>,
+}
+
+impl Report {
+    /// A report whose printed body is the rendered table.
+    pub fn new(title: &'static str, table: TextTable, metrics: Vec<(String, f64)>) -> Self {
+        let body = table.render();
+        Report { title, table, body, metrics }
     }
 }
 
@@ -204,51 +237,66 @@ impl TextTable {
     }
 }
 
-/// All experiment ids in run order (`ext01` is an extension beyond the
-/// paper's own evaluation — the §8 smoothing proposal, evaluated).
-pub const ALL_IDS: [&str; 26] = [
-    "fig02", "fig03", "fig04", "fig05", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
-    "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "tab01",
-    "fig22", "fig23", "fig24", "ext01", "ext02", "fault_sweep",
+/// One experiment: its id, the campaigns it reads and the function that
+/// computes it.
+type Experiment =
+    (&'static str, fn(&RunCtx) -> Vec<Prefetch>, fn(&RunCtx, &CampaignCache) -> Report);
+
+/// Every experiment, in run order (`ext01`, `ext02` and `fault_sweep` go
+/// beyond the paper's own evaluation: the §8 smoothing proposal, surge
+/// persistence, and the pipeline under transport faults).
+#[rustfmt::skip]
+const EXPERIMENTS: [Experiment; 26] = [
+    ("fig02", none, |ctx, _| calib::fig02(ctx)),
+    ("fig03", none, |_, _| calib::fig03()),
+    ("fig04", taxi, validation::fig04),
+    ("fig05", both_apr, dynamics::fig05),
+    ("fig07", both_apr, dynamics::fig07),
+    ("fig08", both_apr, dynamics::fig08),
+    ("fig09", |ctx| apr(Manhattan, ctx), |ctx, cache| heatmap(ctx, Manhattan, cache)),
+    ("fig10", |ctx| apr(SanFrancisco, ctx), |ctx, cache| heatmap(ctx, SanFrancisco, cache)),
+    ("fig11", both_apr, dynamics::fig11),
+    ("fig12", both_apr, surge::fig12),
+    ("fig13", both_eras, surge::fig13),
+    ("fig14", |ctx| apr(SanFrancisco, ctx), surge::fig14),
+    ("fig15", both_eras, surge::fig15),
+    ("fig16", both_apr, surge::fig16),
+    ("fig17", both_apr, surge::fig17),
+    ("fig18", none, |ctx, _| run_area_inference(ctx, Manhattan)),
+    ("fig19", none, |ctx, _| run_area_inference(ctx, SanFrancisco)),
+    ("fig20", both_apr, algorithm::fig20),
+    ("fig21", both_apr, algorithm::fig21),
+    ("tab01", both_apr, algorithm::tab01),
+    ("fig22", both_apr, algorithm::fig22),
+    ("fig23", both_apr, avoidance_exp::fig23),
+    ("fig24", both_apr, avoidance_exp::fig24),
+    ("ext01", extensions::ext01_needs, extensions::ext01),
+    ("ext02", extensions::ext02_needs, extensions::ext02),
+    ("fault_sweep", fault_sweep::needs, fault_sweep::fault_sweep),
 ];
 
-/// Runs one experiment by id against a (shared) campaign cache.
-pub fn run_experiment(
-    id: &str,
-    ctx: &RunCtx,
-    cache: &cache::CampaignCache,
-) -> Option<Outcome> {
-    let out = match id {
-        "fig02" => exps::calib::fig02(ctx),
-        "fig03" => exps::calib::fig03(ctx),
-        "fig04" => exps::validation::fig04(ctx, cache),
-        "fig05" => exps::dynamics::fig05(ctx, cache),
-        "fig07" => exps::dynamics::fig07(ctx, cache),
-        "fig08" => exps::dynamics::fig08(ctx, cache),
-        "fig09" => exps::dynamics::fig09(ctx, cache),
-        "fig10" => exps::dynamics::fig10(ctx, cache),
-        "fig11" => exps::dynamics::fig11(ctx, cache),
-        "fig12" => exps::surge::fig12(ctx, cache),
-        "fig13" => exps::surge::fig13(ctx, cache),
-        "fig14" => exps::surge::fig14(ctx, cache),
-        "fig15" => exps::surge::fig15(ctx, cache),
-        "fig16" => exps::surge::fig16(ctx, cache),
-        "fig17" => exps::surge::fig17(ctx, cache),
-        "fig18" => exps::areas_exp::fig18(ctx),
-        "fig19" => exps::areas_exp::fig19(ctx),
-        "fig20" => exps::algorithm::fig20(ctx, cache),
-        "fig21" => exps::algorithm::fig21(ctx, cache),
-        "tab01" => exps::algorithm::tab01(ctx, cache),
-        "fig22" => exps::algorithm::fig22(ctx, cache),
-        "fig23" => exps::avoidance_exp::fig23(ctx, cache),
-        "fig24" => exps::avoidance_exp::fig24(ctx, cache),
-        "ext01" => exps::extensions::ext01(ctx, cache),
-        "ext02" => exps::extensions::ext02(ctx, cache),
-        "fault_sweep" => exps::fault_sweep::fault_sweep(ctx, cache),
-        _ => return None,
-    };
-    if let Some(dir) = &ctx.out_dir {
-        let _ = std::fs::create_dir_all(dir);
+/// All experiment ids in run order.
+pub const ALL_IDS: [&str; EXPERIMENTS.len()] = {
+    let mut ids = [""; EXPERIMENTS.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].0;
+        i += 1;
     }
-    Some(out)
+    ids
+};
+
+/// The table entry of experiment `id`.
+pub(crate) fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.0 == id)
+}
+
+/// Runs one experiment by id against a (shared) campaign cache, writes
+/// its table as `<id>.csv` and returns its outcome; `None` for an
+/// unknown id.
+pub fn run_experiment(id: &str, ctx: &RunCtx, cache: &CampaignCache) -> Option<Outcome> {
+    let &(id, _, run) = experiment(id)?;
+    let Report { title, table, body, metrics } = run(ctx, cache);
+    ctx.write_csv(id, &table);
+    Some(Outcome { id, title, table: body, metrics })
 }

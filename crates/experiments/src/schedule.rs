@@ -15,6 +15,12 @@
 //! The experiments then run in their usual order and find every campaign
 //! already cached.
 //!
+//! What an experiment reads is declared once, in its entry of the
+//! crate's experiment table, usually as one of the shared declarations
+//! here (`none`, `taxi`, `apr`, `both_apr`, `both_eras`);
+//! `ext01`, `ext02` and `fault_sweep` declare theirs beside the configs
+//! they build. Adding an experiment is one table entry plus its function.
+//!
 //! Correctness is inherited, not re-proved: each campaign is a pure
 //! function of its config simulated serially *within one worker*, and the
 //! experiments themselves still run serially. So the CSVs are
@@ -40,77 +46,48 @@ pub enum Prefetch {
     Taxi,
 }
 
-/// The campaigns experiment `id` will read. Over-declaring wastes work
+/// The campaigns experiment `id` will read: its table entry's
+/// declaration, or nothing for an unknown id. Over-declaring wastes work
 /// and under-declaring only costs parallelism (the experiment falls back
-/// to building the campaign inline), so this map is kept exact: it names
-/// precisely the configs the experiment's own code requests.
+/// to building the campaign inline), so each declaration is kept exact:
+/// it names precisely the configs the experiment's own code requests.
 pub fn needs(id: &str, ctx: &RunCtx) -> Vec<Prefetch> {
-    let std_city = |city: City| {
-        Prefetch::Campaign(
-            city,
-            CampaignCache::campaign_config(city, ProtocolEra::Apr2015, ctx),
-        )
-    };
-    let both_apr = || City::BOTH.map(std_city).into_iter().collect::<Vec<_>>();
-    let both_eras = || {
-        let mut v = Vec::with_capacity(4);
-        for era in [ProtocolEra::Feb2015, ProtocolEra::Apr2015] {
-            for city in City::BOTH {
-                v.push(Prefetch::Campaign(
-                    city,
-                    CampaignCache::campaign_config(city, era, ctx),
-                ));
-            }
-        }
-        v
-    };
-    match id {
-        "fig04" => vec![Prefetch::Taxi],
-        "fig05" | "fig07" | "fig08" | "fig11" | "fig12" | "fig16" | "fig17" | "fig20"
-        | "fig21" | "tab01" | "fig22" | "fig23" | "fig24" => both_apr(),
-        "fig09" => vec![std_city(City::Manhattan)],
-        "fig10" | "fig14" => vec![std_city(City::SanFrancisco)],
-        "fig13" | "fig15" => both_eras(),
-        "ext01" => vec![
-            Prefetch::Campaign(
-                City::SanFrancisco,
-                crate::exps::extensions::ext_config(
-                    ctx,
-                    surgescope_marketplace::SurgePolicy::Threshold,
-                ),
-            ),
-            Prefetch::Campaign(
-                City::SanFrancisco,
-                crate::exps::extensions::ext_config(
-                    ctx,
-                    crate::exps::extensions::smoothed_policy(),
-                ),
-            ),
-        ],
-        "ext02" => {
-            let mut v = both_apr();
-            v.push(Prefetch::Campaign(
-                City::SanFrancisco,
-                crate::exps::extensions::ext_config(
-                    ctx,
-                    crate::exps::extensions::smoothed_policy(),
-                ),
-            ));
-            v
-        }
-        "fault_sweep" => crate::exps::fault_sweep::DROP_CHANCES
-            .iter()
-            .map(|&d| {
-                Prefetch::Campaign(
-                    City::Manhattan,
-                    crate::exps::fault_sweep::sweep_config(ctx, d),
-                )
-            })
-            .collect(),
-        // fig02/fig03 are pure geometry; fig18/fig19 run their own
-        // spacing-swept mini-campaigns inline (not cache-shaped).
-        _ => Vec::new(),
-    }
+    crate::experiment(id).map_or_else(Vec::new, |(_, needs, _)| needs(ctx))
+}
+
+/// Declares no campaign: the experiment is pure geometry (fig02, fig03)
+/// or runs its own simulation inline, not cache-shaped (fig18, fig19).
+pub(crate) fn none(_: &RunCtx) -> Vec<Prefetch> {
+    Vec::new()
+}
+
+/// Declares the §3.5 taxi validation replay.
+pub(crate) fn taxi(_: &RunCtx) -> Vec<Prefetch> {
+    vec![Prefetch::Taxi]
+}
+
+/// Declares `city`'s standard Apr-era campaign.
+pub(crate) fn apr(city: City, ctx: &RunCtx) -> Vec<Prefetch> {
+    vec![standard(city, ProtocolEra::Apr2015, ctx)]
+}
+
+/// Declares both cities' standard Apr-era campaigns.
+pub(crate) fn both_apr(ctx: &RunCtx) -> Vec<Prefetch> {
+    City::BOTH.map(|city| standard(city, ProtocolEra::Apr2015, ctx)).into()
+}
+
+/// Declares both cities' standard campaigns in both eras, Feb first.
+pub(crate) fn both_eras(ctx: &RunCtx) -> Vec<Prefetch> {
+    [ProtocolEra::Feb2015, ProtocolEra::Apr2015]
+        .into_iter()
+        .flat_map(|era| City::BOTH.map(|city| standard(city, era, ctx)))
+        .collect()
+}
+
+/// The standard campaign for (city, era), as [`CampaignCache::campaign`]
+/// builds it.
+fn standard(city: City, era: ProtocolEra, ctx: &RunCtx) -> Prefetch {
+    Prefetch::Campaign(city, CampaignCache::campaign_config(city, era, ctx))
 }
 
 /// Runs `f` with panic isolation: up to `attempts` tries, each unwind

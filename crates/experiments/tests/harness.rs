@@ -80,6 +80,18 @@ fn every_experiment_id_is_routable() {
     assert_eq!(ALL_IDS.len(), 26);
 }
 
+/// DESIGN.md §3 indexes every experiment, and the experiment table names
+/// no id twice: a duplicate entry would shadow the later one.
+#[test]
+fn design_index_lists_every_experiment() {
+    let design = include_str!("../../../DESIGN.md");
+    let mut seen = std::collections::HashSet::new();
+    for id in ALL_IDS {
+        assert!(seen.insert(id), "{id} is in the experiment table twice");
+        assert!(design.contains(&format!("| `{id}` |")), "DESIGN.md §3 has no row for {id}");
+    }
+}
+
 #[test]
 fn fault_sweep_degrades_gracefully() {
     let ctx = RunCtx::quick(5);

@@ -75,10 +75,10 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use surgescope_api::{ApiService, ProtocolEra, TickSnapshot, WorldSnapshot};
+use surgescope_api::{campaign_world, ApiService, ProtocolEra, TickSnapshot, WorldSnapshot};
 use surgescope_city::CityModel;
 use surgescope_geo::LatLng;
-use surgescope_marketplace::{Marketplace, MarketplaceConfig, SurgePolicy};
+use surgescope_marketplace::{Marketplace, SurgePolicy};
 use surgescope_obs::{Counter, Gauge, MetricsRegistry, Snapshot, Timer};
 
 /// How often blocked reads re-check the shutdown flag, and how long a
@@ -656,9 +656,7 @@ fn handle_request(
             // Exactly the in-process construction: the client ships the
             // post-scale city, the server derives marketplace and
             // endpoint from (city, seed, era, policy).
-            let market_cfg = MarketplaceConfig { surge_policy, ..Default::default() };
-            let mp = Marketplace::new(city, market_cfg, seed);
-            let api = ApiService::new(era, seed ^ 0xB0B5);
+            let (mp, api) = campaign_world(city, seed, era, surge_policy);
             let host = Arc::new(CampaignHost {
                 state: Mutex::new(CampaignState {
                     world: Some(HostWorld { mp, api, snapshot: TickSnapshot::new() }),

@@ -1,10 +1,12 @@
 //! Time-ordered event queue with deterministic tie-breaking.
 //!
-//! The marketplace schedules trip completions, shift ends and surge-clock
-//! ticks; the taxi replay schedules pickups and dropoffs. Events that fall
-//! on the same second are delivered in insertion order (FIFO), which keeps
-//! runs bit-reproducible across platforms — `BinaryHeap` alone would leave
-//! same-key ordering unspecified.
+//! Its one user is the marketplace's retry queue: a rider priced out by
+//! surge who chooses to wait is scheduled to request again shortly after
+//! the next surge recomputation. Everything else advances by the fixed
+//! tick. Events that fall on the same second are delivered in insertion
+//! order (FIFO), which keeps runs bit-reproducible across platforms —
+//! `BinaryHeap` alone would leave same-key ordering unspecified, and the
+//! queue is checkpointed with the marketplace.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Error, Serialize, Value};

@@ -46,6 +46,11 @@ echo "== workspace: every crate's tests (release) =="
 # alloc_free, the pinned-digest unit tests) run here.
 cargo test -q --release --workspace
 
+echo "== docs: rustdoc without a warning =="
+# A broken or private intra-doc link, or text rustdoc reads as an HTML
+# tag, fails the gate instead of scrolling past.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "== transport: pinned campaign bytes (clean + faulted) =="
 # The serial ping kernel must reproduce, byte for byte, the campaigns the
 # removed 4-thread ping pool produced, with and without transport faults
@@ -232,7 +237,8 @@ echo "== serve: one frame reader, one PING per connection per tick naming its ti
 # connections, with a connection left without pings, with every ping
 # dropped, and under chaos, its campaigns must equal the in-process
 # bytes, and its pings.*, transport.* and campaign.* metrics the
-# in-process ones.
+# in-process ones. A campaign whose server is down falls back to a local
+# run that is simulated once and counted as one cache miss.
 run_named_tests -p surgescope-serve --test robustness -- \
   stall_after_the_length_prefix_is_dropped \
   idle_connection_outlives_io_timeout \
@@ -275,13 +281,17 @@ run_named_tests -p surgescope-core --test remote_chaos -- \
   chaotic_remote_campaign_matches_local_bytes_clean_and_faulted \
   zero_retry_budget_trips_the_breaker_and_local_fallback_matches \
   chaos_injection_counts_are_deterministic_per_seed
+run_named_tests -p surgescope-experiments --lib -- \
+  cache::tests::a_dead_server_costs_one_miss
 
 echo "== scheduler: --jobs CSV byte-identity (jobs=1 vs jobs=4) =="
 # The prefetch must declare every campaign (and the taxi replay) that
 # any of the 26 experiments reads: after it, running them all builds
-# nothing more, so none is left to build inline and serially.
+# nothing more, so none is left to build inline and serially. DESIGN.md
+# §3 must index every experiment of the table, which names no id twice.
 run_named_tests -p surgescope-experiments --test harness -- \
-  prefetch_covers_every_campaign_the_experiments_read
+  prefetch_covers_every_campaign_the_experiments_read \
+  design_index_lists_every_experiment
 # A shared-campaign subset of `repro --quick` must emit byte-identical
 # CSVs whether campaigns are simulated serially or prefetched on 4
 # workers. Each run gets a fresh working directory and a fresh disk
