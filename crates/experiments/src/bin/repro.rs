@@ -4,11 +4,16 @@
 //!
 //! ```text
 //! repro [--quick] [--seed N] <id>...     run specific experiments
-//! repro [--quick] [--seed N] all         run everything
+//! repro [--quick] [--seed N] all         run the paper's experiments
 //! repro --resume <checkpoint> [<id>...]  finish an interrupted campaign
 //!                                        first, then run experiments
-//! repro list                             list experiment ids
+//! repro list                             list experiment ids: the
+//!                                        paper's, then the ablations
 //! ```
+//!
+//! The ablations (`abl01`…) run by id only; `all` leaves them out. A CSV
+//! that cannot be written is warned about, the remaining experiments
+//! still run, and `repro` then exits 1.
 //!
 //! `--resume` takes a campaign checkpoint written by the store layer
 //! (see `results/campaign-cache/*.ckpt`), moves it to the disk cache's
@@ -25,7 +30,7 @@
 use std::path::{Path, PathBuf};
 use surgescope_core::CampaignConfig;
 use surgescope_experiments::cache::{self, CampaignCache, City};
-use surgescope_experiments::{run_experiment, RunCtx, ALL_IDS};
+use surgescope_experiments::{run_experiment, RunCtx, ABLATION_IDS, ALL_IDS};
 
 fn usage() -> ! {
     eprintln!(
@@ -186,7 +191,7 @@ fn main() {
                 })))
             }
             "list" => {
-                for id in ALL_IDS {
+                for id in ALL_IDS.iter().chain(&ABLATION_IDS) {
                     println!("{id}");
                 }
                 return;
@@ -235,6 +240,9 @@ fn main() {
                 failed = true;
             }
         }
+    }
+    if cache.registry().snapshot().value("experiments.csv_failures") != Some(0) {
+        failed = true;
     }
     if let Some(path) = &metrics {
         if let Err(e) = std::fs::write(path, cache.metrics_json() + "\n") {

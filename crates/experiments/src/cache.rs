@@ -96,9 +96,10 @@ pub struct TaxiValidation {
 pub struct CampaignCache {
     campaigns: Mutex<HashMap<u64, Arc<CampaignData>>>,
     taxi: Mutex<Option<Arc<TaxiValidation>>>,
-    /// Run-level metrics registry: the cache's own counters plus whatever
-    /// the scheduler registers ([`crate::schedule::prefetch`] adds its
-    /// drain order and per-worker busy timers here).
+    /// Run-level metrics registry: the cache's own counters, the CSV
+    /// failures of [`crate::run_experiment`], plus whatever the scheduler
+    /// registers ([`crate::schedule::prefetch`] adds its drain order and
+    /// per-worker busy timers here).
     registry: MetricsRegistry,
     hits: Counter,
     misses: Counter,
@@ -112,6 +113,8 @@ pub struct CampaignCache {
     /// A strict subset of `remote_failures`.
     breaker_trips: Counter,
     taxi_runs: Counter,
+    /// CSVs [`crate::run_experiment`] could not write.
+    pub(crate) csv_failures: Counter,
     /// Per-campaign metrics snapshots, captured just before each
     /// simulated campaign finished, keyed by cache key. Replayed and
     /// in-process-hit campaigns have no entry — nothing was simulated.
@@ -133,6 +136,7 @@ impl Default for CampaignCache {
             remote_failures: registry.counter("cache.remote_failures"),
             breaker_trips: registry.counter("resilience.breaker_trips"),
             taxi_runs: registry.counter("cache.taxi_runs"),
+            csv_failures: registry.counter("experiments.csv_failures"),
             registry,
             snapshots: Mutex::new(BTreeMap::new()),
         }

@@ -1,5 +1,6 @@
 //! One module per group of related experiments.
 
+pub mod ablations;
 pub mod algorithm;
 pub mod areas_exp;
 pub mod avoidance_exp;

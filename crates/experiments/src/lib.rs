@@ -1,8 +1,10 @@
 //! Experiment harness: one runnable reproduction per table and figure of
 //! the paper's evaluation.
 //!
-//! One table, `EXPERIMENTS`, is the only place that names an experiment.
-//! Each entry holds the experiment's id, the campaigns it reads (what
+//! Two tables are the only places that name an experiment: `EXPERIMENTS`,
+//! the paper's evaluation ([`ALL_IDS`]), and `ABLATIONS`, sweeps over the
+//! design choices the reproduction rests on ([`ABLATION_IDS`]). Each entry
+//! holds the experiment's id, the campaigns it reads (what
 //! [`schedule::needs`] returns for it) and the function that computes it.
 //! The function takes a [`RunCtx`] (seed, quick/full fidelity, output
 //! directory) and the shared campaign cache, and returns a [`Report`]: a
@@ -10,8 +12,9 @@
 //! metrics. [`run_experiment`] writes the table as `<id>.csv` and builds
 //! the [`Outcome`], so no experiment writes a file or spells its own id.
 //! Adding an experiment is one table entry plus its function. The `repro`
-//! binary runs experiments by id (`repro fig12`, `repro all`), prints
-//! them, and drops one CSV per experiment under `results/`.
+//! binary runs experiments by id (`repro fig12`, `repro abl01`, or
+//! `repro all` for the paper's), prints them, and drops one CSV per
+//! experiment under `results/`.
 //!
 //! Experiments that share a measurement campaign (most of §4–§6) obtain
 //! it from a [`cache::CampaignCache`], so `repro all` runs each
@@ -28,7 +31,9 @@ use cache::CampaignCache;
 use cache::City::{Manhattan, SanFrancisco};
 use exps::areas_exp::run_area_inference;
 use exps::dynamics::heatmap;
-use exps::{algorithm, avoidance_exp, calib, dynamics, extensions, fault_sweep, surge, validation};
+use exps::{
+    ablations, algorithm, avoidance_exp, calib, dynamics, extensions, fault_sweep, surge, validation,
+};
 use schedule::{apr, both_apr, both_eras, none, taxi, Prefetch};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -109,18 +114,16 @@ impl RunCtx {
     }
 
     /// Writes `table` as `<id>.csv` if an output directory is configured.
-    pub fn write_csv(&self, id: &str, table: &TextTable) {
-        let Some(dir) = &self.out_dir else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
+    pub fn write_csv(&self, id: &str, table: &TextTable) -> std::io::Result<()> {
+        let Some(dir) = &self.out_dir else { return Ok(()) };
+        std::fs::create_dir_all(dir)?;
         let (mut body, rows) = table.csv_rows();
         body.push('\n');
         for r in rows {
             body.push_str(&r);
             body.push('\n');
         }
-        let _ = std::fs::write(dir.join(format!("{id}.csv")), body);
+        std::fs::write(dir.join(format!("{id}.csv")), body)
     }
 }
 
@@ -275,28 +278,51 @@ const EXPERIMENTS: [Experiment; 26] = [
     ("fault_sweep", fault_sweep::needs, fault_sweep::fault_sweep),
 ];
 
-/// All experiment ids in run order.
-pub const ALL_IDS: [&str; EXPERIMENTS.len()] = {
-    let mut ids = [""; EXPERIMENTS.len()];
+/// Sweeps over the design choices DESIGN.md §6 rests on, and the per-area
+/// surge table the city models were fitted with. `repro all` leaves them
+/// out; each runs by id.
+#[rustfmt::skip]
+const ABLATIONS: [Experiment; 5] = [
+    ("abl01", none, |ctx, _| ablations::abl01(ctx)),
+    ("abl02", none, |ctx, _| ablations::abl02(ctx)),
+    ("abl03", |ctx| apr(SanFrancisco, ctx), ablations::abl03),
+    ("abl04", none, |ctx, _| ablations::abl04(ctx)),
+    ("abl05", both_apr, ablations::abl05),
+];
+
+/// The ids of `table`, in its order.
+const fn ids<const N: usize>(table: &[Experiment; N]) -> [&'static str; N] {
+    let mut ids = [""; N];
     let mut i = 0;
-    while i < ids.len() {
-        ids[i] = EXPERIMENTS[i].0;
+    while i < N {
+        ids[i] = table[i].0;
         i += 1;
     }
     ids
-};
+}
+
+/// The paper's experiment ids in run order: what `repro all` runs.
+pub const ALL_IDS: [&str; EXPERIMENTS.len()] = ids(&EXPERIMENTS);
+
+/// The ablation ids in run order.
+pub const ABLATION_IDS: [&str; ABLATIONS.len()] = ids(&ABLATIONS);
 
 /// The table entry of experiment `id`.
 pub(crate) fn experiment(id: &str) -> Option<&'static Experiment> {
-    EXPERIMENTS.iter().find(|e| e.0 == id)
+    EXPERIMENTS.iter().chain(&ABLATIONS).find(|e| e.0 == id)
 }
 
 /// Runs one experiment by id against a (shared) campaign cache, writes
 /// its table as `<id>.csv` and returns its outcome; `None` for an
-/// unknown id.
+/// unknown id. A CSV that cannot be written is warned about on stderr and
+/// counted in the cache's `experiments.csv_failures`; the outcome is
+/// still returned.
 pub fn run_experiment(id: &str, ctx: &RunCtx, cache: &CampaignCache) -> Option<Outcome> {
     let &(id, _, run) = experiment(id)?;
     let Report { title, table, body, metrics } = run(ctx, cache);
-    ctx.write_csv(id, &table);
+    if let Err(e) = ctx.write_csv(id, &table) {
+        cache.csv_failures.incr();
+        eprintln!("[csv] {id}.csv not written: {e}");
+    }
     Some(Outcome { id, title, table: body, metrics })
 }

@@ -16,7 +16,7 @@
 //! already cached.
 //!
 //! What an experiment reads is declared once, in its entry of the
-//! crate's experiment table, usually as one of the shared declarations
+//! crate's experiment tables, usually as one of the shared declarations
 //! here (`none`, `taxi`, `apr`, `both_apr`, `both_eras`);
 //! `ext01`, `ext02` and `fault_sweep` declare theirs beside the configs
 //! they build. Adding an experiment is one table entry plus its function.
@@ -56,7 +56,8 @@ pub fn needs(id: &str, ctx: &RunCtx) -> Vec<Prefetch> {
 }
 
 /// Declares no campaign: the experiment is pure geometry (fig02, fig03)
-/// or runs its own simulation inline, not cache-shaped (fig18, fig19).
+/// or runs its own simulation inline, not cache-shaped (fig18, fig19,
+/// abl01, abl02, abl04).
 pub(crate) fn none(_: &RunCtx) -> Vec<Prefetch> {
     Vec::new()
 }

@@ -2,7 +2,7 @@
 //! These are the "does `repro all` work" gate — heavier shape assertions
 //! live in EXPERIMENTS.md against the full-fidelity run.
 
-use surgescope_experiments::{cache::CampaignCache, run_experiment, RunCtx, ALL_IDS};
+use surgescope_experiments::{cache::CampaignCache, run_experiment, RunCtx, ABLATION_IDS, ALL_IDS};
 
 #[test]
 fn scheduler_prefetch_matches_serial_byte_for_byte() {
@@ -80,16 +80,77 @@ fn every_experiment_id_is_routable() {
     assert_eq!(ALL_IDS.len(), 26);
 }
 
-/// DESIGN.md §3 indexes every experiment, and the experiment table names
-/// no id twice: a duplicate entry would shadow the later one.
+/// DESIGN.md §3 indexes every experiment and ablation, and no id appears
+/// twice across both tables: a duplicate entry would shadow the later one.
 #[test]
 fn design_index_lists_every_experiment() {
     let design = include_str!("../../../DESIGN.md");
     let mut seen = std::collections::HashSet::new();
-    for id in ALL_IDS {
-        assert!(seen.insert(id), "{id} is in the experiment table twice");
+    for id in ALL_IDS.iter().chain(&ABLATION_IDS) {
+        assert!(seen.insert(id), "{id} is in the experiment tables twice");
         assert!(design.contains(&format!("| `{id}` |")), "DESIGN.md §3 has no row for {id}");
     }
+}
+
+/// The ablations read only the campaigns they declare, and each shows the
+/// trade-off DESIGN.md §6 cites it for. Surge is checked at the two ends
+/// of the elasticity sweep only: step by step it depends on the seed.
+#[test]
+fn ablations_show_the_design_trade_offs() {
+    use surgescope_experiments::schedule;
+
+    let ctx = RunCtx { quiet: true, ..RunCtx::quick(3) };
+    let ids: Vec<String> = ABLATION_IDS.iter().map(|s| s.to_string()).collect();
+    let cache = CampaignCache::new();
+    let tasks = schedule::prefetch(&ids, &ctx, &cache, 2);
+    assert_eq!(tasks, 2, "abl03 and abl05 share both cities' Apr-era campaigns");
+    let out: Vec<_> = ids.iter().map(|id| run_experiment(id, &ctx, &cache).unwrap()).collect();
+    let misses = cache.registry().snapshot().value("cache.misses");
+    assert_eq!(misses, Some(2), "an ablation built a campaign it did not declare");
+    let series = |i: usize, names: Vec<String>| -> Vec<f64> {
+        let metric = |n: &String| {
+            out[i].metric(n).unwrap_or_else(|| panic!("{} has no {n}", out[i].id))
+        };
+        names.iter().map(metric).collect()
+    };
+    let rising = |v: &[f64]| v.windows(2).all(|w| w[0] < w[1]);
+
+    // abl01: a wider lattice never captures more supply.
+    let spacings = [150, 250, 400, 600, 900].map(|s| format!("capture_{s}m"));
+    let capture = series(0, spacings.into());
+    assert!(capture[0] >= 0.97, "supply capture by spacing: {capture:?}");
+    assert!(capture.windows(2).all(|w| w[0] >= w[1]), "capture rose: {capture:?}");
+    assert!(capture[4] < capture[0], "900 m captured as much as 150 m: {capture:?}");
+
+    // abl02: more elastic riders are priced out more, and surge less.
+    let at = |k: &str| -> Vec<String> {
+        ["05", "10", "18", "26", "40"].map(|e| format!("{k}_e{e}")).into()
+    };
+    let priced_out = series(1, at("priced_out"));
+    assert!(rising(&priced_out), "priced-out riders by elasticity: {priced_out:?}");
+    for k in ["surge_frac", "mean_surge"] {
+        let v = series(1, at(k));
+        assert!(v[4] < v[0], "{k} at elasticity 4.0 is not below 0.5: {v:?}");
+    }
+
+    // abl03: the bug probability trades sub-minute mass for single-client
+    // events.
+    let at = |k: &str| -> Vec<String> {
+        ["05", "18", "40", "80"].map(|p| format!("{k}_p{p}")).into()
+    };
+    let sub_minute = series(2, at("sub_minute"));
+    let mut single = series(2, at("single_client"));
+    assert!(rising(&sub_minute), "sub-minute mass by bug probability: {sub_minute:?}");
+    single.reverse();
+    assert!(rising(&single), "single-client share by falling bug probability: {single:?}");
+
+    // abl04: location noise inflates the estimator's deaths.
+    let deaths = series(3, vec!["deaths_s000".into(), "deaths_s250".into()]);
+    assert!(deaths[1] > deaths[0], "deaths at sigma 0 and 250 m: {deaths:?}");
+
+    // abl05: a row per surge area, four in each city.
+    let rows = out[4].table.lines().filter(|l| l.starts_with("Manhattan") || l.starts_with("SF"));
+    assert_eq!(rows.count(), 8, "{}", out[4].table);
 }
 
 #[test]

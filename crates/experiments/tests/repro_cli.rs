@@ -1,5 +1,6 @@
 //! CLI contract of the `repro` binary: the usage text enumerates every
-//! flag, and unknown flags fail fast with that usage on stderr.
+//! flag, unknown flags fail fast with that usage on stderr, and a CSV
+//! that cannot be written fails the run.
 
 use std::process::Command;
 
@@ -82,5 +83,30 @@ fn list_prints_experiment_ids() {
     let out = repro().arg("list").output().expect("run repro");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.lines().any(|l| l.trim() == "fig12"));
+    for id in ["fig12", "abl01"] {
+        assert!(stdout.lines().any(|l| l.trim() == id), "{id} not listed: {stdout}");
+    }
+}
+
+/// With `results/fig03.csv` a directory, fig03 still prints its outcome
+/// and the experiments after it still run and write their CSVs, but the
+/// run warns and exits non-zero.
+#[test]
+fn a_csv_that_cannot_be_written_fails_the_run() {
+    let dir = std::env::temp_dir().join(format!("repro-csv-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("results/fig03.csv")).expect("create the blocking directory");
+    let out = repro()
+        .args(["--quick", "--quiet", "fig03", "fig02"])
+        .current_dir(&dir)
+        .output()
+        .expect("run repro");
+    let fig02_csv = dir.join("results/fig02.csv").is_file();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "repro exited 0 with its CSV unwritten; stderr: {stderr}");
+    assert!(stdout.contains("==== fig03 "), "fig03's outcome is missing: {stdout}");
+    assert!(stdout.contains("==== fig02 ") && fig02_csv, "fig02 did not run after fig03");
+    assert!(stderr.contains("fig03.csv not written"), "no warning on stderr: {stderr}");
 }

@@ -288,10 +288,18 @@ echo "== scheduler: --jobs CSV byte-identity (jobs=1 vs jobs=4) =="
 # The prefetch must declare every campaign (and the taxi replay) that
 # any of the 26 experiments reads: after it, running them all builds
 # nothing more, so none is left to build inline and serially. DESIGN.md
-# §3 must index every experiment of the table, which names no id twice.
+# §3 must index every experiment and ablation, and no id may appear in
+# both tables or twice in one. The five ablations build only the two
+# campaigns they declare, and each shows the trade-off DESIGN.md §6
+# cites it for.
 run_named_tests -p surgescope-experiments --test harness -- \
   prefetch_covers_every_campaign_the_experiments_read \
-  design_index_lists_every_experiment
+  design_index_lists_every_experiment \
+  ablations_show_the_design_trade_offs
+# A CSV that cannot be written fails `repro`: it warns, runs the rest
+# of the experiments, and exits non-zero.
+run_named_tests -p surgescope-experiments --test repro_cli -- \
+  a_csv_that_cannot_be_written_fails_the_run
 # A shared-campaign subset of `repro --quick` must emit byte-identical
 # CSVs whether campaigns are simulated serially or prefetched on 4
 # workers. Each run gets a fresh working directory and a fresh disk
